@@ -1,54 +1,19 @@
-"""Shared dense/banded linear-algebra helpers.
+"""Shared linear-algebra helpers.
 
-Internal module: thin wrappers around LAPACK factorizations that expose
-exactly what the rest of the package needs (determinant signs from pivots,
-smallest singular pairs, orthonormal complements, polar orthonormalization).
+Internal module: thin wrappers around LAPACK that expose exactly what the
+rest of the package needs: the one banded LU (solves and determinant signs
+from its pivots, with the one singularity criterion), smallest singular
+pairs, orthonormal complements and polar orthonormalization.
 """
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .errors import NumericallySingular, SingularJacobian
 
 # Relative pivot threshold below which a factorization is reported singular.
 PIVOT_RTOL = 1e-12
-
-
-def spectral_norm(a: np.ndarray) -> float:
-    """2-norm of a matrix (largest singular value)."""
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
-
-
-def det_sign_dense(j: np.ndarray, *, norm: float | None = None) -> int:
-    """Sign of det(j) from a dense LU with partial pivoting.
-
-    Product of the U-diagonal signs times the parity of the row permutation.
-    Raises NumericallySingular instead of returning 0 when a pivot falls
-    below PIVOT_RTOL * ||j||.
-    """
-    j = np.asarray(j, dtype=float)
-    n = j.shape[0]
-    if j.shape != (n, n):
-        raise ValueError("det_sign requires a square matrix")
-    if n == 0:
-        return 1
-    if norm is None:
-        norm = spectral_norm(j)
-    lu, piv = sla.lu_factor(j, check_finite=False)
-    diag = np.diag(lu)
-    if np.min(np.abs(diag)) < PIVOT_RTOL * norm:
-        raise NumericallySingular(
-            f"pivot {np.min(np.abs(diag)):.3e} below {PIVOT_RTOL:.0e} * ||J|| = "
-            f"{PIVOT_RTOL * norm:.3e}"
-        )
-    swaps = int(np.sum(piv != np.arange(n)))
-    sign = 1 if swaps % 2 == 0 else -1
-    sign *= int(np.prod(np.sign(diag)))
-    return sign
 
 
 def smallest_singular_pair(j: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -93,10 +58,13 @@ class BandedLU:
     """LU factorization of a banded matrix via LAPACK gbtrf/gbtrs.
 
     The matrix is supplied in the LAPACK band layout with kl extra rows of
-    workspace on top: ab[kl + ku + i - j, j] = A[i, j].
+    workspace on top: ab[kl + ku + i - j, j] = A[i, j].  The 1-norm of A is
+    taken from the band before factoring; a pivot below PIVOT_RTOL times it
+    is the package's one criterion for a numerically singular matrix.
     """
 
-    def __init__(self, ab: np.ndarray, kl: int, ku: int, n: int):
+    def __init__(self, ab: np.ndarray, kl: int, ku: int):
+        self.norm_1 = float(np.max(np.sum(np.abs(ab[kl:]), axis=0)))
         lu, ipiv, info = lapack.dgbtrf(ab, kl=kl, ku=ku)
         if info < 0:
             raise ValueError(f"dgbtrf: illegal argument {-info}")
@@ -104,30 +72,28 @@ class BandedLU:
         self._ipiv = ipiv
         self.kl = kl
         self.ku = ku
-        self.n = n
+        self.n = ab.shape[1]
         self.exact_singular = info > 0
         # U diagonal lives in row kl + ku of the factored band storage.
-        self._udiag = lu[kl + ku, :n]
+        self._udiag = lu[kl + ku]
 
-    def min_pivot(self) -> float:
-        if self.exact_singular:
-            return 0.0
-        return float(np.min(np.abs(self._udiag)))
-
-    def det_sign(self, *, norm: float) -> int:
-        if self.exact_singular or self.min_pivot() < PIVOT_RTOL * norm:
-            raise NumericallySingular("banded LU pivot below threshold")
-        swaps = int(np.sum(self._ipiv != np.arange(1, self.n + 1)))
+    def det_sign(self) -> int:
+        """Pivot signs times the row-interchange parity; raises
+        NumericallySingular when a pivot falls below PIVOT_RTOL * ||A||_1."""
+        if self.exact_singular or np.min(np.abs(self._udiag)) < PIVOT_RTOL * self.norm_1:
+            raise NumericallySingular(
+                f"LU pivot below {PIVOT_RTOL:.0e} * ||A||_1 = {PIVOT_RTOL * self.norm_1:.3e}"
+            )
+        # scipy returns the gbtrf pivot indices 0-based.
+        swaps = int(np.sum(self._ipiv != np.arange(self.n)))
         sign = 1 if swaps % 2 == 0 else -1
         sign *= int(np.prod(np.sign(self._udiag)))
         return sign
 
-    def solve(self, b: np.ndarray, trans: bool = False) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         if self.exact_singular:
             raise SingularJacobian("banded LU is exactly singular")
-        x, info = lapack.dgbtrs(
-            self._lu, self.kl, self.ku, b, self._ipiv, trans=1 if trans else 0
-        )
+        x, info = lapack.dgbtrs(self._lu, self.kl, self.ku, b, self._ipiv)
         if info != 0:
             raise SingularJacobian(f"dgbtrs failed with info={info}")
         return x

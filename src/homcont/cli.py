@@ -105,6 +105,24 @@ class RunConfig:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise InvalidConfig(f"tolerances.{name}: must be a positive number, got {v!r}")
+        if not (isinstance(self.check_radius, (int, float)) and math.isfinite(self.check_radius)
+                and self.check_radius > 0):
+            raise InvalidConfig(f"check_radius: must be a positive number, got {self.check_radius!r}")
+        self.continuation_controls()
+
+    def continuation_controls(self) -> ContinuationControls:
+        try:
+            return ContinuationControls(
+                ds0=self.ds0,
+                ds_min=self.ds_min,
+                ds_max=self.ds_max,
+                max_steps=self.max_steps,
+                amplitude_cap=self.amplitude_cap,
+                tail_tol=self.tail_tol,
+                min_norm=0.5 * self.s0,
+            )
+        except InvalidConfig as exc:
+            raise InvalidConfig(f"continuation.{exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +380,7 @@ def cmd_branch(config: RunConfig, theta_star: float) -> int:
         _report_error(HomcontError(f"no bifurcation candidate near theta={theta_star}: {exc}"))
         return EXIT_DETECT
 
-    controls = ContinuationControls(
-        ds0=config.ds0,
-        ds_min=config.ds_min,
-        ds_max=config.ds_max,
-        max_steps=config.max_steps,
-        amplitude_cap=config.amplitude_cap,
-        tail_tol=config.tail_tol,
-        min_norm=0.5 * config.s0,
-    )
+    controls = config.continuation_controls()
     try:
         start = switch_branch(
             config.system, cand, config.s0, config.window_n,

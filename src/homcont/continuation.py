@@ -6,6 +6,11 @@ against the kernel direction phi (the trivial branch violates it), and
 continuation replaces it by the arclength constraint t . (z - z_pred) = 0
 with secant tangents.  theta is carried as a lifted real, so branches wind
 past 2*pi without seams.
+
+Every linear solve and determinant sign goes through the banded window LU
+of truncation.banded_jacobian_lu: fixed-theta systems directly, augmented
+(X, theta) systems by block elimination on that LU with one refinement
+step against the bordered residual.
 """
 from __future__ import annotations
 
@@ -14,10 +19,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from ._linalg import det_sign_dense
+from ._linalg import PIVOT_RTOL
 from .detect import BifurcationCandidate
 from .errors import (
     DegenerateKernel,
@@ -31,24 +34,17 @@ from .errors import (
 from .truncation import (
     DEFAULT_N_MAX,
     TAIL_FRACTION,
+    TransportedRows,
     adapt_window,
     assemble_dresidual_dtheta,
-    assemble_jacobian,
     assemble_residual,
     banded_jacobian_lu,
-    complement_families,
     embed_window,
     tail_mass,
     truncated_problem,
 )
-from .bundles import transport_along_path
 
 log = logging.getLogger(__name__)
-
-# Dense solves below this augmented size; sparse LU above.
-_DENSE_LIMIT = 2000
-# Banded LU is the fixed-theta solve path from this half-width upward.
-_BANDED_FROM_N = 128
 
 DEFAULT_NEWTON_TOL = 1e-10
 DEFAULT_MAX_ITER = 25
@@ -93,6 +89,21 @@ class ContinuationControls:
     min_norm: float = 0.0
     n_max: int = DEFAULT_N_MAX
 
+    def __post_init__(self):
+        for name in ("ds0", "ds_min", "ds_max", "amplitude_cap", "tail_tol"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+                raise InvalidConfig(f"{name}: must be a positive number, got {v!r}")
+        if self.ds_min > self.ds_max:
+            raise InvalidConfig(f"ds_min: {self.ds_min!r} exceeds ds_max {self.ds_max!r}")
+        if not (isinstance(self.min_norm, (int, float)) and math.isfinite(self.min_norm)
+                and self.min_norm >= 0):
+            raise InvalidConfig(f"min_norm: must be a non-negative number, got {self.min_norm!r}")
+        if not self.max_steps >= 0:
+            raise InvalidConfig(f"max_steps: must be non-negative, got {self.max_steps!r}")
+        if not self.n_max >= 1:
+            raise InvalidConfig(f"n_max: must be at least 1, got {self.n_max!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class Branch:
@@ -106,105 +117,53 @@ def _block_sup_norm(x: np.ndarray, d: int) -> float:
 
 
 def _solve_fixed(p, x, rhs):
-    if p.N >= _BANDED_FROM_N:
-        return banded_jacobian_lu(p, x).solve(rhs)
-    jac = assemble_jacobian(p, x)
-    try:
-        return np.linalg.solve(jac, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian(str(exc)) from exc
+    return banded_jacobian_lu(p, x).solve(rhs)
 
 
-def _augmented_dense(p, x, constraint):
-    size = p.size
-    aug = np.zeros((size + 1, size + 1))
-    aug[:size, :size] = assemble_jacobian(p, x)
-    aug[:size, size] = assemble_dresidual_dtheta(p, x)
-    aug[size, :size] = constraint.w_x
-    aug[size, size] = constraint.w_theta
-    return aug
-
-
-def _augmented_sparse(p, x, constraint):
-    blocks = p.blocks(x)
-    d, N, size = p.d, p.N, p.size
-    rows, cols, data = [], [], []
-
-    def add_block(r0, c0, m):
-        for l in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                if m[l, j] != 0.0:
-                    rows.append(r0 + l)
-                    cols.append(c0 + j)
-                    data.append(m[l, j])
-
-    eye = np.eye(d)
-    for i, n in enumerate(range(-N, N)):
-        add_block(i * d, i * d, -np.asarray(p.system.dfdx(n, p.theta, blocks[i]), dtype=float))
-        add_block(i * d, (i + 1) * d, eye)
-    base = 2 * N * d
-    add_block(base, 0, p.left_rows)
-    add_block(base + p.left_rows.shape[0], 2 * N * d, p.right_rows)
-    dth = assemble_dresidual_dtheta(p, x)
-    for i, v in enumerate(dth):
-        if v != 0.0:
-            rows.append(i)
-            cols.append(size)
-            data.append(v)
-    for j, v in enumerate(constraint.w_x):
-        if v != 0.0:
-            rows.append(size)
-            cols.append(j)
-            data.append(v)
-    rows.append(size)
-    cols.append(size)
-    data.append(constraint.w_theta)  # keep the corner structurally present
-    return sp.csc_matrix((data, (rows, cols)), shape=(size + 1, size + 1))
+def _schur(lu, col, constraint):
+    """v = J^{-1} b and the Schur complement s = w_theta - w_x . v of the
+    augmented Jacobian [[J, b], [w_x, w_theta]], whose determinant is
+    det J * s; lu factors J and col is b = dR/dtheta."""
+    v = lu.solve(col)
+    return v, float(constraint.w_theta - constraint.w_x @ v)
 
 
 def _solve_augmented(p, x, constraint, rhs):
-    if p.size + 1 <= _DENSE_LIMIT:
-        try:
-            return np.linalg.solve(_augmented_dense(p, x, constraint), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
-    try:
-        return spla.splu(_augmented_sparse(p, x, constraint)).solve(rhs)
-    except RuntimeError as exc:
-        raise SingularJacobian(str(exc)) from exc
+    """Solve the augmented system by block elimination on the window LU,
+    then one refinement step against the bordered residual (Govaerts and
+    Pryce, BIT 30 (1990) 490-507), which restores accuracy when J itself is
+    near-singular, as at a kernel crossing."""
+    lu = banded_jacobian_lu(p, x)
+    col = assemble_dresidual_dtheta(p, x)
+    v, schur = _schur(lu, col, constraint)
+    if not (math.isfinite(schur) and schur != 0.0):
+        raise SingularJacobian(f"bordered Schur complement is {schur!r}")
+    w_x, w_theta = constraint.w_x, constraint.w_theta
 
+    def eliminate(r):
+        u = lu.solve(r[:-1])
+        y = (r[-1] - w_x @ u) / schur
+        return np.concatenate([u - y * v, [y]])
 
-def _perm_parity(perm: np.ndarray) -> int:
-    perm = np.asarray(perm)
-    seen = np.zeros(len(perm), dtype=bool)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    z = eliminate(rhs)
+    applied = np.concatenate([
+        lu.matvec(z[:-1]) + z[-1] * col, [w_x @ z[:-1] + w_theta * z[-1]]
+    ])
+    return z + eliminate(rhs - applied)
 
 
 def _augmented_det_sign(p, x, constraint) -> int:
-    """Determinant sign of the augmented Jacobian; 0 if near-singular."""
-    if p.size + 1 <= _DENSE_LIMIT:
-        try:
-            return det_sign_dense(_augmented_dense(p, x, constraint))
-        except NumericallySingular:
-            return 0
-    lu = spla.splu(_augmented_sparse(p, x, constraint))
-    diag = lu.U.diagonal()
-    if np.min(np.abs(diag)) == 0.0:
+    """Determinant sign of the augmented Jacobian, sign det J * sign s; 0 if
+    a pivot of J or s itself falls below PIVOT_RTOL * ||J||_1."""
+    lu = banded_jacobian_lu(p, x)
+    try:
+        sign = lu.det_sign()
+    except NumericallySingular:
         return 0
-    sign = int(np.prod(np.sign(diag)))
-    return sign * _perm_parity(lu.perm_r) * _perm_parity(lu.perm_c)
+    _, schur = _schur(lu, assemble_dresidual_dtheta(p, x), constraint)
+    if not abs(schur) >= PIVOT_RTOL * lu.norm_1:
+        return 0
+    return sign if schur > 0 else -sign
 
 
 def _newton(p, guess, constraint, newton_tol, max_iter):
@@ -279,8 +238,9 @@ def newton_correct(
     """Correct a guess to a converged branch point.
 
     With constraint = None theta is held at p.theta and the square window
-    system is solved (banded LU for N >= 128, dense below); otherwise theta
-    is freed and the affine constraint closes the augmented system.  The
+    system is solved; otherwise theta is freed and the affine constraint
+    closes the augmented system, solved by block elimination on the same
+    window LU.  The
     recorded det_sign is that of the system actually solved (0 when it is
     numerically singular); amplitude is measured against amplitude_ref, or
     falls back to the l2 norm.
@@ -289,10 +249,7 @@ def newton_correct(
     p_final = p if theta == p.theta else replace(p, theta=float(theta))
     if constraint is None:
         try:
-            if p_final.N >= _BANDED_FROM_N:
-                det = banded_jacobian_lu(p_final, x).det_sign()
-            else:
-                det = det_sign_dense(assemble_jacobian(p_final, x))
+            det = banded_jacobian_lu(p_final, x).det_sign()
         except NumericallySingular:
             det = 0
     else:
@@ -336,27 +293,6 @@ def switch_branch(
         raise NoConvergence(f"{exc}; try a smaller s0") from exc
 
 
-class _RowState:
-    """Boundary-condition rows transported continuously along theta."""
-
-    def __init__(self, system, theta, gap_tol):
-        self.left_fn, self.right_fn = complement_families(system, gap_tol)
-        self.theta = float(theta)
-        self.left = self.left_fn(self.theta)
-        self.right = self.right_fn(self.theta)
-
-    def move(self, theta: float):
-        self.left = transport_along_path(self.left_fn, self.left, self.theta, theta)
-        self.right = transport_along_path(self.right_fn, self.right, self.theta, theta)
-        self.theta = float(theta)
-
-    def problem(self, system, theta, N, gap_tol):
-        return truncated_problem(
-            system, theta, N, gap_tol=gap_tol,
-            left_rows=self.left.T, right_rows=self.right.T,
-        )
-
-
 def _initial_tangent(p, x, theta, orient_x):
     """Null tangent of the augmented Jacobian, oriented along orient_x."""
     constraint = AffineConstraint(w_x=orient_x, w_theta=0.0, offset=0.0)
@@ -389,8 +325,8 @@ def continue_branch(
     point as a fold/secondary-crossing diagnostic.
     """
     d = system.d
-    rows = _RowState(system, start.theta, gap_tol)
-    p = rows.problem(system, start.theta, start.N, gap_tol)
+    rows = TransportedRows(system, start.theta, gap_tol)
+    p = rows.problem(start.theta, start.N)
     x = np.asarray(start.X, dtype=float).copy()
     rn = float(np.linalg.norm(assemble_residual(p, x)))
     # A converged start may drift by rounding when its boundary rows are
@@ -458,7 +394,7 @@ def continue_branch(
 
         # Carry the boundary rows to the accepted theta and re-polish there.
         rows.move(theta_new)
-        p = rows.problem(system, theta_new, p.N, gap_tol)
+        p = rows.problem(theta_new, p.N)
         rn = float(np.linalg.norm(assemble_residual(p, x_new)))
         if rn > newton_tol:
             try:

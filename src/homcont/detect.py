@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import det_sign_dense, smallest_singular_pair
-from .bundles import CircleGrid, transport_along_path, transport_frames
+from ._linalg import BandedLU, smallest_singular_pair
+from .bundles import CircleGrid, transport_frames
 from .errors import (
     InconsistentParity,
     MaxIterations,
@@ -23,7 +23,13 @@ from .errors import (
     NoSignChange,
     NumericallySingular,
 )
-from .truncation import assemble_jacobian, complement_families, truncated_problem
+from .truncation import (
+    TransportedRows,
+    assemble_jacobian,
+    banded_jacobian_lu,
+    complement_families,
+    truncated_problem,
+)
 
 DEFAULT_KERNEL_TOL = 1e-8
 
@@ -58,8 +64,27 @@ class BifurcationCandidate:
 
 def det_sign(j: np.ndarray) -> int:
     """Sign of det(j) via LU with partial pivoting (pivot signs times
-    permutation parity); raises NumericallySingular instead of returning 0."""
-    return det_sign_dense(j)
+    permutation parity), factored as a full-band matrix by the package's one
+    LU.  Raises NumericallySingular instead of returning 0 when a pivot falls
+    below PIVOT_RTOL * ||j||_1."""
+    j = np.asarray(j, dtype=float)
+    n = j.shape[0]
+    if j.shape != (n, n):
+        raise ValueError("det_sign requires a square matrix")
+    if n == 0:
+        return 1
+    rows, cols = np.indices((n, n))
+    ab = np.zeros((3 * n - 2, n))
+    ab[2 * n - 2 + rows - cols, cols] = j
+    return BandedLU(ab, kl=n - 1, ku=n - 1).det_sign()
+
+
+def _window_sign(p) -> int:
+    """Determinant sign of the linearization at X = 0; 0 if near-singular."""
+    try:
+        return banded_jacobian_lu(p, np.zeros(p.size)).det_sign()
+    except NumericallySingular:
+        return 0
 
 
 def kernel_vector(
@@ -123,15 +148,10 @@ def scan_parity(
             system, theta, N, gap_tol=gap_tol,
             left_rows=left_frames[i].T, right_rows=right_frames[i].T,
         )
-        jac = assemble_jacobian(p, np.zeros(p.size))
-        smin, _, smax = smallest_singular_pair(jac)
+        smin, _, smax = smallest_singular_pair(assemble_jacobian(p, np.zeros(p.size)))
         smins[i] = smin
-        if smin < kernel_tol * smax:
-            continue  # excluded from sign bookkeeping
-        try:
-            signs[i] = det_sign_dense(jac, norm=smax)
-        except NumericallySingular:
-            signs[i] = 0
+        if smin >= kernel_tol * smax:  # near-singular nodes stay excluded (0)
+            signs[i] = _window_sign(p)
 
     if signs[0] == 0 or signs[-1] == 0:
         raise InconsistentParity(
@@ -180,33 +200,6 @@ def scan_parity(
     )
 
 
-class _PathProblems:
-    """Truncated problems along a theta path with continuously carried rows."""
-
-    def __init__(self, system, N: int, theta0: float, gap_tol: float):
-        self.system = system
-        self.N = N
-        self.gap_tol = gap_tol
-        self.left_fn, self.right_fn = complement_families(system, gap_tol)
-        self.theta = float(theta0)
-        self.left = self.left_fn(self.theta)
-        self.right = self.right_fn(self.theta)
-
-    def move(self, theta: float):
-        self.left = transport_along_path(self.left_fn, self.left, self.theta, theta)
-        self.right = transport_along_path(self.right_fn, self.right, self.theta, theta)
-        self.theta = float(theta)
-
-    def jacobian_at(self, theta: float) -> np.ndarray:
-        left = transport_along_path(self.left_fn, self.left, self.theta, theta)
-        right = transport_along_path(self.right_fn, self.right, self.theta, theta)
-        p = truncated_problem(
-            self.system, theta, self.N, gap_tol=self.gap_tol,
-            left_rows=left.T, right_rows=right.T,
-        )
-        return assemble_jacobian(p, np.zeros(p.size))
-
-
 def locate_bifurcation(
     system,
     bracket: tuple[float, float],
@@ -229,17 +222,14 @@ def locate_bifurcation(
     a, b = float(bracket[0]), float(bracket[1])
     if not b > a:
         raise ValueError("bracket must satisfy theta_lo < theta_hi")
-    path = _PathProblems(system, N, a, gap_tol)
+    path = TransportedRows(system, a, gap_tol)
 
     def probe(theta: float):
-        jac = path.jacobian_at(theta)
-        smin, _, smax = smallest_singular_pair(jac)
+        p = path.problem(theta, N)
+        smin, _, smax = smallest_singular_pair(assemble_jacobian(p, np.zeros(p.size)))
         if smin < kernel_tol * smax:
             return smin, smax, None
-        try:
-            return smin, smax, det_sign_dense(jac, norm=smax)
-        except NumericallySingular:
-            return smin, smax, None
+        return smin, smax, _window_sign(p) or None
 
     def endpoint_sign(theta: float, inward: float):
         smin, smax, sign = probe(theta)
@@ -250,14 +240,14 @@ def locate_bifurcation(
     s_a = endpoint_sign(a, +1.0)
     s_b = endpoint_sign(b, -1.0)
     if s_a is None or s_b is None or s_a == s_b:
-        return _golden_fallback(system, path, (a, b), tol_theta, kernel_tol, max_iter)
+        return _golden_fallback(system, path, (a, b), N, tol_theta, kernel_tol, max_iter)
 
     for _ in range(max_iter):
         width = b - a
         mid = 0.5 * (a + b)
         smin_mid, smax_mid, s_mid = probe(mid)
         if width <= tol_theta and smin_mid <= kernel_tol * smax_mid:
-            return _finish_candidate(system, path, mid, (a, b), N, gap_tol, kernel_tol)
+            return _finish_candidate(system, path, mid, (a, b), N, kernel_tol)
         if s_mid is not None:
             if s_mid == s_a:
                 a = mid
@@ -277,12 +267,17 @@ def locate_bifurcation(
                 b = hi
             if s_lo is None and s_hi is None:
                 if smin_mid <= kernel_tol * smax_mid:
-                    return _finish_candidate(system, path, mid, (a, b), N, gap_tol, kernel_tol)
+                    return _finish_candidate(system, path, mid, (a, b), N, kernel_tol)
                 raise MaxIterations("bracket collapsed onto a non-resolvable singular set")
     raise MaxIterations(f"bisection did not converge within {max_iter} iterations")
 
 
-def _golden_fallback(system, path, bracket, tol_theta, kernel_tol, max_iter):
+def _jacobian_at(path: TransportedRows, theta: float, N: int) -> np.ndarray:
+    p = path.problem(theta, N)
+    return assemble_jacobian(p, np.zeros(p.size))
+
+
+def _golden_fallback(system, path, bracket, N, tol_theta, kernel_tol, max_iter):
     """Golden-section search on the relative smallest singular value.
 
     Shrinks past tol_theta if needed until the dip clears the kernel
@@ -293,7 +288,7 @@ def _golden_fallback(system, path, bracket, tol_theta, kernel_tol, max_iter):
     phi = 0.5 * (3.0 - np.sqrt(5.0))
 
     def rel_smin(theta: float) -> float:
-        jac = path.jacobian_at(theta)
+        jac = _jacobian_at(path, theta, N)
         smin, _, smax = smallest_singular_pair(jac)
         return smin / smax
 
@@ -316,7 +311,7 @@ def _golden_fallback(system, path, bracket, tol_theta, kernel_tol, max_iter):
     else:
         raise MaxIterations("golden-section search exceeded its budget")
     mid = x1 if f1 <= f2 else x2
-    jac = path.jacobian_at(mid)
+    jac = _jacobian_at(path, mid, N)
     smin, _, smax = smallest_singular_pair(jac)
     if smin > kernel_tol * smax:
         raise NoSignChange(
@@ -328,11 +323,11 @@ def _golden_fallback(system, path, bracket, tol_theta, kernel_tol, max_iter):
         "no parity certificate",
         stacklevel=2,
     )
-    return _finish_candidate(system, path, mid, (a, b), path.N, path.gap_tol, kernel_tol)
+    return _finish_candidate(system, path, mid, (a, b), N, kernel_tol)
 
 
-def _finish_candidate(system, path, theta_star, bracket, N, gap_tol, kernel_tol):
-    jac = path.jacobian_at(theta_star)
+def _finish_candidate(system, path, theta_star, bracket, N, kernel_tol):
+    jac = _jacobian_at(path, theta_star, N)
     smin, _, smax = smallest_singular_pair(jac)
     vec = kernel_vector(jac, kernel_tol=kernel_tol * smax, block_size=system.d)
     return BifurcationCandidate(

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._linalg import BandedLU, orth_complement
+from .bundles import transport_along_path
 from .errors import SizeMismatch, WindowOverflow
 from .spectral import hyperbolic_splitting
 
@@ -68,10 +69,37 @@ def complement_families(system, gap_tol: float = 1e-6):
     return left, right
 
 
-def complement_frames(system, theta: float, gap_tol: float = 1e-6):
-    """Orthonormal frames of E^u(theta,-inf)^perp and E^s(theta,+inf)^perp."""
-    left, right = complement_families(system, gap_tol)
-    return left(theta), right(theta)
+class TransportedRows:
+    """Boundary-condition rows carried continuously along theta.
+
+    move() transports the rows to a new theta and keeps them there;
+    problem() builds the window problem at any theta with the rows carried
+    there from the current one, leaving the state unchanged.
+    """
+
+    def __init__(self, system, theta: float, gap_tol: float):
+        self.system = system
+        self.gap_tol = gap_tol
+        self.left_fn, self.right_fn = complement_families(system, gap_tol)
+        self.theta = float(theta)
+        self.left = self.left_fn(self.theta)
+        self.right = self.right_fn(self.theta)
+
+    def _carried(self, theta: float):
+        return (
+            transport_along_path(self.left_fn, self.left, self.theta, theta),
+            transport_along_path(self.right_fn, self.right, self.theta, theta),
+        )
+
+    def move(self, theta: float):
+        self.left, self.right = self._carried(theta)
+        self.theta = float(theta)
+
+    def problem(self, theta: float, N: int) -> TruncatedProblem:
+        left, right = self._carried(theta)
+        return truncated_problem(
+            self.system, theta, N, gap_tol=self.gap_tol, left_rows=left.T, right_rows=right.T
+        )
 
 
 def truncated_problem(
@@ -87,11 +115,11 @@ def truncated_problem(
     if N < 1:
         raise ValueError("window half-width N must be positive")
     if left_rows is None or right_rows is None:
-        left_c, right_c = complement_frames(system, theta, gap_tol)
+        left, right = complement_families(system, gap_tol)
         if left_rows is None:
-            left_rows = left_c.T
+            left_rows = left(theta).T
         if right_rows is None:
-            right_rows = right_c.T
+            right_rows = right(theta).T
     return TruncatedProblem(
         system=system,
         theta=float(theta),
@@ -116,21 +144,43 @@ def assemble_residual(p: TruncatedProblem, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def assemble_jacobian(p: TruncatedProblem, x: np.ndarray) -> np.ndarray:
-    """Dense window Jacobian: interior block rows [-dfdx(n, theta, x_n), I]
-    plus the boundary rows.  Intended for moderate windows; use
-    banded_jacobian_lu for large-N solves."""
+def _jacobian_entries(p: TruncatedProblem, x: np.ndarray):
+    """(rows, cols, values) of every structural entry of the window Jacobian,
+    rows in assembled ordering.  The dfdx blocks are evaluated once, into a
+    (2N, d, d) array, and placed by array indexing."""
     blocks = p.blocks(x)
     d, N = p.d, p.N
-    jac = np.zeros((p.size, p.size))
-    eye = np.eye(d)
-    for i, n in enumerate(range(-N, N)):
-        jac[i * d:(i + 1) * d, i * d:(i + 1) * d] = -p.system.dfdx(n, p.theta, blocks[i])
-        jac[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = eye
-    base = 2 * N * d
+    dfdx = np.array([p.system.dfdx(n, p.theta, blocks[i]) for i, n in enumerate(range(-N, N))],
+                    dtype=float).reshape(2 * N, d, d)
     ds = p.left_rows.shape[0]
-    jac[base:base + ds, :d] = p.left_rows
-    jac[base + ds:, (2 * N) * d:] = p.right_rows
+    m = 2 * N * d
+    start = d * np.arange(2 * N)[:, None, None]
+    rows, cols, vals = [], [], []
+
+    def place(r0, c0, block):
+        """Scatter block(s) with top-left corner(s) (r0, c0)."""
+        r, c = np.broadcast_arrays(
+            r0 + np.arange(block.shape[-2])[:, None], c0 + np.arange(block.shape[-1])
+        )
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+        vals.append(np.broadcast_to(block, r.shape).ravel())
+
+    place(start, start, -dfdx)
+    place(start, start + d, np.eye(d))
+    place(m, 0, p.left_rows)
+    place(m + ds, m, p.right_rows)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def assemble_jacobian(p: TruncatedProblem, x: np.ndarray) -> np.ndarray:
+    """Dense window Jacobian: interior block rows [-dfdx(n, theta, x_n), I]
+    plus the boundary rows.  Solves and determinant signs use
+    banded_jacobian_lu; the dense matrix is the oracle for tests, the
+    hypothesis checks and the singular value decompositions."""
+    rows, cols, vals = _jacobian_entries(p, x)
+    jac = np.zeros((p.size, p.size))
+    jac[rows, cols] = vals
     return jac
 
 
@@ -144,11 +194,12 @@ class WindowLU:
     even), so determinant signs agree with the assembled ordering.
     """
 
-    def __init__(self, lu: BandedLU, d_s: int, interior: int, norm_1: float):
+    def __init__(self, lu: BandedLU, d_s: int, interior: int, entries):
         self._lu = lu
         self._d_s = d_s
         self._interior = interior
-        self.norm_1 = norm_1
+        self._entries = entries
+        self.norm_1 = lu.norm_1
 
     def _permute(self, rhs: np.ndarray) -> np.ndarray:
         m, ds = self._interior, self._d_s
@@ -157,42 +208,26 @@ class WindowLU:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(self._permute(np.asarray(rhs, dtype=float)))
 
-    def det_sign(self, norm: float | None = None) -> int:
-        return self._lu.det_sign(norm=self.norm_1 if norm is None else norm)
+    def det_sign(self) -> int:
+        return self._lu.det_sign()
 
-    def min_pivot(self) -> float:
-        return self._lu.min_pivot()
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """J @ v in assembled ordering."""
+        rows, cols, vals = self._entries
+        return np.bincount(rows, weights=vals * v[cols], minlength=self._lu.n)
 
 
 def banded_jacobian_lu(p: TruncatedProblem, x: np.ndarray) -> WindowLU:
     """Factor the window Jacobian in LAPACK band storage (see WindowLU)."""
-    blocks = p.blocks(x)
-    d, N = p.d, p.N
+    entries = rows, cols, vals = _jacobian_entries(p, x)
+    d, m = p.d, 2 * p.N * p.d
     ds = p.left_rows.shape[0]
     kl = d + ds - 1
     ku = 2 * d - 1 - ds
-    size = p.size
-    ab = np.zeros((2 * kl + ku + 1, size))
-
-    def put(i: int, j: int, v: float):
-        ab[kl + ku + i - j, j] = v
-
-    for l in range(ds):
-        for j in range(d):
-            put(l, j, p.left_rows[l, j])
-    for i, n in enumerate(range(-N, N)):
-        m = p.system.dfdx(n, p.theta, blocks[i])
-        r0 = ds + i * d
-        for l in range(d):
-            for j in range(d):
-                put(r0 + l, i * d + j, -m[l, j])
-            put(r0 + l, (i + 1) * d + l, 1.0)
-    r0 = ds + 2 * N * d
-    for l in range(p.right_rows.shape[0]):
-        for j in range(d):
-            put(r0 + l, 2 * N * d + j, p.right_rows[l, j])
-    norm_1 = float(np.max(np.sum(np.abs(ab[kl:]), axis=0)))
-    return WindowLU(BandedLU(ab, kl=kl, ku=ku, n=size), d_s=ds, interior=2 * N * d, norm_1=norm_1)
+    banded_rows = np.where(rows < m, rows + ds, np.where(rows < m + ds, rows - m, rows))
+    ab = np.zeros((2 * kl + ku + 1, p.size))
+    ab[kl + ku + banded_rows - cols, cols] = vals
+    return WindowLU(BandedLU(ab, kl=kl, ku=ku), d_s=ds, interior=m, entries=entries)
 
 
 def assemble_dresidual_dtheta(p: TruncatedProblem, x: np.ndarray, eps: float = 1e-7) -> np.ndarray:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +141,43 @@ def test_unknown_field_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["bundles", "--config", str(cfg)])
     assert code == 2
     assert "grid" in err
+
+
+def run_python(args):
+    """Run a fresh interpreter with homcont importable."""
+    src = str(Path(hc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ('{"continuation": {"ds0": NaN}}', "continuation.ds0"),
+        ('{"continuation": {"ds0": -0.001}}', "continuation.ds0"),
+        ('{"continuation": {"ds_max": Infinity}}', "continuation.ds_max"),
+        ('{"continuation": {"ds_min": 0.1, "ds_max": 0.01}}', "continuation.ds_min"),
+        ('{"continuation": {"max_steps": -1}}', "continuation.max_steps"),
+        ('{"continuation": {"amplitude_cap": 0}}', "continuation.amplitude_cap"),
+        ('{"check_radius": -1}', "check_radius"),
+    ],
+)
+def test_invalid_continuation_input_exits_2(tmp_path, raw, field):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(raw)
+    done = run_python(["-m", "homcont.cli", "branch", "--theta-star", "3.14", "--config", str(cfg)])
+    assert done.returncode == 2
+    assert field in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_cli_import_skips_scipy_sparse():
+    done = run_python(["-c", "import sys, homcont.cli; print('scipy.sparse' in sys.modules)"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_invalid_grid_exits_2(capsys):

@@ -1,12 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import homcont as hc
-from homcont.continuation import AffineConstraint
-from homcont.errors import DegenerateKernel, InvalidConfig, StartInvalid
-from homcont.truncation import embed_window, tail_mass, truncated_problem
+from homcont.continuation import AffineConstraint, _augmented_det_sign, _solve_augmented
+from homcont.errors import DegenerateKernel, InvalidConfig, SingularJacobian, StartInvalid
+from homcont.truncation import (
+    assemble_dresidual_dtheta,
+    assemble_jacobian,
+    embed_window,
+    tail_mass,
+    truncated_problem,
+)
 
 
 @pytest.fixture(scope="module")
@@ -214,28 +221,85 @@ def test_branch_crosses_chart_seam(paper7_perturbed):
     assert all(pt.residual_norm <= 1e-9 for pt in branch.points)
 
 
-def test_sparse_augmented_path_matches_dense(paper7_perturbed, candidate, monkeypatch):
-    import homcont.continuation as cont
+def dense_augmented(p, x, constraint):
+    """Dense oracle of the augmented Jacobian [[J, dR/dtheta], [w_x, w_theta]]."""
+    size = p.size
+    aug = np.zeros((size + 1, size + 1))
+    aug[:size, :size] = assemble_jacobian(p, x)
+    aug[:size, size] = assemble_dresidual_dtheta(p, x)
+    aug[size, :size] = constraint.w_x
+    aug[size, size] = constraint.w_theta
+    return aug
 
-    dense = hc.switch_branch(paper7_perturbed, candidate, 1e-3, 40)
-    monkeypatch.setattr(cont, "_DENSE_LIMIT", 1)
-    sparse = hc.switch_branch(paper7_perturbed, candidate, 1e-3, 40)
-    assert sparse.residual_norm <= 1e-10
-    assert np.allclose(sparse.X, dense.X, atol=1e-9)
-    assert sparse.theta == pytest.approx(dense.theta, abs=1e-10)
-    assert sparse.det_sign == dense.det_sign != 0
 
-
-def test_permutation_parity_helper():
-    from homcont.continuation import _perm_parity
-
+def test_bordered_solve_matches_dense_oracle(paper7_perturbed, candidate, long_branch):
+    s0 = 1e-3
+    phi = candidate.kernel_vector
+    start = hc.switch_branch(paper7_perturbed, candidate, s0, 40)
+    p_start = replace(truncated_problem(paper7_perturbed, candidate.theta_star, 40), theta=start.theta)
+    k = len(long_branch.points) // 2
+    mid, nxt = long_branch.points[k], long_branch.points[k + 1]
+    assert mid.N == nxt.N
+    tangent = np.concatenate([nxt.X - mid.X, [nxt.theta - mid.theta]])
+    tangent /= np.linalg.norm(tangent)
+    p_mid = truncated_problem(paper7_perturbed, mid.theta, mid.N)
+    cases = [
+        # switch_branch start: J is near-singular next to the kernel crossing
+        (p_start, start.X, AffineConstraint(w_x=phi, w_theta=0.0, offset=s0)),
+        (p_mid, mid.X, AffineConstraint(w_x=tangent[:-1], w_theta=float(tangent[-1]), offset=0.0)),
+        # a window beyond the half-width that used to switch solvers
+        (
+            truncated_problem(paper7_perturbed, mid.theta, 130),
+            embed_window(mid.X, 2, mid.N, 130),
+            AffineConstraint(
+                w_x=embed_window(tangent[:-1], 2, mid.N, 130),
+                w_theta=float(tangent[-1]), offset=0.0,
+            ),
+        ),
+    ]
+    sv = np.linalg.svd(assemble_jacobian(p_start, start.X), compute_uv=False)
+    assert sv[-1] <= 1e-4 * sv[0]
     rng = np.random.default_rng(14)
-    for _ in range(30):
-        n = int(rng.integers(1, 9))
-        perm = rng.permutation(n)
-        mat = np.zeros((n, n))
-        mat[np.arange(n), perm] = 1.0
-        assert _perm_parity(perm) == int(round(np.linalg.det(mat)))
+    for p, x, constraint in cases:
+        aug = dense_augmented(p, x, constraint)
+        rhs = rng.standard_normal(p.size + 1)
+        oracle = np.linalg.solve(aug, rhs)
+        got = _solve_augmented(p, x, constraint, rhs)
+        assert np.linalg.norm(got - oracle) <= 1e-10 * np.linalg.norm(oracle)
+        sign, _ = np.linalg.slogdet(aug)
+        assert _augmented_det_sign(p, x, constraint) == int(sign) != 0
+
+
+def test_bordered_solve_exact_zero_pivot_raises():
+    system = hc.linear_family(1, lambda t: np.array([[0.5]]), lambda t: np.array([[0.5]]))
+    # a zero boundary row makes J exactly singular
+    p = truncated_problem(system, 0.0, 6, left_rows=np.zeros((1, 1)), right_rows=np.zeros((0, 1)))
+    x = np.zeros(p.size)
+    constraint = AffineConstraint(w_x=np.ones(p.size), w_theta=1.0, offset=0.0)
+    with pytest.raises(SingularJacobian):
+        _solve_augmented(p, x, constraint, np.ones(p.size + 1))
+    assert _augmented_det_sign(p, x, constraint) == 0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ds0", float("nan")),
+        ("ds0", -1e-3),
+        ("ds0", 0.0),
+        ("ds_min", float("inf")),
+        ("ds_max", float("nan")),
+        ("amplitude_cap", -0.5),
+        ("tail_tol", 0.0),
+        ("ds_min", 0.1),  # above ds_max
+        ("max_steps", -1),
+        ("min_norm", -1e-4),
+        ("n_max", 0),
+    ],
+)
+def test_controls_reject_invalid_values(field, value):
+    with pytest.raises(InvalidConfig, match=field):
+        hc.ContinuationControls(**{field: value})
 
 
 def test_start_invalid_rejected(paper7_perturbed):

@@ -14,7 +14,9 @@ from homcont.truncation import (
     tail_mass,
     truncated_problem,
 )
-from homcont._linalg import det_sign_dense
+from homcont.detect import det_sign
+
+from conftest import random_hyperbolic
 
 ALPHA, BETA = 0.5, 2.0
 
@@ -102,20 +104,49 @@ def test_det_sign_matches_dense_oracle(paper7_linear):
         p = truncated_problem(paper7_linear, 0.0, N)
         jac = assemble_jacobian(p, np.zeros(p.size))
         oracle_sign, _ = np.linalg.slogdet(jac)
-        assert det_sign_dense(jac) == int(oracle_sign) != 0
+        assert det_sign(jac) == int(oracle_sign) != 0
+
+
+def random_family(rng, d):
+    """Seeded nonlinear family: random hyperbolic limits with equal stable
+    dimensions, plus an n-dependent linear and quadratic part that decays
+    away from n = 0."""
+    def stable_dim(a):
+        return int(np.sum(np.abs(np.linalg.eigvals(a)) < 1.0))
+
+    while True:
+        a_plus, a_minus = random_hyperbolic(rng, d), random_hyperbolic(rng, d)
+        if stable_dim(a_plus) == stable_dim(a_minus):
+            break
+    b = 0.3 * rng.standard_normal((d, d))
+    u = rng.standard_normal(d)
+
+    def lin(n):
+        return (a_plus if n >= 0 else a_minus) + np.exp(-abs(n) / 3.0) * b
+
+    return hc.SystemFamily(
+        d=d,
+        f=lambda n, t, x: lin(n) @ x + np.exp(-abs(n) / 3.0) * (x @ x) * u,
+        dfdx=lambda n, t, x: lin(n) + 2.0 * np.exp(-abs(n) / 3.0) * np.outer(u, x),
+        a_plus=lambda t: a_plus,
+        a_minus=lambda t: a_minus,
+        f_inf_plus=lambda t, x: a_plus @ x,
+        f_inf_minus=lambda t, x: a_minus @ x,
+    )
 
 
 def test_banded_factorization_agrees_with_dense(paper7_perturbed):
     rng = np.random.default_rng(10)
-    for theta, N in ((0.4, 9), (2.5, 21)):
-        p = truncated_problem(paper7_perturbed, theta, N)
-        x = 0.2 * rng.standard_normal(p.size)
-        jac = assemble_jacobian(p, x)
-        lu = banded_jacobian_lu(p, x)
-        rhs = rng.standard_normal(p.size)
-        assert np.allclose(lu.solve(rhs), np.linalg.solve(jac, rhs), atol=1e-10)
-        norm = float(np.linalg.norm(jac, 2))
-        assert lu.det_sign(norm=norm) == det_sign_dense(jac, norm=norm)
+    families = [paper7_perturbed] + [random_family(rng, d) for d in (2, 3, 4) for _ in range(3)]
+    for system in families:
+        for theta, N in ((0.4, 9), (2.5, 21)):
+            p = truncated_problem(system, theta, N)
+            x = 0.2 * rng.standard_normal(p.size)
+            jac = assemble_jacobian(p, x)
+            lu = banded_jacobian_lu(p, x)
+            rhs = rng.standard_normal(p.size)
+            assert np.allclose(lu.solve(rhs), np.linalg.solve(jac, rhs), atol=1e-10)
+            assert lu.det_sign() == det_sign(jac) == int(np.linalg.slogdet(jac)[0])
 
 
 def test_smin_geometric_decay_certificate(paper7_linear):
