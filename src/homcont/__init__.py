@@ -40,7 +40,6 @@ from .systems import (
     check_hypotheses,
     direct_sum,
     linear_family,
-    linearization_at_zero,
     paper7_family,
 )
 from .truncation import (
@@ -83,7 +82,6 @@ __all__ = [
     "index_bundle_invariants",
     "kernel_vector",
     "linear_family",
-    "linearization_at_zero",
     "locate_bifurcation",
     "newton_correct",
     "paper7_family",

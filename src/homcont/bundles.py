@@ -96,6 +96,43 @@ def _oriented_frame(subspace_at: Callable[[float], np.ndarray], theta: float, k:
         raise RankDrop(f"frame at theta={theta:.6f} is rank deficient") from exc
 
 
+def _transport_step(
+    subspace_at: Callable[[float], np.ndarray],
+    current: np.ndarray,
+    theta_from: float,
+    theta_to: float,
+    alignment_floor: float,
+    max_refinements: int,
+    visited: list | None = None,
+    depth: int = 0,
+) -> np.ndarray:
+    """Carry the orthonormal frame current from the subspace at theta_from
+    to the one at theta_to: project onto the target, then polar-correct.
+
+    While the smallest principal-angle cosine of consecutive subspaces is
+    below alignment_floor the interval is bisected, up to max_refinements
+    levels.  Each node reached is appended to visited as (theta, frame,
+    cosine), in order.
+    """
+    k = current.shape[1]
+    target = _oriented_frame(subspace_at, theta_to, k)
+    cosine = float(np.linalg.svd(current.T @ target, compute_uv=False)[-1]) if k else 1.0
+    if cosine < alignment_floor:
+        if depth >= max_refinements:
+            raise AlignmentFailure(
+                f"subspaces misaligned (cos={cosine:.3f}) on "
+                f"[{theta_from:.6f}, {theta_to:.6f}] after {depth} bisections"
+            )
+        mid = 0.5 * (theta_from + theta_to)
+        rest = (alignment_floor, max_refinements, visited, depth + 1)
+        halfway = _transport_step(subspace_at, current, theta_from, mid, *rest)
+        return _transport_step(subspace_at, halfway, mid, theta_to, *rest)
+    frame = polar_orthonormalize(target @ (target.T @ current))
+    if visited is not None:
+        visited.append((theta_to, frame, cosine))
+    return frame
+
+
 def transport_frames(
     subspace_at: Callable[[float], np.ndarray],
     grid: CircleGrid,
@@ -104,46 +141,15 @@ def transport_frames(
 ) -> LoopTransport:
     """Transport a frame of subspace_at(0) around the circle.
 
-    At each step the current frame is orthogonally projected onto the next
-    subspace and re-orthonormalized (polar correction).  Intervals whose
-    consecutive principal-angle cosine falls below alignment_floor are
-    bisected adaptively, up to max_refinements levels, and the refined nodes
-    become part of the returned grid.
+    Each grid interval is one _transport_step (project, polar-correct,
+    bisect while misaligned); the refined nodes become part of the
+    returned grid.
     """
-    frame0 = _oriented_frame(subspace_at, grid.nodes[0], None)
-    k = frame0.shape[1]
-
-    nodes = [float(grid.nodes[0])]
-    frames = [frame0]
-    min_alignment = 1.0
-
-    def advance(theta_from: float, theta_to: float, depth: int):
-        nonlocal min_alignment
-        target = _oriented_frame(subspace_at, theta_to, k)
-        current = frames[-1]
-        if k == 0:
-            nodes.append(theta_to)
-            frames.append(target)
-            return
-        overlap = current.T @ target
-        cosine = float(np.linalg.svd(overlap, compute_uv=False)[-1])
-        if cosine < alignment_floor:
-            if depth >= max_refinements:
-                raise AlignmentFailure(
-                    f"subspaces misaligned (cos={cosine:.3f}) on "
-                    f"[{theta_from:.6f}, {theta_to:.6f}] after {depth} bisections"
-                )
-            mid = 0.5 * (theta_from + theta_to)
-            advance(theta_from, mid, depth + 1)
-            advance(mid, theta_to, depth + 1)
-            return
-        min_alignment = min(min_alignment, cosine)
-        transported = polar_orthonormalize(target @ (target.T @ current))
-        nodes.append(theta_to)
-        frames.append(transported)
-
+    visited = [(float(grid.nodes[0]), _oriented_frame(subspace_at, grid.nodes[0], None), 1.0)]
     for i in range(grid.m):
-        advance(float(grid.nodes[i]), float(grid.nodes[i + 1]), 0)
+        _transport_step(subspace_at, visited[-1][1], float(grid.nodes[i]),
+                        float(grid.nodes[i + 1]), alignment_floor, max_refinements, visited)
+    nodes, frames, cosines = (list(column) for column in zip(*visited))
 
     closure = frames[0].T @ frames[-1]
     if np.linalg.norm(frames[0] @ closure - frames[-1]) > 1e-8:
@@ -153,7 +159,7 @@ def transport_frames(
         )
     out_grid = CircleGrid(m=len(nodes) - 1, nodes=np.array(nodes))
     return LoopTransport(
-        grid=out_grid, frames=frames, closure_matrix=closure, min_alignment=min_alignment
+        grid=out_grid, frames=frames, closure_matrix=closure, min_alignment=min(cosines)
     )
 
 
@@ -168,37 +174,22 @@ def transport_along_path(
 ) -> np.ndarray:
     """Transport an orthonormal frame along a theta segment (no closure).
 
-    Same project-then-orthonormalize rule as transport_frames, bisecting the
-    segment while consecutive subspaces are misaligned.  Segments are also
-    capped at max_step radians: principal-angle cosines cannot see a half
-    turn of the subspace (an antipodal frame is perfectly "aligned"), so
-    only small steps keep the transport in the right homotopy class.  Used
-    to keep boundary-condition rows continuous when theta moves during
-    bisection or continuation.
+    Same _transport_step as transport_frames.  Segments are also capped at
+    max_step radians: principal-angle cosines cannot see a half turn of the
+    subspace (an antipodal frame is perfectly "aligned"), so only small
+    steps keep the transport in the right homotopy class.  Used to keep
+    boundary-condition rows continuous when theta moves during bisection or
+    continuation.
     """
     k = frame.shape[1]
     if k == 0 or theta_from == theta_to:
         return frame.copy()
-
-    def step(current: np.ndarray, t_from: float, t_to: float, depth: int) -> np.ndarray:
-        target = _oriented_frame(subspace_at, t_to, k)
-        cosine = float(np.linalg.svd(current.T @ target, compute_uv=False)[-1])
-        if cosine < alignment_floor:
-            if depth >= max_refinements:
-                raise AlignmentFailure(
-                    f"subspaces misaligned (cos={cosine:.3f}) on "
-                    f"[{t_from:.6f}, {t_to:.6f}] after {depth} bisections"
-                )
-            mid = 0.5 * (t_from + t_to)
-            halfway = step(current, t_from, mid, depth + 1)
-            return step(halfway, mid, t_to, depth + 1)
-        return polar_orthonormalize(target @ (target.T @ current))
-
     current = np.asarray(frame, dtype=float)
     pieces = max(1, int(math.ceil(abs(theta_to - theta_from) / max_step)))
     nodes = np.linspace(float(theta_from), float(theta_to), pieces + 1)
     for t_from, t_to in zip(nodes[:-1], nodes[1:]):
-        current = step(current, float(t_from), float(t_to), 0)
+        current = _transport_step(subspace_at, current, float(t_from), float(t_to),
+                                  alignment_floor, max_refinements)
     return current
 
 

@@ -373,10 +373,20 @@ def continue_branch(
             w_x=t[:-1], w_theta=float(t[-1]), offset=float(t @ z_pred)
         )
         p_step = replace(p, theta=float(z_pred[-1]))
+        # A failed corrector, a fall back toward the trivial branch and a
+        # failed re-polish all reject the step alike: halve ds and retry.
         try:
             x_new, theta_new, _, iters = _newton(
                 p_step, z_pred[:-1], constraint, newton_tol, DEFAULT_MAX_ITER
             )
+            if np.linalg.norm(x_new) < controls.min_norm:
+                raise NoConvergence("corrector fell back below min_norm")
+            # Carry the boundary rows to the accepted theta and re-polish there.
+            rows.move(theta_new)
+            p = rows.problem(theta_new, p.N)
+            rn = float(np.linalg.norm(assemble_residual(p, x_new)))
+            if rn > newton_tol:
+                x_new, _, rn, _ = _newton(p, x_new, None, newton_tol, 5)
         except (NoConvergence, SingularJacobian, NumericallySingular):
             ds *= 0.5
             streak = 0
@@ -384,28 +394,6 @@ def continue_branch(
                 stop = "step_failure"
                 break
             continue
-        if np.linalg.norm(x_new) < controls.min_norm:
-            ds *= 0.5
-            streak = 0
-            if ds < controls.ds_min:
-                stop = "step_failure"
-                break
-            continue
-
-        # Carry the boundary rows to the accepted theta and re-polish there.
-        rows.move(theta_new)
-        p = rows.problem(theta_new, p.N)
-        rn = float(np.linalg.norm(assemble_residual(p, x_new)))
-        if rn > newton_tol:
-            try:
-                x_new, _, rn, _ = _newton(p, x_new, None, newton_tol, 5)
-            except (NoConvergence, SingularJacobian):
-                ds *= 0.5
-                streak = 0
-                if ds < controls.ds_min:
-                    stop = "step_failure"
-                    break
-                continue
 
         if tail_mass(x_new, TAIL_FRACTION, d) > controls.tail_tol:
             try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._linalg import orth_complement, polar_orthonormalize
+from ._linalg import polar_orthonormalize
 from .errors import NotHyperbolic, Singular
 
 DEFAULT_GAP_TOL = 1e-6
@@ -245,13 +245,3 @@ def analytic_kernel_basis(
             seq[horizon - n] = q_u @ c
         sequences.append(seq)
     return sequences
-
-
-def stable_complement_rows(split: HyperbolicSplitting) -> np.ndarray:
-    """Rows spanning the orthogonal complement of the stable subspace."""
-    return orth_complement(split.stable_frame).T
-
-
-def unstable_complement_rows(split: HyperbolicSplitting) -> np.ndarray:
-    """Rows spanning the orthogonal complement of the unstable subspace."""
-    return orth_complement(split.unstable_frame).T

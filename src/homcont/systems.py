@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .bundles import CircleGrid
-from .errors import InvalidConfig
+from .errors import InvalidConfig, SizeMismatch
 from .spectral import hyperbolic_splitting
 
 
@@ -25,17 +25,39 @@ from .spectral import hyperbolic_splitting
 class SystemFamily:
     """Evaluation interface of a circle-parametrized nonautonomous system.
 
-    All callables must be pure and 2*pi-periodic in theta, with
-    f(n, theta, 0) = 0 for every n and theta.
+    f and dfdx evaluate rows: for an int array ns of shape (k,), a scalar
+    theta and states X of shape (k, d), f(ns, theta, X) is the (k, d) array
+    whose row i is f_{ns[i]}(theta, X[i]), and dfdx(ns, theta, X) the
+    (k, d, d) array of the Jacobians in x.  a_plus/a_minus map theta to the
+    d x d limit matrices and f_inf_plus/f_inf_minus(theta, x) evaluate the
+    limit maps at one point.  All callables must be pure and 2*pi-periodic
+    in theta, with f(ns, theta, 0) = 0 for every n and theta.
     """
 
     d: int
-    f: Callable[[int, float, np.ndarray], np.ndarray]
-    dfdx: Callable[[int, float, np.ndarray], np.ndarray]
+    f: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
+    dfdx: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
     a_plus: Callable[[float], np.ndarray]
     a_minus: Callable[[float], np.ndarray]
     f_inf_plus: Callable[[float, np.ndarray], np.ndarray]
     f_inf_minus: Callable[[float, np.ndarray], np.ndarray]
+
+
+def f_rows(system: SystemFamily, ns: np.ndarray, theta: float, X: np.ndarray) -> np.ndarray:
+    """system.f at the rows (ns, X), checked to have shape (k, d)."""
+    return _expect_shape(system.f(ns, theta, X), (len(ns), system.d), "f")
+
+
+def dfdx_rows(system: SystemFamily, ns: np.ndarray, theta: float, X: np.ndarray) -> np.ndarray:
+    """system.dfdx at the rows (ns, X), checked to have shape (k, d, d)."""
+    return _expect_shape(system.dfdx(ns, theta, X), (len(ns), system.d, system.d), "dfdx")
+
+
+def _expect_shape(values, shape: tuple, name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise SizeMismatch(f"SystemFamily.{name} returned shape {values.shape}, expected {shape}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -95,21 +117,23 @@ def paper7_family(cfg: Paper7Config) -> SystemFamily:
 
     a_origin = a_of(0.0)
 
-    def a_n(n: int, theta: float) -> np.ndarray:
-        return a_of(theta) if n >= 0 else a_origin
+    def a_n(ns: np.ndarray, theta: float) -> np.ndarray:
+        return _by_side(ns, a_of(theta), a_origin)
 
-    def envelope(n: int) -> float:
-        return c / (1.0 + (n / tau) ** 2)
+    def envelope(ns: np.ndarray) -> np.ndarray:
+        return c / (1.0 + (ns / tau) ** 2)
 
-    def f(n: int, theta: float, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        q = np.array([x[0] ** 2 + x[1] ** 2, x[0] * x[1]])
-        return a_n(n, theta) @ x + envelope(n) * q
+    def f(ns: np.ndarray, theta: float, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        x1, x2 = X[:, 0], X[:, 1]
+        q = np.stack([x1 ** 2 + x2 ** 2, x1 * x2], axis=-1)
+        return (a_n(ns, theta) @ X[..., None])[..., 0] + envelope(ns)[:, None] * q
 
-    def dfdx(n: int, theta: float, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        dq = np.array([[2.0 * x[0], 2.0 * x[1]], [x[1], x[0]]])
-        return a_n(n, theta) + envelope(n) * dq
+    def dfdx(ns: np.ndarray, theta: float, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        x1, x2 = X[:, 0], X[:, 1]
+        dq = np.stack([np.stack([2.0 * x1, 2.0 * x2], -1), np.stack([x2, x1], -1)], -2)
+        return a_n(ns, theta) + envelope(ns)[:, None, None] * dq
 
     return SystemFamily(
         d=2,
@@ -122,6 +146,11 @@ def paper7_family(cfg: Paper7Config) -> SystemFamily:
     )
 
 
+def _by_side(ns: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """Per-row stack of the d x d matrix plus where n >= 0 and minus where n < 0."""
+    return np.where((np.asarray(ns) >= 0)[:, None, None], plus, minus)
+
+
 def linear_family(
     d: int,
     a_plus_fn: Callable[[float], np.ndarray],
@@ -129,17 +158,23 @@ def linear_family(
 ) -> SystemFamily:
     """Piecewise-constant linear family: a_plus(theta) for n >= 0, a_minus for n < 0."""
 
-    def coeff(n: int, theta: float) -> np.ndarray:
-        return np.asarray(a_plus_fn(theta) if n >= 0 else a_minus_fn(theta), dtype=float)
+    def a_plus(theta: float) -> np.ndarray:
+        return np.asarray(a_plus_fn(theta), dtype=float)
+
+    def a_minus(theta: float) -> np.ndarray:
+        return np.asarray(a_minus_fn(theta), dtype=float)
+
+    def dfdx(ns: np.ndarray, theta: float, X: np.ndarray) -> np.ndarray:
+        return _by_side(ns, a_plus(theta), a_minus(theta))
 
     return SystemFamily(
         d=d,
-        f=lambda n, theta, x: coeff(n, theta) @ np.asarray(x, dtype=float),
-        dfdx=lambda n, theta, x: coeff(n, theta),
-        a_plus=lambda theta: np.asarray(a_plus_fn(theta), dtype=float),
-        a_minus=lambda theta: np.asarray(a_minus_fn(theta), dtype=float),
-        f_inf_plus=lambda theta, x: np.asarray(a_plus_fn(theta), dtype=float) @ np.asarray(x, dtype=float),
-        f_inf_minus=lambda theta, x: np.asarray(a_minus_fn(theta), dtype=float) @ np.asarray(x, dtype=float),
+        f=lambda ns, theta, X: (dfdx(ns, theta, X) @ np.asarray(X, dtype=float)[..., None])[..., 0],
+        dfdx=dfdx,
+        a_plus=a_plus,
+        a_minus=a_minus,
+        f_inf_plus=lambda theta, x: a_plus(theta) @ np.asarray(x, dtype=float),
+        f_inf_minus=lambda theta, x: a_minus(theta) @ np.asarray(x, dtype=float),
     )
 
 
@@ -149,15 +184,15 @@ def direct_sum(sys_a: SystemFamily, sys_b: SystemFamily) -> SystemFamily:
 
     def split(x):
         x = np.asarray(x, dtype=float)
-        return x[:da], x[da:]
+        return x[..., :da], x[..., da:]
 
-    def f(n, theta, x):
-        xa, xb = split(x)
-        return np.concatenate([sys_a.f(n, theta, xa), sys_b.f(n, theta, xb)])
+    def f(ns, theta, X):
+        xa, xb = split(X)
+        return np.concatenate([sys_a.f(ns, theta, xa), sys_b.f(ns, theta, xb)], axis=-1)
 
-    def dfdx(n, theta, x):
-        xa, xb = split(x)
-        return _blockdiag(sys_a.dfdx(n, theta, xa), sys_b.dfdx(n, theta, xb))
+    def dfdx(ns, theta, X):
+        xa, xb = split(X)
+        return _blockdiag(sys_a.dfdx(ns, theta, xa), sys_b.dfdx(ns, theta, xb))
 
     return SystemFamily(
         d=sys_a.d + sys_b.d,
@@ -175,18 +210,14 @@ def direct_sum(sys_a: SystemFamily, sys_b: SystemFamily) -> SystemFamily:
 
 
 def _blockdiag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Block-diagonal [[a, 0], [0, b]] over the last two axes, stacks broadcast."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    out = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (ra + rb, ca + cb))
+    out[..., :ra, :ca] = a
+    out[..., ra:, ca:] = b
     return out
-
-
-def linearization_at_zero(system: SystemFamily, theta: float) -> Callable[[int], np.ndarray]:
-    """The coefficient sequence n -> d/dx f_n(theta, 0)."""
-    zero = np.zeros(system.d)
-    return lambda n: np.asarray(system.dfdx(n, theta, zero), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +280,9 @@ def check_hypotheses(
     return HypothesisReport(a1=a1, a2=a2, a3=a3, a4=a4)
 
 
-def _sup_n_indices(N: int) -> list[int]:
+def _sup_n_indices(N: int) -> np.ndarray:
     base = {-2 * N, -N, -N // 2, -5, -1, 0, 1, 5, N // 2, N, 2 * N}
-    return sorted(base)
+    return np.array(sorted(base))
 
 
 def _check_a1(system, grid, N, M, rng) -> AssumptionCheck:
@@ -273,9 +304,9 @@ def _check_a1(system, grid, N, M, rng) -> AssumptionCheck:
             dtheta = delta * rng.choice([-1.0, 1.0])
             step = rng.standard_normal(system.d)
             dx = delta * step / max(np.linalg.norm(step), 1e-300)
-            for n in ns:
-                diff = system.dfdx(n, theta + dtheta, x + dx) - system.dfdx(n, theta, x)
-                worst = max(worst, float(np.linalg.norm(diff, 2)))
+            diff = (dfdx_rows(system, ns, theta + dtheta, np.tile(x + dx, (len(ns), 1)))
+                    - dfdx_rows(system, ns, theta, np.tile(x, (len(ns), 1))))
+            worst = max(worst, float(np.max(np.linalg.norm(diff, 2, axis=(1, 2)))))
         moduli.append(worst)
     if moduli[-1] <= 0.5 * moduli[0] + 1e-10:
         status = "pass"
@@ -287,18 +318,21 @@ def _check_a1(system, grid, N, M, rng) -> AssumptionCheck:
 
 
 def _check_a2(system, grid, N, gap_tol) -> AssumptionCheck:
-    lin_cache = {t: linearization_at_zero(system, float(t)) for t in grid.nodes}
+    # Distance of the linearization at zero from its limit at |n| = N/2,
+    # then at |n| = N, on both sides.
+    ns = np.array([N // 2, -(N // 2), N, -N])
     res_half, res_full = 0.0, 0.0
     dims = []
     for t in grid.nodes:
-        a_n = lin_cache[t]
-        for sign, limit in ((1, system.a_plus(float(t))), (-1, system.a_minus(float(t)))):
-            res_half = max(res_half, float(np.linalg.norm(a_n(sign * (N // 2)) - limit, 2)))
-            res_full = max(res_full, float(np.linalg.norm(a_n(sign * N) - limit, 2)))
+        a_plus, a_minus = system.a_plus(float(t)), system.a_minus(float(t))
+        lin = dfdx_rows(system, ns, float(t), np.zeros((len(ns), system.d)))
+        gaps = np.linalg.norm(lin - _by_side(ns, a_plus, a_minus), 2, axis=(1, 2))
+        res_half = max(res_half, float(np.max(gaps[:2])))
+        res_full = max(res_full, float(np.max(gaps[2:])))
         dims.append(
             (
-                hyperbolic_splitting(system.a_plus(float(t)), gap_tol).d_s,
-                hyperbolic_splitting(system.a_minus(float(t)), gap_tol).d_s,
+                hyperbolic_splitting(a_plus, gap_tol).d_s,
+                hyperbolic_splitting(a_minus, gap_tol).d_s,
             )
         )
     dim_set = set(dims)
@@ -343,8 +377,7 @@ def _check_a3(system, N, gap_tol) -> AssumptionCheck:
             r = truncation.assemble_residual(p, x)
             if np.linalg.norm(r) < 1e-12:
                 break
-            j = truncation.assemble_jacobian(p, x)
-            x = x - np.linalg.solve(j, r)
+            x = x - truncation.banded_jacobian_lu(p, x).solve(r)
         largest = max(largest, float(np.linalg.norm(x)))
     status = "pass" if (smin >= 1e-6 and largest < 1e-8) else "fail"
     return AssumptionCheck(

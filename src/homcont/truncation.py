@@ -19,6 +19,7 @@ from ._linalg import BandedLU, orth_complement
 from .bundles import transport_along_path
 from .errors import SizeMismatch, WindowOverflow
 from .spectral import hyperbolic_splitting
+from .systems import dfdx_rows, f_rows
 
 DEFAULT_N_MAX = 2 ** 12
 TAIL_FRACTION = 0.25
@@ -44,6 +45,11 @@ class TruncatedProblem:
     @property
     def size(self) -> int:
         return self.d * (2 * self.N + 1)
+
+    @property
+    def ns(self) -> np.ndarray:
+        """Indices n = -N .. N-1 of the interior rows."""
+        return np.arange(-self.N, self.N)
 
     def blocks(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -133,25 +139,17 @@ def truncated_problem(
 def assemble_residual(p: TruncatedProblem, x: np.ndarray) -> np.ndarray:
     """Interior rows x_{n+1} - f_n(theta, x_n), then the boundary rows."""
     blocks = p.blocks(x)
-    out = np.empty(p.size)
-    d, N = p.d, p.N
-    for i, n in enumerate(range(-N, N)):
-        out[i * d:(i + 1) * d] = blocks[i + 1] - p.system.f(n, p.theta, blocks[i])
-    base = 2 * N * d
-    ds = p.left_rows.shape[0]
-    out[base:base + ds] = p.left_rows @ blocks[0]
-    out[base + ds:] = p.right_rows @ blocks[-1]
-    return out
+    interior = blocks[1:] - f_rows(p.system, p.ns, p.theta, blocks[:-1])
+    return np.concatenate([interior.ravel(), p.left_rows @ blocks[0], p.right_rows @ blocks[-1]])
 
 
 def _jacobian_entries(p: TruncatedProblem, x: np.ndarray):
     """(rows, cols, values) of every structural entry of the window Jacobian,
-    rows in assembled ordering.  The dfdx blocks are evaluated once, into a
-    (2N, d, d) array, and placed by array indexing."""
+    rows in assembled ordering.  The dfdx blocks are evaluated in one call,
+    as a (2N, d, d) array, and placed by array indexing."""
     blocks = p.blocks(x)
     d, N = p.d, p.N
-    dfdx = np.array([p.system.dfdx(n, p.theta, blocks[i]) for i, n in enumerate(range(-N, N))],
-                    dtype=float).reshape(2 * N, d, d)
+    dfdx = dfdx_rows(p.system, p.ns, p.theta, blocks[:-1])
     ds = p.left_rows.shape[0]
     m = 2 * N * d
     start = d * np.arange(2 * N)[:, None, None]
@@ -237,15 +235,11 @@ def assemble_dresidual_dtheta(p: TruncatedProblem, x: np.ndarray, eps: float = 1
     (-df_n/dtheta evaluated at x_n) contribute.
     """
     blocks = p.blocks(x)
-    d, N = p.d, p.N
-    out = np.zeros(p.size)
-    for i, n in enumerate(range(-N, N)):
-        df = (
-            np.asarray(p.system.f(n, p.theta + eps, blocks[i]), dtype=float)
-            - np.asarray(p.system.f(n, p.theta - eps, blocks[i]), dtype=float)
-        ) / (2.0 * eps)
-        out[i * d:(i + 1) * d] = -df
-    return out
+    df = (
+        f_rows(p.system, p.ns, p.theta + eps, blocks[:-1])
+        - f_rows(p.system, p.ns, p.theta - eps, blocks[:-1])
+    ) / (2.0 * eps)
+    return np.concatenate([-df.ravel(), np.zeros(p.d)])
 
 
 def tail_mass(x: np.ndarray, fraction: float, d: int) -> float:

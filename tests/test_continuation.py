@@ -201,8 +201,8 @@ def test_branch_crosses_chart_seam(paper7_perturbed):
     base = paper7_perturbed
     shifted = hc.SystemFamily(
         d=2,
-        f=lambda n, t, x: base.f(n, t + shift, x),
-        dfdx=lambda n, t, x: base.dfdx(n, t + shift, x),
+        f=lambda ns, t, X: base.f(ns, t + shift, X),
+        dfdx=lambda ns, t, X: base.dfdx(ns, t + shift, X),
         a_plus=lambda t: base.a_plus(t + shift),
         a_minus=lambda t: base.a_minus(t + shift),
         f_inf_plus=lambda t, x: base.f_inf_plus(t + shift, x),

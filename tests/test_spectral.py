@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import homcont as hc
+from homcont._linalg import orth_complement
 from homcont.errors import NotHyperbolic, Singular
 
 from conftest import random_hyperbolic
@@ -195,8 +196,8 @@ def test_intersection_dimension_matches_svd_oracle():
         sp = hc.hyperbolic_splitting(a_plus)
         sm = hc.hyperbolic_splitting(a_minus)
         stacked = np.hstack([
-            hc.spectral.stable_complement_rows(sp).T,
-            hc.spectral.unstable_complement_rows(sm).T,
+            orth_complement(sp.stable_frame),
+            orth_complement(sm.unstable_frame),
         ])
         sv = np.linalg.svd(stacked.T, compute_uv=False) if stacked.size else np.zeros(0)
         nullity = d - int(np.sum(sv > 1e-8)) if stacked.size else d

@@ -35,52 +35,61 @@ def test_config_validation():
         hc.Paper7Config(envelope_scale=0.0)
 
 
+def a_n_pointwise(n, theta):
+    return rotating_matrix(theta, ALPHA, BETA) if n >= 0 else np.diag([ALPHA, BETA])
+
+
 def test_unperturbed_family_is_linear(paper7_linear):
     rng = np.random.default_rng(0)
+    ns = np.arange(-30, 30)
     for _ in range(50):
-        n = int(rng.integers(-30, 30))
         theta = float(rng.uniform(0, 2 * math.pi))
-        x = rng.standard_normal(2)
-        a_n = rotating_matrix(theta, ALPHA, BETA) if n >= 0 else np.diag([ALPHA, BETA])
-        assert np.array_equal(paper7_linear.f(n, theta, x), a_n @ x)
-        assert np.array_equal(paper7_linear.dfdx(n, theta, x), a_n)
+        X = rng.standard_normal((ns.size, 2))
+        fx = paper7_linear.f(ns, theta, X)
+        jac = paper7_linear.dfdx(ns, theta, X)
+        assert fx.shape == (ns.size, 2) and jac.shape == (ns.size, 2, 2)
+        for n, x, f_row, j_row in zip(ns, X, fx, jac):
+            a_n = a_n_pointwise(n, theta)
+            assert np.array_equal(f_row, a_n @ x)
+            assert np.array_equal(j_row, a_n)
 
 
 def test_zero_is_stationary(paper7_perturbed):
     rng = np.random.default_rng(1)
-    zero = np.zeros(2)
-    for _ in range(1000):
-        n = int(rng.integers(-100, 100))
+    zero = np.zeros((20, 2))
+    for _ in range(50):
+        ns = rng.integers(-100, 100, size=20)
         theta = float(rng.uniform(-10, 10))
-        assert np.array_equal(paper7_perturbed.f(n, theta, zero), zero)
+        assert np.array_equal(paper7_perturbed.f(ns, theta, zero), zero)
 
 
 def test_derivative_matches_finite_differences(paper7_perturbed):
     rng = np.random.default_rng(2)
     eps = 1e-6
+    ns = np.arange(-20, 20)
     for _ in range(50):
-        n = int(rng.integers(-20, 20))
         theta = float(rng.uniform(0, 2 * math.pi))
-        x = rng.uniform(-2, 2, size=2)
-        jac = paper7_perturbed.dfdx(n, theta, x)
-        fd = np.zeros((2, 2))
+        X = rng.uniform(-2, 2, size=(ns.size, 2))
+        jac = paper7_perturbed.dfdx(ns, theta, X)
+        fd = np.zeros((ns.size, 2, 2))
         for j in range(2):
             e = np.zeros(2)
             e[j] = eps
-            fd[:, j] = (
-                paper7_perturbed.f(n, theta, x + e) - paper7_perturbed.f(n, theta, x - e)
+            fd[:, :, j] = (
+                paper7_perturbed.f(ns, theta, X + e) - paper7_perturbed.f(ns, theta, X - e)
             ) / (2 * eps)
-        assert np.linalg.norm(jac - fd, 2) <= 1e-6 * max(1.0, np.linalg.norm(jac, 2))
+        for jac_n, fd_n in zip(jac, fd):
+            assert np.linalg.norm(jac_n - fd_n, 2) <= 1e-6 * max(1.0, np.linalg.norm(jac_n, 2))
 
 
 def test_periodicity(paper7_perturbed):
     rng = np.random.default_rng(3)
+    ns = np.arange(-20, 20)
     for _ in range(100):
-        n = int(rng.integers(-20, 20))
         theta = float(rng.uniform(0, 2 * math.pi))
-        x = rng.standard_normal(2)
-        delta = paper7_perturbed.f(n, theta, x) - paper7_perturbed.f(n, theta + 2 * math.pi, x)
-        assert np.linalg.norm(delta) <= 1e-12
+        X = rng.standard_normal((ns.size, 2))
+        delta = paper7_perturbed.f(ns, theta, X) - paper7_perturbed.f(ns, theta + 2 * math.pi, X)
+        assert np.max(np.linalg.norm(delta, axis=1)) <= 1e-12
 
 
 def test_spectrum_is_theta_independent():
@@ -93,14 +102,15 @@ def test_spectrum_is_theta_independent():
 def test_perturbation_envelope_bound(paper7_perturbed):
     c, tau, m_radius = 0.1, 5.0, 2.0
     rng = np.random.default_rng(4)
-    for _ in range(200):
-        n = int(rng.integers(-60, 60))
+    ns = np.arange(-60, 60)
+    for _ in range(20):
         theta = float(rng.uniform(0, 2 * math.pi))
-        x = rng.uniform(-1, 1, 2)
-        x *= m_radius / max(1.0, np.linalg.norm(x))
-        linear = paper7_perturbed.dfdx(n, theta, np.zeros(2)) @ x
-        h = paper7_perturbed.f(n, theta, x) - linear
-        assert np.linalg.norm(h) <= c * m_radius ** 2 * 2.0 / (1.0 + (n / tau) ** 2) + 1e-14
+        X = rng.uniform(-1, 1, (ns.size, 2))
+        X *= (m_radius / np.maximum(1.0, np.linalg.norm(X, axis=1)))[:, None]
+        linear = paper7_perturbed.dfdx(ns, theta, np.zeros_like(X)) @ X[..., None]
+        h = paper7_perturbed.f(ns, theta, X) - linear[..., 0]
+        for n, h_n in zip(ns, h):
+            assert np.linalg.norm(h_n) <= c * m_radius ** 2 * 2.0 / (1.0 + (n / tau) ** 2) + 1e-14
 
 
 def test_asymptotic_maps(paper7_perturbed):
@@ -114,27 +124,31 @@ def test_asymptotic_maps(paper7_perturbed):
 
 
 def test_linearization_at_zero(paper7_perturbed):
-    lin0 = hc.linearization_at_zero(paper7_perturbed, 0.0)
-    assert np.array_equal(lin0(-3), np.diag([ALPHA, BETA]))
-    lin_pi = hc.linearization_at_zero(paper7_perturbed, math.pi)
-    assert np.allclose(lin_pi(7), np.diag([BETA, ALPHA]), atol=1e-15)
+    ns = np.array([-5, -3, 0, 5, 7])
+    zero = np.zeros((ns.size, 2))
+    lin0 = paper7_perturbed.dfdx(ns, 0.0, zero)
+    assert np.array_equal(lin0[1], np.diag([ALPHA, BETA]))  # n = -3
+    lin_pi = paper7_perturbed.dfdx(ns, math.pi, zero)
+    assert np.allclose(lin_pi[4], np.diag([BETA, ALPHA]), atol=1e-15)  # n = 7
     # quadratic perturbation does not touch the linearization at zero
     linear = hc.paper7_family(hc.Paper7Config(coupling=0.0))
-    for n in (-5, 0, 5):
-        assert np.array_equal(lin_pi(n), hc.linearization_at_zero(linear, math.pi)(n))
+    assert np.array_equal(lin_pi, linear.dfdx(ns, math.pi, zero))
 
 
 def test_direct_sum_evaluations(paper7_linear):
-    other = hc.linear_family(2, lambda t: np.diag([0.3, 3.0]), lambda t: np.diag([0.3, 3.0]))
+    other = hc.linear_family(2, lambda t: np.diag([0.3, 3.0]), lambda t: np.diag([0.4, 2.5]))
     combined = hc.direct_sum(paper7_linear, other)
     assert combined.d == 4
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    out = combined.f(2, 1.0, x)
-    assert np.array_equal(out[:2], paper7_linear.f(2, 1.0, x[:2]))
-    assert np.array_equal(out[2:], other.f(2, 1.0, x[2:]))
-    jac = combined.dfdx(2, 1.0, x)
-    assert np.array_equal(jac[:2, :2], paper7_linear.dfdx(2, 1.0, x[:2]))
-    assert np.all(jac[:2, 2:] == 0.0) and np.all(jac[2:, :2] == 0.0)
+    ns = np.array([-2, 2])
+    X = np.array([[1.0, 2.0, 3.0, 4.0], [-1.0, 0.5, 2.0, -3.0]])
+    out = combined.f(ns, 1.0, X)
+    assert np.array_equal(out[:, :2], paper7_linear.f(ns, 1.0, X[:, :2]))
+    assert np.array_equal(out[:, 2:], other.f(ns, 1.0, X[:, 2:]))
+    assert np.array_equal(out[:, 2:], [np.diag([0.4, 2.5]) @ X[0, 2:], np.diag([0.3, 3.0]) @ X[1, 2:]])
+    jac = combined.dfdx(ns, 1.0, X)
+    assert np.array_equal(jac[:, :2, :2], paper7_linear.dfdx(ns, 1.0, X[:, :2]))
+    assert np.array_equal(jac[:, 2:, 2:], other.dfdx(ns, 1.0, X[:, 2:]))
+    assert np.all(jac[:, :2, 2:] == 0.0) and np.all(jac[:, 2:, :2] == 0.0)
 
 
 def test_hypotheses_pass_on_builtin(paper7_perturbed, grid64):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import homcont as hc
 from homcont.errors import SizeMismatch, WindowOverflow
 from homcont.truncation import (
     adapt_window,
+    assemble_dresidual_dtheta,
     assemble_jacobian,
     assemble_residual,
     banded_jacobian_lu,
@@ -70,10 +72,10 @@ def test_jacobian_blocks_at_origin(paper7_perturbed):
     N, theta = 8, 0.7
     p = truncated_problem(paper7_perturbed, theta, N)
     jac = assemble_jacobian(p, np.zeros(p.size))
-    lin = hc.linearization_at_zero(paper7_perturbed, theta)
-    for i, n in enumerate(range(-N, N)):
+    lin = paper7_perturbed.dfdx(np.arange(-N, N), theta, np.zeros((2 * N, 2)))
+    for i in range(2 * N):
         block = jac[2 * i:2 * i + 2, 2 * i:2 * i + 2]
-        assert np.array_equal(block, -lin(n))
+        assert np.array_equal(block, -lin[i])
         assert np.array_equal(jac[2 * i:2 * i + 2, 2 * i + 2:2 * i + 4], np.eye(2))
 
 
@@ -121,13 +123,22 @@ def random_family(rng, d):
     b = 0.3 * rng.standard_normal((d, d))
     u = rng.standard_normal(d)
 
-    def lin(n):
-        return (a_plus if n >= 0 else a_minus) + np.exp(-abs(n) / 3.0) * b
+    def decay(ns):
+        return np.exp(-np.abs(ns) / 3.0)
+
+    def lin(ns):
+        return np.where((ns >= 0)[:, None, None], a_plus, a_minus) + decay(ns)[:, None, None] * b
+
+    def f(ns, t, X):
+        return (lin(ns) @ X[..., None])[..., 0] + (decay(ns) * np.sum(X * X, axis=1))[:, None] * u
+
+    def dfdx(ns, t, X):
+        return lin(ns) + 2.0 * decay(ns)[:, None, None] * (u[:, None] * X[:, None, :])
 
     return hc.SystemFamily(
         d=d,
-        f=lambda n, t, x: lin(n) @ x + np.exp(-abs(n) / 3.0) * (x @ x) * u,
-        dfdx=lambda n, t, x: lin(n) + 2.0 * np.exp(-abs(n) / 3.0) * np.outer(u, x),
+        f=f,
+        dfdx=dfdx,
         a_plus=lambda t: a_plus,
         a_minus=lambda t: a_minus,
         f_inf_plus=lambda t, x: a_plus @ x,
@@ -222,3 +233,40 @@ def test_size_mismatch_raised(paper7_linear):
     p = truncated_problem(paper7_linear, 0.0, 10)
     with pytest.raises(SizeMismatch):
         assemble_residual(p, np.zeros(p.size + 2))
+    # a family whose row callables return the wrong shape
+    wide_f = replace(paper7_linear, f=lambda ns, t, X: np.zeros((len(ns), 3)))
+    p = truncated_problem(wide_f, 0.0, 10)
+    with pytest.raises(SizeMismatch, match=r"\(20, 3\), expected \(20, 2\)"):
+        assemble_residual(p, np.zeros(p.size))
+    with pytest.raises(SizeMismatch):
+        assemble_dresidual_dtheta(p, np.zeros(p.size))
+    flat_dfdx = replace(paper7_linear, dfdx=lambda ns, t, X: np.zeros((len(ns), 2)))
+    p = truncated_problem(flat_dfdx, 0.0, 10)
+    with pytest.raises(SizeMismatch):
+        assemble_jacobian(p, np.zeros(p.size))
+    with pytest.raises(SizeMismatch):
+        banded_jacobian_lu(p, np.zeros(p.size))
+
+
+def test_one_system_call_per_assembly(paper7_perturbed):
+    calls = {"f": 0, "dfdx": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    system = replace(paper7_perturbed, f=counted("f", paper7_perturbed.f),
+                     dfdx=counted("dfdx", paper7_perturbed.dfdx))
+    p = truncated_problem(system, 0.7, 15)
+    x = 0.1 * np.random.default_rng(11).standard_normal(p.size)
+    for assemble, want in (
+        (assemble_residual, {"f": 1, "dfdx": 0}),
+        (assemble_jacobian, {"f": 0, "dfdx": 1}),
+        (banded_jacobian_lu, {"f": 0, "dfdx": 1}),
+        (assemble_dresidual_dtheta, {"f": 2, "dfdx": 0}),
+    ):
+        calls.update(f=0, dfdx=0)
+        assemble(p, x)
+        assert calls == want, assemble.__name__
