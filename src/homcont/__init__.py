@@ -24,14 +24,12 @@ from .continuation import (
     newton_correct,
     switch_branch,
 )
-from .detect import BifurcationCandidate, ParityScan, det_sign, kernel_vector, locate_bifurcation, scan_parity
+from .detect import BifurcationCandidate, ParityScan, kernel_vector, locate_bifurcation, scan_parity
 from .spectral import (
     HyperbolicSplitting,
-    SpectralProjectors,
     analytic_kernel_basis,
     halfline_green_solve,
     hyperbolic_splitting,
-    spectral_projectors,
 )
 from .systems import (
     HypothesisReport,
@@ -66,7 +64,6 @@ __all__ = [
     "LoopTransport",
     "Paper7Config",
     "ParityScan",
-    "SpectralProjectors",
     "SystemFamily",
     "TruncatedProblem",
     "adapt_window",
@@ -75,7 +72,6 @@ __all__ = [
     "assemble_residual",
     "check_hypotheses",
     "continue_branch",
-    "det_sign",
     "direct_sum",
     "halfline_green_solve",
     "hyperbolic_splitting",
@@ -86,7 +82,6 @@ __all__ = [
     "newton_correct",
     "paper7_family",
     "scan_parity",
-    "spectral_projectors",
     "switch_branch",
     "tail_mass",
     "transport_frames",

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import PIVOT_RTOL
 from .detect import BifurcationCandidate
 from .errors import (
     DegenerateKernel,
@@ -33,6 +32,7 @@ from .errors import (
 )
 from .truncation import (
     DEFAULT_N_MAX,
+    PIVOT_RTOL,
     TAIL_FRACTION,
     TransportedRows,
     adapt_window,
@@ -116,10 +116,6 @@ def _block_sup_norm(x: np.ndarray, d: int) -> float:
     return float(np.max(np.linalg.norm(x.reshape(-1, d), axis=1)))
 
 
-def _solve_fixed(p, x, rhs):
-    return banded_jacobian_lu(p, x).solve(rhs)
-
-
 def _schur(lu, col, constraint):
     """v = J^{-1} b and the Schur complement s = w_theta - w_x . v of the
     augmented Jacobian [[J, b], [w_x, w_theta]], whose determinant is
@@ -189,8 +185,7 @@ def _newton(p, guess, constraint, newton_tol, max_iter):
         if rn <= newton_tol:
             return x, theta, float(np.linalg.norm(r[: p.size])), it
         if constraint is None:
-            step = _solve_fixed(p_cur, x, -r)
-            dx, dtheta = step, 0.0
+            dx, dtheta = banded_jacobian_lu(p_cur, x).solve(-r), 0.0
         else:
             step = _solve_augmented(p_cur, x, constraint, -r)
             dx, dtheta = step[:-1], float(step[-1])

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import BandedLU, smallest_singular_pair
 from .bundles import CircleGrid, transport_frames
 from .errors import (
     InconsistentParity,
@@ -28,6 +27,7 @@ from .truncation import (
     assemble_jacobian,
     banded_jacobian_lu,
     complement_families,
+    extreme_singular_values,
     truncated_problem,
 )
 
@@ -62,23 +62,6 @@ class BifurcationCandidate:
     bracket: tuple[float, float]
 
 
-def det_sign(j: np.ndarray) -> int:
-    """Sign of det(j) via LU with partial pivoting (pivot signs times
-    permutation parity), factored as a full-band matrix by the package's one
-    LU.  Raises NumericallySingular instead of returning 0 when a pivot falls
-    below PIVOT_RTOL * ||j||_1."""
-    j = np.asarray(j, dtype=float)
-    n = j.shape[0]
-    if j.shape != (n, n):
-        raise ValueError("det_sign requires a square matrix")
-    if n == 0:
-        return 1
-    rows, cols = np.indices((n, n))
-    ab = np.zeros((3 * n - 2, n))
-    ab[2 * n - 2 + rows - cols, cols] = j
-    return BandedLU(ab, kl=n - 1, ku=n - 1).det_sign()
-
-
 def _window_sign(p) -> int:
     """Determinant sign of the linearization at X = 0; 0 if near-singular."""
     try:
@@ -97,15 +80,22 @@ def kernel_vector(
     convention: the largest-magnitude entry of the first block (of size
     block_size, default the whole vector) is made positive.
     """
-    smin, v, smax = smallest_singular_pair(j)
-    tol = kernel_tol if kernel_tol is not None else DEFAULT_KERNEL_TOL * smax
+    return _kernel(j, block_size, abs_tol=kernel_tol)[1]
+
+
+def _kernel(j, block_size, abs_tol=None, rel_tol=DEFAULT_KERNEL_TOL):
+    """(smin, kernel_vector) from one full SVD of j.  The threshold is
+    abs_tol, or rel_tol * smax when abs_tol is None."""
+    _, s, vt = np.linalg.svd(np.asarray(j, dtype=float))
+    smin, v = float(s[-1]), vt[-1].copy()
+    tol = abs_tol if abs_tol is not None else rel_tol * float(s[0])
     if smin > tol:
         raise NoKernel(f"smallest singular value {smin:.3e} exceeds {tol:.3e}")
     head = v[: block_size if block_size else len(v)]
     lead = int(np.argmax(np.abs(head)))
     if head[lead] < 0:
         v = -v
-    return v
+    return smin, v
 
 
 def _transport_on_common_grid(left, right, grid: CircleGrid):
@@ -148,7 +138,7 @@ def scan_parity(
             system, theta, N, gap_tol=gap_tol,
             left_rows=left_frames[i].T, right_rows=right_frames[i].T,
         )
-        smin, _, smax = smallest_singular_pair(assemble_jacobian(p, np.zeros(p.size)))
+        smin, smax = extreme_singular_values(p)
         smins[i] = smin
         if smin >= kernel_tol * smax:  # near-singular nodes stay excluded (0)
             signs[i] = _window_sign(p)
@@ -226,7 +216,7 @@ def locate_bifurcation(
 
     def probe(theta: float):
         p = path.problem(theta, N)
-        smin, _, smax = smallest_singular_pair(assemble_jacobian(p, np.zeros(p.size)))
+        smin, smax = extreme_singular_values(p)
         if smin < kernel_tol * smax:
             return smin, smax, None
         return smin, smax, _window_sign(p) or None
@@ -272,24 +262,19 @@ def locate_bifurcation(
     raise MaxIterations(f"bisection did not converge within {max_iter} iterations")
 
 
-def _jacobian_at(path: TransportedRows, theta: float, N: int) -> np.ndarray:
-    p = path.problem(theta, N)
-    return assemble_jacobian(p, np.zeros(p.size))
-
-
 def _golden_fallback(system, path, bracket, N, tol_theta, kernel_tol, max_iter):
     """Golden-section search on the relative smallest singular value.
 
     Shrinks past tol_theta if needed until the dip clears the kernel
     threshold, so a genuine (even-multiplicity) crossing yields a usable
-    kernel vector; a dip that bottoms out above the threshold is rejected.
+    kernel vector; a dip that bottoms out above the threshold is rejected
+    with NoSignChange.
     """
     a, b = bracket
     phi = 0.5 * (3.0 - np.sqrt(5.0))
 
     def rel_smin(theta: float) -> float:
-        jac = _jacobian_at(path, theta, N)
-        smin, _, smax = smallest_singular_pair(jac)
+        smin, smax = extreme_singular_values(path.problem(theta, N))
         return smin / smax
 
     x1, x2 = a + phi * (b - a), b - phi * (b - a)
@@ -311,25 +296,26 @@ def _golden_fallback(system, path, bracket, N, tol_theta, kernel_tol, max_iter):
     else:
         raise MaxIterations("golden-section search exceeded its budget")
     mid = x1 if f1 <= f2 else x2
-    jac = _jacobian_at(path, mid, N)
-    smin, _, smax = smallest_singular_pair(jac)
-    if smin > kernel_tol * smax:
+    try:
+        cand = _finish_candidate(system, path, mid, (a, b), N, kernel_tol)
+    except NoKernel as exc:
         raise NoSignChange(
             f"no determinant sign change in the bracket and the smallest "
-            f"singular-value dip ({smin:.3e}) stays above the kernel threshold"
-        )
+            f"singular-value dip stays above the kernel threshold ({exc})"
+        ) from exc
     warnings.warn(
         "even-multiplicity crossing: candidate located by smin dip only, "
         "no parity certificate",
         stacklevel=2,
     )
-    return _finish_candidate(system, path, mid, (a, b), N, kernel_tol)
+    return cand
 
 
 def _finish_candidate(system, path, theta_star, bracket, N, kernel_tol):
-    jac = _jacobian_at(path, theta_star, N)
-    smin, _, smax = smallest_singular_pair(jac)
-    vec = kernel_vector(jac, kernel_tol=kernel_tol * smax, block_size=system.d)
+    """Candidate at theta_star from one full SVD of the window Jacobian;
+    NoKernel when its smallest singular value exceeds kernel_tol * smax."""
+    p = path.problem(theta_star, N)
+    smin, vec = _kernel(assemble_jacobian(p, np.zeros(p.size)), system.d, rel_tol=kernel_tol)
     return BifurcationCandidate(
         theta_star=float(theta_star),
         smin_at_star=float(smin),

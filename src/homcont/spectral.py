@@ -1,9 +1,9 @@
 """Hyperbolic linear algebra.
 
 Spectral splittings of hyperbolic matrices into stable/unstable invariant
-subspaces, the associated (oblique) spectral projectors, half-line solves
-against the Green kernel of x_{n+1} - a x_n = y_n, and the analytic kernel
-basis of piecewise-constant two-sided systems.
+subspaces, half-line solves against the Green kernel of
+x_{n+1} - a x_n = y_n, and the analytic kernel basis of piecewise-constant
+two-sided systems.
 
 All subspaces are carried as column-orthonormal frames.  Matrix powers are
 always taken in the restricted stable/unstable coordinates so that the
@@ -57,14 +57,6 @@ class HyperbolicSplitting:
         return self.unstable_frame.T @ self.a @ self.unstable_frame
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralProjectors:
-    """Oblique projectors onto the stable/unstable subspaces (P_s + P_u = I)."""
-
-    P_s: np.ndarray
-    P_u: np.ndarray
-
-
 def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> HyperbolicSplitting:
     """Split a hyperbolic matrix into stable and unstable invariant subspaces.
 
@@ -113,18 +105,6 @@ def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Hyp
     return HyperbolicSplitting(
         a=a.copy(), stable_frame=stable, unstable_frame=unstable, d_s=d_s, d_u=d_u, gap=gap
     )
-
-
-def spectral_projectors(split: HyperbolicSplitting) -> SpectralProjectors:
-    """Projectors onto E^s along E^u (and vice versa) from a splitting.
-
-    P_u is assembled as I - P_s, so the resolution of identity holds exactly.
-    """
-    d = split.d
-    m = np.hstack([split.stable_frame, split.unstable_frame])
-    rows = np.linalg.solve(m, np.eye(d))
-    p_s = split.stable_frame @ rows[: split.d_s]
-    return SpectralProjectors(P_s=p_s, P_u=np.eye(d) - p_s)
 
 
 def _restricted_rows(split: HyperbolicSplitting) -> tuple[np.ndarray, np.ndarray]:

@@ -14,15 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import lapack
 
-from ._linalg import BandedLU, orth_complement
+from ._linalg import orth_complement
 from .bundles import transport_along_path
-from .errors import SizeMismatch, WindowOverflow
+from .errors import NumericallySingular, SingularJacobian, SizeMismatch, WindowOverflow
 from .spectral import hyperbolic_splitting
 from .systems import dfdx_rows, f_rows
 
 DEFAULT_N_MAX = 2 ** 12
 TAIL_FRACTION = 0.25
+# Relative pivot threshold below which a factorization is reported singular.
+PIVOT_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,37 +185,75 @@ def assemble_jacobian(p: TruncatedProblem, x: np.ndarray) -> np.ndarray:
     return jac
 
 
+def extreme_singular_values(p: TruncatedProblem) -> tuple[float, float]:
+    """(smin, smax) of the window linearization at X = 0, from one
+    values-only SVD of the dense Jacobian.  The scan's exclusion gate, the
+    localization probes and the A3/A4 checks read it."""
+    s = np.linalg.svd(assemble_jacobian(p, np.zeros(p.size)), compute_uv=False)
+    return float(s[-1]), float(s[0])
+
+
 class WindowLU:
-    """Banded LU of the window Jacobian, presented in assembled ordering.
+    """Banded LU of the window Jacobian (LAPACK gbtrf/gbtrs), presented in
+    assembled ordering.
 
     Internally the rows are permuted to [left boundary, interior, right
     boundary] so the matrix is banded; solve() maps right-hand sides from
     the frozen assembled ordering [interior, left, right].  Moving the d_s
     left rows over the 2*N*d interior rows is an even permutation (2*N*d is
-    even), so determinant signs agree with the assembled ordering.
+    even), so determinant signs agree with the assembled ordering.  The
+    1-norm of J is taken from the band before factoring; a pivot below
+    PIVOT_RTOL times it is the package's one criterion for a numerically
+    singular matrix.
     """
 
-    def __init__(self, lu: BandedLU, d_s: int, interior: int, entries):
+    def __init__(self, ab: np.ndarray, kl: int, ku: int, d_s: int, interior: int, entries):
+        self.norm_1 = float(np.max(np.sum(np.abs(ab[kl:]), axis=0)))
+        lu, ipiv, info = lapack.dgbtrf(ab, kl=kl, ku=ku)
+        if info < 0:
+            raise ValueError(f"dgbtrf: illegal argument {-info}")
         self._lu = lu
+        self._ipiv = ipiv
+        self._kl = kl
+        self._ku = ku
+        self._n = ab.shape[1]
+        self._exact_singular = info > 0
+        # U diagonal lives in row kl + ku of the factored band storage.
+        self._udiag = lu[kl + ku]
         self._d_s = d_s
         self._interior = interior
         self._entries = entries
-        self.norm_1 = lu.norm_1
 
     def _permute(self, rhs: np.ndarray) -> np.ndarray:
         m, ds = self._interior, self._d_s
         return np.concatenate([rhs[m:m + ds], rhs[:m], rhs[m + ds:]])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(self._permute(np.asarray(rhs, dtype=float)))
+        if self._exact_singular:
+            raise SingularJacobian("banded LU is exactly singular")
+        b = self._permute(np.asarray(rhs, dtype=float))
+        x, info = lapack.dgbtrs(self._lu, self._kl, self._ku, b, self._ipiv)
+        if info != 0:
+            raise SingularJacobian(f"dgbtrs failed with info={info}")
+        return x
 
     def det_sign(self) -> int:
-        return self._lu.det_sign()
+        """Pivot signs times the row-interchange parity; raises
+        NumericallySingular when a pivot falls below PIVOT_RTOL * ||J||_1."""
+        if self._exact_singular or np.min(np.abs(self._udiag)) < PIVOT_RTOL * self.norm_1:
+            raise NumericallySingular(
+                f"LU pivot below {PIVOT_RTOL:.0e} * ||J||_1 = {PIVOT_RTOL * self.norm_1:.3e}"
+            )
+        # scipy returns the gbtrf pivot indices 0-based.
+        swaps = int(np.sum(self._ipiv != np.arange(self._n)))
+        sign = 1 if swaps % 2 == 0 else -1
+        sign *= int(np.prod(np.sign(self._udiag)))
+        return sign
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """J @ v in assembled ordering."""
         rows, cols, vals = self._entries
-        return np.bincount(rows, weights=vals * v[cols], minlength=self._lu.n)
+        return np.bincount(rows, weights=vals * v[cols], minlength=self._n)
 
 
 def banded_jacobian_lu(p: TruncatedProblem, x: np.ndarray) -> WindowLU:
@@ -223,9 +264,10 @@ def banded_jacobian_lu(p: TruncatedProblem, x: np.ndarray) -> WindowLU:
     kl = d + ds - 1
     ku = 2 * d - 1 - ds
     banded_rows = np.where(rows < m, rows + ds, np.where(rows < m + ds, rows - m, rows))
+    # kl extra rows of workspace on top: ab[kl + ku + i - j, j] = J[i, j].
     ab = np.zeros((2 * kl + ku + 1, p.size))
     ab[kl + ku + banded_rows - cols, cols] = vals
-    return WindowLU(BandedLU(ab, kl=kl, ku=ku), d_s=ds, interior=m, entries=entries)
+    return WindowLU(ab, kl, ku, d_s=ds, interior=m, entries=entries)
 
 
 def assemble_dresidual_dtheta(p: TruncatedProblem, x: np.ndarray, eps: float = 1e-7) -> np.ndarray:

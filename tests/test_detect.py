@@ -4,25 +4,30 @@ import numpy as np
 import pytest
 
 import homcont as hc
-from homcont.errors import NoKernel, NoSignChange, NumericallySingular
-from homcont.truncation import assemble_jacobian, truncated_problem
+from homcont.errors import NoKernel, NoSignChange
+from homcont.truncation import (
+    assemble_jacobian,
+    banded_jacobian_lu,
+    complement_families,
+    truncated_problem,
+)
+
+from conftest import random_hyperbolic
 
 
-def test_det_sign_basics():
-    assert hc.det_sign(np.eye(5)) == 1
-    assert hc.det_sign(np.diag([1.0, 1.0, 1.0, -1.0])) == -1
-    with pytest.raises(NumericallySingular):
-        hc.det_sign(np.diag([1.0, 1.0, 1e-15]))
+def test_public_names_resolve():
+    for name in hc.__all__:
+        assert getattr(hc, name) is not None, name
 
 
 def test_det_sign_matches_slogdet_oracle(paper7_linear):
     for N in (10, 20, 30, 40):
         p = truncated_problem(paper7_linear, 0.0, N)
-        jac = assemble_jacobian(p, np.zeros(p.size))
-        reference = int(np.linalg.slogdet(jac)[0])
-        assert hc.det_sign(jac) == reference
-        # reproducible across repeated evaluations
-        assert hc.det_sign(jac.copy()) == reference
+        x = np.zeros(p.size)
+        reference = int(np.linalg.slogdet(assemble_jacobian(p, x))[0])
+        assert banded_jacobian_lu(p, x).det_sign() == reference
+        # reproducible across repeated factorizations
+        assert banded_jacobian_lu(p, x).det_sign() == reference
 
 
 def test_kernel_vector_trivial_cases():
@@ -157,3 +162,70 @@ def test_scan_excludes_near_singular_node(paper7_linear):
     assert scan.grid.nodes[idx] == pytest.approx(math.pi, abs=1e-12)
     assert scan.det_signs[idx] == 0
     assert scan.smin[idx] < 1e-10
+
+
+def test_window_svd_counts(paper7_linear, monkeypatch):
+    # Window-size SVDs only: the scan and the bisection probes need singular
+    # values alone; the candidate takes one full SVD for smin and its kernel.
+    N = 40
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a)[0] >= 2 * N * paper7_linear.d:
+            calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    scan = hc.scan_parity(paper7_linear, hc.CircleGrid.uniform(64), N)
+    assert calls.count(True) == 0 and calls.count(False) > 0
+    calls.clear()
+    hc.locate_bifurcation(paper7_linear, scan.sign_change_intervals[0], N, 1e-6)
+    assert calls.count(True) == 1
+
+
+def _plane_rotation(d, theta):
+    r = np.eye(d)
+    r[:2, :2] = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+    return r
+
+
+def _rotating_random_family(rng, d):
+    """a(+inf) a seeded random hyperbolic matrix turned once around the loop
+    in the first coordinate plane; a(-inf) a constant one of equal index."""
+    def stable_dim(a):
+        return int(np.sum(np.abs(np.linalg.eigvals(a)) < 1.0))
+
+    while True:
+        a_plus, a_minus = random_hyperbolic(rng, d), random_hyperbolic(rng, d)
+        if stable_dim(a_plus) == stable_dim(a_minus):
+            break
+    return hc.linear_family(
+        d,
+        lambda t: _plane_rotation(d, t) @ a_plus @ _plane_rotation(d, t).T,
+        lambda t: a_minus,
+    )
+
+
+def test_scan_matches_dense_oracles(paper7_linear):
+    # smin against a full SVD of the same window matrix, det signs against
+    # slogdet; the rows are the scan's own, transported on its grid.
+    rng = np.random.default_rng(11)
+    families = [_rotating_random_family(rng, d) for d in (2, 3, 4)] + [paper7_linear]
+    N = 15
+    for system in families:
+        scan = hc.scan_parity(system, hc.CircleGrid.uniform(32), N)
+        left, right = complement_families(system)
+        left_frames = hc.transport_frames(left, scan.grid).frames
+        right_frames = hc.transport_frames(right, scan.grid).frames
+        for i, theta in enumerate(scan.grid.nodes):
+            p = truncated_problem(
+                system, float(theta), N,
+                left_rows=left_frames[i].T, right_rows=right_frames[i].T,
+            )
+            jac = assemble_jacobian(p, np.zeros(p.size))
+            s = np.linalg.svd(jac)[1]
+            assert abs(scan.smin[i] - s[-1]) <= 1e-13 * s[0]
+            if scan.det_signs[i] != 0:
+                assert scan.det_signs[i] == int(np.linalg.slogdet(jac)[0])
+        assert np.count_nonzero(scan.det_signs == 0) <= 1

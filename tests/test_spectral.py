@@ -67,29 +67,6 @@ def test_splitting_invariants_random():
             assert np.max(np.abs(np.linalg.eigvals(np.linalg.inv(s.restricted_unstable())))) < 1.0
 
 
-def test_projectors_diagonal():
-    s = hc.hyperbolic_splitting(np.diag([0.5, 2.0]))
-    p = hc.spectral_projectors(s)
-    assert np.allclose(p.P_s, np.diag([1.0, 0.0]), atol=1e-14)
-
-
-def test_projectors_sum_to_identity_exactly():
-    rng = np.random.default_rng(3)
-    a = random_hyperbolic(rng, 4)
-    split = hc.hyperbolic_splitting(a)
-    p = hc.spectral_projectors(split)
-    assert np.array_equal(p.P_s + p.P_u, np.eye(4))
-    assert np.linalg.norm(p.P_s @ p.P_s - p.P_s, 2) <= 1e-10
-    assert np.linalg.norm(a @ p.P_s - p.P_s @ a, 2) <= 1e-10
-    assert np.linalg.matrix_rank(p.P_s) == split.d_s
-
-
-def test_projectors_rotating_family_at_pi():
-    a = hc.systems.rotating_matrix(math.pi, 0.5, 2.0)  # = diag(beta, alpha) up to rounding
-    p = hc.spectral_projectors(hc.hyperbolic_splitting(a))
-    assert np.allclose(p.P_s, np.array([[0.0, 0.0], [0.0, 1.0]]), atol=1e-12)
-
-
 def test_green_solve_scalar_delta():
     # x_{n+1} - 0.5 x_n = delta_0  =>  x = (0, 1, 0.5, 0.25, ...)
     x = hc.halfline_green_solve(np.array([[0.5]]), np.array([1.0, 0.0, 0.0]))
