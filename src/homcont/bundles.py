@@ -27,8 +27,9 @@ from .spectral import hyperbolic_splitting
 
 TWO_PI = 2.0 * math.pi
 
-DEFAULT_ALIGNMENT_FLOOR = 0.9
-DEFAULT_MAX_REFINEMENTS = 20
+ALIGNMENT_FLOOR = 0.9
+MAX_REFINEMENTS = 20
+MAX_PATH_STEP = 0.2
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,6 @@ def _transport_step(
     current: np.ndarray,
     theta_from: float,
     theta_to: float,
-    alignment_floor: float,
-    max_refinements: int,
     visited: list | None = None,
     depth: int = 0,
 ) -> np.ndarray:
@@ -110,35 +109,29 @@ def _transport_step(
     to the one at theta_to: project onto the target, then polar-correct.
 
     While the smallest principal-angle cosine of consecutive subspaces is
-    below alignment_floor the interval is bisected, up to max_refinements
+    below ALIGNMENT_FLOOR the interval is bisected, up to MAX_REFINEMENTS
     levels.  Each node reached is appended to visited as (theta, frame,
     cosine), in order.
     """
     k = current.shape[1]
     target = _oriented_frame(subspace_at, theta_to, k)
     cosine = float(np.linalg.svd(current.T @ target, compute_uv=False)[-1]) if k else 1.0
-    if cosine < alignment_floor:
-        if depth >= max_refinements:
+    if cosine < ALIGNMENT_FLOOR:
+        if depth >= MAX_REFINEMENTS:
             raise AlignmentFailure(
                 f"subspaces misaligned (cos={cosine:.3f}) on "
                 f"[{theta_from:.6f}, {theta_to:.6f}] after {depth} bisections"
             )
         mid = 0.5 * (theta_from + theta_to)
-        rest = (alignment_floor, max_refinements, visited, depth + 1)
-        halfway = _transport_step(subspace_at, current, theta_from, mid, *rest)
-        return _transport_step(subspace_at, halfway, mid, theta_to, *rest)
+        halfway = _transport_step(subspace_at, current, theta_from, mid, visited, depth + 1)
+        return _transport_step(subspace_at, halfway, mid, theta_to, visited, depth + 1)
     frame = polar_orthonormalize(target @ (target.T @ current))
     if visited is not None:
         visited.append((theta_to, frame, cosine))
     return frame
 
 
-def transport_frames(
-    subspace_at: Callable[[float], np.ndarray],
-    grid: CircleGrid,
-    alignment_floor: float = DEFAULT_ALIGNMENT_FLOOR,
-    max_refinements: int = DEFAULT_MAX_REFINEMENTS,
-) -> LoopTransport:
+def transport_frames(subspace_at: Callable[[float], np.ndarray], grid: CircleGrid) -> LoopTransport:
     """Transport a frame of subspace_at(0) around the circle.
 
     Each grid interval is one _transport_step (project, polar-correct,
@@ -148,7 +141,7 @@ def transport_frames(
     visited = [(float(grid.nodes[0]), _oriented_frame(subspace_at, grid.nodes[0], None), 1.0)]
     for i in range(grid.m):
         _transport_step(subspace_at, visited[-1][1], float(grid.nodes[i]),
-                        float(grid.nodes[i + 1]), alignment_floor, max_refinements, visited)
+                        float(grid.nodes[i + 1]), visited)
     nodes, frames, cosines = (list(column) for column in zip(*visited))
 
     closure = frames[0].T @ frames[-1]
@@ -168,15 +161,12 @@ def transport_along_path(
     frame: np.ndarray,
     theta_from: float,
     theta_to: float,
-    alignment_floor: float = DEFAULT_ALIGNMENT_FLOOR,
-    max_refinements: int = DEFAULT_MAX_REFINEMENTS,
-    max_step: float = 0.2,
 ) -> np.ndarray:
     """Transport an orthonormal frame along a theta segment (no closure).
 
     Same _transport_step as transport_frames.  Segments are also capped at
-    max_step radians: principal-angle cosines cannot see a half turn of the
-    subspace (an antipodal frame is perfectly "aligned"), so only small
+    MAX_PATH_STEP radians: principal-angle cosines cannot see a half turn of
+    the subspace (an antipodal frame is perfectly "aligned"), so only small
     steps keep the transport in the right homotopy class.  Used to keep
     boundary-condition rows continuous when theta moves during bisection or
     continuation.
@@ -185,11 +175,10 @@ def transport_along_path(
     if k == 0 or theta_from == theta_to:
         return frame.copy()
     current = np.asarray(frame, dtype=float)
-    pieces = max(1, int(math.ceil(abs(theta_to - theta_from) / max_step)))
+    pieces = max(1, int(math.ceil(abs(theta_to - theta_from) / MAX_PATH_STEP)))
     nodes = np.linspace(float(theta_from), float(theta_to), pieces + 1)
     for t_from, t_to in zip(nodes[:-1], nodes[1:]):
-        current = _transport_step(subspace_at, current, float(t_from), float(t_to),
-                                  alignment_floor, max_refinements)
+        current = _transport_step(subspace_at, current, float(t_from), float(t_to))
     return current
 
 

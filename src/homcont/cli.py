@@ -12,11 +12,14 @@ configured seed, so identical config + seed gives byte-identical outputs.
 
 Exit codes: 0 success, 2 configuration error, 3 spectral failure,
 4 detection inconsistency, 5 degenerate branch, 6 hypothesis failure.
+Codes 2-5 follow the class of the library error (EXIT_CODES), whichever
+command raised it; verify-paper exits 1 when a row fails.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -61,15 +64,14 @@ EXIT_DETECT = 4
 EXIT_BRANCH = 5
 EXIT_HYPOTHESES = 6
 
-_SPECTRAL_ERRORS = (NotHyperbolic, RankDrop, IndexMismatch, DegenerateClosure, Singular)
-_DETECT_ERRORS = (InconsistentParity, AlignmentFailure, NoSignChange, MaxIterations)
-_BRANCH_ERRORS = (
-    DegenerateKernel,
-    NoConvergence,
-    SingularJacobian,
-    StartInvalid,
-    WindowOverflow,
-)
+# Exit code -> the library errors that end a command with it.  Errors of
+# other classes propagate.
+EXIT_CODES = {
+    EXIT_CONFIG: (InvalidConfig,),
+    EXIT_SPECTRAL: (NotHyperbolic, RankDrop, IndexMismatch, DegenerateClosure, Singular),
+    EXIT_DETECT: (InconsistentParity, AlignmentFailure, NoSignChange, MaxIterations),
+    EXIT_BRANCH: (DegenerateKernel, NoConvergence, SingularJacobian, StartInvalid, WindowOverflow),
+}
 
 
 @dataclass
@@ -283,18 +285,33 @@ def _report_error(exc: Exception) -> None:
     sys.stderr.write(f"error: {exc}\n")
 
 
+def _exits(command):
+    """Run command; a library error listed in EXIT_CODES is reported on
+    stderr and its exit code returned."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except HomcontError as exc:
+            for code, classes in EXIT_CODES.items():
+                if isinstance(exc, classes):
+                    _report_error(exc)
+                    return code
+            raise
+
+    return run
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
+@_exits
 def cmd_bundles(config: RunConfig) -> int:
     """Asymptotic ranks, orientation signs and the bifurcation prediction."""
     grid = CircleGrid.uniform(config.grid_m)
-    try:
-        inv = index_bundle_invariants(config.system, grid, config.gap_tol)
-    except _SPECTRAL_ERRORS as exc:
-        _report_error(exc)
-        return EXIT_SPECTRAL
+    inv = index_bundle_invariants(config.system, grid, config.gap_tol)
     payload = {
         "rank_plus": inv.rank_plus,
         "rank_minus": inv.rank_minus,
@@ -308,31 +325,25 @@ def cmd_bundles(config: RunConfig) -> int:
     return EXIT_OK
 
 
+@_exits
 def cmd_detect(config: RunConfig) -> int:
     """Parity scan plus localization of every sign-change interval."""
     grid = CircleGrid.uniform(config.grid_m)
-    try:
-        scan = scan_parity(
-            config.system, grid, config.window_n,
-            gap_tol=config.gap_tol, kernel_tol=config.kernel_tol,
-        )
-        candidates = []
-        for kind, intervals in (
-            ("sign_change", scan.sign_change_intervals),
-            ("smin_dip", scan.dip_intervals),
-        ):
-            for interval in intervals:
-                cand = locate_bifurcation(
-                    config.system, interval, config.window_n, config.tol_theta,
-                    gap_tol=config.gap_tol, kernel_tol=config.kernel_tol,
-                )
-                candidates.append((kind, cand))
-    except _SPECTRAL_ERRORS as exc:
-        _report_error(exc)
-        return EXIT_SPECTRAL
-    except _DETECT_ERRORS as exc:
-        _report_error(exc)
-        return EXIT_DETECT
+    scan = scan_parity(
+        config.system, grid, config.window_n,
+        gap_tol=config.gap_tol, kernel_tol=config.kernel_tol,
+    )
+    candidates = []
+    for kind, intervals in (
+        ("sign_change", scan.sign_change_intervals),
+        ("smin_dip", scan.dip_intervals),
+    ):
+        for interval in intervals:
+            cand = locate_bifurcation(
+                config.system, interval, config.window_n, config.tol_theta,
+                gap_tol=config.gap_tol, kernel_tol=config.kernel_tol,
+            )
+            candidates.append((kind, cand))
 
     _emit_csv(
         config, "detect_nodes.csv", ["theta", "det_sign", "smin"],
@@ -358,6 +369,7 @@ def cmd_detect(config: RunConfig) -> int:
     return EXIT_OK
 
 
+@_exits
 def cmd_branch(config: RunConfig, theta_star: float) -> int:
     """Switch to and continue the nontrivial branch near theta_star."""
     if config.params is not None and config.params.coupling == 0.0:
@@ -373,27 +385,19 @@ def cmd_branch(config: RunConfig, theta_star: float) -> int:
             config.system, bracket, config.window_n, config.tol_theta,
             gap_tol=config.gap_tol, kernel_tol=config.kernel_tol,
         )
-    except _SPECTRAL_ERRORS as exc:
-        _report_error(exc)
-        return EXIT_SPECTRAL
-    except _DETECT_ERRORS as exc:
+    except EXIT_CODES[EXIT_DETECT] as exc:
         _report_error(HomcontError(f"no bifurcation candidate near theta={theta_star}: {exc}"))
         return EXIT_DETECT
 
-    controls = config.continuation_controls()
-    try:
-        start = switch_branch(
-            config.system, cand, config.s0, config.window_n,
-            newton_tol=config.newton_tol, gap_tol=config.gap_tol,
-        )
-        branch = continue_branch(
-            config.system, start, controls, origin=cand,
-            amplitude_ref=cand.kernel_vector,
-            newton_tol=config.newton_tol, gap_tol=config.gap_tol,
-        )
-    except _BRANCH_ERRORS as exc:
-        _report_error(exc)
-        return EXIT_BRANCH
+    start = switch_branch(
+        config.system, cand, config.s0, config.window_n,
+        newton_tol=config.newton_tol, gap_tol=config.gap_tol,
+    )
+    branch = continue_branch(
+        config.system, start, config.continuation_controls(), origin=cand,
+        amplitude_ref=cand.kernel_vector,
+        newton_tol=config.newton_tol, gap_tol=config.gap_tol,
+    )
 
     rows = [
         [step, pt.theta, pt.l2_norm, pt.sup_norm, pt.amplitude,
@@ -410,17 +414,14 @@ def cmd_branch(config: RunConfig, theta_star: float) -> int:
     return EXIT_OK if branch.points else EXIT_BRANCH
 
 
+@_exits
 def cmd_check(config: RunConfig) -> int:
     """Assumption diagnostics report."""
     grid = CircleGrid.uniform(config.grid_m)
-    try:
-        report = check_hypotheses(
-            config.system, grid, config.window_n, config.check_radius,
-            seed=config.seed, gap_tol=config.gap_tol,
-        )
-    except _SPECTRAL_ERRORS as exc:
-        _report_error(exc)
-        return EXIT_SPECTRAL
+    report = check_hypotheses(
+        config.system, grid, config.window_n, config.check_radius,
+        seed=config.seed, gap_tol=config.gap_tol,
+    )
     payload = {
         c.name.lower(): {"status": c.status, "evidence": c.evidence}
         for c in report.checks()
@@ -429,6 +430,7 @@ def cmd_check(config: RunConfig) -> int:
     return EXIT_HYPOTHESES if report.any_fail else EXIT_OK
 
 
+@_exits
 def cmd_verify_paper(config: RunConfig) -> int:
     """Acceptance table for the built-in family."""
     rows: list[tuple[str, bool, str]] = []
@@ -512,7 +514,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON run configuration")
-    common.add_argument("--out", metavar="DIR", help="output directory for JSON/CSV files")
+    common.add_argument("--out", dest="out_dir", metavar="DIR",
+                        help="output directory for JSON/CSV files")
     common.add_argument("--grid-m", type=int, help="circle sample count (>= 8)")
     common.add_argument("--window-n", type=int, help="window half-width (>= 10)")
     common.add_argument("--seed", type=int, help="seed for randomized trials")
@@ -538,28 +541,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_exits
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     args = _build_parser().parse_args(argv)
-    overrides = {
-        "grid_m": args.grid_m,
-        "window_n": args.window_n,
-        "seed": args.seed,
-        "gap_tol": args.gap_tol,
-        "kernel_tol": args.kernel_tol,
-        "newton_tol": args.newton_tol,
-        "tail_tol": args.tail_tol,
-        "tol_theta": args.tol_theta,
-        "out_dir": args.out,
-    }
-    if getattr(args, "s0", None) is not None:
-        overrides["s0"] = args.s0
-    try:
-        raw = load_config_file(args.config) if args.config else {}
-        config = build_config(raw, overrides)
-    except InvalidConfig as exc:
-        _report_error(exc)
-        return EXIT_CONFIG
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields}
+    raw = load_config_file(args.config) if args.config else {}
+    config = build_config(raw, overrides)
 
     if args.command == "bundles":
         return cmd_bundles(config)

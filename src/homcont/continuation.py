@@ -152,9 +152,8 @@ def _augmented_det_sign(p, x, constraint) -> int:
     """Determinant sign of the augmented Jacobian, sign det J * sign s; 0 if
     a pivot of J or s itself falls below PIVOT_RTOL * ||J||_1."""
     lu = banded_jacobian_lu(p, x)
-    try:
-        sign = lu.det_sign()
-    except NumericallySingular:
+    sign = lu.det_sign()
+    if sign == 0:
         return 0
     _, schur = _schur(lu, assemble_dresidual_dtheta(p, x), constraint)
     if not abs(schur) >= PIVOT_RTOL * lu.norm_1:
@@ -227,7 +226,6 @@ def newton_correct(
     guess: np.ndarray,
     constraint: AffineConstraint | None = None,
     newton_tol: float = DEFAULT_NEWTON_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     amplitude_ref: np.ndarray | None = None,
 ) -> BranchPoint:
     """Correct a guess to a converged branch point.
@@ -235,18 +233,14 @@ def newton_correct(
     With constraint = None theta is held at p.theta and the square window
     system is solved; otherwise theta is freed and the affine constraint
     closes the augmented system, solved by block elimination on the same
-    window LU.  The
-    recorded det_sign is that of the system actually solved (0 when it is
-    numerically singular); amplitude is measured against amplitude_ref, or
-    falls back to the l2 norm.
+    window LU.  The recorded det_sign is that of the system actually solved
+    (0 when it is numerically singular); amplitude is measured against
+    amplitude_ref, or falls back to the l2 norm.
     """
-    x, theta, rn, _ = _newton(p, guess, constraint, newton_tol, max_iter)
+    x, theta, rn, _ = _newton(p, guess, constraint, newton_tol, DEFAULT_MAX_ITER)
     p_final = p if theta == p.theta else replace(p, theta=float(theta))
     if constraint is None:
-        try:
-            det = banded_jacobian_lu(p_final, x).det_sign()
-        except NumericallySingular:
-            det = 0
+        det = banded_jacobian_lu(p_final, x).det_sign()
     else:
         det = _augmented_det_sign(p_final, x, constraint)
     return _make_point(p_final, x, theta, rn, det, amplitude_ref)
@@ -368,8 +362,9 @@ def continue_branch(
             w_x=t[:-1], w_theta=float(t[-1]), offset=float(t @ z_pred)
         )
         p_step = replace(p, theta=float(z_pred[-1]))
-        # A failed corrector, a fall back toward the trivial branch and a
-        # failed re-polish all reject the step alike: halve ds and retry.
+        # A failed corrector, a fall back toward the trivial branch, boundary
+        # rows that lose rank in transport (NumericallySingular) and a failed
+        # re-polish all reject the step alike: halve ds and retry.
         try:
             x_new, theta_new, _, iters = _newton(
                 p_step, z_pred[:-1], constraint, newton_tol, DEFAULT_MAX_ITER

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import CircleGrid, transport_frames
-from .errors import (
-    InconsistentParity,
-    MaxIterations,
-    NoKernel,
-    NoSignChange,
-    NumericallySingular,
-)
+from .errors import InconsistentParity, MaxIterations, NoKernel, NoSignChange
 from .truncation import (
     TransportedRows,
     assemble_jacobian,
@@ -32,6 +26,8 @@ from .truncation import (
 )
 
 DEFAULT_KERNEL_TOL = 1e-8
+# Iteration budget of the bisection and of the golden-section fallback.
+MAX_ITER = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,8 +35,8 @@ class ParityScan:
     """Determinant signs of the truncated linearization along the loop.
 
     det_signs holds +1/-1 per node, with 0 marking nodes excluded as
-    near-singular (smin below the kernel threshold); excluded nodes do not
-    enter the sign-change count but end up inside candidate intervals.
+    near-singular (see _classify); excluded nodes do not enter the
+    sign-change count but end up inside candidate intervals.
     dip_intervals brackets nodes whose smin dips four orders of magnitude
     below the grid median without a determinant sign change: candidate
     even-multiplicity crossings, which carry no parity certificate.
@@ -62,12 +58,15 @@ class BifurcationCandidate:
     bracket: tuple[float, float]
 
 
-def _window_sign(p) -> int:
-    """Determinant sign of the linearization at X = 0; 0 if near-singular."""
-    try:
-        return banded_jacobian_lu(p, np.zeros(p.size)).det_sign()
-    except NumericallySingular:
-        return 0
+def _classify(p, kernel_tol: float) -> tuple[float, float, int]:
+    """(smin, smax, sign) of the window linearization at X = 0.  sign is
+    the determinant sign, or 0 when the node is near-singular: smin below
+    kernel_tol * smax (the LU is then not factored) or an LU pivot below
+    the singularity threshold."""
+    smin, smax = extreme_singular_values(p)
+    if not smin >= kernel_tol * smax:
+        return smin, smax, 0
+    return smin, smax, banded_jacobian_lu(p, np.zeros(p.size)).det_sign()
 
 
 def kernel_vector(
@@ -138,10 +137,7 @@ def scan_parity(
             system, theta, N, gap_tol=gap_tol,
             left_rows=left_frames[i].T, right_rows=right_frames[i].T,
         )
-        smin, smax = extreme_singular_values(p)
-        smins[i] = smin
-        if smin >= kernel_tol * smax:  # near-singular nodes stay excluded (0)
-            signs[i] = _window_sign(p)
+        smins[i], _, signs[i] = _classify(p, kernel_tol)
 
     if signs[0] == 0 or signs[-1] == 0:
         raise InconsistentParity(
@@ -197,7 +193,6 @@ def locate_bifurcation(
     tol_theta: float,
     gap_tol: float = 1e-6,
     kernel_tol: float = DEFAULT_KERNEL_TOL,
-    max_iter: int = 200,
 ) -> BifurcationCandidate:
     """Narrow a bracket onto a kernel crossing of the truncated linearization.
 
@@ -215,30 +210,23 @@ def locate_bifurcation(
     path = TransportedRows(system, a, gap_tol)
 
     def probe(theta: float):
-        p = path.problem(theta, N)
-        smin, smax = extreme_singular_values(p)
-        if smin < kernel_tol * smax:
-            return smin, smax, None
-        return smin, smax, _window_sign(p) or None
+        return _classify(path.problem(theta, N), kernel_tol)
 
     def endpoint_sign(theta: float, inward: float):
-        smin, smax, sign = probe(theta)
-        if sign is None:
-            smin, smax, sign = probe(theta + inward * 1e-3 * (b - a))
-        return sign
+        return probe(theta)[2] or probe(theta + inward * 1e-3 * (b - a))[2]
 
     s_a = endpoint_sign(a, +1.0)
     s_b = endpoint_sign(b, -1.0)
-    if s_a is None or s_b is None or s_a == s_b:
-        return _golden_fallback(system, path, (a, b), N, tol_theta, kernel_tol, max_iter)
+    if s_a * s_b != -1:  # no certified sign change
+        return _golden_fallback(system, path, (a, b), N, tol_theta, kernel_tol)
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         width = b - a
         mid = 0.5 * (a + b)
         smin_mid, smax_mid, s_mid = probe(mid)
         if width <= tol_theta and smin_mid <= kernel_tol * smax_mid:
             return _finish_candidate(system, path, mid, (a, b), N, kernel_tol)
-        if s_mid is not None:
+        if s_mid != 0:
             if s_mid == s_a:
                 a = mid
                 path.move(a)
@@ -253,16 +241,16 @@ def locate_bifurcation(
             if s_lo == s_a:
                 a = lo
                 path.move(a)
-            if s_hi == s_b and s_hi is not None:
+            if s_hi == s_b:
                 b = hi
-            if s_lo is None and s_hi is None:
+            if s_lo == 0 and s_hi == 0:
                 if smin_mid <= kernel_tol * smax_mid:
                     return _finish_candidate(system, path, mid, (a, b), N, kernel_tol)
                 raise MaxIterations("bracket collapsed onto a non-resolvable singular set")
-    raise MaxIterations(f"bisection did not converge within {max_iter} iterations")
+    raise MaxIterations(f"bisection did not converge within {MAX_ITER} iterations")
 
 
-def _golden_fallback(system, path, bracket, N, tol_theta, kernel_tol, max_iter):
+def _golden_fallback(system, path, bracket, N, tol_theta, kernel_tol):
     """Golden-section search on the relative smallest singular value.
 
     Shrinks past tol_theta if needed until the dip clears the kernel
@@ -279,7 +267,7 @@ def _golden_fallback(system, path, bracket, N, tol_theta, kernel_tol, max_iter):
 
     x1, x2 = a + phi * (b - a), b - phi * (b - a)
     f1, f2 = rel_smin(x1), rel_smin(x2)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         width = b - a
         if width <= tol_theta and min(f1, f2) <= kernel_tol:
             break

@@ -38,7 +38,7 @@ class WindowOverflow(HomcontError):
 
 
 class NumericallySingular(HomcontError):
-    """An LU pivot fell below the singularity threshold."""
+    """A frame lost rank in polar_orthonormalize."""
 
 
 class InconsistentParity(HomcontError):

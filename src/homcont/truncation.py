@@ -18,7 +18,7 @@ from scipy.linalg import lapack
 
 from ._linalg import orth_complement
 from .bundles import transport_along_path
-from .errors import NumericallySingular, SingularJacobian, SizeMismatch, WindowOverflow
+from .errors import SingularJacobian, SizeMismatch, WindowOverflow
 from .spectral import hyperbolic_splitting
 from .systems import dfdx_rows, f_rows
 
@@ -238,12 +238,10 @@ class WindowLU:
         return x
 
     def det_sign(self) -> int:
-        """Pivot signs times the row-interchange parity; raises
-        NumericallySingular when a pivot falls below PIVOT_RTOL * ||J||_1."""
+        """Pivot signs times the row-interchange parity; 0 when the LU is
+        exactly singular or a pivot falls below PIVOT_RTOL * ||J||_1."""
         if self._exact_singular or np.min(np.abs(self._udiag)) < PIVOT_RTOL * self.norm_1:
-            raise NumericallySingular(
-                f"LU pivot below {PIVOT_RTOL:.0e} * ||J||_1 = {PIVOT_RTOL * self.norm_1:.3e}"
-            )
+            return 0
         # scipy returns the gbtrf pivot indices 0-based.
         swaps = int(np.sum(self._ipiv != np.arange(self._n)))
         sign = 1 if swaps % 2 == 0 else -1

@@ -186,11 +186,17 @@ def test_invalid_grid_exits_2(capsys):
     assert "grid_m" in err
 
 
-def test_spectral_failure_exits_3(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [["bundles"], ["detect"], ["check"], ["branch", "--theta-star", "3.14"], ["verify-paper"]],
+    ids=lambda argv: argv[0],
+)
+def test_spectral_failure_exits_3(capsys, argv):
     # a huge hyperbolicity gap tolerance rejects the builtin eigenvalues
-    code, _, err = run_cli(capsys, ["bundles", "--gap-tol", "0.6"])
+    code, _, err = run_cli(capsys, argv + ["--gap-tol", "0.6"])
     assert code == 3
     assert "unit circle" in err
+    assert "Traceback" not in err
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import homcont as hc
-from homcont.errors import SizeMismatch, WindowOverflow
+from homcont.errors import SingularJacobian, SizeMismatch, WindowOverflow
 from homcont.truncation import (
     adapt_window,
     assemble_dresidual_dtheta,
@@ -101,11 +101,37 @@ def test_linear_system_has_constant_jacobian(paper7_linear):
 
 
 def test_det_sign_matches_dense_oracle(paper7_linear):
-    for N in (10, 20, 40):
+    for N in (10, 20, 30, 40):
         p = truncated_problem(paper7_linear, 0.0, N)
         x = np.zeros(p.size)
         oracle_sign, _ = np.linalg.slogdet(assemble_jacobian(p, x))
         assert banded_jacobian_lu(p, x).det_sign() == int(oracle_sign) != 0
+        # reproducible across repeated factorizations
+        assert banded_jacobian_lu(p, x).det_sign() == int(oracle_sign)
+
+
+def scalar_window_lu(left_row):
+    """LU of a d = 1 window (x_{n+1} = x_n / 2) whose left boundary row is
+    left_row.  N = 2 because partial pivoting doubles a small boundary
+    pivot at every block row."""
+    system = hc.linear_family(1, lambda t: np.array([[0.5]]), lambda t: np.array([[0.5]]))
+    p = truncated_problem(
+        system, 0.0, 2, left_rows=np.array([[left_row]]), right_rows=np.zeros((0, 1))
+    )
+    return banded_jacobian_lu(p, np.zeros(p.size))
+
+
+def test_det_sign_zero_when_exactly_singular():
+    lu = scalar_window_lu(0.0)
+    with pytest.raises(SingularJacobian):
+        lu.solve(np.ones(5))
+    assert lu.det_sign() == 0
+
+
+def test_det_sign_zero_below_pivot_threshold():
+    lu = scalar_window_lu(1e-14)
+    assert np.all(np.isfinite(lu.solve(np.ones(5))))  # factored, not exactly singular
+    assert lu.det_sign() == 0
 
 
 def random_family(rng, d):
