@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericallySingular
+from .errors import RankDrop
 
 
 def orth_complement(q: np.ndarray) -> np.ndarray:
@@ -40,6 +40,6 @@ def polar_orthonormalize(b: np.ndarray) -> np.ndarray:
         return b.copy()
     u, s, vt = np.linalg.svd(b, full_matrices=False)
     if s[-1] <= 1e-13 * max(1.0, s[0]):
-        raise NumericallySingular("frame lost rank during orthonormalization")
+        raise RankDrop("frame lost rank during orthonormalization")
     return u @ vt
 

@@ -16,13 +16,7 @@ from typing import Callable
 import numpy as np
 
 from ._linalg import polar_orthonormalize
-from .errors import (
-    AlignmentFailure,
-    DegenerateClosure,
-    IndexMismatch,
-    NumericallySingular,
-    RankDrop,
-)
+from .errors import AlignmentFailure, DegenerateClosure, IndexMismatch, RankDrop
 from .spectral import hyperbolic_splitting
 
 TWO_PI = 2.0 * math.pi
@@ -93,7 +87,7 @@ def _oriented_frame(subspace_at: Callable[[float], np.ndarray], theta: float, k:
         )
     try:
         return polar_orthonormalize(raw)
-    except NumericallySingular as exc:
+    except RankDrop as exc:
         raise RankDrop(f"frame at theta={theta:.6f} is rank deficient") from exc
 
 

@@ -79,7 +79,6 @@ class RunConfig:
     """Resolved run configuration (file values overridden by CLI flags)."""
 
     system: SystemFamily
-    system_name: str = "paper7"
     params: Paper7Config | None = None
     grid_m: int = 64
     window_n: int = 40
@@ -99,17 +98,14 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.grid_m < 8:
-            raise InvalidConfig("grid_m: must be at least 8")
-        if self.window_n < 10:
-            raise InvalidConfig("window_n: must be at least 10")
-        for name in ("gap_tol", "kernel_tol", "newton_tol", "tail_tol", "tol_theta", "s0"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise InvalidConfig(f"tolerances.{name}: must be a positive number, got {v!r}")
-        if not (isinstance(self.check_radius, (int, float)) and math.isfinite(self.check_radius)
-                and self.check_radius > 0):
-            raise InvalidConfig(f"check_radius: must be a positive number, got {self.check_radius!r}")
+        for path, (name, kind, least) in _SCHEMA.items():
+            if name is None or kind is str:
+                continue
+            value = _expect(getattr(self, name), kind, path)
+            if kind is int and value < least:
+                raise InvalidConfig(f"{path}: must be at least {least}, got {value!r}")
+            if kind is float and not (math.isfinite(value) and value > 0):
+                raise InvalidConfig(f"{path}: must be finite and positive, got {value!r}")
         self.continuation_controls()
 
     def continuation_controls(self) -> ContinuationControls:
@@ -133,26 +129,45 @@ class RunConfig:
 
 BUILTIN_SYSTEMS = {"paper7": (Paper7Config, paper7_family)}
 
-_TOLERANCE_KEYS = ("gap_tol", "kernel_tol", "newton_tol", "tail_tol", "tol_theta")
-_CONTINUATION_KEYS = ("s0", "ds0", "ds_min", "ds_max", "max_steps", "amplitude_cap")
+# The config schema: JSON path -> (RunConfig field, kind, least value).
+# Ingestion accepts exactly these paths, each holding a value of its kind.
+# RunConfig checks the range of every int and float field: an int must be
+# at least its least value, a float finite and positive.  The system rows
+# have no RunConfig field: build_config turns them into the family and its
+# config, whose class checks the parameter ranges.
+_SCHEMA = {
+    "system.builtin": (None, str, None),
+    **{
+        f"system.params.{f.name}": (None, float, None)
+        for cfg_cls, _ in BUILTIN_SYSTEMS.values() for f in dataclasses.fields(cfg_cls)
+    },
+    "grid_m": ("grid_m", int, 8),
+    "window_n": ("window_n", int, 10),
+    "tolerances.gap_tol": ("gap_tol", float, None),
+    "tolerances.kernel_tol": ("kernel_tol", float, None),
+    "tolerances.newton_tol": ("newton_tol", float, None),
+    "tolerances.tail_tol": ("tail_tol", float, None),
+    "tolerances.tol_theta": ("tol_theta", float, None),
+    "seed": ("seed", int, 0),
+    "continuation.s0": ("s0", float, None),
+    "continuation.ds0": ("ds0", float, None),
+    "continuation.ds_min": ("ds_min", float, None),
+    "continuation.ds_max": ("ds_max", float, None),
+    "continuation.max_steps": ("max_steps", int, 0),
+    "continuation.amplitude_cap": ("amplitude_cap", float, None),
+    "check_radius": ("check_radius", float, None),
+    "out": ("out_dir", str, None),
+}
+
+_KIND_NAMES = {dict: "an object", str: "a string", int: "an integer", float: "a number"}
 
 
-def _expect_mapping(value, path):
-    if not isinstance(value, dict):
-        raise InvalidConfig(f"{path}: expected an object, got {type(value).__name__}")
-    return value
-
-
-def _expect_number(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidConfig(f"{path}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _expect_int(value, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidConfig(f"{path}: expected an integer, got {value!r}")
-    return value
+def _expect(value, kind, path):
+    """value as kind (an int is also a number), or InvalidConfig."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise InvalidConfig(f"{path}: expected {_KIND_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def load_config_file(path: str) -> dict:
@@ -166,7 +181,20 @@ def load_config_file(path: str) -> dict:
         raise InvalidConfig(
             f"config: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return _expect_mapping(raw, "config")
+    return _expect(raw, dict, "config")
+
+
+def _ingest(raw: dict, prefix: str, values: dict) -> None:
+    """Check the object raw at prefix against _SCHEMA; collect its leaves
+    into values by JSON path."""
+    for key, value in raw.items():
+        path = prefix + key
+        if "." in key or not any(p == path or p.startswith(path + ".") for p in _SCHEMA):
+            raise InvalidConfig(f"{path}: unknown field")
+        if path in _SCHEMA:
+            values[path] = _expect(value, _SCHEMA[path][1], path)
+        else:
+            _ingest(_expect(value, dict, path), path + ".", values)
 
 
 def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
@@ -175,67 +203,24 @@ def build_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     Raises InvalidConfig with a path-qualified message on the first
     violation encountered.
     """
-    known = {"system", "grid_m", "window_n", "tolerances", "seed", "continuation",
-             "check_radius", "out"}
-    for key in raw:
-        if key not in known:
-            raise InvalidConfig(f"config: unknown field {key!r}")
-
-    fields: dict = {}
-    system_raw = _expect_mapping(raw.get("system", {"builtin": "paper7"}), "system")
-    for key in system_raw:
-        if key not in ("builtin", "params"):
-            raise InvalidConfig(f"system: unknown field {key!r}")
-    name = system_raw.get("builtin", "paper7")
+    values: dict = {}
+    _ingest(raw, "", values)
+    name = values.pop("system.builtin", "paper7")
     if name not in BUILTIN_SYSTEMS:
         raise InvalidConfig(
-            f"system.builtin: unknown system {name!r}; available: {sorted(BUILTIN_SYSTEMS)}"
+            f"system.builtin: must be one of {sorted(BUILTIN_SYSTEMS)}, got {name!r}"
         )
     cfg_cls, factory = BUILTIN_SYSTEMS[name]
-    params_raw = _expect_mapping(system_raw.get("params", {}), "system.params")
-    valid_params = {f.name for f in dataclasses.fields(cfg_cls)}
-    for key, value in params_raw.items():
-        if key not in valid_params:
-            raise InvalidConfig(f"system.params.{key}: unknown parameter")
-        _expect_number(value, f"system.params.{key}")
+
+    given = {p.rpartition(".")[2]: v for p, v in values.items() if _SCHEMA[p][0] is None}
+    fields = {_SCHEMA[p][0]: v for p, v in values.items() if _SCHEMA[p][0] is not None}
     try:
-        params = cfg_cls(**{k: float(v) for k, v in params_raw.items()})
+        params = cfg_cls(**given)
     except InvalidConfig as exc:
-        raise InvalidConfig(f"system.params: {exc}") from exc
+        raise InvalidConfig(f"system.params.{exc}") from exc
 
-    if "grid_m" in raw:
-        fields["grid_m"] = _expect_int(raw["grid_m"], "grid_m")
-    if "window_n" in raw:
-        fields["window_n"] = _expect_int(raw["window_n"], "window_n")
-    if "seed" in raw:
-        fields["seed"] = _expect_int(raw["seed"], "seed")
-    if "check_radius" in raw:
-        fields["check_radius"] = _expect_number(raw["check_radius"], "check_radius")
-    if "out" in raw:
-        if not isinstance(raw["out"], str):
-            raise InvalidConfig("out: expected a string path")
-        fields["out_dir"] = raw["out"]
-
-    tol_raw = _expect_mapping(raw.get("tolerances", {}), "tolerances")
-    for key, value in tol_raw.items():
-        if key not in _TOLERANCE_KEYS:
-            raise InvalidConfig(f"tolerances.{key}: unknown tolerance")
-        fields[key] = _expect_number(value, f"tolerances.{key}")
-
-    cont_raw = _expect_mapping(raw.get("continuation", {}), "continuation")
-    for key, value in cont_raw.items():
-        if key not in _CONTINUATION_KEYS:
-            raise InvalidConfig(f"continuation.{key}: unknown field")
-        if key == "max_steps":
-            fields[key] = _expect_int(value, "continuation.max_steps")
-        else:
-            fields[key] = _expect_number(value, f"continuation.{key}")
-
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            fields[key] = value
-
-    return RunConfig(system=factory(params), system_name=name, params=params, **fields)
+    fields.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    return RunConfig(system=factory(params), params=params, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +357,10 @@ def cmd_detect(config: RunConfig) -> int:
 @_exits
 def cmd_branch(config: RunConfig, theta_star: float) -> int:
     """Switch to and continue the nontrivial branch near theta_star."""
+    bracket = (theta_star - 0.5, theta_star + 0.5)
+    if not bracket[0] < bracket[1]:
+        raise InvalidConfig("theta_star: must be finite and small enough that theta_star - 0.5 < "
+                            f"theta_star + 0.5, got {theta_star!r}")
     if config.params is not None and config.params.coupling == 0.0:
         _report_error(
             HomcontError("linear family: no nonlinear branch (the kernel line is "
@@ -379,7 +368,6 @@ def cmd_branch(config: RunConfig, theta_star: float) -> int:
         )
         return EXIT_BRANCH
 
-    bracket = (theta_star - 0.5, theta_star + 0.5)
     try:
         cand = locate_bifurcation(
             config.system, bracket, config.window_n, config.tol_theta,

@@ -25,7 +25,6 @@ from .errors import (
     DegenerateKernel,
     InvalidConfig,
     NoConvergence,
-    NumericallySingular,
     SingularJacobian,
     StartInvalid,
     WindowOverflow,
@@ -93,14 +92,16 @@ class ContinuationControls:
         for name in ("ds0", "ds_min", "ds_max", "amplitude_cap", "tail_tol"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise InvalidConfig(f"{name}: must be a positive number, got {v!r}")
+                raise InvalidConfig(f"{name}: must be finite and positive, got {v!r}")
         if self.ds_min > self.ds_max:
-            raise InvalidConfig(f"ds_min: {self.ds_min!r} exceeds ds_max {self.ds_max!r}")
+            raise InvalidConfig(
+                f"ds_min: must be at most ds_max = {self.ds_max!r}, got {self.ds_min!r}"
+            )
         if not (isinstance(self.min_norm, (int, float)) and math.isfinite(self.min_norm)
                 and self.min_norm >= 0):
-            raise InvalidConfig(f"min_norm: must be a non-negative number, got {self.min_norm!r}")
+            raise InvalidConfig(f"min_norm: must be finite and >= 0, got {self.min_norm!r}")
         if not self.max_steps >= 0:
-            raise InvalidConfig(f"max_steps: must be non-negative, got {self.max_steps!r}")
+            raise InvalidConfig(f"max_steps: must be at least 0, got {self.max_steps!r}")
         if not self.n_max >= 1:
             raise InvalidConfig(f"n_max: must be at least 1, got {self.n_max!r}")
 
@@ -261,7 +262,7 @@ def switch_branch(
     branch violates.  Any converged point therefore has l2 norm >= s0.
     """
     if not (isinstance(s0, (int, float)) and math.isfinite(s0)) or s0 <= 0:
-        raise InvalidConfig(f"s0 must be a positive number, got {s0!r}")
+        raise InvalidConfig(f"s0: must be finite and positive, got {s0!r}")
     phi = np.asarray(cand.kernel_vector, dtype=float)
     size = system.d * (2 * N + 1)
     if phi.shape != (size,) or not np.all(np.isfinite(phi)):
@@ -362,9 +363,8 @@ def continue_branch(
             w_x=t[:-1], w_theta=float(t[-1]), offset=float(t @ z_pred)
         )
         p_step = replace(p, theta=float(z_pred[-1]))
-        # A failed corrector, a fall back toward the trivial branch, boundary
-        # rows that lose rank in transport (NumericallySingular) and a failed
-        # re-polish all reject the step alike: halve ds and retry.
+        # A failed corrector, a fall back toward the trivial branch and a
+        # failed re-polish all reject the step alike: halve ds and retry.
         try:
             x_new, theta_new, _, iters = _newton(
                 p_step, z_pred[:-1], constraint, newton_tol, DEFAULT_MAX_ITER
@@ -377,7 +377,7 @@ def continue_branch(
             rn = float(np.linalg.norm(assemble_residual(p, x_new)))
             if rn > newton_tol:
                 x_new, _, rn, _ = _newton(p, x_new, None, newton_tol, 5)
-        except (NoConvergence, SingularJacobian, NumericallySingular):
+        except (NoConvergence, SingularJacobian):
             ds *= 0.5
             streak = 0
             if ds < controls.ds_min:

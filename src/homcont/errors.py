@@ -37,10 +37,6 @@ class WindowOverflow(HomcontError):
     """Window adaptation exceeded the maximal half-width."""
 
 
-class NumericallySingular(HomcontError):
-    """A frame lost rank in polar_orthonormalize."""
-
-
 class InconsistentParity(HomcontError):
     """Sign-change count and endpoint determinants disagree."""
 

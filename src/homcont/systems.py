@@ -75,12 +75,16 @@ class Paper7Config:
     envelope_scale: float = 5.0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0 < self.beta):
-            raise InvalidConfig(f"need 0 < alpha < 1 < beta, got alpha={self.alpha}, beta={self.beta}")
-        if not math.isfinite(self.coupling) or self.coupling < 0.0:
-            raise InvalidConfig(f"coupling must be finite and >= 0, got {self.coupling}")
-        if not (self.envelope_scale > 0.0):
-            raise InvalidConfig(f"envelope_scale must be positive, got {self.envelope_scale}")
+        if not 0.0 < self.alpha < 1.0:
+            raise InvalidConfig(f"alpha: must satisfy 0 < alpha < 1, got {self.alpha!r}")
+        if not (math.isfinite(self.beta) and self.beta > 1.0):
+            raise InvalidConfig(f"beta: must be finite and greater than 1, got {self.beta!r}")
+        if not (math.isfinite(self.coupling) and self.coupling >= 0.0):
+            raise InvalidConfig(f"coupling: must be finite and >= 0, got {self.coupling!r}")
+        if not (math.isfinite(self.envelope_scale) and self.envelope_scale > 0.0):
+            raise InvalidConfig(
+                f"envelope_scale: must be finite and positive, got {self.envelope_scale!r}"
+            )
 
 
 def rotating_matrix(theta: float, alpha: float, beta: float) -> np.ndarray:

@@ -36,7 +36,7 @@ def test_bundles_builtin_values(tmp_path, capsys):
 
 def test_bundles_constant_system_predicts_nothing(capsys):
     system = hc.linear_family(2, lambda t: np.diag([0.5, 2.0]), lambda t: np.diag([0.5, 2.0]))
-    config = cli.RunConfig(system=system, system_name="constant", params=None)
+    config = cli.RunConfig(system=system, params=None)
     code = cli.cmd_bundles(config)
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -67,7 +67,7 @@ def test_detect_alignment_failure_exits_4(capsys):
         return np.diag([0.5, 2.0])
 
     jumpy = hc.linear_family(2, a_plus, lambda t: np.diag([0.5, 2.0]))
-    config = cli.RunConfig(system=jumpy, system_name="jump", params=None, grid_m=8)
+    config = cli.RunConfig(system=jumpy, params=None, grid_m=8)
     code = cli.cmd_detect(config)
     capsys.readouterr()
     assert code == 4
@@ -103,6 +103,13 @@ def test_branch_bad_theta_star_exits_4(capsys):
     assert "no bifurcation candidate" in err
 
 
+def test_detect_max_iterations_exits_4(capsys):
+    # no window smin clears a relative threshold of 1e-300
+    code, _, err = run_cli(capsys, ["detect", "--kernel-tol", "1e-300"])
+    assert code == 4
+    assert "bisection did not converge within 200 iterations" in err
+
+
 def test_check_passes(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["check", "--out", str(tmp_path)])
     assert code == 0
@@ -112,7 +119,7 @@ def test_check_passes(tmp_path, capsys):
 
 def test_check_failure_exits_6(capsys):
     system = hc.linear_family(2, lambda t: np.diag([0.5, 2.0]), lambda t: np.diag([0.5, 0.4]))
-    config = cli.RunConfig(system=system, system_name="mismatch", params=None, window_n=20)
+    config = cli.RunConfig(system=system, params=None, window_n=20)
     code = cli.cmd_check(config)
     payload = json.loads(capsys.readouterr().out)
     assert code == 6
@@ -172,6 +179,38 @@ def test_invalid_continuation_input_exits_2(tmp_path, raw, field):
     assert done.returncode == 2
     assert field in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "raw, argv, field",
+    [
+        ('{"continuation": {"s0": -1}}', ["bundles"], "continuation.s0"),
+        ('{"system": {"builtin": []}}', ["bundles"], "system.builtin"),
+        ('{"system": {"builtin": "paper8"}}', ["bundles"], "system.builtin"),
+        ('{"system": {"params": {"beta": Infinity}}}', ["bundles"], "system.params.beta"),
+        ('{"system": {"params": {"envelope_scale": Infinity}}}', ["bundles"],
+         "system.params.envelope_scale"),
+        ('{"system": {"params": {"gamma": 1}}}', ["bundles"], "system.params.gamma"),
+        ('{"tolerances": {"gap": 1e-6}}', ["bundles"], "tolerances.gap"),
+        ('{"tolerances.gap_tol": 1e-6}', ["bundles"], "tolerances.gap_tol: unknown field"),
+        ('{"tolerances": 1e-6}', ["bundles"], "tolerances: expected an object"),
+        ('{"grid_m": 64.0}', ["bundles"], "grid_m: expected an integer"),
+        ('{"out": 5}', ["bundles"], "out: expected a string"),
+        ('[]', ["bundles"], "config: expected an object"),
+        (None, ["check", "--seed", "-1"], "seed"),
+        (None, ["branch", "--theta-star", "nan"], "theta_star"),
+        (None, ["branch", "--theta-star", "inf"], "theta_star"),
+        (None, ["branch", "--theta-star", "1e300"], "theta_star"),
+    ],
+)
+def test_invalid_outside_input_exits_2(tmp_path, capsys, raw, argv, field):
+    if raw is not None:
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(raw)
+        argv = argv + ["--config", str(cfg)]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: " + field)
 
 
 def test_cli_import_skips_scipy_sparse():

@@ -6,7 +6,7 @@ import pytest
 
 import homcont as hc
 from homcont.continuation import AffineConstraint, _augmented_det_sign, _solve_augmented
-from homcont.errors import DegenerateKernel, InvalidConfig, SingularJacobian, StartInvalid
+from homcont.errors import DegenerateKernel, InvalidConfig, NoConvergence, SingularJacobian, StartInvalid
 from homcont.truncation import (
     assemble_dresidual_dtheta,
     assemble_jacobian,
@@ -74,6 +74,11 @@ def test_switch_branch_validation(paper7_perturbed, candidate):
     )
     with pytest.raises(DegenerateKernel):
         hc.switch_branch(paper7_perturbed, broken, 1e-3, 40)
+
+
+def test_switch_branch_too_large_s0_no_convergence(paper7_perturbed, candidate):
+    with pytest.raises(NoConvergence, match="try a smaller s0"):
+        hc.switch_branch(paper7_perturbed, candidate, 50.0, 40)
 
 
 def test_switch_branch_lands_near_crossing(paper7_perturbed, candidate):
