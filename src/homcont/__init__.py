@@ -24,7 +24,7 @@ from .continuation import (
     newton_correct,
     switch_branch,
 )
-from .detect import BifurcationCandidate, ParityScan, kernel_vector, locate_bifurcation, scan_parity
+from .detect import BifurcationCandidate, ParityScan, locate_bifurcation, scan_parity
 from .spectral import (
     HyperbolicSplitting,
     analytic_kernel_basis,
@@ -43,7 +43,6 @@ from .systems import (
 from .truncation import (
     TruncatedProblem,
     adapt_window,
-    assemble_jacobian,
     assemble_residual,
     tail_mass,
     truncated_problem,
@@ -68,7 +67,6 @@ __all__ = [
     "TruncatedProblem",
     "adapt_window",
     "analytic_kernel_basis",
-    "assemble_jacobian",
     "assemble_residual",
     "check_hypotheses",
     "continue_branch",
@@ -76,7 +74,6 @@ __all__ = [
     "halfline_green_solve",
     "hyperbolic_splitting",
     "index_bundle_invariants",
-    "kernel_vector",
     "linear_family",
     "locate_bifurcation",
     "newton_correct",

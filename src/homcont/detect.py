@@ -16,15 +16,10 @@ import numpy as np
 
 from .bundles import CircleGrid, transport_frames
 from .errors import InconsistentParity, MaxIterations, NoKernel, NoSignChange
-from .truncation import (
-    TransportedRows,
-    assemble_jacobian,
-    banded_jacobian_lu,
-    complement_families,
-    extreme_singular_values,
-    truncated_problem,
-)
+from .truncation import TransportedRows, banded_jacobian_lu, complement_families, truncated_problem
 
+# Relative kernel threshold: a window whose smallest singular value is below
+# kernel_tol * ||J||_1 is near-singular.
 DEFAULT_KERNEL_TOL = 1e-8
 # Iteration budget of the bisection and of the golden-section fallback.
 MAX_ITER = 200
@@ -36,7 +31,9 @@ class ParityScan:
 
     det_signs holds +1/-1 per node, with 0 marking nodes excluded as
     near-singular (see _classify); excluded nodes do not enter the
-    sign-change count but end up inside candidate intervals.
+    sign-change count but end up inside candidate intervals.  smin holds
+    each node's smallest singular value, from the same banded LU as its
+    determinant sign (WindowLU.smallest_singular).
     dip_intervals brackets nodes whose smin dips four orders of magnitude
     below the grid median without a determinant sign change: candidate
     even-multiplicity crossings, which carry no parity certificate.
@@ -58,43 +55,16 @@ class BifurcationCandidate:
     bracket: tuple[float, float]
 
 
-def _classify(p, kernel_tol: float) -> tuple[float, float, int]:
-    """(smin, smax, sign) of the window linearization at X = 0.  sign is
-    the determinant sign, or 0 when the node is near-singular: smin below
-    kernel_tol * smax (the LU is then not factored) or an LU pivot below
-    the singularity threshold."""
-    smin, smax = extreme_singular_values(p)
-    if not smin >= kernel_tol * smax:
-        return smin, smax, 0
-    return smin, smax, banded_jacobian_lu(p, np.zeros(p.size)).det_sign()
-
-
-def kernel_vector(
-    j: np.ndarray, kernel_tol: float | None = None, block_size: int | None = None
-) -> np.ndarray:
-    """Unit right singular vector for the smallest singular value of j.
-
-    kernel_tol is an absolute threshold on that singular value (default
-    1e-8 * ||j||); NoKernel is raised when j is not nearly singular.  Sign
-    convention: the largest-magnitude entry of the first block (of size
-    block_size, default the whole vector) is made positive.
-    """
-    return _kernel(j, block_size, abs_tol=kernel_tol)[1]
-
-
-def _kernel(j, block_size, abs_tol=None, rel_tol=DEFAULT_KERNEL_TOL):
-    """(smin, kernel_vector) from one full SVD of j.  The threshold is
-    abs_tol, or rel_tol * smax when abs_tol is None."""
-    _, s, vt = np.linalg.svd(np.asarray(j, dtype=float))
-    smin, v = float(s[-1]), vt[-1].copy()
-    tol = abs_tol if abs_tol is not None else rel_tol * float(s[0])
-    if smin > tol:
-        raise NoKernel(f"smallest singular value {smin:.3e} exceeds {tol:.3e}")
-    head = v[: block_size if block_size else len(v)]
-    lead = int(np.argmax(np.abs(head)))
-    if head[lead] < 0:
-        v = -v
-    return smin, v
+def _classify(p, kernel_tol: float):
+    """(smin, scale, sign, kernel vector) of the window linearization at
+    X = 0, all from one banded LU: smin and its unit right singular vector
+    by WindowLU.smallest_singular, scale = ||J||_1.  sign is the determinant
+    sign, or 0 when the node is near-singular: smin below kernel_tol * scale,
+    or an LU pivot below the singularity threshold."""
+    lu = banded_jacobian_lu(p, np.zeros(p.size))
+    smin, vec = lu.smallest_singular()
+    sign = lu.det_sign() if smin >= kernel_tol * lu.norm_1 else 0
+    return smin, lu.norm_1, sign, vec
 
 
 def _transport_on_common_grid(left, right, grid: CircleGrid):
@@ -137,7 +107,7 @@ def scan_parity(
             system, theta, N, gap_tol=gap_tol,
             left_rows=left_frames[i].T, right_rows=right_frames[i].T,
         )
-        smins[i], _, signs[i] = _classify(p, kernel_tol)
+        smins[i], _, signs[i], _ = _classify(p, kernel_tol)
 
     if signs[0] == 0 or signs[-1] == 0:
         raise InconsistentParity(
@@ -198,11 +168,13 @@ def locate_bifurcation(
 
     Bisection on the determinant sign (with frame-consistent rows carried
     along the path) continues until the bracket is below tol_theta and the
-    smallest singular value clears the kernel threshold, so the returned
-    candidate always carries a usable kernel vector.  Brackets without a
-    sign change fall back to golden-section minimization of the smallest
-    singular value; candidates found that way carry no parity certificate
-    and are reported with a warning.
+    smallest singular value clears the kernel threshold kernel_tol *
+    ||J||_1, so the returned candidate always carries a usable kernel
+    vector.  Every probe factors its window once and reads the determinant
+    sign, smin and the kernel vector from that LU; the candidate reuses
+    its midpoint's probe.  Brackets without a sign change fall back to
+    golden-section minimization of smin / ||J||_1; candidates found that
+    way carry no parity certificate and are reported with a warning.
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not b > a:
@@ -212,7 +184,7 @@ def locate_bifurcation(
     def probe(theta: float):
         return _classify(path.problem(theta, N), kernel_tol)
 
-    def endpoint_sign(theta: float, inward: float):
+    def endpoint_sign(theta: float, inward: float) -> int:
         return probe(theta)[2] or probe(theta + inward * 1e-3 * (b - a))[2]
 
     s_a = endpoint_sign(a, +1.0)
@@ -223,9 +195,10 @@ def locate_bifurcation(
     for _ in range(MAX_ITER):
         width = b - a
         mid = 0.5 * (a + b)
-        smin_mid, smax_mid, s_mid = probe(mid)
-        if width <= tol_theta and smin_mid <= kernel_tol * smax_mid:
-            return _finish_candidate(system, path, mid, (a, b), N, kernel_tol)
+        node = probe(mid)
+        smin_mid, scale_mid, s_mid, _ = node
+        if width <= tol_theta and smin_mid <= kernel_tol * scale_mid:
+            return _candidate(mid, (a, b), node, kernel_tol, system.d)
         if s_mid != 0:
             if s_mid == s_a:
                 a = mid
@@ -236,22 +209,23 @@ def locate_bifurcation(
             # Near-singular midpoint: shrink from both sides with off-center
             # probes, keeping the crossing inside.
             lo, hi = a + 0.35 * width, a + 0.65 * width
-            _, _, s_lo = probe(lo)
-            _, _, s_hi = probe(hi)
+            s_lo = probe(lo)[2]
+            s_hi = probe(hi)[2]
             if s_lo == s_a:
                 a = lo
                 path.move(a)
             if s_hi == s_b:
                 b = hi
             if s_lo == 0 and s_hi == 0:
-                if smin_mid <= kernel_tol * smax_mid:
-                    return _finish_candidate(system, path, mid, (a, b), N, kernel_tol)
+                if smin_mid <= kernel_tol * scale_mid:
+                    return _candidate(mid, (a, b), node, kernel_tol, system.d)
                 raise MaxIterations("bracket collapsed onto a non-resolvable singular set")
     raise MaxIterations(f"bisection did not converge within {MAX_ITER} iterations")
 
 
 def _golden_fallback(system, path, bracket, N, tol_theta, kernel_tol):
-    """Golden-section search on the relative smallest singular value.
+    """Golden-section search on the relative smallest singular value
+    smin / ||J||_1.
 
     Shrinks past tol_theta if needed until the dip clears the kernel
     threshold, so a genuine (even-multiplicity) crossing yields a usable
@@ -261,31 +235,33 @@ def _golden_fallback(system, path, bracket, N, tol_theta, kernel_tol):
     a, b = bracket
     phi = 0.5 * (3.0 - np.sqrt(5.0))
 
-    def rel_smin(theta: float) -> float:
-        smin, smax = extreme_singular_values(path.problem(theta, N))
-        return smin / smax
+    def classify(theta: float):
+        return _classify(path.problem(theta, N), kernel_tol)
+
+    def rel_smin(node) -> float:
+        return node[0] / node[1]
 
     x1, x2 = a + phi * (b - a), b - phi * (b - a)
-    f1, f2 = rel_smin(x1), rel_smin(x2)
+    c1, c2 = classify(x1), classify(x2)
     for _ in range(MAX_ITER):
         width = b - a
-        if width <= tol_theta and min(f1, f2) <= kernel_tol:
+        if width <= tol_theta and min(rel_smin(c1), rel_smin(c2)) <= kernel_tol:
             break
         if width <= 1e-13 * max(1.0, abs(a)):
             break  # dip fully resolved; the threshold decides below
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
+        if rel_smin(c1) <= rel_smin(c2):
+            b, x2, c2 = x2, x1, c1
             x1 = a + phi * (b - a)
-            f1 = rel_smin(x1)
+            c1 = classify(x1)
         else:
-            a, x1, f1 = x1, x2, f2
+            a, x1, c1 = x1, x2, c2
             x2 = b - phi * (b - a)
-            f2 = rel_smin(x2)
+            c2 = classify(x2)
     else:
         raise MaxIterations("golden-section search exceeded its budget")
-    mid = x1 if f1 <= f2 else x2
+    mid, node = (x1, c1) if rel_smin(c1) <= rel_smin(c2) else (x2, c2)
     try:
-        cand = _finish_candidate(system, path, mid, (a, b), N, kernel_tol)
+        cand = _candidate(mid, (a, b), node, kernel_tol, system.d)
     except NoKernel as exc:
         raise NoSignChange(
             f"no determinant sign change in the bracket and the smallest "
@@ -299,11 +275,16 @@ def _golden_fallback(system, path, bracket, N, tol_theta, kernel_tol):
     return cand
 
 
-def _finish_candidate(system, path, theta_star, bracket, N, kernel_tol):
-    """Candidate at theta_star from one full SVD of the window Jacobian;
-    NoKernel when its smallest singular value exceeds kernel_tol * smax."""
-    p = path.problem(theta_star, N)
-    smin, vec = _kernel(assemble_jacobian(p, np.zeros(p.size)), system.d, rel_tol=kernel_tol)
+def _candidate(theta_star, bracket, node, kernel_tol, d):
+    """Candidate at theta_star from its _classify result; NoKernel when
+    smin exceeds kernel_tol * ||J||_1.  Sign convention of the kernel
+    vector: the largest-magnitude entry of its first block is positive."""
+    smin, scale, _, vec = node
+    if smin > kernel_tol * scale:
+        raise NoKernel(f"smallest singular value {smin:.3e} exceeds {kernel_tol * scale:.3e}")
+    head = vec[:d]
+    if head[np.argmax(np.abs(head))] < 0:
+        vec = -vec
     return BifurcationCandidate(
         theta_star=float(theta_star),
         smin_at_star=float(smin),

@@ -362,7 +362,7 @@ def _check_a3(system, N, gap_tol) -> AssumptionCheck:
     from . import truncation
 
     p = truncation.truncated_problem(system, 0.0, N, gap_tol=gap_tol)
-    smin, _ = truncation.extreme_singular_values(p)
+    smin, _ = truncation.banded_jacobian_lu(p, np.zeros(p.size)).smallest_singular()
     # Nonlinear probe: damped Newton from small random starts at theta = 0
     # must fall back onto the trivial solution.
     rng = np.random.default_rng(12345)
@@ -402,6 +402,7 @@ def _check_a4(system, grid, N, M, rng, gap_tol) -> AssumptionCheck:
                 a = fd_matrix(limit_fn, float(t), x0)
                 auto = linear_family(system.d, lambda _t, a=a: a, lambda _t, a=a: a)
                 p = truncation.truncated_problem(auto, 0.0, N, gap_tol=gap_tol)
-                worst = min(worst, truncation.extreme_singular_values(p)[0])
+                lu = truncation.banded_jacobian_lu(p, np.zeros(p.size))
+                worst = min(worst, lu.smallest_singular()[0])
     status = "pass" if worst >= 1e-6 else "fail"
     return AssumptionCheck("A4", status, {"min_truncated_smin": worst, "nodes_scanned": len(nodes)})

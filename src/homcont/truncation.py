@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from ._linalg import orth_complement
 from .bundles import transport_along_path
@@ -26,6 +26,13 @@ DEFAULT_N_MAX = 2 ** 12
 TAIL_FRACTION = 0.25
 # Relative pivot threshold below which a factorization is reported singular.
 PIVOT_RTOL = 1e-12
+# WindowLU.smallest_singular stops once the top Ritz pair's residual is below
+# LANCZOS_RTOL times its Ritz value, and starts from a vector seeded by
+# _LANCZOS_SEED so that reruns are byte-identical.
+LANCZOS_RTOL = 1e-14
+_LANCZOS_SEED = 2012
+# Pivots below this fraction of ||J||_1 count as zero in smallest_singular.
+_PIVOT_FLOOR = PIVOT_RTOL * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,25 +181,6 @@ def _jacobian_entries(p: TruncatedProblem, x: np.ndarray):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def assemble_jacobian(p: TruncatedProblem, x: np.ndarray) -> np.ndarray:
-    """Dense window Jacobian: interior block rows [-dfdx(n, theta, x_n), I]
-    plus the boundary rows.  Solves and determinant signs use
-    banded_jacobian_lu; the dense matrix is the oracle for tests, the
-    hypothesis checks and the singular value decompositions."""
-    rows, cols, vals = _jacobian_entries(p, x)
-    jac = np.zeros((p.size, p.size))
-    jac[rows, cols] = vals
-    return jac
-
-
-def extreme_singular_values(p: TruncatedProblem) -> tuple[float, float]:
-    """(smin, smax) of the window linearization at X = 0, from one
-    values-only SVD of the dense Jacobian.  The scan's exclusion gate, the
-    localization probes and the A3/A4 checks read it."""
-    s = np.linalg.svd(assemble_jacobian(p, np.zeros(p.size)), compute_uv=False)
-    return float(s[-1]), float(s[0])
-
-
 class WindowLU:
     """Banded LU of the window Jacobian (LAPACK gbtrf/gbtrs), presented in
     assembled ordering.
@@ -204,7 +192,7 @@ class WindowLU:
     even), so determinant signs agree with the assembled ordering.  The
     1-norm of J is taken from the band before factoring; a pivot below
     PIVOT_RTOL times it is the package's one criterion for a numerically
-    singular matrix.
+    singular matrix, and the same 1-norm scales the smin gates of detect.
     """
 
     def __init__(self, ab: np.ndarray, kl: int, ku: int, d_s: int, interior: int, entries):
@@ -247,6 +235,61 @@ class WindowLU:
         sign = 1 if swaps % 2 == 0 else -1
         sign *= int(np.prod(np.sign(self._udiag)))
         return sign
+
+    def smallest_singular(self) -> tuple[float, np.ndarray]:
+        """(smin, v): the smallest singular value of J and a unit right
+        singular vector for it, in assembled column order, sign arbitrary.
+
+        Lanczos with full reorthogonalization on (PJ)^-1 (PJ)^-T = (J^T J)^-1,
+        P the banded row order: each step is two gbtrs solves (transposed,
+        then plain) on the factors held here, O(n * bandwidth), plus the
+        reorthogonalization against the k vectors so far, O(n * k).  The run
+        starts from a fixed seeded vector (a structured one such as all-ones
+        can be orthogonal to a symmetric kernel) and stops when the top Ritz
+        pair (t, s) of the k x k tridiagonal has |beta_k * s_k| <=
+        LANCZOS_RTOL * t, or at k = n, where the Krylov space is the whole
+        space; then smin = t^(-1/2).  Convergence is tested on a growing
+        schedule of k, and the Krylov buffer grows on demand.
+
+        An exactly singular LU, or one with a pivot below PIVOT_RTOL * eps *
+        ||J||_1, gives smin = 0; its tiny pivots are raised to PIVOT_RTOL *
+        ||J||_1 for the solves, so v is still a unit kernel vector.
+        """
+        n, kl, ku = self._n, self._kl, self._ku
+        lu = self._lu
+        tiny = np.abs(self._udiag) < _PIVOT_FLOOR * self.norm_1
+        singular = bool(np.any(tiny))
+        if singular:
+            lu = lu.copy()
+            lu[kl + ku, tiny] = PIVOT_RTOL * self.norm_1
+        basis = np.empty((min(n, 8), n))
+        q = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+        q /= np.linalg.norm(q)
+        alpha, beta = [], []
+        k, check_at = 0, 1
+        while True:
+            if k == len(basis):
+                basis = np.concatenate([basis, np.empty((min(n, 2 * k) - k, n))])
+            basis[k] = q
+            y, _ = lapack.dgbtrs(lu, kl, ku, q, self._ipiv, trans=1)
+            w, _ = lapack.dgbtrs(lu, kl, ku, y, self._ipiv)
+            k += 1
+            krylov = basis[:k]
+            h = krylov @ w
+            w -= h @ krylov
+            h2 = krylov @ w  # second Gram-Schmidt pass
+            w -= h2 @ krylov
+            alpha.append(h[-1] + h2[-1])
+            beta.append(float(np.linalg.norm(w)))
+            if k >= check_at or k == n or not beta[-1] > 0.0:
+                t, s = eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(k - 1, k - 1))
+                if k == n or abs(beta[-1] * s[-1, 0]) <= LANCZOS_RTOL * t[0]:
+                    break
+                check_at = k + max(1, k // 4)
+            q = w / beta[-1]
+        v = s[:, 0] @ krylov
+        v /= np.linalg.norm(v)
+        return (0.0 if singular else float(1.0 / np.sqrt(t[0]))), v
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """J @ v in assembled ordering."""

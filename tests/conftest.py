@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import homcont as hc
+from homcont.systems import dfdx_rows
 
 
 def random_hyperbolic(rng, d, gap=0.1):
@@ -37,6 +38,23 @@ def random_hyperbolic(rng, d, gap=0.1):
         if np.linalg.cond(sim) < 20:
             break
     return sim @ core @ np.linalg.inv(sim)
+
+
+def assemble_jacobian(p, x):
+    """Dense window Jacobian, the test oracle for the banded LU: interior
+    block rows [-dfdx(n, theta, x_n), I] in window order, then the left and
+    right boundary rows.  Assembled block by block, independently of the
+    library's scatter into band storage."""
+    blocks = p.blocks(x)
+    d, m = p.d, 2 * p.N * p.d
+    ds = p.left_rows.shape[0]
+    jac = np.zeros((p.size, p.size))
+    for i, a in enumerate(dfdx_rows(p.system, p.ns, p.theta, blocks[:-1])):
+        jac[d * i:d * i + d, d * i:d * i + d] = -a
+        jac[d * i:d * i + d, d * i + d:d * i + 2 * d] = np.eye(d)
+    jac[m:m + ds, :d] = p.left_rows
+    jac[m + ds:, m:] = p.right_rows
+    return jac
 
 
 @pytest.fixture(scope="session")

@@ -11,9 +11,9 @@ import numpy as np
 import homcont as hc
 from homcont import cli
 from homcont.systems import rotating_matrix
-from homcont.truncation import assemble_jacobian, assemble_residual, tail_mass, truncated_problem
+from homcont.truncation import assemble_residual, tail_mass, truncated_problem
 
-from conftest import random_hyperbolic
+from conftest import assemble_jacobian, random_hyperbolic
 
 ALPHA, BETA = 0.5, 2.0
 

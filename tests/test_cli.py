@@ -246,7 +246,9 @@ def test_outputs_are_deterministic(tmp_path, capsys):
             capsys,
             ["branch", "--theta-star", "3.14", "--seed", "7", "--out", str(tmp_path / sub)],
         )[0] == 0
-    for name in ("bundles.json", "detect.json", "detect_nodes.csv", "branch.json", "branch.csv"):
+        assert run_cli(capsys, ["check", "--seed", "7", "--out", str(tmp_path / sub)])[0] == 0
+    for name in ("bundles.json", "detect.json", "detect_nodes.csv", "branch.json", "branch.csv",
+                 "check.json"):
         a = (tmp_path / "one" / name).read_bytes()
         b = (tmp_path / "two" / name).read_bytes()
         assert a == b, name

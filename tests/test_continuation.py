@@ -9,11 +9,12 @@ from homcont.continuation import AffineConstraint, _augmented_det_sign, _solve_a
 from homcont.errors import DegenerateKernel, InvalidConfig, NoConvergence, SingularJacobian, StartInvalid
 from homcont.truncation import (
     assemble_dresidual_dtheta,
-    assemble_jacobian,
     embed_window,
     tail_mass,
     truncated_problem,
 )
+
+from conftest import assemble_jacobian
 
 
 @pytest.fixture(scope="module")

@@ -2,16 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import homcont as hc
-from homcont.errors import MaxIterations, NoKernel, NoSignChange
-from homcont.truncation import (
-    assemble_jacobian,
-    complement_families,
-    truncated_problem,
-)
+from homcont.errors import MaxIterations, NoSignChange
+from homcont.truncation import banded_jacobian_lu, complement_families, truncated_problem
 
-from conftest import random_hyperbolic
+from conftest import assemble_jacobian, random_hyperbolic
 
 
 def test_public_names_resolve():
@@ -19,20 +16,16 @@ def test_public_names_resolve():
         assert getattr(hc, name) is not None, name
 
 
-def test_kernel_vector_trivial_cases():
-    v = hc.kernel_vector(np.diag([1.0, 1.0, 1e-15]))
-    assert np.allclose(v, [0.0, 0.0, 1.0], atol=1e-12)
-    with pytest.raises(NoKernel):
-        hc.kernel_vector(np.eye(4))
-
-
 def test_kernel_vector_sign_convention_deterministic(paper7_linear):
-    p = truncated_problem(paper7_linear, math.pi, 30)
-    jac = assemble_jacobian(p, np.zeros(p.size))
-    v1 = hc.kernel_vector(jac, block_size=2)
-    v2 = hc.kernel_vector(jac.copy(), block_size=2)
-    assert np.array_equal(v1, v2)
+    # the candidate's kernel vector: reruns give identical bytes, and the
+    # largest-magnitude entry of the first block is positive
+    bracket = (math.pi - 0.5, math.pi + 0.5)
+    v1, v2 = (hc.locate_bifurcation(paper7_linear, bracket, 30, 1e-6).kernel_vector
+              for _ in range(2))
+    assert v1.tobytes() == v2.tobytes()
     assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
+    head = v1[:paper7_linear.d]
+    assert head[np.argmax(np.abs(head))] > 0.0
 
 
 def test_scan_parity_builtin(paper7_linear, grid64):
@@ -160,24 +153,31 @@ def test_scan_excludes_near_singular_node(paper7_linear):
     assert scan.smin[idx] < 1e-10
 
 
-def test_window_svd_counts(paper7_linear, monkeypatch):
-    # Window-size SVDs only: the scan and the bisection probes need singular
-    # values alone; the candidate takes one full SVD for smin and its kernel.
+def test_no_window_svds(paper7_linear, monkeypatch):
+    # Every window singular-value question is answered from the banded LU:
+    # no window-size SVD (either compute_uv) in the scan, the localization or
+    # the hypothesis checks, and exactly one factorization per scan node.
     N = 40
-    calls = []
-    svd = np.linalg.svd
+    svds, factorizations = [], []
+    svd, dgbtrf = np.linalg.svd, lapack.dgbtrf
 
-    def counting(a, *args, **kwargs):
+    def counting_svd(a, *args, **kwargs):
         if np.shape(a)[0] >= 2 * N * paper7_linear.d:
-            calls.append(kwargs.get("compute_uv", True))
+            svds.append(kwargs.get("compute_uv", True))
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    scan = hc.scan_parity(paper7_linear, hc.CircleGrid.uniform(64), N)
-    assert calls.count(True) == 0 and calls.count(False) > 0
-    calls.clear()
+    def counting_dgbtrf(*args, **kwargs):
+        factorizations.append(1)
+        return dgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(lapack, "dgbtrf", counting_dgbtrf)
+    grid = hc.CircleGrid.uniform(64)
+    scan = hc.scan_parity(paper7_linear, grid, N)
+    assert len(factorizations) == scan.grid.m + 1
     hc.locate_bifurcation(paper7_linear, scan.sign_change_intervals[0], N, 1e-6)
-    assert calls.count(True) == 1
+    hc.check_hypotheses(paper7_linear, grid, N, 1.0)
+    assert svds == []
 
 
 def _plane_rotation(d, theta):
@@ -225,3 +225,35 @@ def test_scan_matches_dense_oracles(paper7_linear):
             if scan.det_signs[i] != 0:
                 assert scan.det_signs[i] == int(np.linalg.slogdet(jac)[0])
         assert np.count_nonzero(scan.det_signs == 0) <= 1
+
+
+def test_smallest_singular_matches_dense_svd(paper7_perturbed):
+    # Lanczos on the banded LU against a full SVD at N = 60, where a run
+    # stops long before k = n: regular nodes (the small singular values
+    # cluster there), theta = pi and pi - 1e-6, and every located candidate,
+    # whose kernel vector must also carry the sign convention.
+    rng = np.random.default_rng(11)
+    families = [paper7_perturbed] + [_rotating_random_family(rng, d) for d in (2, 3, 4)]
+    N = 60
+    located = 0
+    for system in families:
+        scan = hc.scan_parity(system, hc.CircleGrid.uniform(32), N)
+        candidates = [hc.locate_bifurcation(system, iv, N, 1e-6)
+                      for iv in scan.sign_change_intervals]
+        thetas = [0.0, 0.4, 1.3, 2.2, 4.5, math.pi - 1e-6, math.pi]
+        for theta in dict.fromkeys(thetas + [c.theta_star for c in candidates]):
+            p = truncated_problem(system, theta, N)
+            lu = banded_jacobian_lu(p, np.zeros(p.size))
+            smin, v = lu.smallest_singular()
+            _, s, vt = np.linalg.svd(assemble_jacobian(p, np.zeros(p.size)))
+            assert abs(smin - s[-1]) <= 1e-13 * s[0]
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            if smin <= 1e-8 * lu.norm_1:
+                assert abs(v @ vt[-1]) >= 1.0 - 1e-12
+            for cand in candidates:
+                if cand.theta_star == theta:
+                    assert abs(cand.kernel_vector @ vt[-1]) >= 1.0 - 1e-12
+                    head = cand.kernel_vector[:system.d]
+                    assert head[np.argmax(np.abs(head))] > 0.0
+                    located += 1
+    assert located >= 3

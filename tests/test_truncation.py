@@ -7,9 +7,9 @@ import pytest
 import homcont as hc
 from homcont.errors import SingularJacobian, SizeMismatch, WindowOverflow
 from homcont.truncation import (
+    PIVOT_RTOL,
     adapt_window,
     assemble_dresidual_dtheta,
-    assemble_jacobian,
     assemble_residual,
     banded_jacobian_lu,
     embed_window,
@@ -17,7 +17,7 @@ from homcont.truncation import (
     truncated_problem,
 )
 
-from conftest import random_hyperbolic
+from conftest import assemble_jacobian, random_hyperbolic
 
 ALPHA, BETA = 0.5, 2.0
 
@@ -126,6 +126,18 @@ def test_det_sign_zero_when_exactly_singular():
     with pytest.raises(SingularJacobian):
         lu.solve(np.ones(5))
     assert lu.det_sign() == 0
+
+
+def test_smallest_singular_when_exactly_singular():
+    # a zero left boundary row: gbtrf reports an exact zero pivot, and the
+    # Lanczos run on the floored factors still finds the unit kernel vector
+    lu = scalar_window_lu(0.0)
+    smin, v = lu.smallest_singular()
+    assert smin == 0.0
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    kernel = 0.5 ** np.arange(5)  # x_{n+1} = x_n / 2 on n = -2 .. 2
+    assert abs(v @ kernel) / np.linalg.norm(kernel) >= 1.0 - 1e-12
+    assert np.linalg.norm(lu.matvec(v)) <= 2 * PIVOT_RTOL * lu.norm_1
 
 
 def test_det_sign_zero_below_pivot_threshold():
@@ -268,8 +280,6 @@ def test_size_mismatch_raised(paper7_linear):
     flat_dfdx = replace(paper7_linear, dfdx=lambda ns, t, X: np.zeros((len(ns), 2)))
     p = truncated_problem(flat_dfdx, 0.0, 10)
     with pytest.raises(SizeMismatch):
-        assemble_jacobian(p, np.zeros(p.size))
-    with pytest.raises(SizeMismatch):
         banded_jacobian_lu(p, np.zeros(p.size))
 
 
@@ -288,7 +298,6 @@ def test_one_system_call_per_assembly(paper7_perturbed):
     x = 0.1 * np.random.default_rng(11).standard_normal(p.size)
     for assemble, want in (
         (assemble_residual, {"f": 1, "dfdx": 0}),
-        (assemble_jacobian, {"f": 0, "dfdx": 1}),
         (banded_jacobian_lu, {"f": 0, "dfdx": 1}),
         (assemble_dresidual_dtheta, {"f": 2, "dfdx": 0}),
     ):
