@@ -161,9 +161,9 @@ def transport_along_path(
     Same _transport_step as transport_frames.  Segments are also capped at
     MAX_PATH_STEP radians: principal-angle cosines cannot see a half turn of
     the subspace (an antipodal frame is perfectly "aligned"), so only small
-    steps keep the transport in the right homotopy class.  Used to keep
-    boundary-condition rows continuous when theta moves during bisection or
-    continuation.
+    steps keep the transport in the right homotopy class.  Its one caller
+    is truncation.TruncatedProblem.transported, which keeps the
+    boundary-condition rows continuous whenever theta moves.
     """
     k = frame.shape[1]
     if k == 0 or theta_from == theta_to:

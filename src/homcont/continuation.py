@@ -33,7 +33,6 @@ from .truncation import (
     DEFAULT_N_MAX,
     PIVOT_RTOL,
     TAIL_FRACTION,
-    TransportedRows,
     adapt_window,
     assemble_dresidual_dtheta,
     assemble_residual,
@@ -315,8 +314,7 @@ def continue_branch(
     point as a fold/secondary-crossing diagnostic.
     """
     d = system.d
-    rows = TransportedRows(system, start.theta, gap_tol)
-    p = rows.problem(start.theta, start.N)
+    p = truncated_problem(system, start.theta, start.N, gap_tol=gap_tol)
     x = np.asarray(start.X, dtype=float).copy()
     rn = float(np.linalg.norm(assemble_residual(p, x)))
     # A converged start may drift by rounding when its boundary rows are
@@ -372,8 +370,7 @@ def continue_branch(
             if np.linalg.norm(x_new) < controls.min_norm:
                 raise NoConvergence("corrector fell back below min_norm")
             # Carry the boundary rows to the accepted theta and re-polish there.
-            rows.move(theta_new)
-            p = rows.problem(theta_new, p.N)
+            p = p.transported(theta_new)
             rn = float(np.linalg.norm(assemble_residual(p, x_new)))
             if rn > newton_tol:
                 x_new, _, rn, _ = _newton(p, x_new, None, newton_tol, 5)

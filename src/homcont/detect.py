@@ -1,11 +1,12 @@
 """Parity scans and bifurcation localization along the parameter loop.
 
 The truncated linearization at the trivial solution is assembled at every
-grid node with boundary rows taken from continuously transported frames.
-Its determinant sign is then a well-defined function of theta whose flips
-locate kernel crossings; the product of the endpoint signs (initial frames
-at 0 versus transported frames at 2*pi) is the loop parity, which must
-match (-1)^(number of sign changes).
+grid node from one window problem walked node to node by
+TruncatedProblem.transported, so its boundary rows vary continuously.  Its
+determinant sign is then a well-defined function of theta whose flips
+locate kernel crossings; the product of the endpoint signs (rows derived at
+0 versus rows carried to 2*pi) is the loop parity, which must match
+(-1)^(number of sign changes).
 """
 from __future__ import annotations
 
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import CircleGrid, transport_frames
-from .errors import InconsistentParity, MaxIterations, NoKernel, NoSignChange
-from .truncation import TransportedRows, banded_jacobian_lu, complement_families, truncated_problem
+from .bundles import CircleGrid
+from .errors import AlignmentFailure, InconsistentParity, MaxIterations, NoSignChange
+from .truncation import banded_jacobian_lu, truncated_problem
 
 # Relative kernel threshold: a window whose smallest singular value is below
 # kernel_tol * ||J||_1 is near-singular.
@@ -29,9 +30,10 @@ MAX_ITER = 200
 class ParityScan:
     """Determinant signs of the truncated linearization along the loop.
 
-    det_signs holds +1/-1 per node, with 0 marking nodes excluded as
-    near-singular (see _classify); excluded nodes do not enter the
-    sign-change count but end up inside candidate intervals.  smin holds
+    grid is the grid given to scan_parity (no nodes are added); det_signs
+    holds +1/-1 per node, with 0 marking nodes excluded as near-singular
+    (see _classify); excluded nodes do not enter the sign-change count but
+    end up inside candidate intervals.  smin holds
     each node's smallest singular value, from the same banded LU as its
     determinant sign (WindowLU.smallest_singular).
     dip_intervals brackets nodes whose smin dips four orders of magnitude
@@ -67,19 +69,6 @@ def _classify(p, kernel_tol: float):
     return smin, lu.norm_1, sign, vec
 
 
-def _transport_on_common_grid(left, right, grid: CircleGrid):
-    """Transport both complement families, merging any adaptively refined
-    nodes so both frame sequences live on one grid."""
-    for _ in range(5):
-        tl = transport_frames(left, grid)
-        tr = transport_frames(right, grid)
-        if tl.grid.m == tr.grid.m == grid.m:
-            return grid, tl.frames, tr.frames
-        merged = np.union1d(tl.grid.nodes, tr.grid.nodes)
-        grid = CircleGrid(m=len(merged) - 1, nodes=merged)
-    raise InconsistentParity("transport refinement did not stabilize on a common grid")
-
-
 def scan_parity(
     system,
     grid: CircleGrid,
@@ -89,25 +78,29 @@ def scan_parity(
 ) -> ParityScan:
     """Determinant-sign scan of the truncated linearization over the loop.
 
-    The loop parity is computed both as (-1)^(sign changes between
-    consecutive non-excluded nodes) and as the product of the determinant
-    signs at theta = 0 (initial frames) and theta = 2*pi (transported
-    frames); InconsistentParity is raised if the two disagree or if either
-    endpoint is itself near-singular.
+    One window problem is walked from node to node by
+    TruncatedProblem.transported.  If the rows carried to 2*pi leave the
+    row space they started in, the family is not 2*pi-periodic and
+    AlignmentFailure is raised.  The loop parity is computed both as
+    (-1)^(sign changes between consecutive non-excluded nodes) and as the
+    product of the determinant signs at theta = 0 (rows derived there) and
+    theta = 2*pi (rows carried there); InconsistentParity is raised if the
+    two disagree or if either endpoint is itself near-singular.
     """
-    left, right = complement_families(system, gap_tol)
-    grid, left_frames, right_frames = _transport_on_common_grid(left, right, grid)
-
     n_nodes = grid.m + 1
     signs = np.zeros(n_nodes, dtype=int)
     smins = np.zeros(n_nodes)
+    start = p = truncated_problem(system, float(grid.nodes[0]), N, gap_tol=gap_tol)
     for i in range(n_nodes):
-        theta = float(grid.nodes[i])
-        p = truncated_problem(
-            system, theta, N, gap_tol=gap_tol,
-            left_rows=left_frames[i].T, right_rows=right_frames[i].T,
-        )
+        if i:
+            p = p.transported(float(grid.nodes[i]))
         smins[i], _, signs[i], _ = _classify(p, kernel_tol)
+    for first, last in ((start.left_rows, p.left_rows), (start.right_rows, p.right_rows)):
+        if np.linalg.norm(last @ first.T @ first - last) > 1e-8:
+            raise AlignmentFailure(
+                "boundary rows carried to 2*pi do not lie in the initial row space; "
+                "the family is not 2*pi-periodic to tolerance"
+            )
 
     if signs[0] == 0 or signs[-1] == 0:
         raise InconsistentParity(
@@ -166,8 +159,8 @@ def locate_bifurcation(
 ) -> BifurcationCandidate:
     """Narrow a bracket onto a kernel crossing of the truncated linearization.
 
-    Bisection on the determinant sign (with frame-consistent rows carried
-    along the path) continues until the bracket is below tol_theta and the
+    Bisection on the determinant sign (every probe is the window problem
+    at the lower end a, transported to the probe) continues until the bracket is below tol_theta and the
     smallest singular value clears the kernel threshold kernel_tol *
     ||J||_1, so the returned candidate always carries a usable kernel
     vector.  Every probe factors its window once and reads the determinant
@@ -179,10 +172,10 @@ def locate_bifurcation(
     a, b = float(bracket[0]), float(bracket[1])
     if not b > a:
         raise ValueError("bracket must satisfy theta_lo < theta_hi")
-    path = TransportedRows(system, a, gap_tol)
+    p_a = truncated_problem(system, a, N, gap_tol=gap_tol)  # follows a
 
     def probe(theta: float):
-        return _classify(path.problem(theta, N), kernel_tol)
+        return _classify(p_a.transported(theta), kernel_tol)
 
     def endpoint_sign(theta: float, inward: float) -> int:
         return probe(theta)[2] or probe(theta + inward * 1e-3 * (b - a))[2]
@@ -190,7 +183,7 @@ def locate_bifurcation(
     s_a = endpoint_sign(a, +1.0)
     s_b = endpoint_sign(b, -1.0)
     if s_a * s_b != -1:  # no certified sign change
-        return _golden_fallback(system, path, (a, b), N, tol_theta, kernel_tol)
+        return _golden_fallback(p_a, (a, b), tol_theta, kernel_tol)
 
     for _ in range(MAX_ITER):
         width = b - a
@@ -198,11 +191,11 @@ def locate_bifurcation(
         node = probe(mid)
         smin_mid, scale_mid, s_mid, _ = node
         if width <= tol_theta and smin_mid <= kernel_tol * scale_mid:
-            return _candidate(mid, (a, b), node, kernel_tol, system.d)
+            return _candidate(mid, (a, b), node)
         if s_mid != 0:
             if s_mid == s_a:
                 a = mid
-                path.move(a)
+                p_a = p_a.transported(a)
             else:
                 b = mid
         else:
@@ -213,19 +206,19 @@ def locate_bifurcation(
             s_hi = probe(hi)[2]
             if s_lo == s_a:
                 a = lo
-                path.move(a)
+                p_a = p_a.transported(a)
             if s_hi == s_b:
                 b = hi
             if s_lo == 0 and s_hi == 0:
                 if smin_mid <= kernel_tol * scale_mid:
-                    return _candidate(mid, (a, b), node, kernel_tol, system.d)
+                    return _candidate(mid, (a, b), node)
                 raise MaxIterations("bracket collapsed onto a non-resolvable singular set")
     raise MaxIterations(f"bisection did not converge within {MAX_ITER} iterations")
 
 
-def _golden_fallback(system, path, bracket, N, tol_theta, kernel_tol):
+def _golden_fallback(p_a, bracket, tol_theta, kernel_tol):
     """Golden-section search on the relative smallest singular value
-    smin / ||J||_1.
+    smin / ||J||_1, probing p_a transported along the bracket.
 
     Shrinks past tol_theta if needed until the dip clears the kernel
     threshold, so a genuine (even-multiplicity) crossing yields a usable
@@ -236,7 +229,7 @@ def _golden_fallback(system, path, bracket, N, tol_theta, kernel_tol):
     phi = 0.5 * (3.0 - np.sqrt(5.0))
 
     def classify(theta: float):
-        return _classify(path.problem(theta, N), kernel_tol)
+        return _classify(p_a.transported(theta), kernel_tol)
 
     def rel_smin(node) -> float:
         return node[0] / node[1]
@@ -260,13 +253,14 @@ def _golden_fallback(system, path, bracket, N, tol_theta, kernel_tol):
     else:
         raise MaxIterations("golden-section search exceeded its budget")
     mid, node = (x1, c1) if rel_smin(c1) <= rel_smin(c2) else (x2, c2)
-    try:
-        cand = _candidate(mid, (a, b), node, kernel_tol, system.d)
-    except NoKernel as exc:
+    smin, scale = node[:2]
+    if smin > kernel_tol * scale:
         raise NoSignChange(
             f"no determinant sign change in the bracket and the smallest "
-            f"singular-value dip stays above the kernel threshold ({exc})"
-        ) from exc
+            f"singular-value dip stays above the kernel threshold (smallest "
+            f"singular value {smin:.3e} exceeds {kernel_tol * scale:.3e})"
+        )
+    cand = _candidate(mid, (a, b), node)
     warnings.warn(
         "even-multiplicity crossing: candidate located by smin dip only, "
         "no parity certificate",
@@ -275,15 +269,12 @@ def _golden_fallback(system, path, bracket, N, tol_theta, kernel_tol):
     return cand
 
 
-def _candidate(theta_star, bracket, node, kernel_tol, d):
-    """Candidate at theta_star from its _classify result; NoKernel when
-    smin exceeds kernel_tol * ||J||_1.  Sign convention of the kernel
-    vector: the largest-magnitude entry of its first block is positive."""
-    smin, scale, _, vec = node
-    if smin > kernel_tol * scale:
-        raise NoKernel(f"smallest singular value {smin:.3e} exceeds {kernel_tol * scale:.3e}")
-    head = vec[:d]
-    if head[np.argmax(np.abs(head))] < 0:
+def _candidate(theta_star, bracket, node):
+    """Candidate at theta_star from its _classify result, which the caller
+    has checked is below the kernel threshold.  Sign convention of the
+    kernel vector: its largest-magnitude entry is positive."""
+    smin, _, _, vec = node
+    if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
     return BifurcationCandidate(
         theta_star=float(theta_star),

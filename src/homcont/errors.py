@@ -49,10 +49,6 @@ class MaxIterations(HomcontError):
     """An iteration exceeded its step budget."""
 
 
-class NoKernel(HomcontError):
-    """Requested kernel vector of a matrix that is not nearly singular."""
-
-
 class NoConvergence(HomcontError):
     """Newton iteration failed to reach the residual tolerance."""
 

@@ -4,10 +4,14 @@ The two-sided recurrence x_{n+1} = f_n(theta, x_n) is truncated to the
 window [-N, N] with projection boundary conditions: the left endpoint is
 constrained to the unstable subspace of a(theta, -inf) and the right
 endpoint to the stable subspace of a(theta, +inf), written as orthonormal
-rows annihilating those subspaces.  The unknown is the flat window vector
-X = (x_{-N}, ..., x_N), length d*(2N+1); rows are ordered interior first
-(n = -N .. N-1), then the left boundary rows, then the right ones.  That
-ordering is frozen because determinant-sign bookkeeping depends on it.
+rows annihilating those subspaces.  truncated_problem derives the rows at
+one theta; every move along theta (the parity scan, bisection,
+continuation) goes through TruncatedProblem.transported, which carries
+them continuously, so determinant signs along a path are comparable.  The
+unknown is the flat window vector X = (x_{-N}, ..., x_N), length
+d*(2N+1); rows are ordered interior first (n = -N .. N-1), then the left
+boundary rows, then the right ones.  That ordering is frozen because
+determinant-sign bookkeeping depends on it.
 """
 from __future__ import annotations
 
@@ -45,12 +49,25 @@ class TruncatedProblem:
     d: int
     left_rows: np.ndarray   # d_s x d, annihilates E^u(theta, -inf)
     right_rows: np.ndarray  # d_u x d, annihilates E^s(theta, +inf)
+    gap_tol: float          # hyperbolicity gap of the splittings behind the rows
 
     def __post_init__(self):
         if self.left_rows.shape[0] + self.right_rows.shape[0] != self.d:
             raise SizeMismatch(
                 "boundary rows must total d; stable dimensions at +inf/-inf disagree"
             )
+
+    def transported(self, theta: float) -> "TruncatedProblem":
+        """The same problem at theta, its boundary rows carried there from
+        self.theta by bundles.transport_along_path, so that determinant
+        signs along the path are those of one continuous family."""
+        left, right = complement_families(self.system, self.gap_tol)
+        return replace(
+            self,
+            theta=float(theta),
+            left_rows=transport_along_path(left, self.left_rows.T, self.theta, theta).T,
+            right_rows=transport_along_path(right, self.right_rows.T, self.theta, theta).T,
+        )
 
     @property
     def size(self) -> int:
@@ -85,64 +102,20 @@ def complement_families(system, gap_tol: float = 1e-6):
     return left, right
 
 
-class TransportedRows:
-    """Boundary-condition rows carried continuously along theta.
-
-    move() transports the rows to a new theta and keeps them there;
-    problem() builds the window problem at any theta with the rows carried
-    there from the current one, leaving the state unchanged.
-    """
-
-    def __init__(self, system, theta: float, gap_tol: float):
-        self.system = system
-        self.gap_tol = gap_tol
-        self.left_fn, self.right_fn = complement_families(system, gap_tol)
-        self.theta = float(theta)
-        self.left = self.left_fn(self.theta)
-        self.right = self.right_fn(self.theta)
-
-    def _carried(self, theta: float):
-        return (
-            transport_along_path(self.left_fn, self.left, self.theta, theta),
-            transport_along_path(self.right_fn, self.right, self.theta, theta),
-        )
-
-    def move(self, theta: float):
-        self.left, self.right = self._carried(theta)
-        self.theta = float(theta)
-
-    def problem(self, theta: float, N: int) -> TruncatedProblem:
-        left, right = self._carried(theta)
-        return truncated_problem(
-            self.system, theta, N, gap_tol=self.gap_tol, left_rows=left.T, right_rows=right.T
-        )
-
-
-def truncated_problem(
-    system,
-    theta: float,
-    N: int,
-    gap_tol: float = 1e-6,
-    left_rows: np.ndarray | None = None,
-    right_rows: np.ndarray | None = None,
-) -> TruncatedProblem:
-    """Build a window problem, deriving boundary rows from the splittings
-    unless continuously transported rows are supplied by the caller."""
+def truncated_problem(system, theta: float, N: int, gap_tol: float = 1e-6) -> TruncatedProblem:
+    """Build a window problem with boundary rows derived from the splittings
+    at theta; TruncatedProblem.transported moves it along theta."""
     if N < 1:
         raise ValueError("window half-width N must be positive")
-    if left_rows is None or right_rows is None:
-        left, right = complement_families(system, gap_tol)
-        if left_rows is None:
-            left_rows = left(theta).T
-        if right_rows is None:
-            right_rows = right(theta).T
+    left, right = complement_families(system, gap_tol)
     return TruncatedProblem(
         system=system,
         theta=float(theta),
         N=int(N),
         d=system.d,
-        left_rows=np.asarray(left_rows, dtype=float),
-        right_rows=np.asarray(right_rows, dtype=float),
+        left_rows=left(theta).T,
+        right_rows=right(theta).T,
+        gap_tol=gap_tol,
     )
 
 

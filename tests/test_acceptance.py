@@ -247,10 +247,14 @@ def test_criterion_7_property_suites(tmp_path, capsys, grid64):
     for sub in ("da", "db"):
         cli.main(["detect", "--seed", "3", "--out", str(tmp_path / sub)])
         cli.main(["bundles", "--seed", "3", "--out", str(tmp_path / sub)])
+        cli.main(["branch", "--theta-star", "3.141592653589793", "--window-n", "20",
+                  "--out", str(tmp_path / sub)])
+        cli.main(["check", "--out", str(tmp_path / sub)])
     capsys.readouterr()
     det_ok = all(
         (tmp_path / "da" / name).read_bytes() == (tmp_path / "db" / name).read_bytes()
-        for name in ("detect.json", "detect_nodes.csv", "bundles.json")
+        for name in ("detect.json", "detect_nodes.csv", "bundles.json",
+                     "branch.csv", "branch.json", "check.json")
     )
 
     report(

@@ -279,7 +279,7 @@ def test_bordered_solve_matches_dense_oracle(paper7_perturbed, candidate, long_b
 def test_bordered_solve_exact_zero_pivot_raises():
     system = hc.linear_family(1, lambda t: np.array([[0.5]]), lambda t: np.array([[0.5]]))
     # a zero boundary row makes J exactly singular
-    p = truncated_problem(system, 0.0, 6, left_rows=np.zeros((1, 1)), right_rows=np.zeros((0, 1)))
+    p = replace(truncated_problem(system, 0.0, 6), left_rows=np.zeros((1, 1)))
     x = np.zeros(p.size)
     constraint = AffineConstraint(w_x=np.ones(p.size), w_theta=1.0, offset=0.0)
     with pytest.raises(SingularJacobian):

@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 
 import homcont as hc
-from homcont.errors import MaxIterations, NoSignChange
+from homcont import truncation
+from homcont.errors import AlignmentFailure, MaxIterations, NoSignChange
+from homcont.systems import rotating_matrix
 from homcont.truncation import banded_jacobian_lu, complement_families, truncated_problem
 
 from conftest import assemble_jacobian, random_hyperbolic
@@ -17,15 +20,14 @@ def test_public_names_resolve():
 
 
 def test_kernel_vector_sign_convention_deterministic(paper7_linear):
-    # the candidate's kernel vector: reruns give identical bytes, and the
-    # largest-magnitude entry of the first block is positive
+    # the candidate's kernel vector: reruns give identical bytes, and its
+    # largest-magnitude entry is positive
     bracket = (math.pi - 0.5, math.pi + 0.5)
     v1, v2 = (hc.locate_bifurcation(paper7_linear, bracket, 30, 1e-6).kernel_vector
               for _ in range(2))
     assert v1.tobytes() == v2.tobytes()
     assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
-    head = v1[:paper7_linear.d]
-    assert head[np.argmax(np.abs(head))] > 0.0
+    assert v1[np.argmax(np.abs(v1))] > 0.0
 
 
 def test_scan_parity_builtin(paper7_linear, grid64):
@@ -100,8 +102,6 @@ def test_locate_bifurcation_max_iterations(paper7_linear):
 def test_even_multiplicity_dip_detection():
     # two identical rotating blocks give a double kernel crossing: the
     # determinant does not change sign, but the smin dip flags the node
-    from homcont.systems import rotating_matrix
-
     phi = math.pi / 8
     rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
     const = rot @ np.diag([0.4, 2.5]) @ rot.T
@@ -153,13 +153,26 @@ def test_scan_excludes_near_singular_node(paper7_linear):
     assert scan.smin[idx] < 1e-10
 
 
+def test_scan_rejects_non_periodic_family():
+    # the stable line at +inf turns a quarter per circuit, so the rows
+    # carried to 2*pi leave the row space derived at 0
+    system = hc.linear_family(
+        2, lambda t: rotating_matrix(t / 2, 0.5, 2.0), lambda t: np.diag([0.5, 2.0])
+    )
+    with pytest.raises(AlignmentFailure, match="periodic"):
+        hc.scan_parity(system, hc.CircleGrid.uniform(64), 20)
+
+
 def test_no_window_svds(paper7_linear, monkeypatch):
     # Every window singular-value question is answered from the banded LU:
     # no window-size SVD (either compute_uv) in the scan, the localization or
     # the hypothesis checks, and exactly one factorization per scan node.
+    # The scan derives its rows once and carries them node to node: two
+    # splittings at theta = 0, then one per family and grid step.
     N = 40
-    svds, factorizations = [], []
+    svds, factorizations, splittings = [], [], []
     svd, dgbtrf = np.linalg.svd, lapack.dgbtrf
+    splitting = truncation.hyperbolic_splitting
 
     def counting_svd(a, *args, **kwargs):
         if np.shape(a)[0] >= 2 * N * paper7_linear.d:
@@ -170,11 +183,18 @@ def test_no_window_svds(paper7_linear, monkeypatch):
         factorizations.append(1)
         return dgbtrf(*args, **kwargs)
 
+    def counting_splitting(*args, **kwargs):
+        splittings.append(1)
+        return splitting(*args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(lapack, "dgbtrf", counting_dgbtrf)
+    monkeypatch.setattr(truncation, "hyperbolic_splitting", counting_splitting)
     grid = hc.CircleGrid.uniform(64)
     scan = hc.scan_parity(paper7_linear, grid, N)
-    assert len(factorizations) == scan.grid.m + 1
+    assert scan.grid is grid
+    assert len(factorizations) == grid.m + 1
+    assert len(splittings) == 2 * (grid.m + 1)
     hc.locate_bifurcation(paper7_linear, scan.sign_change_intervals[0], N, 1e-6)
     hc.check_hypotheses(paper7_linear, grid, N, 1.0)
     assert svds == []
@@ -205,7 +225,8 @@ def _rotating_random_family(rng, d):
 
 def test_scan_matches_dense_oracles(paper7_linear):
     # smin against a full SVD of the same window matrix, det signs against
-    # slogdet; the rows are the scan's own, transported on its grid.
+    # slogdet; the rows are carried around the scan's grid independently,
+    # by transport_frames.
     rng = np.random.default_rng(11)
     families = [_rotating_random_family(rng, d) for d in (2, 3, 4)] + [paper7_linear]
     N = 15
@@ -214,9 +235,10 @@ def test_scan_matches_dense_oracles(paper7_linear):
         left, right = complement_families(system)
         left_frames = hc.transport_frames(left, scan.grid).frames
         right_frames = hc.transport_frames(right, scan.grid).frames
+        assert len(left_frames) == len(right_frames) == len(scan.grid.nodes)
         for i, theta in enumerate(scan.grid.nodes):
-            p = truncated_problem(
-                system, float(theta), N,
+            p = replace(
+                truncated_problem(system, float(theta), N),
                 left_rows=left_frames[i].T, right_rows=right_frames[i].T,
             )
             jac = assemble_jacobian(p, np.zeros(p.size))
@@ -231,7 +253,8 @@ def test_smallest_singular_matches_dense_svd(paper7_perturbed):
     # Lanczos on the banded LU against a full SVD at N = 60, where a run
     # stops long before k = n: regular nodes (the small singular values
     # cluster there), theta = pi and pi - 1e-6, and every located candidate,
-    # whose kernel vector must also carry the sign convention.
+    # whose kernel vector must be the dense right singular vector oriented
+    # by the same convention (largest-magnitude entry positive).
     rng = np.random.default_rng(11)
     families = [paper7_perturbed] + [_rotating_random_family(rng, d) for d in (2, 3, 4)]
     N = 60
@@ -252,8 +275,7 @@ def test_smallest_singular_matches_dense_svd(paper7_perturbed):
                 assert abs(v @ vt[-1]) >= 1.0 - 1e-12
             for cand in candidates:
                 if cand.theta_star == theta:
-                    assert abs(cand.kernel_vector @ vt[-1]) >= 1.0 - 1e-12
-                    head = cand.kernel_vector[:system.d]
-                    assert head[np.argmax(np.abs(head))] > 0.0
+                    oracle = vt[-1] * np.sign(vt[-1][np.argmax(np.abs(vt[-1]))])
+                    assert cand.kernel_vector @ oracle >= 1.0 - 1e-12
                     located += 1
     assert located >= 3

@@ -115,9 +115,7 @@ def scalar_window_lu(left_row):
     left_row.  N = 2 because partial pivoting doubles a small boundary
     pivot at every block row."""
     system = hc.linear_family(1, lambda t: np.array([[0.5]]), lambda t: np.array([[0.5]]))
-    p = truncated_problem(
-        system, 0.0, 2, left_rows=np.array([[left_row]]), right_rows=np.zeros((0, 1))
-    )
+    p = replace(truncated_problem(system, 0.0, 2), left_rows=np.array([[left_row]]))
     return banded_jacobian_lu(p, np.zeros(p.size))
 
 
