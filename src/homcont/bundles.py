@@ -102,14 +102,20 @@ def _transport_step(
     """Carry the orthonormal frame current from the subspace at theta_from
     to the one at theta_to: project onto the target, then polar-correct.
 
-    While the smallest principal-angle cosine of consecutive subspaces is
-    below ALIGNMENT_FLOOR the interval is bisected, up to MAX_REFINEMENTS
-    levels.  Each node reached is appended to visited as (theta, frame,
-    cosine), in order.
+    One SVD u s vt of the projection gives both: s are the principal-angle
+    cosines of consecutive subspaces (target is orthonormal) and u vt is the
+    polar factor.  While the smallest cosine is below ALIGNMENT_FLOOR the
+    interval is bisected, up to MAX_REFINEMENTS levels.  Each node reached
+    is appended to visited as (theta, frame, cosine), in order.
     """
     k = current.shape[1]
     target = _oriented_frame(subspace_at, theta_to, k)
-    cosine = float(np.linalg.svd(current.T @ target, compute_uv=False)[-1]) if k else 1.0
+    projected = target @ (target.T @ current)
+    if k:
+        u, s, vt = np.linalg.svd(projected, full_matrices=False)
+        cosine = float(s[-1])
+    else:
+        cosine = 1.0
     if cosine < ALIGNMENT_FLOOR:
         if depth >= MAX_REFINEMENTS:
             raise AlignmentFailure(
@@ -119,7 +125,7 @@ def _transport_step(
         mid = 0.5 * (theta_from + theta_to)
         halfway = _transport_step(subspace_at, current, theta_from, mid, visited, depth + 1)
         return _transport_step(subspace_at, halfway, mid, theta_to, visited, depth + 1)
-    frame = polar_orthonormalize(target @ (target.T @ current))
+    frame = u @ vt if k else projected
     if visited is not None:
         visited.append((theta_to, frame, cosine))
     return frame

@@ -160,14 +160,16 @@ def locate_bifurcation(
     """Narrow a bracket onto a kernel crossing of the truncated linearization.
 
     Bisection on the determinant sign (every probe is the window problem
-    at the lower end a, transported to the probe) continues until the bracket is below tol_theta and the
-    smallest singular value clears the kernel threshold kernel_tol *
-    ||J||_1, so the returned candidate always carries a usable kernel
-    vector.  Every probe factors its window once and reads the determinant
-    sign, smin and the kernel vector from that LU; the candidate reuses
-    its midpoint's probe.  Brackets without a sign change fall back to
-    golden-section minimization of smin / ||J||_1; candidates found that
-    way carry no parity certificate and are reported with a warning.
+    at the lower end a, transported to the probe; a probe that becomes the
+    new lower end keeps its problem) continues until the bracket is below
+    tol_theta and the smallest singular value clears the kernel threshold
+    kernel_tol * ||J||_1, so the returned candidate always carries a usable
+    kernel vector.  Every probe factors its window once and reads the
+    determinant sign, smin and the kernel vector from that LU; the
+    candidate reuses its midpoint's probe.  Brackets without a sign change
+    fall back to golden-section minimization of smin / ||J||_1; candidates
+    found that way carry no parity certificate and are reported with a
+    warning.
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not b > a:
@@ -175,10 +177,12 @@ def locate_bifurcation(
     p_a = truncated_problem(system, a, N, gap_tol=gap_tol)  # follows a
 
     def probe(theta: float):
-        return _classify(p_a.transported(theta), kernel_tol)
+        """(problem at theta, its _classify result)."""
+        p = p_a.transported(theta)
+        return p, _classify(p, kernel_tol)
 
     def endpoint_sign(theta: float, inward: float) -> int:
-        return probe(theta)[2] or probe(theta + inward * 1e-3 * (b - a))[2]
+        return probe(theta)[1][2] or probe(theta + inward * 1e-3 * (b - a))[1][2]
 
     s_a = endpoint_sign(a, +1.0)
     s_b = endpoint_sign(b, -1.0)
@@ -188,25 +192,23 @@ def locate_bifurcation(
     for _ in range(MAX_ITER):
         width = b - a
         mid = 0.5 * (a + b)
-        node = probe(mid)
+        p_mid, node = probe(mid)
         smin_mid, scale_mid, s_mid, _ = node
         if width <= tol_theta and smin_mid <= kernel_tol * scale_mid:
             return _candidate(mid, (a, b), node)
         if s_mid != 0:
             if s_mid == s_a:
-                a = mid
-                p_a = p_a.transported(a)
+                a, p_a = mid, p_mid
             else:
                 b = mid
         else:
             # Near-singular midpoint: shrink from both sides with off-center
             # probes, keeping the crossing inside.
             lo, hi = a + 0.35 * width, a + 0.65 * width
-            s_lo = probe(lo)[2]
-            s_hi = probe(hi)[2]
+            p_lo, (_, _, s_lo, _) = probe(lo)
+            s_hi = probe(hi)[1][2]
             if s_lo == s_a:
-                a = lo
-                p_a = p_a.transported(a)
+                a, p_a = lo, p_lo
             if s_hi == s_b:
                 b = hi
             if s_lo == 0 and s_hi == 0:

@@ -12,6 +12,7 @@ complementary growing modes never enter the computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -33,13 +34,13 @@ class HyperbolicSplitting:
     """Stable/unstable invariant splitting of a hyperbolic matrix.
 
     stable_frame / unstable_frame are column-orthonormal bases of the
-    invariant subspaces for eigenvalues inside / outside the unit circle;
-    gap is the smallest distance of any |eigenvalue| to 1.
+    invariant subspaces for eigenvalues inside / outside the unit circle,
+    each from its own ordered real Schur decomposition, computed the first
+    time it is read (most callers need only one of the two); gap is the
+    smallest distance of any |eigenvalue| to 1.
     """
 
     a: np.ndarray
-    stable_frame: np.ndarray
-    unstable_frame: np.ndarray
     d_s: int
     d_u: int
     gap: float
@@ -47,6 +48,25 @@ class HyperbolicSplitting:
     @property
     def d(self) -> int:
         return self.d_s + self.d_u
+
+    @cached_property
+    def stable_frame(self) -> np.ndarray:
+        return self._schur_frame("iuc", self.d_s)
+
+    @cached_property
+    def unstable_frame(self) -> np.ndarray:
+        return self._schur_frame("ouc", self.d_u)
+
+    def _schur_frame(self, sort: str, dim: int) -> np.ndarray:
+        """Leading dim Schur vectors of a, eigenvalues ordered by sort
+        (complex pairs are never separated); NotHyperbolic if the Schur
+        ordering counts other than the eigenvalue moduli."""
+        if dim == 0:
+            return np.zeros((self.d, 0))
+        _, z, sdim = sla.schur(self.a, output="real", sort=sort)
+        if sdim != dim:
+            raise NotHyperbolic("ordered Schur decomposition disagrees with eigenvalue count")
+        return z[:, :dim].copy()
 
     def restricted_stable(self) -> np.ndarray:
         """d_s x d_s matrix of a acting on the stable subspace (contraction)."""
@@ -60,11 +80,12 @@ class HyperbolicSplitting:
 def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> HyperbolicSplitting:
     """Split a hyperbolic matrix into stable and unstable invariant subspaces.
 
-    Uses an ordered real Schur decomposition, grouping eigenvalues by
-    |mu| < 1 versus |mu| > 1, so complex pairs are never separated.
+    The frames come from ordered real Schur decompositions, grouping
+    eigenvalues by |mu| < 1 versus |mu| > 1, taken when first read.
 
     Raises Singular if a is not invertible, NotHyperbolic if any eigenvalue
-    modulus is within gap_tol of 1.
+    modulus is within gap_tol of 1 (or, when a frame is read, if its Schur
+    ordering disagrees with the eigenvalue count).
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[0]
@@ -85,26 +106,7 @@ def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Hyp
         )
 
     d_s = int(np.sum(mods < 1.0))
-    d_u = d - d_s
-
-    if d_s == 0:
-        stable = np.zeros((d, 0))
-    else:
-        _, z, sdim = sla.schur(a, output="real", sort="iuc")
-        if sdim != d_s:
-            raise NotHyperbolic("ordered Schur decomposition disagrees with eigenvalue count")
-        stable = z[:, :d_s].copy()
-    if d_u == 0:
-        unstable = np.zeros((d, 0))
-    else:
-        _, z, sdim = sla.schur(a, output="real", sort="ouc")
-        if sdim != d_u:
-            raise NotHyperbolic("ordered Schur decomposition disagrees with eigenvalue count")
-        unstable = z[:, :d_u].copy()
-
-    return HyperbolicSplitting(
-        a=a.copy(), stable_frame=stable, unstable_frame=unstable, d_s=d_s, d_u=d_u, gap=gap
-    )
+    return HyperbolicSplitting(a=a.copy(), d_s=d_s, d_u=d - d_s, gap=gap)
 
 
 def _restricted_rows(split: HyperbolicSplitting) -> tuple[np.ndarray, np.ndarray]:

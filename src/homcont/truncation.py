@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, lapack
+from scipy.linalg import lapack
 
 from ._linalg import orth_complement
 from .bundles import transport_along_path
@@ -126,34 +126,6 @@ def assemble_residual(p: TruncatedProblem, x: np.ndarray) -> np.ndarray:
     return np.concatenate([interior.ravel(), p.left_rows @ blocks[0], p.right_rows @ blocks[-1]])
 
 
-def _jacobian_entries(p: TruncatedProblem, x: np.ndarray):
-    """(rows, cols, values) of every structural entry of the window Jacobian,
-    rows in assembled ordering.  The dfdx blocks are evaluated in one call,
-    as a (2N, d, d) array, and placed by array indexing."""
-    blocks = p.blocks(x)
-    d, N = p.d, p.N
-    dfdx = dfdx_rows(p.system, p.ns, p.theta, blocks[:-1])
-    ds = p.left_rows.shape[0]
-    m = 2 * N * d
-    start = d * np.arange(2 * N)[:, None, None]
-    rows, cols, vals = [], [], []
-
-    def place(r0, c0, block):
-        """Scatter block(s) with top-left corner(s) (r0, c0)."""
-        r, c = np.broadcast_arrays(
-            r0 + np.arange(block.shape[-2])[:, None], c0 + np.arange(block.shape[-1])
-        )
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(np.broadcast_to(block, r.shape).ravel())
-
-    place(start, start, -dfdx)
-    place(start, start + d, np.eye(d))
-    place(m, 0, p.left_rows)
-    place(m + ds, m, p.right_rows)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
 class WindowLU:
     """Banded LU of the window Jacobian (LAPACK gbtrf/gbtrs), presented in
     assembled ordering.
@@ -166,13 +138,15 @@ class WindowLU:
     1-norm of J is taken from the band before factoring; a pivot below
     PIVOT_RTOL times it is the package's one criterion for a numerically
     singular matrix, and the same 1-norm scales the smin gates of detect.
+    The unfactored band is kept for matvec.
     """
 
-    def __init__(self, ab: np.ndarray, kl: int, ku: int, d_s: int, interior: int, entries):
+    def __init__(self, ab: np.ndarray, kl: int, ku: int, d_s: int, interior: int):
         self.norm_1 = float(np.max(np.sum(np.abs(ab[kl:]), axis=0)))
         lu, ipiv, info = lapack.dgbtrf(ab, kl=kl, ku=ku)
         if info < 0:
             raise ValueError(f"dgbtrf: illegal argument {-info}")
+        self._ab = ab
         self._lu = lu
         self._ipiv = ipiv
         self._kl = kl
@@ -183,7 +157,6 @@ class WindowLU:
         self._udiag = lu[kl + ku]
         self._d_s = d_s
         self._interior = interior
-        self._entries = entries
 
     def _permute(self, rhs: np.ndarray) -> np.ndarray:
         m, ds = self._interior, self._d_s
@@ -255,33 +228,78 @@ class WindowLU:
             alpha.append(h[-1] + h2[-1])
             beta.append(float(np.linalg.norm(w)))
             if k >= check_at or k == n or not beta[-1] > 0.0:
-                t, s = eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(k - 1, k - 1))
-                if k == n or abs(beta[-1] * s[-1, 0]) <= LANCZOS_RTOL * t[0]:
+                t, s = _top_ritz_pair(alpha, beta[:-1])
+                if k == n or abs(beta[-1] * s[-1]) <= LANCZOS_RTOL * t:
                     break
                 check_at = k + max(1, k // 4)
             q = w / beta[-1]
-        v = s[:, 0] @ krylov
+        v = s @ krylov
         v /= np.linalg.norm(v)
-        return (0.0 if singular else float(1.0 / np.sqrt(t[0]))), v
+        return (0.0 if singular else float(1.0 / np.sqrt(t))), v
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """J @ v in assembled ordering."""
-        rows, cols, vals = self._entries
-        return np.bincount(rows, weights=vals * v[cols], minlength=self._n)
+        """J @ v in assembled ordering, from the unfactored band.  Diagonals
+        are summed from kl down to -ku, so each row adds its entries in
+        column order."""
+        n, kl, ku = self._n, self._kl, self._ku
+        out = np.zeros(n)
+        for offset in range(kl, -ku - 1, -1):  # row i - column j
+            diag = self._ab[kl + ku + offset]
+            if offset >= 0:
+                out[offset:] += diag[:n - offset] * v[:n - offset]
+            else:
+                out[:n + offset] += diag[-offset:] * v[-offset:]
+        m, ds = self._interior, self._d_s
+        return np.concatenate([out[ds:ds + m], out[:ds], out[ds + m:]])
+
+
+def _top_ritz_pair(alpha, beta) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue and its unit eigenvector of the symmetric
+    tridiagonal matrix with diagonal alpha and off-diagonal beta: the LAPACK
+    bisection and inverse iteration (stebz, stein) that
+    eigh_tridiagonal(select="i") runs, without its per-call argument
+    handling.  Non-finite entries raise ValueError."""
+    d = np.asarray(alpha, dtype=float)
+    e = np.asarray(beta, dtype=float)
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ValueError("Lanczos tridiagonal has non-finite entries")
+    k = d.size
+    if k == 1:
+        return float(d[0]), np.ones(1)
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, k, k, 0.0, "B")
+    if info == 0:
+        z, info = lapack.dstein(d, e, w[:m], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stebz/stein failed with info={info}")
+    return float(w[0]), z[:, 0]
 
 
 def banded_jacobian_lu(p: TruncatedProblem, x: np.ndarray) -> WindowLU:
-    """Factor the window Jacobian in LAPACK band storage (see WindowLU)."""
-    entries = rows, cols, vals = _jacobian_entries(p, x)
+    """Factor the window Jacobian in LAPACK band storage (see WindowLU).
+
+    Band row kl + ku + i - j of column j holds J[i, j], i counted in the
+    banded row order [left, interior, right]; kl rows of workspace sit on
+    top.  Interior block row k puts -dfdx[k][r, c] on band row
+    kl + ku + ds + r - c and its identity on band row kl + ku + ds - d; a
+    boundary row is a short diagonal."""
+    blocks = p.blocks(x)
     d, m = p.d, 2 * p.N * p.d
     ds = p.left_rows.shape[0]
     kl = d + ds - 1
     ku = 2 * d - 1 - ds
-    banded_rows = np.where(rows < m, rows + ds, np.where(rows < m + ds, rows - m, rows))
-    # kl extra rows of workspace on top: ab[kl + ku + i - j, j] = J[i, j].
+    top = kl + ku
     ab = np.zeros((2 * kl + ku + 1, p.size))
-    ab[kl + ku + banded_rows - cols, cols] = vals
-    return WindowLU(ab, kl, ku, d_s=ds, interior=m, entries=entries)
+    dfdx = dfdx_rows(p.system, p.ns, p.theta, blocks[:-1])
+    for r in range(d):
+        for c in range(d):
+            ab[top + ds + r - c, c:m:d] = -dfdx[:, r, c]
+    ab[top + ds - d, d:] = 1.0
+    cols = np.arange(d)
+    for j, row in enumerate(p.left_rows):
+        ab[top + j - cols, cols] = row
+    for j, row in enumerate(p.right_rows):
+        ab[top + ds + j - cols, m + cols] = row
+    return WindowLU(ab, kl, ku, d_s=ds, interior=m)
 
 
 def assemble_dresidual_dtheta(p: TruncatedProblem, x: np.ndarray, eps: float = 1e-7) -> np.ndarray:

@@ -163,6 +163,23 @@ def test_scan_rejects_non_periodic_family():
         hc.scan_parity(system, hc.CircleGrid.uniform(64), 20)
 
 
+def test_locate_transports_each_segment_once(paper7_perturbed, monkeypatch):
+    # A probe that becomes the new lower end keeps its problem: no segment
+    # of theta is carried twice.
+    segments = []
+    transported = truncation.TruncatedProblem.transported
+
+    def recording(self, theta):
+        segments.append((self.theta, float(theta)))
+        return transported(self, theta)
+
+    monkeypatch.setattr(truncation.TruncatedProblem, "transported", recording)
+    cand = hc.locate_bifurcation(paper7_perturbed, (math.pi - 0.3, math.pi + 0.2), 30, 1e-6)
+    assert abs(cand.theta_star - math.pi) < 1e-3
+    assert len(segments) > 10
+    assert len(set(segments)) == len(segments)
+
+
 def test_no_window_svds(paper7_linear, monkeypatch):
     # Every window singular-value question is answered from the banded LU:
     # no window-size SVD (either compute_uv) in the scan, the localization or

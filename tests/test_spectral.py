@@ -45,6 +45,13 @@ def test_singular_matrix_rejected():
         hc.hyperbolic_splitting(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+def test_splitting_without_stable_directions():
+    s = hc.hyperbolic_splitting(np.diag([2.0, -3.0]))
+    assert (s.d_s, s.d_u) == (0, 2)
+    assert s.stable_frame.shape == (2, 0)
+    assert s.unstable_frame.shape == (2, 2)
+
+
 def test_splitting_invariants_random():
     rng = np.random.default_rng(7)
     for _ in range(200):

@@ -3,11 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import eigh_tridiagonal
 
 import homcont as hc
 from homcont.errors import SingularJacobian, SizeMismatch, WindowOverflow
+from homcont.systems import SystemFamily
 from homcont.truncation import (
     PIVOT_RTOL,
+    TruncatedProblem,
+    _top_ritz_pair,
     adapt_window,
     assemble_dresidual_dtheta,
     assemble_residual,
@@ -302,3 +307,84 @@ def test_one_system_call_per_assembly(paper7_perturbed):
         calls.update(f=0, dfdx=0)
         assemble(p, x)
         assert calls == want, assemble.__name__
+
+
+def random_window(d, ds, seed, N=5):
+    """Window problem on R^d whose dfdx is a dense random block per row plus
+    a state-dependent term, with ds random orthonormal left rows and d - ds
+    right ones, and a random window vector."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((2 * N, d, d))
+    slope = rng.standard_normal((d, d))
+
+    def dfdx(ns, theta, X):
+        return base[ns + N] + np.sum(X, axis=1)[:, None, None] * slope
+
+    system = SystemFamily(d=d, f=None, dfdx=dfdx, a_plus=None, a_minus=None,
+                          f_inf_plus=None, f_inf_minus=None)
+    rows, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    p = TruncatedProblem(system=system, theta=0.0, N=N, d=d, left_rows=rows[:ds],
+                         right_rows=rows[ds:], gap_tol=1e-6)
+    return p, rng.standard_normal(p.size)
+
+
+ROW_SPLITS = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3)]
+
+
+@pytest.mark.parametrize("d, ds", ROW_SPLITS)
+def test_band_unpacks_to_dense_oracle(d, ds):
+    p, x = random_window(d, ds, seed=10 * d + ds)
+    lu = banded_jacobian_lu(p, x)
+    kl, ku, n, m = lu._kl, lu._ku, p.size, 2 * p.N * d
+    assembled_row = np.r_[m:m + ds, :m, m + ds:n]  # of each banded row
+    dense = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - kl), min(n, i + ku + 1)):
+            dense[assembled_row[i], j] = lu._ab[kl + ku + i - j, j]
+    assert np.array_equal(dense, assemble_jacobian(p, x))
+
+
+@pytest.mark.parametrize("d, ds", ROW_SPLITS)
+def test_matvec_matches_assembled_order_sum(d, ds):
+    # Entries of each row summed in column order, as a scatter of the
+    # assembled Jacobian's nonzeros would.
+    p, x = random_window(d, ds, seed=10 * d + ds)
+    v = np.random.default_rng(d).standard_normal(p.size)
+    jac = assemble_jacobian(p, x)
+    rows, cols = np.nonzero(jac)
+    reference = np.bincount(rows, weights=jac[rows, cols] * v[cols], minlength=p.size)
+    assert np.array_equal(banded_jacobian_lu(p, x).matvec(v), reference)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 121])
+def test_top_ritz_pair_matches_eigh_tridiagonal(k):
+    rng = np.random.default_rng(k)
+    alpha = list(rng.uniform(0.1, 2.0, k))
+    beta = list(rng.uniform(0.01, 1.0, k - 1))
+    t, s = _top_ritz_pair(alpha, beta)
+    w, v = eigh_tridiagonal(alpha, beta, select="i", select_range=(k - 1, k - 1))
+    assert t == w[0]
+    assert np.array_equal(s, v[:, 0])
+
+
+@pytest.mark.parametrize("alpha, beta", [([np.nan], []), ([1.0, 2.0], [np.nan]),
+                                         ([1.0, np.inf], [0.5])])
+def test_top_ritz_pair_rejects_non_finite(alpha, beta):
+    with pytest.raises(ValueError):
+        _top_ritz_pair(alpha, beta)
+
+
+def test_short_transport_makes_one_schur_per_family(paper7_perturbed, monkeypatch):
+    # Each family reads one frame of its splitting, and a 0.1 rad move is one
+    # transport step per family: two ordered Schur decompositions in all.
+    p = truncated_problem(paper7_perturbed, 1.0, 10)
+    calls = []
+    schur = scipy.linalg.schur
+
+    def counting_schur(*args, **kwargs):
+        calls.append(kwargs.get("sort"))
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    p.transported(1.1)
+    assert sorted(calls) == ["iuc", "ouc"]
