@@ -311,14 +311,23 @@ def continue_branch(
     transported to the new theta or the window is enlarged, so the recorded
     residual always refers to the stored problem data.  det_sign of the
     augmented Jacobian (constraint row = predictor tangent) is recorded per
-    point as a fold/secondary-crossing diagnostic.
+    point as a fold/secondary-crossing diagnostic.  With an origin, the
+    boundary rows are those of switch_branch, derived at origin.theta_star
+    and carried to start.theta, so the det_sign of every point belongs to
+    the one continuous family of rows; otherwise they are derived at
+    start.theta.
     """
     d = system.d
-    p = truncated_problem(system, start.theta, start.N, gap_tol=gap_tol)
+    if origin is None:
+        p = truncated_problem(system, start.theta, start.N, gap_tol=gap_tol)
+    else:
+        p = truncated_problem(system, origin.theta_star, start.N, gap_tol=gap_tol)
+        p = p.transported(start.theta)
     x = np.asarray(start.X, dtype=float).copy()
     rn = float(np.linalg.norm(assemble_residual(p, x)))
     # A converged start may drift by rounding when its boundary rows are
-    # re-derived; absorb that, but reject anything genuinely unconverged.
+    # moved to start.theta; absorb that, but reject anything genuinely
+    # unconverged.
     if rn > 1e3 * newton_tol:
         raise StartInvalid(f"start point residual {rn:.3e} is not converged")
     if rn > newton_tol:

@@ -89,6 +89,19 @@ def test_branch_run(tmp_path, capsys):
     assert max(residuals) <= 1e-9
 
 
+@pytest.mark.parametrize("theta_star", ["3.0", "3.14"])
+def test_branch_det_sign_matches_start(tmp_path, capsys, theta_star):
+    # The rows of every point, the start point's included, are carried from
+    # theta*, so the augmented det sign does not flip between steps 0 and 1
+    # on a branch without folds.
+    code, _, _ = run_cli(capsys, ["branch", "--theta-star", theta_star, "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "branch.csv").read_text().splitlines()[1:]
+    signs = [int(line.split(",")[6]) for line in lines]
+    assert len(signs) >= 50
+    assert set(signs) == {signs[0]} != {0}
+
+
 def test_branch_linear_family_exits_5(tmp_path, capsys):
     cfg = tmp_path / "linear.json"
     cfg.write_text(json.dumps({"system": {"builtin": "paper7", "params": {"coupling": 0.0}}}))
