@@ -295,10 +295,8 @@ def banded_jacobian_lu(p: TruncatedProblem, x: np.ndarray) -> WindowLU:
             ab[top + ds + r - c, c:m:d] = -dfdx[:, r, c]
     ab[top + ds - d, d:] = 1.0
     cols = np.arange(d)
-    for j, row in enumerate(p.left_rows):
-        ab[top + j - cols, cols] = row
-    for j, row in enumerate(p.right_rows):
-        ab[top + ds + j - cols, m + cols] = row
+    ab[top + np.arange(ds)[:, None] - cols, cols] = p.left_rows
+    ab[top + ds + np.arange(d - ds)[:, None] - cols, m + cols] = p.right_rows
     return WindowLU(ab, kl, ku, d_s=ds, interior=m)
 
 
