@@ -58,9 +58,9 @@ class HyperbolicSplitting:
         return self._schur_frame("ouc", self.d_u)
 
     def _schur_frame(self, sort: str, dim: int) -> np.ndarray:
-        """Leading dim Schur vectors of a, eigenvalues ordered by sort
-        (complex pairs are never separated); NotHyperbolic if the Schur
-        ordering counts other than the eigenvalue moduli."""
+        """Leading dim Schur vectors of a with the eigenvalues ordered by
+        sort (complex pairs are never separated); NotHyperbolic if the
+        ordering's count disagrees with dim, taken from the moduli."""
         if dim == 0:
             return np.zeros((self.d, 0))
         _, z, sdim = sla.schur(self.a, output="real", sort=sort)
