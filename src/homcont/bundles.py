@@ -15,9 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import polar_orthonormalize
 from .errors import AlignmentFailure, DegenerateClosure, IndexMismatch, RankDrop
-from .spectral import hyperbolic_splitting
+from .spectral import DEFAULT_GAP_TOL, hyperbolic_splitting
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,18 +76,18 @@ class BundleInvariants:
     index: int
 
 
-def _oriented_frame(subspace_at: Callable[[float], np.ndarray], theta: float, k: int | None):
-    raw = np.asarray(subspace_at(theta), dtype=float)
-    if raw.ndim != 2:
+def _checked_frame(subspace_at: Callable[[float], np.ndarray], theta: float, k: int | None):
+    frame = np.asarray(subspace_at(theta), dtype=float)
+    if frame.ndim != 2:
         raise RankDrop(f"subspace at theta={theta:.6f} is not a d x k frame")
-    if k is not None and raw.shape[1] != k:
+    if k is not None and frame.shape[1] != k:
         raise RankDrop(
-            f"subspace rank changed to {raw.shape[1]} (expected {k}) at theta={theta:.6f}"
+            f"subspace rank changed to {frame.shape[1]} (expected {k}) at theta={theta:.6f}"
         )
-    try:
-        return polar_orthonormalize(raw)
-    except RankDrop as exc:
-        raise RankDrop(f"frame at theta={theta:.6f} is rank deficient") from exc
+    err = np.linalg.norm(frame.T @ frame - np.eye(frame.shape[1]))
+    if not err <= 1e-10:
+        raise RankDrop(f"frame at theta={theta:.6f} is not orthonormal (error {err:.1e})")
+    return frame
 
 
 def _transport_step(
@@ -109,7 +108,7 @@ def _transport_step(
     is appended to visited as (theta, frame, cosine), in order.
     """
     k = current.shape[1]
-    target = _oriented_frame(subspace_at, theta_to, k)
+    target = _checked_frame(subspace_at, theta_to, k)
     projected = target @ (target.T @ current)
     if k:
         u, s, vt = np.linalg.svd(projected, full_matrices=False)
@@ -134,11 +133,13 @@ def _transport_step(
 def transport_frames(subspace_at: Callable[[float], np.ndarray], grid: CircleGrid) -> LoopTransport:
     """Transport a frame of subspace_at(0) around the circle.
 
-    Each grid interval is one _transport_step (project, polar-correct,
-    bisect while misaligned); the refined nodes become part of the
-    returned grid.
+    subspace_at(theta) must return a d x k column-orthonormal frame (to
+    1e-10, else RankDrop), such as Schur columns; it is never
+    re-orthonormalized.  Each grid interval is one _transport_step (project,
+    polar-correct, bisect while misaligned); the refined nodes become part
+    of the returned grid.
     """
-    visited = [(float(grid.nodes[0]), _oriented_frame(subspace_at, grid.nodes[0], None), 1.0)]
+    visited = [(float(grid.nodes[0]), _checked_frame(subspace_at, grid.nodes[0], None), 1.0)]
     for i in range(grid.m):
         _transport_step(subspace_at, visited[-1][1], float(grid.nodes[i]),
                         float(grid.nodes[i + 1]), visited)
@@ -164,15 +165,15 @@ def transport_along_path(
 ) -> np.ndarray:
     """Transport an orthonormal frame along a theta segment (no closure).
 
-    Same _transport_step as transport_frames.  Segments are also capped at
+    Same _transport_step and the same orthonormal-frame contract on
+    subspace_at as transport_frames.  Segments are also capped at
     MAX_PATH_STEP radians: principal-angle cosines cannot see a half turn of
     the subspace (an antipodal frame is perfectly "aligned"), so only small
     steps keep the transport in the right homotopy class.  Its one caller
     is truncation.TruncatedProblem.transported, which keeps the
     boundary-condition rows continuous whenever theta moves.
     """
-    k = frame.shape[1]
-    if k == 0 or theta_from == theta_to:
+    if frame.shape[1] == 0 or theta_from == theta_to:
         return frame.copy()
     current = np.asarray(frame, dtype=float)
     pieces = max(1, int(math.ceil(abs(theta_to - theta_from) / MAX_PATH_STEP)))
@@ -194,7 +195,8 @@ def w1(transport: LoopTransport) -> int:
     return 1 if det > 0 else -1
 
 
-def index_bundle_invariants(system, grid: CircleGrid, gap_tol: float = 1e-6) -> BundleInvariants:
+def index_bundle_invariants(system, grid: CircleGrid,
+                            gap_tol: float = DEFAULT_GAP_TOL) -> BundleInvariants:
     """Rank and w1 data of the stable families of a(theta, +inf) and a(theta, -inf).
 
     Requires the stable dimension of each family to be constant over the

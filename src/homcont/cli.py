@@ -52,7 +52,7 @@ from .errors import (
     StartInvalid,
     WindowOverflow,
 )
-from .spectral import analytic_kernel_basis
+from .spectral import DEFAULT_GAP_TOL, analytic_kernel_basis
 from .systems import Paper7Config, SystemFamily, check_hypotheses, paper7_family
 
 log = logging.getLogger(__name__)
@@ -82,7 +82,7 @@ class RunConfig:
     params: Paper7Config | None = None
     grid_m: int = 64
     window_n: int = 40
-    gap_tol: float = 1e-6
+    gap_tol: float = DEFAULT_GAP_TOL
     kernel_tol: float = 1e-8
     newton_tol: float = 1e-10
     tail_tol: float = 1e-8

@@ -29,6 +29,7 @@ from .errors import (
     StartInvalid,
     WindowOverflow,
 )
+from .spectral import DEFAULT_GAP_TOL
 from .truncation import (
     DEFAULT_N_MAX,
     PIVOT_RTOL,
@@ -252,7 +253,7 @@ def switch_branch(
     s0: float,
     N: int,
     newton_tol: float = DEFAULT_NEWTON_TOL,
-    gap_tol: float = 1e-6,
+    gap_tol: float = DEFAULT_GAP_TOL,
 ) -> BranchPoint:
     """First nontrivial point off the trivial branch at a kernel crossing.
 
@@ -300,7 +301,7 @@ def continue_branch(
     amplitude_ref: np.ndarray | None = None,
     initial_tangent: np.ndarray | None = None,
     newton_tol: float = DEFAULT_NEWTON_TOL,
-    gap_tol: float = 1e-6,
+    gap_tol: float = DEFAULT_GAP_TOL,
 ) -> Branch:
     """Pseudo-arclength continuation from a converged start point.
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .bundles import CircleGrid
 from .errors import AlignmentFailure, InconsistentParity, MaxIterations, NoSignChange
+from .spectral import DEFAULT_GAP_TOL
 from .truncation import banded_jacobian_lu, truncated_problem
 
 # Relative kernel threshold: a window whose smallest singular value is below
@@ -73,7 +74,7 @@ def scan_parity(
     system,
     grid: CircleGrid,
     N: int,
-    gap_tol: float = 1e-6,
+    gap_tol: float = DEFAULT_GAP_TOL,
     kernel_tol: float = DEFAULT_KERNEL_TOL,
 ) -> ParityScan:
     """Determinant-sign scan of the truncated linearization over the loop.
@@ -154,7 +155,7 @@ def locate_bifurcation(
     bracket: tuple[float, float],
     N: int,
     tol_theta: float,
-    gap_tol: float = 1e-6,
+    gap_tol: float = DEFAULT_GAP_TOL,
     kernel_tol: float = DEFAULT_KERNEL_TOL,
 ) -> BifurcationCandidate:
     """Narrow a bracket onto a kernel crossing of the truncated linearization.

@@ -14,7 +14,7 @@ class Singular(HomcontError):
 
 
 class RankDrop(HomcontError):
-    """A subspace family changed dimension between parameter nodes."""
+    """A subspace frame changed dimension, lost rank or is not orthonormal."""
 
 
 class AlignmentFailure(HomcontError):

@@ -33,11 +33,12 @@ _INTERSECT_COS = 1.0 - 1e-8
 class HyperbolicSplitting:
     """Stable/unstable invariant splitting of a hyperbolic matrix.
 
-    stable_frame / unstable_frame are column-orthonormal bases of the
-    invariant subspaces for eigenvalues inside / outside the unit circle,
-    each from its own ordered real Schur decomposition, computed the first
-    time it is read (most callers need only one of the two); gap is the
-    smallest distance of any |eigenvalue| to 1.
+    stable_schur / unstable_schur are the orthogonal factors of the ordered
+    real Schur decompositions of a with the eigenvalues inside / outside the
+    unit circle leading, each computed when first read (most callers need
+    one).  Their leading d_s / d_u columns, stable_frame / unstable_frame,
+    span the invariant subspace; the trailing columns span its orthogonal
+    complement.  gap is the smallest distance of any |eigenvalue| to 1.
     """
 
     a: np.ndarray
@@ -50,23 +51,31 @@ class HyperbolicSplitting:
         return self.d_s + self.d_u
 
     @cached_property
-    def stable_frame(self) -> np.ndarray:
-        return self._schur_frame("iuc", self.d_s)
+    def stable_schur(self) -> np.ndarray:
+        return self._schur_factor("iuc", self.d_s)
 
     @cached_property
-    def unstable_frame(self) -> np.ndarray:
-        return self._schur_frame("ouc", self.d_u)
+    def unstable_schur(self) -> np.ndarray:
+        return self._schur_factor("ouc", self.d_u)
 
-    def _schur_frame(self, sort: str, dim: int) -> np.ndarray:
-        """Leading dim Schur vectors of a with the eigenvalues ordered by
-        sort (complex pairs are never separated); NotHyperbolic if the
+    @property
+    def stable_frame(self) -> np.ndarray:
+        return self.stable_schur[:, : self.d_s]
+
+    @property
+    def unstable_frame(self) -> np.ndarray:
+        return self.unstable_schur[:, : self.d_u]
+
+    def _schur_factor(self, sort: str, dim: int) -> np.ndarray:
+        """Schur factor of a ordered by sort (complex pairs are never
+        separated), the identity when dim = 0; NotHyperbolic if the
         ordering's count disagrees with dim, taken from the moduli."""
         if dim == 0:
-            return np.zeros((self.d, 0))
+            return np.eye(self.d)
         _, z, sdim = sla.schur(self.a, output="real", sort=sort)
         if sdim != dim:
             raise NotHyperbolic("ordered Schur decomposition disagrees with eigenvalue count")
-        return z[:, :dim].copy()
+        return z
 
     def restricted_stable(self) -> np.ndarray:
         """d_s x d_s matrix of a acting on the stable subspace (contraction)."""
@@ -91,7 +100,7 @@ def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Hyp
     d = a.shape[0]
     if a.shape != (d, d):
         raise ValueError("expected a square matrix")
-    if gap_tol <= 0:
+    if not gap_tol > 0:
         raise ValueError("gap_tol must be positive")
 
     sv = np.linalg.svd(a, compute_uv=False)

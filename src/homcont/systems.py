@@ -18,7 +18,7 @@ import numpy as np
 
 from .bundles import CircleGrid
 from .errors import InvalidConfig, SizeMismatch
-from .spectral import hyperbolic_splitting
+from .spectral import DEFAULT_GAP_TOL, hyperbolic_splitting
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +256,7 @@ def check_hypotheses(
     N: int,
     M: float,
     seed: int = 0,
-    gap_tol: float = 1e-6,
+    gap_tol: float = DEFAULT_GAP_TOL,
 ) -> HypothesisReport:
     """Numeric evidence for the standing assumptions on a system family.
 
@@ -267,7 +267,7 @@ def check_hypotheses(
     """
     if N < 10:
         raise ValueError("window N must be at least 10")
-    if M <= 0:
+    if not M > 0:
         raise ValueError("radius M must be positive")
     rng = np.random.default_rng(seed)
     a1 = _check_a1(system, grid, N, M, rng)

@@ -20,14 +20,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import lapack
 
-from ._linalg import orth_complement
 from .bundles import transport_along_path
 from .errors import SingularJacobian, SizeMismatch, WindowOverflow
-from .spectral import hyperbolic_splitting
+from .spectral import DEFAULT_GAP_TOL, hyperbolic_splitting
 from .systems import dfdx_rows, f_rows
 
 DEFAULT_N_MAX = 2 ** 12
 TAIL_FRACTION = 0.25
+THETA_STEP = 1e-7
 # Relative pivot threshold below which a factorization is reported singular.
 PIVOT_RTOL = 1e-12
 # WindowLU.smallest_singular stops once the top Ritz pair's residual is below
@@ -85,24 +85,28 @@ class TruncatedProblem:
         return x.reshape(2 * self.N + 1, self.d)
 
 
-def complement_families(system, gap_tol: float = 1e-6):
+def complement_families(system, gap_tol: float = DEFAULT_GAP_TOL):
     """Frame functions of the boundary-condition subspace families.
 
     Returns (left, right): left(theta) spans E^u(theta,-inf)^perp and
-    right(theta) spans E^s(theta,+inf)^perp, each as a d x k orthonormal
-    frame (orientation per call is arbitrary; transport for continuity).
+    right(theta) spans E^s(theta,+inf)^perp, each the trailing columns of
+    the splitting's Schur factor (orientation per call is arbitrary;
+    transport for continuity).
     """
 
     def left(theta: float) -> np.ndarray:
-        return orth_complement(hyperbolic_splitting(system.a_minus(theta), gap_tol).unstable_frame)
+        split = hyperbolic_splitting(system.a_minus(theta), gap_tol)
+        return split.unstable_schur[:, split.d_u:]
 
     def right(theta: float) -> np.ndarray:
-        return orth_complement(hyperbolic_splitting(system.a_plus(theta), gap_tol).stable_frame)
+        split = hyperbolic_splitting(system.a_plus(theta), gap_tol)
+        return split.stable_schur[:, split.d_s:]
 
     return left, right
 
 
-def truncated_problem(system, theta: float, N: int, gap_tol: float = 1e-6) -> TruncatedProblem:
+def truncated_problem(system, theta: float, N: int,
+                      gap_tol: float = DEFAULT_GAP_TOL) -> TruncatedProblem:
     """Build a window problem with boundary rows derived from the splittings
     at theta; TruncatedProblem.transported moves it along theta."""
     if N < 1:
@@ -300,17 +304,17 @@ def banded_jacobian_lu(p: TruncatedProblem, x: np.ndarray) -> WindowLU:
     return WindowLU(ab, kl, ku, d_s=ds, interior=m)
 
 
-def assemble_dresidual_dtheta(p: TruncatedProblem, x: np.ndarray, eps: float = 1e-7) -> np.ndarray:
-    """Central-difference derivative of the residual in theta.
+def assemble_dresidual_dtheta(p: TruncatedProblem, x: np.ndarray) -> np.ndarray:
+    """Central-difference derivative of the residual in theta, step THETA_STEP.
 
     Boundary rows are fixed data of the problem, so only the interior rows
     (-df_n/dtheta evaluated at x_n) contribute.
     """
     blocks = p.blocks(x)
     df = (
-        f_rows(p.system, p.ns, p.theta + eps, blocks[:-1])
-        - f_rows(p.system, p.ns, p.theta - eps, blocks[:-1])
-    ) / (2.0 * eps)
+        f_rows(p.system, p.ns, p.theta + THETA_STEP, blocks[:-1])
+        - f_rows(p.system, p.ns, p.theta - THETA_STEP, blocks[:-1])
+    ) / (2.0 * THETA_STEP)
     return np.concatenate([-df.ravel(), np.zeros(p.d)])
 
 
@@ -372,7 +376,7 @@ def adapt_window(
     A * rho^(0.75 * N) <= tail_tol, with A the peak block norm.  A tail that
     does not decay, or a width beyond n_max, raises WindowOverflow.
     """
-    if tail_tol <= 0:
+    if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
     if tail_mass(x, TAIL_FRACTION, p.d) <= tail_tol:
         return p, np.asarray(x, dtype=float)

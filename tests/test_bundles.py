@@ -100,6 +100,19 @@ def test_rank_drop_detected():
         hc.transport_frames(family, hc.CircleGrid.uniform(16))
 
 
+@pytest.mark.parametrize("bad", [np.array([[2.0], [0.0]]), np.array([[np.nan], [0.0]])])
+def test_non_orthonormal_frame_rejected(bad):
+    # Frames are used as given, never re-orthonormalized: a scaled or NaN
+    # frame is an error, not something to normalize silently.
+    def family(theta):
+        return bad if theta > 1.0 else np.array([[1.0], [0.0]])
+
+    with pytest.raises(RankDrop, match="not orthonormal"):
+        hc.transport_frames(family, hc.CircleGrid.uniform(16))
+    with pytest.raises(RankDrop, match="not orthonormal"):
+        transport_along_path(family, np.array([[1.0], [0.0]]), 0.0, 1.1)
+
+
 def test_alignment_failure_on_subspace_jump():
     def family(theta):
         if math.pi / 2 < theta < 3 * math.pi / 2:

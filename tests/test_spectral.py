@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import homcont as hc
-from homcont._linalg import orth_complement
 from homcont.errors import NotHyperbolic, Singular
 
 from conftest import random_hyperbolic
@@ -40,6 +40,13 @@ def test_near_unit_eigenvalue_gate():
         hc.hyperbolic_splitting(np.diag([1.0 + 1e-9, 2.0]), gap_tol=1e-6)
 
 
+@pytest.mark.parametrize("gap_tol", [0.0, -1e-6, math.nan])
+def test_gap_tol_must_be_positive(gap_tol):
+    # A NaN tolerance would pass every gap test and split the identity.
+    with pytest.raises(ValueError, match="gap_tol"):
+        hc.hyperbolic_splitting(np.eye(2), gap_tol=gap_tol)
+
+
 def test_singular_matrix_rejected():
     with pytest.raises(Singular):
         hc.hyperbolic_splitting(np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -61,10 +68,15 @@ def test_splitting_invariants_random():
         assert s.d_s + s.d_u == d
         # independent eigenvalue-count oracle
         assert s.d_s == int(np.sum(np.abs(np.linalg.eigvals(a)) < 1.0))
-        for q in (s.stable_frame, s.unstable_frame):
-            if q.shape[1] == 0:
+        for z, k in ((s.stable_schur, s.d_s), (s.unstable_schur, s.d_u)):
+            q, rest = z[:, :k], z[:, k:]
+            # the trailing columns are an orthonormal basis of span(q)^perp
+            assert rest.shape == (d, d - k)
+            assert np.linalg.norm(rest.T @ rest - np.eye(d - k)) <= 1e-12
+            assert np.linalg.norm(q.T @ rest) <= 1e-12
+            if k == 0:
                 continue
-            assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= 1e-12
+            assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-12
             # invariance of the spanned subspace
             resid = (np.eye(d) - q @ q.T) @ a @ q
             assert np.linalg.norm(resid, 2) <= 1e-10
@@ -180,8 +192,8 @@ def test_intersection_dimension_matches_svd_oracle():
         sp = hc.hyperbolic_splitting(a_plus)
         sm = hc.hyperbolic_splitting(a_minus)
         stacked = np.hstack([
-            orth_complement(sp.stable_frame),
-            orth_complement(sm.unstable_frame),
+            scipy.linalg.null_space(sp.stable_frame.T),
+            scipy.linalg.null_space(sm.unstable_frame.T),
         ])
         sv = np.linalg.svd(stacked.T, compute_uv=False) if stacked.size else np.zeros(0)
         nullity = d - int(np.sum(sv > 1e-8)) if stacked.size else d

@@ -178,3 +178,5 @@ def test_hypotheses_argument_validation(paper7_linear, grid64):
         hc.check_hypotheses(paper7_linear, grid64, N=5, M=1.0)
     with pytest.raises(ValueError):
         hc.check_hypotheses(paper7_linear, grid64, N=20, M=0.0)
+    with pytest.raises(ValueError):
+        hc.check_hypotheses(paper7_linear, grid64, N=20, M=math.nan)

@@ -375,16 +375,34 @@ def test_top_ritz_pair_rejects_non_finite(alpha, beta):
 
 
 def test_short_transport_makes_one_schur_per_family(paper7_perturbed, monkeypatch):
-    # Each family reads one frame of its splitting, and a 0.1 rad move is one
-    # transport step per family: two ordered Schur decompositions in all.
+    # Each family reads one Schur factor of its splitting, and a 0.1 rad move
+    # is one transport step per family: two ordered Schur decompositions in
+    # all.  The complement frame is that factor's trailing columns, used as
+    # it is, so each family makes two SVDs: the splitting's singularity test
+    # and the transport step's projection.
     p = truncated_problem(paper7_perturbed, 1.0, 10)
     calls = []
+    svd_calls = []
     schur = scipy.linalg.schur
+    svd = np.linalg.svd
 
     def counting_schur(*args, **kwargs):
         calls.append(kwargs.get("sort"))
         return schur(*args, **kwargs)
 
+    def counting_svd(*args, **kwargs):
+        svd_calls.append(1)
+        return svd(*args, **kwargs)
+
     monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     p.transported(1.1)
     assert sorted(calls) == ["iuc", "ouc"]
+    assert len(svd_calls) == 4
+
+
+def test_adapt_window_rejects_nan_tail_tol():
+    system = hc.linear_family(1, lambda t: np.array([[0.5]]), lambda t: np.array([[0.5]]))
+    p = truncated_problem(system, 0.0, 20)
+    with pytest.raises(ValueError, match="tail_tol"):
+        adapt_window(p, geometric_window(0.5, 20), tail_tol=math.nan)
