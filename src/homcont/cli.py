@@ -54,6 +54,7 @@ from .errors import (
 )
 from .spectral import DEFAULT_GAP_TOL, analytic_kernel_basis
 from .systems import Paper7Config, SystemFamily, check_hypotheses, paper7_family
+from .truncation import DEFAULT_KERNEL_TOL
 
 log = logging.getLogger(__name__)
 
@@ -83,7 +84,7 @@ class RunConfig:
     grid_m: int = 64
     window_n: int = 40
     gap_tol: float = DEFAULT_GAP_TOL
-    kernel_tol: float = 1e-8
+    kernel_tol: float = DEFAULT_KERNEL_TOL
     newton_tol: float = 1e-10
     tail_tol: float = 1e-8
     tol_theta: float = 1e-6
@@ -408,7 +409,7 @@ def cmd_check(config: RunConfig) -> int:
     grid = CircleGrid.uniform(config.grid_m)
     report = check_hypotheses(
         config.system, grid, config.window_n, config.check_radius,
-        seed=config.seed, gap_tol=config.gap_tol,
+        seed=config.seed, gap_tol=config.gap_tol, kernel_tol=config.kernel_tol,
     )
     payload = {
         c.name.lower(): {"status": c.status, "evidence": c.evidence}

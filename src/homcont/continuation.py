@@ -32,7 +32,6 @@ from .errors import (
 from .spectral import DEFAULT_GAP_TOL
 from .truncation import (
     DEFAULT_N_MAX,
-    PIVOT_RTOL,
     TAIL_FRACTION,
     adapt_window,
     assemble_dresidual_dtheta,
@@ -150,14 +149,16 @@ def _solve_augmented(p, x, constraint, rhs):
 
 
 def _augmented_det_sign(p, x, constraint) -> int:
-    """Determinant sign of the augmented Jacobian, sign det J * sign s; 0 if
-    a pivot of J or s itself falls below PIVOT_RTOL * ||J||_1."""
+    """Determinant sign of the augmented Jacobian, sign det J * sign s
+    (Govaerts and Pryce), which needs no tolerance on J: near a kernel
+    crossing J is near-singular while the bordered matrix is regular.  0
+    only when J is exactly singular or s is zero or not finite."""
     lu = banded_jacobian_lu(p, x)
     sign = lu.det_sign()
     if sign == 0:
         return 0
     _, schur = _schur(lu, assemble_dresidual_dtheta(p, x), constraint)
-    if not abs(schur) >= PIVOT_RTOL * lu.norm_1:
+    if not (math.isfinite(schur) and schur != 0.0):
         return 0
     return sign if schur > 0 else -sign
 
@@ -235,7 +236,7 @@ def newton_correct(
     system is solved; otherwise theta is freed and the affine constraint
     closes the augmented system, solved by block elimination on the same
     window LU.  The recorded det_sign is that of the system actually solved
-    (0 when it is numerically singular); amplitude is measured against
+    (0 when it is exactly singular); amplitude is measured against
     amplitude_ref, or falls back to the l2 norm.
     """
     x, theta, rn, _ = _newton(p, guess, constraint, newton_tol, DEFAULT_MAX_ITER)

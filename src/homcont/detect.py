@@ -18,11 +18,8 @@ import numpy as np
 from .bundles import CircleGrid
 from .errors import AlignmentFailure, InconsistentParity, MaxIterations, NoSignChange
 from .spectral import DEFAULT_GAP_TOL
-from .truncation import banded_jacobian_lu, truncated_problem
+from .truncation import DEFAULT_KERNEL_TOL, classify_window, truncated_problem
 
-# Relative kernel threshold: a window whose smallest singular value is below
-# kernel_tol * ||J||_1 is near-singular.
-DEFAULT_KERNEL_TOL = 1e-8
 # Iteration budget of the bisection and of the golden-section fallback.
 MAX_ITER = 200
 
@@ -32,11 +29,11 @@ class ParityScan:
     """Determinant signs of the truncated linearization along the loop.
 
     grid is the grid given to scan_parity (no nodes are added); det_signs
-    holds +1/-1 per node, with 0 marking nodes excluded as near-singular
-    (see _classify); excluded nodes do not enter the sign-change count but
-    end up inside candidate intervals.  smin holds
-    each node's smallest singular value, from the same banded LU as its
-    determinant sign (WindowLU.smallest_singular).
+    holds +1/-1 per node, with 0 marking nodes that
+    truncation.classify_window finds near-singular; excluded nodes do not
+    enter the sign-change count but end up inside candidate intervals.
+    smin holds each node's smallest singular value, from the same banded
+    LU as its determinant sign (WindowLU.smallest_singular).
     dip_intervals brackets nodes whose smin dips four orders of magnitude
     below the grid median without a determinant sign change: candidate
     even-multiplicity crossings, which carry no parity certificate.
@@ -56,18 +53,6 @@ class BifurcationCandidate:
     smin_at_star: float
     kernel_vector: np.ndarray
     bracket: tuple[float, float]
-
-
-def _classify(p, kernel_tol: float):
-    """(smin, scale, sign, kernel vector) of the window linearization at
-    X = 0, all from one banded LU: smin and its unit right singular vector
-    by WindowLU.smallest_singular, scale = ||J||_1.  sign is the determinant
-    sign, or 0 when the node is near-singular: smin below kernel_tol * scale,
-    or an LU pivot below the singularity threshold."""
-    lu = banded_jacobian_lu(p, np.zeros(p.size))
-    smin, vec = lu.smallest_singular()
-    sign = lu.det_sign() if smin >= kernel_tol * lu.norm_1 else 0
-    return smin, lu.norm_1, sign, vec
 
 
 def scan_parity(
@@ -95,7 +80,7 @@ def scan_parity(
     for i in range(n_nodes):
         if i:
             p = p.transported(float(grid.nodes[i]))
-        smins[i], _, signs[i], _ = _classify(p, kernel_tol)
+        smins[i], _, signs[i], _ = classify_window(p, kernel_tol)
     for first, last in ((start.left_rows, p.left_rows), (start.right_rows, p.right_rows)):
         if np.linalg.norm(last @ first.T @ first - last) > 1e-8:
             raise AlignmentFailure(
@@ -163,9 +148,9 @@ def locate_bifurcation(
     Bisection on the determinant sign (every probe is the window problem
     at the lower end a, transported to the probe; a probe that becomes the
     new lower end keeps its problem) continues until the bracket is below
-    tol_theta and the smallest singular value clears the kernel threshold
-    kernel_tol * ||J||_1, so the returned candidate always carries a usable
-    kernel vector.  Every probe factors its window once and reads the
+    tol_theta and the midpoint is near-singular by
+    truncation.classify_window, so the returned candidate always carries a
+    usable kernel vector.  Every probe factors its window once and reads the
     determinant sign, smin and the kernel vector from that LU; the
     candidate reuses its midpoint's probe.  Brackets without a sign change
     fall back to golden-section minimization of smin / ||J||_1; candidates
@@ -178,9 +163,9 @@ def locate_bifurcation(
     p_a = truncated_problem(system, a, N, gap_tol=gap_tol)  # follows a
 
     def probe(theta: float):
-        """(problem at theta, its _classify result)."""
+        """(problem at theta, its classify_window result)."""
         p = p_a.transported(theta)
-        return p, _classify(p, kernel_tol)
+        return p, classify_window(p, kernel_tol)
 
     def endpoint_sign(theta: float, inward: float) -> int:
         return probe(theta)[1][2] or probe(theta + inward * 1e-3 * (b - a))[1][2]
@@ -194,14 +179,13 @@ def locate_bifurcation(
         width = b - a
         mid = 0.5 * (a + b)
         p_mid, node = probe(mid)
-        smin_mid, scale_mid, s_mid, _ = node
-        if width <= tol_theta and smin_mid <= kernel_tol * scale_mid:
+        s_mid = node[2]
+        if s_mid == s_a:
+            a, p_a = mid, p_mid
+        elif s_mid == s_b:
+            b = mid
+        elif width <= tol_theta:
             return _candidate(mid, (a, b), node)
-        if s_mid != 0:
-            if s_mid == s_a:
-                a, p_a = mid, p_mid
-            else:
-                b = mid
         else:
             # Near-singular midpoint: shrink from both sides with off-center
             # probes, keeping the crossing inside.
@@ -213,9 +197,7 @@ def locate_bifurcation(
             if s_hi == s_b:
                 b = hi
             if s_lo == 0 and s_hi == 0:
-                if smin_mid <= kernel_tol * scale_mid:
-                    return _candidate(mid, (a, b), node)
-                raise MaxIterations("bracket collapsed onto a non-resolvable singular set")
+                return _candidate(mid, (a, b), node)
     raise MaxIterations(f"bisection did not converge within {MAX_ITER} iterations")
 
 
@@ -223,16 +205,16 @@ def _golden_fallback(p_a, bracket, tol_theta, kernel_tol):
     """Golden-section search on the relative smallest singular value
     smin / ||J||_1, probing p_a transported along the bracket.
 
-    Shrinks past tol_theta if needed until the dip clears the kernel
-    threshold, so a genuine (even-multiplicity) crossing yields a usable
-    kernel vector; a dip that bottoms out above the threshold is rejected
-    with NoSignChange.
+    Shrinks past tol_theta if needed until a probe is near-singular by
+    truncation.classify_window, so a genuine (even-multiplicity) crossing
+    yields a usable kernel vector; a dip that bottoms out above the kernel
+    threshold is rejected with NoSignChange.
     """
     a, b = bracket
     phi = 0.5 * (3.0 - np.sqrt(5.0))
 
     def classify(theta: float):
-        return _classify(p_a.transported(theta), kernel_tol)
+        return classify_window(p_a.transported(theta), kernel_tol)
 
     def rel_smin(node) -> float:
         return node[0] / node[1]
@@ -241,10 +223,10 @@ def _golden_fallback(p_a, bracket, tol_theta, kernel_tol):
     c1, c2 = classify(x1), classify(x2)
     for _ in range(MAX_ITER):
         width = b - a
-        if width <= tol_theta and min(rel_smin(c1), rel_smin(c2)) <= kernel_tol:
+        if width <= tol_theta and (c1[2] == 0 or c2[2] == 0):
             break
         if width <= 1e-13 * max(1.0, abs(a)):
-            break  # dip fully resolved; the threshold decides below
+            break  # dip fully resolved; its sign decides below
         if rel_smin(c1) <= rel_smin(c2):
             b, x2, c2 = x2, x1, c1
             x1 = a + phi * (b - a)
@@ -256,8 +238,8 @@ def _golden_fallback(p_a, bracket, tol_theta, kernel_tol):
     else:
         raise MaxIterations("golden-section search exceeded its budget")
     mid, node = (x1, c1) if rel_smin(c1) <= rel_smin(c2) else (x2, c2)
-    smin, scale = node[:2]
-    if smin > kernel_tol * scale:
+    smin, scale, sign, _ = node
+    if sign != 0:
         raise NoSignChange(
             f"no determinant sign change in the bracket and the smallest "
             f"singular-value dip stays above the kernel threshold (smallest "
@@ -273,8 +255,8 @@ def _golden_fallback(p_a, bracket, tol_theta, kernel_tol):
 
 
 def _candidate(theta_star, bracket, node):
-    """Candidate at theta_star from its _classify result, which the caller
-    has checked is below the kernel threshold.  Sign convention of the
+    """Candidate at theta_star from its classify_window result, which the
+    caller has checked is near-singular.  Sign convention of the
     kernel vector: its largest-magnitude entry is positive."""
     smin, _, _, vec = node
     if vec[np.argmax(np.abs(vec))] < 0:

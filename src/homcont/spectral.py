@@ -92,9 +92,10 @@ def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Hyp
     The frames come from ordered real Schur decompositions, grouping
     eigenvalues by |mu| < 1 versus |mu| > 1, taken when first read.
 
-    Raises Singular if a is not invertible, NotHyperbolic if any eigenvalue
-    modulus is within gap_tol of 1 (or, when a frame is read, if its Schur
-    ordering disagrees with the eigenvalue count).
+    Raises NotHyperbolic if a has a non-finite entry, Singular if a is not
+    invertible, NotHyperbolic if any eigenvalue modulus is within gap_tol
+    of 1 (or, when a frame is read, if its Schur ordering disagrees with
+    the eigenvalue count).
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[0]
@@ -102,6 +103,8 @@ def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Hyp
         raise ValueError("expected a square matrix")
     if not gap_tol > 0:
         raise ValueError("gap_tol must be positive")
+    if not np.all(np.isfinite(a)):
+        raise NotHyperbolic("matrix has non-finite entries")
 
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[-1] <= 1e-14 * max(1.0, sv[0]):

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .bundles import CircleGrid
-from .errors import InvalidConfig, SizeMismatch
+from .errors import InvalidConfig, SingularJacobian, SizeMismatch
 from .spectral import DEFAULT_GAP_TOL, hyperbolic_splitting
 
 
@@ -257,14 +257,21 @@ def check_hypotheses(
     M: float,
     seed: int = 0,
     gap_tol: float = DEFAULT_GAP_TOL,
+    kernel_tol: float | None = None,
 ) -> HypothesisReport:
     """Numeric evidence for the standing assumptions on a system family.
 
     These are diagnostics, not proofs: equicontinuity (A1) and the
     trivial-kernel conditions (A3)/(A4) are semi-decidable, so the report
-    records sampled moduli and truncated smallest singular values against
-    the documented thresholds (1e-6 for the singular-value gates).
+    records sampled moduli and truncated smallest singular values.  A
+    window fails A3/A4 when truncation.classify_window finds it
+    near-singular at kernel_tol (None: truncation.DEFAULT_KERNEL_TOL, the
+    default of scan_parity and locate_bifurcation).
     """
+    from . import truncation
+
+    if kernel_tol is None:
+        kernel_tol = truncation.DEFAULT_KERNEL_TOL
     if N < 10:
         raise ValueError("window N must be at least 10")
     if not M > 0:
@@ -279,8 +286,8 @@ def check_hypotheses(
         a3 = AssumptionCheck("A3", "fail", dict(blocked))
         a4 = AssumptionCheck("A4", "fail", dict(blocked))
     else:
-        a3 = _check_a3(system, N, gap_tol)
-        a4 = _check_a4(system, grid, N, M, rng, gap_tol)
+        a3 = _check_a3(system, N, gap_tol, kernel_tol)
+        a4 = _check_a4(system, grid, N, M, rng, gap_tol, kernel_tol)
     return HypothesisReport(a1=a1, a2=a2, a3=a3, a4=a4)
 
 
@@ -358,30 +365,38 @@ def _check_a2(system, grid, N, gap_tol) -> AssumptionCheck:
     return AssumptionCheck("A2", status, evidence)
 
 
-def _check_a3(system, N, gap_tol) -> AssumptionCheck:
+def _check_a3(system, N, gap_tol, kernel_tol) -> AssumptionCheck:
     from . import truncation
 
     p = truncation.truncated_problem(system, 0.0, N, gap_tol=gap_tol)
-    smin, _ = truncation.banded_jacobian_lu(p, np.zeros(p.size)).smallest_singular()
-    # Nonlinear probe: damped Newton from small random starts at theta = 0
-    # must fall back onto the trivial solution.
+    smin, _, sign, _ = truncation.classify_window(p, kernel_tol)
+    # Nonlinear probe: Newton from small random starts at theta = 0 must
+    # fall back onto the trivial solution.  A probe that goes non-finite or
+    # meets an exactly singular LU has not returned: its norm counts as inf,
+    # recorded as null.
     rng = np.random.default_rng(12345)
     largest = 0.0
-    for _ in range(3):
-        x = 1e-2 * rng.standard_normal(p.size)
-        for _ in range(30):
-            r = truncation.assemble_residual(p, x)
-            if np.linalg.norm(r) < 1e-12:
-                break
-            x = x - truncation.banded_jacobian_lu(p, x).solve(r)
-        largest = max(largest, float(np.linalg.norm(x)))
-    status = "pass" if (smin >= 1e-6 and largest < 1e-8) else "fail"
-    return AssumptionCheck(
-        "A3", status, {"smin_theta0": smin, "largest_converged_norm": largest}
-    )
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            x = 1e-2 * rng.standard_normal(p.size)
+            try:
+                for _ in range(30):
+                    r = truncation.assemble_residual(p, x)
+                    if np.linalg.norm(r) < 1e-12:
+                        break
+                    x = x - truncation.banded_jacobian_lu(p, x).solve(r)
+                norm = float(np.linalg.norm(x))
+            except SingularJacobian:
+                norm = math.inf
+            largest = max(largest, norm if math.isfinite(norm) else math.inf)
+    status = "pass" if (sign != 0 and largest < 1e-8) else "fail"
+    return AssumptionCheck("A3", status, {
+        "smin_theta0": smin,
+        "largest_converged_norm": largest if math.isfinite(largest) else None,
+    })
 
 
-def _check_a4(system, grid, N, M, rng, gap_tol) -> AssumptionCheck:
+def _check_a4(system, grid, N, M, rng, gap_tol, kernel_tol) -> AssumptionCheck:
     from . import truncation
 
     def fd_matrix(limit_fn, theta, x0):
@@ -394,15 +409,18 @@ def _check_a4(system, grid, N, M, rng, gap_tol) -> AssumptionCheck:
         return np.column_stack(cols)
 
     worst = np.inf
+    singular = False
     nodes = grid.nodes[:: max(1, grid.m // 16)]
     for t in nodes:
         for limit_fn in (system.f_inf_plus, system.f_inf_minus):
             probes = [np.zeros(system.d)] + [0.25 * M * rng.standard_normal(system.d) for _ in range(2)]
             for x0 in probes:
-                a = fd_matrix(limit_fn, float(t), x0)
+                with np.errstate(all="ignore"):
+                    a = fd_matrix(limit_fn, float(t), x0)
                 auto = linear_family(system.d, lambda _t, a=a: a, lambda _t, a=a: a)
                 p = truncation.truncated_problem(auto, 0.0, N, gap_tol=gap_tol)
-                lu = truncation.banded_jacobian_lu(p, np.zeros(p.size))
-                worst = min(worst, lu.smallest_singular()[0])
-    status = "pass" if worst >= 1e-6 else "fail"
+                smin, _, sign, _ = truncation.classify_window(p, kernel_tol)
+                worst = min(worst, smin)
+                singular = singular or sign == 0
+    status = "fail" if singular else "pass"
     return AssumptionCheck("A4", status, {"min_truncated_smin": worst, "nodes_scanned": len(nodes)})

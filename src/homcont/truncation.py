@@ -28,15 +28,19 @@ from .systems import dfdx_rows, f_rows
 DEFAULT_N_MAX = 2 ** 12
 TAIL_FRACTION = 0.25
 THETA_STEP = 1e-7
-# Relative pivot threshold below which a factorization is reported singular.
-PIVOT_RTOL = 1e-12
+# Relative kernel threshold of classify_window: a window whose smallest
+# singular value is not at least kernel_tol * ||J||_1 is near-singular.
+DEFAULT_KERNEL_TOL = 1e-8
 # WindowLU.smallest_singular stops once the top Ritz pair's residual is below
 # LANCZOS_RTOL times its Ritz value, and starts from a vector seeded by
 # _LANCZOS_SEED so that reruns are byte-identical.
 LANCZOS_RTOL = 1e-14
 _LANCZOS_SEED = 2012
-# Pivots below this fraction of ||J||_1 count as zero in smallest_singular.
-_PIVOT_FLOOR = PIVOT_RTOL * np.finfo(float).eps
+# Divide-by-zero guard of smallest_singular, not a singularity criterion:
+# pivots below _ZERO_PIVOT * ||J||_1 are raised to _RAISED_PIVOT * ||J||_1
+# for its solves.
+_RAISED_PIVOT = 1e-12
+_ZERO_PIVOT = _RAISED_PIVOT * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,10 +143,9 @@ class WindowLU:
     the frozen assembled ordering [interior, left, right].  Moving the d_s
     left rows over the 2*N*d interior rows is an even permutation (2*N*d is
     even), so determinant signs agree with the assembled ordering.  The
-    1-norm of J is taken from the band before factoring; a pivot below
-    PIVOT_RTOL times it is the package's one criterion for a numerically
-    singular matrix, and the same 1-norm scales the smin gates of detect.
-    The unfactored band is kept for matvec.
+    1-norm of J is taken from the band before factoring; it scales the
+    package's one singularity criterion, smin against kernel_tol * ||J||_1
+    in classify_window.  The unfactored band is kept for matvec.
     """
 
     def __init__(self, ab: np.ndarray, kl: int, ku: int, d_s: int, interior: int):
@@ -176,9 +179,10 @@ class WindowLU:
         return x
 
     def det_sign(self) -> int:
-        """Pivot signs times the row-interchange parity; 0 when the LU is
-        exactly singular or a pivot falls below PIVOT_RTOL * ||J||_1."""
-        if self._exact_singular or np.min(np.abs(self._udiag)) < PIVOT_RTOL * self.norm_1:
+        """Pivot signs times the row-interchange parity; 0 only when the LU
+        is exactly singular (dgbtrf met an exactly zero pivot).  Whether a
+        window is near-singular is classify_window's question."""
+        if self._exact_singular:
             return 0
         # scipy returns the gbtrf pivot indices 0-based.
         swaps = int(np.sum(self._ipiv != np.arange(self._n)))
@@ -201,17 +205,17 @@ class WindowLU:
         space; then smin = t^(-1/2).  Convergence is tested on a growing
         schedule of k, and the Krylov buffer grows on demand.
 
-        An exactly singular LU, or one with a pivot below PIVOT_RTOL * eps *
-        ||J||_1, gives smin = 0; its tiny pivots are raised to PIVOT_RTOL *
-        ||J||_1 for the solves, so v is still a unit kernel vector.
+        An exactly singular LU, or one with a pivot below _ZERO_PIVOT *
+        ||J||_1, gives smin = 0; its tiny pivots are raised to _RAISED_PIVOT
+        * ||J||_1 for the solves, so v is still a unit kernel vector.
         """
         n, kl, ku = self._n, self._kl, self._ku
         lu = self._lu
-        tiny = np.abs(self._udiag) < _PIVOT_FLOOR * self.norm_1
+        tiny = np.abs(self._udiag) < _ZERO_PIVOT * self.norm_1
         singular = bool(np.any(tiny))
         if singular:
             lu = lu.copy()
-            lu[kl + ku, tiny] = PIVOT_RTOL * self.norm_1
+            lu[kl + ku, tiny] = _RAISED_PIVOT * self.norm_1
         basis = np.empty((min(n, 8), n))
         q = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
         q /= np.linalg.norm(q)
@@ -302,6 +306,19 @@ def banded_jacobian_lu(p: TruncatedProblem, x: np.ndarray) -> WindowLU:
     ab[top + np.arange(ds)[:, None] - cols, cols] = p.left_rows
     ab[top + ds + np.arange(d - ds)[:, None] - cols, m + cols] = p.right_rows
     return WindowLU(ab, kl, ku, d_s=ds, interior=m)
+
+
+def classify_window(p: TruncatedProblem, kernel_tol: float):
+    """The package's one singularity criterion, on the window linearization
+    at X = 0: (smin, scale, sign, kernel vector), all from one banded LU.
+    smin and its unit right singular vector come from
+    WindowLU.smallest_singular and scale = ||J||_1.  sign is the
+    determinant sign, or 0 exactly when the window is near-singular: when
+    not smin >= kernel_tol * scale, so a NaN smin counts as singular."""
+    lu = banded_jacobian_lu(p, np.zeros(p.size))
+    smin, vec = lu.smallest_singular()
+    sign = lu.det_sign() if smin >= kernel_tol * lu.norm_1 else 0
+    return smin, lu.norm_1, sign, vec
 
 
 def assemble_dresidual_dtheta(p: TruncatedProblem, x: np.ndarray) -> np.ndarray:

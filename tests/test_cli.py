@@ -139,6 +139,29 @@ def test_check_failure_exits_6(capsys):
     assert payload["a2"]["status"] == "fail"
 
 
+def test_check_kernel_tol_gates_a3_and_a4(capsys):
+    # kernel_tol 1.0 puts every window's smin (0.5) below kernel_tol *
+    # ||J||_1, while A3's Newton probes still return to zero: only the
+    # singular-value criterion fails A3
+    code, out, _ = run_cli(capsys, ["check", "--kernel-tol", "1.0"])
+    payload = json.loads(out)
+    assert code == 6
+    assert payload["a3"]["status"] == "fail"
+    assert payload["a4"]["status"] == "fail"
+    assert payload["a3"]["evidence"]["largest_converged_norm"] < 1e-8
+
+
+def test_check_overflowing_radius_exits_3(tmp_path, capsys):
+    # the radius passes the schema, but A4's finite-difference matrices
+    # overflow to non-finite entries, which the splitting rejects
+    cfg = tmp_path / "radius.json"
+    cfg.write_text('{"check_radius": 1e300}')
+    code, _, err = run_cli(capsys, ["check", "--config", str(cfg)])
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text('{"grid_m": 64,,}')

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -180,3 +181,32 @@ def test_hypotheses_argument_validation(paper7_linear, grid64):
         hc.check_hypotheses(paper7_linear, grid64, N=20, M=0.0)
     with pytest.raises(ValueError):
         hc.check_hypotheses(paper7_linear, grid64, N=20, M=math.nan)
+
+
+def cubic_family(c):
+    """x_{n+1} = diag(0.5, 2) x + c * exp(-|n|/3) * x^3, componentwise."""
+    lin = np.diag([0.5, 2.0])
+
+    def envelope(ns):
+        return c * np.exp(-np.abs(ns) / 3.0)
+
+    def f(ns, t, X):
+        return X @ lin + envelope(ns)[:, None] * X ** 3
+
+    def dfdx(ns, t, X):
+        return lin + 3.0 * envelope(ns)[:, None, None] * (X ** 2)[:, :, None] * np.eye(2)
+
+    return hc.SystemFamily(
+        d=2, f=f, dfdx=dfdx, a_plus=lambda t: lin, a_minus=lambda t: lin,
+        f_inf_plus=lambda t, x: lin @ x, f_inf_minus=lambda t, x: lin @ x,
+    )
+
+
+@pytest.mark.parametrize("c", [1e4, 1e10])
+def test_a3_fails_when_newton_probe_does_not_return(grid64, c):
+    # at c = 1e10 every probe overflows to NaN; at c = 1e4 one meets an
+    # exactly singular LU.  Neither has returned to zero.
+    report = hc.check_hypotheses(cubic_family(c), grid64, N=20, M=1.0, seed=0)
+    assert report.a3.status == "fail"
+    assert report.a3.evidence["largest_converged_norm"] is None
+    json.dumps(report.a3.evidence, allow_nan=False)

@@ -10,13 +10,15 @@ import homcont as hc
 from homcont.errors import SingularJacobian, SizeMismatch, WindowOverflow
 from homcont.systems import SystemFamily
 from homcont.truncation import (
-    PIVOT_RTOL,
+    DEFAULT_KERNEL_TOL,
     TruncatedProblem,
+    _RAISED_PIVOT,
     _top_ritz_pair,
     adapt_window,
     assemble_dresidual_dtheta,
     assemble_residual,
     banded_jacobian_lu,
+    classify_window,
     embed_window,
     tail_mass,
     truncated_problem,
@@ -115,12 +117,16 @@ def test_det_sign_matches_dense_oracle(paper7_linear):
         assert banded_jacobian_lu(p, x).det_sign() == int(oracle_sign)
 
 
-def scalar_window_lu(left_row):
-    """LU of a d = 1 window (x_{n+1} = x_n / 2) whose left boundary row is
+def scalar_window(left_row):
+    """A d = 1 window (x_{n+1} = x_n / 2) whose left boundary row is
     left_row.  N = 2 because partial pivoting doubles a small boundary
     pivot at every block row."""
     system = hc.linear_family(1, lambda t: np.array([[0.5]]), lambda t: np.array([[0.5]]))
-    p = replace(truncated_problem(system, 0.0, 2), left_rows=np.array([[left_row]]))
+    return replace(truncated_problem(system, 0.0, 2), left_rows=np.array([[left_row]]))
+
+
+def scalar_window_lu(left_row):
+    p = scalar_window(left_row)
     return banded_jacobian_lu(p, np.zeros(p.size))
 
 
@@ -140,13 +146,32 @@ def test_smallest_singular_when_exactly_singular():
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     kernel = 0.5 ** np.arange(5)  # x_{n+1} = x_n / 2 on n = -2 .. 2
     assert abs(v @ kernel) / np.linalg.norm(kernel) >= 1.0 - 1e-12
-    assert np.linalg.norm(lu.matvec(v)) <= 2 * PIVOT_RTOL * lu.norm_1
+    assert np.linalg.norm(lu.matvec(v)) <= 2 * _RAISED_PIVOT * lu.norm_1
 
 
-def test_det_sign_zero_below_pivot_threshold():
-    lu = scalar_window_lu(1e-14)
+def test_near_singular_window_keeps_det_sign():
+    # a left boundary row of 1e-14 leaves a pivot far below 1e-12 * ||J||_1:
+    # the LU still gives the dense determinant sign, and only
+    # classify_window calls the window singular
+    p = scalar_window(1e-14)
+    lu = banded_jacobian_lu(p, np.zeros(p.size))
     assert np.all(np.isfinite(lu.solve(np.ones(5))))  # factored, not exactly singular
-    assert lu.det_sign() == 0
+    oracle_sign, _ = np.linalg.slogdet(assemble_jacobian(p, np.zeros(p.size)))
+    assert lu.det_sign() == int(oracle_sign) != 0
+    smin, _, sign, _ = classify_window(p, DEFAULT_KERNEL_TOL)
+    assert smin < DEFAULT_KERNEL_TOL * lu.norm_1
+    assert sign == 0
+
+
+@pytest.mark.parametrize("N", [10, 40, 160])
+def test_classify_window_singular_where_pivots_are_not(paper7_linear, N):
+    # at theta = pi the linear paper7 window has a kernel at every N, but its
+    # smallest LU pivot grows with N: only the smin criterion sees it
+    p = truncated_problem(paper7_linear, math.pi, N)
+    smin, scale, sign, _ = classify_window(p, DEFAULT_KERNEL_TOL)
+    assert smin < DEFAULT_KERNEL_TOL * scale
+    assert sign == 0
+    assert banded_jacobian_lu(p, np.zeros(p.size)).det_sign() != 0
 
 
 def random_family(rng, d):
