@@ -32,8 +32,8 @@ class ParityScan:
     holds +1/-1 per node, with 0 marking nodes that
     truncation.classify_window finds near-singular; excluded nodes do not
     enter the sign-change count but end up inside candidate intervals.
-    smin holds each node's smallest singular value, from the same banded
-    LU as its determinant sign (WindowLU.smallest_singular).
+    smin holds each node's smallest singular value, from the same band of
+    J as its determinant sign (WindowLU.smallest_singular).
     dip_intervals brackets nodes whose smin dips four orders of magnitude
     below the grid median without a determinant sign change: candidate
     even-multiplicity crossings, which carry no parity certificate.

@@ -36,6 +36,13 @@ DEFAULT_KERNEL_TOL = 1e-8
 # _LANCZOS_SEED so that reruns are byte-identical.
 LANCZOS_RTOL = 1e-14
 _LANCZOS_SEED = 2012
+# A Lanczos run still unconverged at its first Ritz check at or past
+# LANCZOS_MAX_STEPS steps tries the Gram path: when the Cholesky factor of
+# J^T J - (GRAM_FLOOR * ||J||_1)^2 I exists, smin^2 is bisected by Cholesky
+# tests of J^T J - mu I, at most _GRAM_TESTS of them.
+LANCZOS_MAX_STEPS = 24
+GRAM_FLOOR = 1e-2
+_GRAM_TESTS = 64
 # Divide-by-zero guard of smallest_singular, not a singularity criterion:
 # pivots below _ZERO_PIVOT * ||J||_1 are raised to _RAISED_PIVOT * ||J||_1
 # for its solves.
@@ -145,7 +152,9 @@ class WindowLU:
     even), so determinant signs agree with the assembled ordering.  The
     1-norm of J is taken from the band before factoring; it scales the
     package's one singularity criterion, smin against kernel_tol * ||J||_1
-    in classify_window.  The unfactored band is kept for matvec.
+    in classify_window.  The unfactored band is kept for matvec and for the
+    band of J^T J, which smallest_singular's Gram path bisects when
+    shift-invert Lanczos stalls.
     """
 
     def __init__(self, ab: np.ndarray, kl: int, ku: int, d_s: int, interior: int):
@@ -205,6 +214,17 @@ class WindowLU:
         space; then smin = t^(-1/2).  Convergence is tested on a growing
         schedule of k, and the Krylov buffer grows on demand.
 
+        Where the small singular values cluster, Lanczos converges slowly
+        and its reorthogonalization dominates.  So a run still unconverged
+        at its first Ritz check with k >= LANCZOS_MAX_STEPS tries the Gram
+        path once (_gram_smallest): if no pivot was raised and J^T J -
+        (GRAM_FLOOR * ||J||_1)^2 I has a Cholesky factor, smin >
+        GRAM_FLOOR * ||J||_1, and smin^2 is bisected on the band of J^T J,
+        O(n * (kl + ku)^2) per test and blind to clustering; v comes from
+        inverse iteration started at the Ritz vector.  Otherwise Lanczos
+        runs on.  Near-singular windows converge in a few steps and never
+        reach the cap.
+
         An exactly singular LU, or one with a pivot below _ZERO_PIVOT *
         ||J||_1, gives smin = 0; its tiny pivots are raised to _RAISED_PIVOT
         * ||J||_1 for the solves, so v is still a unit kernel vector.
@@ -221,6 +241,7 @@ class WindowLU:
         q /= np.linalg.norm(q)
         alpha, beta = [], []
         k, check_at = 0, 1
+        try_gram = not singular
         while True:
             if k == len(basis):
                 basis = np.concatenate([basis, np.empty((min(n, 2 * k) - k, n))])
@@ -239,11 +260,67 @@ class WindowLU:
                 t, s = _top_ritz_pair(alpha, beta[:-1])
                 if k == n or abs(beta[-1] * s[-1]) <= LANCZOS_RTOL * t:
                     break
+                if try_gram and k >= LANCZOS_MAX_STEPS:
+                    try_gram = False
+                    gram = self._gram_smallest(t, s @ krylov)
+                    if gram is not None:
+                        return gram
                 check_at = k + max(1, k // 4)
             q = w / beta[-1]
         v = s @ krylov
         v /= np.linalg.norm(v)
         return (0.0 if singular else float(1.0 / np.sqrt(t))), v
+
+    def _gram_smallest(self, t: float, v: np.ndarray) -> tuple[float, np.ndarray] | None:
+        """(smin, v) by Cholesky-inertia bisection on G = J^T J, or None when
+        G - mu0 I, mu0 = (GRAM_FLOOR * ||J||_1)^2, is not finite and
+        positive definite.  By Sylvester's inertia dpbtrf factors G - mu I
+        exactly when mu < lambda_min(G), so [mu0, hi] brackets lambda_min
+        with hi = min(1/t, min diag G), 1/t the Lanczos estimate from above
+        (t the top Ritz value of G^-1); a diagonal entry is a Rayleigh
+        quotient, so G - (min diag G) I never factors.  At most _GRAM_TESTS
+        halvings bring the bracket to a relative width of 2 * eps; smin is
+        the root of its midpoint.  Two inverse-iteration solves with the
+        last positive-definite factor turn v, the Ritz vector, into the
+        singular vector."""
+        mu0 = (GRAM_FLOOR * self.norm_1) ** 2
+        if not 1.0 / t > mu0:  # lambda_min <= 1/t: G - mu0 I cannot factor
+            return None
+        gram = self._gram_band()
+        lo_factor = _shifted_cholesky(gram, mu0) if np.all(np.isfinite(gram)) else None
+        if lo_factor is None:
+            return None
+        lo, diag_min = mu0, float(np.min(gram[-1]))
+        hi = min(1.0 / t, diag_min)
+        factor = _shifted_cholesky(gram, hi)
+        if factor is not None:  # rounding left 1/t below lambda_min
+            lo, lo_factor, hi = hi, factor, diag_min
+        for _ in range(_GRAM_TESTS):
+            if not hi - lo > 2.0 * np.finfo(float).eps * hi:
+                break
+            mid = 0.5 * (lo + hi)
+            factor = _shifted_cholesky(gram, mid)
+            if factor is None:
+                hi = mid
+            else:
+                lo, lo_factor = mid, factor
+        for _ in range(2):
+            v, _ = lapack.dpbtrs(lo_factor, v)
+            v /= np.linalg.norm(v)
+        return float(np.sqrt(0.5 * (lo + hi))), v
+
+    def _gram_band(self) -> np.ndarray:
+        """J^T J in LAPACK upper band storage, half-bandwidth kd = kl + ku:
+        row kd - o holds superdiagonal o, G[j, j + o] at column j + o.
+        With B the unfactored band (B[r, j] = J[j + r - ku, j]),
+        G[j, j + o] = sum over r = o .. kd of B[r, j] * B[r - o, j + o].
+        The banded row order drops out, since (PJ)^T (PJ) = J^T J."""
+        band = self._ab[self._kl:]
+        kd, n = band.shape[0] - 1, self._n
+        gram = np.zeros((kd + 1, n))
+        for o in range(kd + 1):
+            gram[kd - o, o:] = np.einsum("rj,rj->j", band[o:, :n - o], band[:kd + 1 - o, o:])
+        return gram
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """J @ v in assembled ordering, from the unfactored band.  Diagonals
@@ -259,6 +336,15 @@ class WindowLU:
                 out[:n + offset] += diag[-offset:] * v[-offset:]
         m, ds = self._interior, self._d_s
         return np.concatenate([out[ds:ds + m], out[:ds], out[ds + m:]])
+
+
+def _shifted_cholesky(gram: np.ndarray, mu: float) -> np.ndarray | None:
+    """Cholesky factor (dpbtrf, upper band storage) of gram - mu I, or None
+    when that matrix is not positive definite."""
+    shifted = gram.copy()
+    shifted[-1] -= mu
+    factor, info = lapack.dpbtrf(shifted, overwrite_ab=1)
+    return factor if info == 0 else None
 
 
 def _top_ritz_pair(alpha, beta) -> tuple[float, np.ndarray]:
@@ -310,11 +396,15 @@ def banded_jacobian_lu(p: TruncatedProblem, x: np.ndarray) -> WindowLU:
 
 def classify_window(p: TruncatedProblem, kernel_tol: float):
     """The package's one singularity criterion, on the window linearization
-    at X = 0: (smin, scale, sign, kernel vector), all from one banded LU.
-    smin and its unit right singular vector come from
-    WindowLU.smallest_singular and scale = ||J||_1.  sign is the
-    determinant sign, or 0 exactly when the window is near-singular: when
-    not smin >= kernel_tol * scale, so a NaN smin counts as singular."""
+    at X = 0: (smin, scale, sign, kernel vector), all from the one band of J
+    that banded_jacobian_lu writes.  smin and its unit right singular vector
+    come from WindowLU.smallest_singular: shift-invert Lanczos on the LU,
+    or, once Lanczos stalls past LANCZOS_MAX_STEPS at a window with smin >
+    GRAM_FLOOR * ||J||_1, Cholesky-inertia bisection on the band of J^T J.
+    Windows below that floor, every near-singular one at the default
+    kernel_tol among them, stay on Lanczos.  scale = ||J||_1, and sign is
+    the determinant sign, or 0 exactly when the window is near-singular:
+    when not smin >= kernel_tol * scale, so a NaN smin counts as singular."""
     lu = banded_jacobian_lu(p, np.zeros(p.size))
     smin, vec = lu.smallest_singular()
     sign = lu.det_sign() if smin >= kernel_tol * lu.norm_1 else 0

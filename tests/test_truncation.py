@@ -9,8 +9,11 @@ from scipy.linalg import eigh_tridiagonal
 import homcont as hc
 from homcont.errors import SingularJacobian, SizeMismatch, WindowOverflow
 from homcont.systems import SystemFamily
+from homcont import truncation
 from homcont.truncation import (
     DEFAULT_KERNEL_TOL,
+    GRAM_FLOOR,
+    LANCZOS_MAX_STEPS,
     TruncatedProblem,
     _RAISED_PIVOT,
     _top_ritz_pair,
@@ -223,6 +226,115 @@ def test_banded_factorization_agrees_with_dense(paper7_perturbed):
             rhs = rng.standard_normal(p.size)
             assert np.allclose(lu.solve(rhs), np.linalg.solve(jac, rhs), atol=1e-10)
             assert lu.det_sign() == int(np.linalg.slogdet(jac)[0])
+
+
+def test_gram_band_matches_dense_oracle():
+    # J^T J from the unfactored band against the dense product, diagonal by
+    # diagonal; the seeds cover d_s != d / 2 on both sides, so kl != ku.
+    splits = set()
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        for d in (2, 3, 4):
+            p = truncated_problem(random_family(rng, d), 0.4, 12)
+            splits.add((d, p.left_rows.shape[0]))
+            lu = banded_jacobian_lu(p, np.zeros(p.size))
+            jac = assemble_jacobian(p, np.zeros(p.size))
+            oracle = jac.T @ jac
+            band = lu._gram_band()
+            kd = band.shape[0] - 1
+            assert kd == lu._kl + lu._ku
+            assert np.array_equal(np.triu(oracle, kd + 1), np.zeros_like(oracle))
+            for o in range(kd + 1):
+                want = np.diagonal(oracle, o)
+                assert np.max(np.abs(band[kd - o, o:] - want)) <= 1e-14 * np.max(np.abs(want))
+    assert {(3, 1), (3, 2), (4, 1), (4, 3)} <= splits
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls of the named LAPACK routines made through truncation."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(truncation.lapack, name, counted(name, getattr(truncation.lapack, name)))
+    return calls
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 2 * math.pi - 0.3, math.pi])
+def test_stalled_lanczos_takes_gram_path(paper7_perturbed, monkeypatch, theta):
+    # At N = 160 the small singular values of regular windows cluster near
+    # 1 - alpha, Lanczos passes its step cap, and the Cholesky bisection on
+    # J^T J gives smin and v; at the kernel crossing theta = pi Lanczos
+    # converges in a few steps and no Cholesky test is made.
+    p = truncated_problem(paper7_perturbed, theta, 160)
+    lu = banded_jacobian_lu(p, np.zeros(p.size))
+    calls = count_calls(monkeypatch, "dpbtrf")
+    smin, v = lu.smallest_singular()
+    _, s, vt = np.linalg.svd(assemble_jacobian(p, np.zeros(p.size)))
+    assert abs(smin - s[-1]) <= 1e-13 * s[0]
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert abs(v @ vt[-1]) >= 1.0 - 1e-10
+    if theta == math.pi:
+        assert calls["dpbtrf"] == 0
+    else:
+        assert calls["dpbtrf"] > 0
+        assert smin > GRAM_FLOOR * lu.norm_1
+
+
+def test_lanczos_runs_on_below_gram_floor(monkeypatch):
+    # beta = 200 puts ||J||_1 near 200 while the small singular values still
+    # cluster near 1 - alpha = 0.5, below GRAM_FLOOR * ||J||_1: Lanczos
+    # passes its step cap and runs to convergence without a Cholesky test.
+    system = hc.paper7_family(hc.Paper7Config(alpha=0.5, beta=200.0, coupling=0.0))
+    p = truncated_problem(system, 0.0, 60)
+    lu = banded_jacobian_lu(p, np.zeros(p.size))
+    calls = count_calls(monkeypatch, "dgbtrs", "dpbtrf")
+    smin, _ = lu.smallest_singular()
+    s = np.linalg.svd(assemble_jacobian(p, np.zeros(p.size)), compute_uv=False)
+    assert calls["dpbtrf"] == 0
+    assert calls["dgbtrs"] > 2 * LANCZOS_MAX_STEPS
+    assert smin < GRAM_FLOOR * lu.norm_1
+    assert abs(smin - s[-1]) <= 1e-13 * s[0]
+
+
+def nan_window(system, theta, N):
+    """Window of system at theta whose dfdx holds a NaN at n = 0."""
+    def dfdx(ns, t, X):
+        out = np.array(system.dfdx(ns, t, X), dtype=float)
+        out[ns == 0, 0, 0] = np.nan
+        return out
+
+    return truncated_problem(replace(system, dfdx=dfdx), theta, N)
+
+
+def test_nan_band_raises_without_spinning(paper7_perturbed, monkeypatch):
+    # A NaN in the band makes the first Lanczos step non-finite: the Ritz
+    # check raises after one step, before any Cholesky test.
+    p = nan_window(paper7_perturbed, 0.0, 160)
+    lu = banded_jacobian_lu(p, np.zeros(p.size))
+    calls = count_calls(monkeypatch, "dgbtrs", "dpbtrf")
+    with pytest.raises(ValueError, match="non-finite"):
+        lu.smallest_singular()
+    assert calls == {"dgbtrs": 2, "dpbtrf": 0}
+
+
+def test_non_finite_gram_band_leaves_lanczos_running(paper7_perturbed, monkeypatch):
+    # dpbtrf factors a NaN matrix without complaint, so a Gram band that is
+    # not finite (here a NaN put into the kept band after factoring) must
+    # send the run back to Lanczos rather than into the bisection.
+    p = truncated_problem(paper7_perturbed, 0.0, 160)
+    lu = banded_jacobian_lu(p, np.zeros(p.size))
+    lu._ab[lu._kl + lu._ku, p.size // 2] = np.nan
+    calls = count_calls(monkeypatch, "dpbtrf")
+    smin, _ = lu.smallest_singular()
+    s = np.linalg.svd(assemble_jacobian(p, np.zeros(p.size)), compute_uv=False)
+    assert calls["dpbtrf"] == 0
+    assert abs(smin - s[-1]) <= 1e-13 * s[0]
 
 
 def test_smin_geometric_decay_certificate(paper7_linear):
