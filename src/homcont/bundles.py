@@ -135,26 +135,46 @@ def transport_frames(subspace_at: Callable[[float], np.ndarray], grid: CircleGri
 
     subspace_at(theta) must return a d x k column-orthonormal frame (to
     1e-10, else RankDrop), such as Schur columns; it is never
-    re-orthonormalized.  Each grid interval is one _transport_step (project,
-    polar-correct, bisect while misaligned); the refined nodes become part
-    of the returned grid.
+    re-orthonormalized.  Each grid interval is walked by _walk, in steps of
+    at most MAX_PATH_STEP (one _transport_step for a shorter interval);
+    every node reached becomes part of the returned grid.
     """
     visited = [(float(grid.nodes[0]), _checked_frame(subspace_at, grid.nodes[0], None), 1.0)]
     for i in range(grid.m):
-        _transport_step(subspace_at, visited[-1][1], float(grid.nodes[i]),
-                        float(grid.nodes[i + 1]), visited)
+        _walk(subspace_at, visited[-1][1], float(grid.nodes[i]), float(grid.nodes[i + 1]), visited)
     nodes, frames, cosines = (list(column) for column in zip(*visited))
+    return LoopTransport(
+        grid=CircleGrid(m=len(nodes) - 1, nodes=np.array(nodes)), frames=frames,
+        closure_matrix=loop_closure(frames[0], frames[-1]), min_alignment=min(cosines),
+    )
 
-    closure = frames[0].T @ frames[-1]
-    if np.linalg.norm(frames[0] @ closure - frames[-1]) > 1e-8:
+
+def loop_closure(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Closure matrix C = first^T last of a frame carried from first at 0 to
+    last at 2*pi; raises AlignmentFailure if last leaves the span of first.
+    The one closure test of transport_frames and detect.scan_parity."""
+    closure = first.T @ last
+    if np.linalg.norm(first @ closure - last) > 1e-8:
         raise AlignmentFailure(
             "transported frame at 2*pi does not lie in the initial subspace; "
             "the family is not 2*pi-periodic to tolerance"
         )
-    out_grid = CircleGrid(m=len(nodes) - 1, nodes=np.array(nodes))
-    return LoopTransport(
-        grid=out_grid, frames=frames, closure_matrix=closure, min_alignment=min(cosines)
-    )
+    return closure
+
+
+def _walk(subspace_at, current, theta_from, theta_to, visited=None):
+    """The one frame walker: equal _transport_steps of at most MAX_PATH_STEP
+    radians.  Principal-angle cosines cannot see a half turn of the subspace
+    (an antipodal frame is perfectly "aligned"), so only small steps keep
+    the transport in the right homotopy class."""
+    pieces = math.ceil(abs(theta_to - theta_from) / MAX_PATH_STEP)
+    step = (theta_to - theta_from) / pieces
+    t_from = theta_from
+    for j in range(1, pieces + 1):
+        t_to = theta_to if j == pieces else theta_from + j * step
+        current = _transport_step(subspace_at, current, t_from, t_to, visited)
+        t_from = t_to
+    return current
 
 
 def transport_along_path(
@@ -163,24 +183,14 @@ def transport_along_path(
     theta_from: float,
     theta_to: float,
 ) -> np.ndarray:
-    """Transport an orthonormal frame along a theta segment (no closure).
-
-    Same _transport_step and the same orthonormal-frame contract on
-    subspace_at as transport_frames.  Segments are also capped at
-    MAX_PATH_STEP radians: principal-angle cosines cannot see a half turn of
-    the subspace (an antipodal frame is perfectly "aligned"), so only small
-    steps keep the transport in the right homotopy class.  Its one caller
-    is truncation.TruncatedProblem.transported, which keeps the
+    """Transport an orthonormal frame along a theta segment by _walk, the
+    walker of transport_frames, without closure.  Its one caller is
+    truncation.TruncatedProblem.transported, which keeps the
     boundary-condition rows continuous whenever theta moves.
     """
     if frame.shape[1] == 0 or theta_from == theta_to:
         return frame.copy()
-    current = np.asarray(frame, dtype=float)
-    pieces = max(1, int(math.ceil(abs(theta_to - theta_from) / MAX_PATH_STEP)))
-    nodes = np.linspace(float(theta_from), float(theta_to), pieces + 1)
-    for t_from, t_to in zip(nodes[:-1], nodes[1:]):
-        current = _transport_step(subspace_at, current, float(t_from), float(t_to))
-    return current
+    return _walk(subspace_at, np.asarray(frame, dtype=float), float(theta_from), float(theta_to))
 
 
 def w1(transport: LoopTransport) -> int:

@@ -108,7 +108,6 @@ class ContinuationControls:
 @dataclass(frozen=True, eq=False)
 class Branch:
     points: list[BranchPoint]
-    origin: BifurcationCandidate | None
     stop_reason: str
 
 
@@ -429,4 +428,4 @@ def continue_branch(
         else:
             streak = 0
 
-    return Branch(points=points, origin=origin, stop_reason=stop)
+    return Branch(points=points, stop_reason=stop)

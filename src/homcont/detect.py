@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import CircleGrid
-from .errors import AlignmentFailure, InconsistentParity, MaxIterations, NoSignChange
+from .bundles import CircleGrid, loop_closure
+from .errors import InconsistentParity, MaxIterations, NoSignChange
 from .spectral import DEFAULT_GAP_TOL
 from .truncation import DEFAULT_KERNEL_TOL, classify_window, truncated_problem
 
@@ -66,8 +66,8 @@ def scan_parity(
 
     One window problem is walked from node to node by
     TruncatedProblem.transported.  If the rows carried to 2*pi leave the
-    row space they started in, the family is not 2*pi-periodic and
-    AlignmentFailure is raised.  The loop parity is computed both as
+    row space they started in, bundles.loop_closure raises
+    AlignmentFailure.  The loop parity is computed both as
     (-1)^(sign changes between consecutive non-excluded nodes) and as the
     product of the determinant signs at theta = 0 (rows derived there) and
     theta = 2*pi (rows carried there); InconsistentParity is raised if the
@@ -81,12 +81,8 @@ def scan_parity(
         if i:
             p = p.transported(float(grid.nodes[i]))
         smins[i], _, signs[i], _ = classify_window(p, kernel_tol)
-    for first, last in ((start.left_rows, p.left_rows), (start.right_rows, p.right_rows)):
-        if np.linalg.norm(last @ first.T @ first - last) > 1e-8:
-            raise AlignmentFailure(
-                "boundary rows carried to 2*pi do not lie in the initial row space; "
-                "the family is not 2*pi-periodic to tolerance"
-            )
+    loop_closure(start.left_rows.T, p.left_rows.T)
+    loop_closure(start.right_rows.T, p.right_rows.T)
 
     if signs[0] == 0 or signs[-1] == 0:
         raise InconsistentParity(

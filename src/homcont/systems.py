@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .bundles import CircleGrid
-from .errors import InvalidConfig, SingularJacobian, SizeMismatch
+from .errors import InvalidConfig, NoConvergence, SingularJacobian, SizeMismatch
 from .spectral import DEFAULT_GAP_TOL, hyperbolic_splitting
 
 
@@ -366,29 +366,24 @@ def _check_a2(system, grid, N, gap_tol) -> AssumptionCheck:
 
 
 def _check_a3(system, N, gap_tol, kernel_tol) -> AssumptionCheck:
-    from . import truncation
+    from . import continuation, truncation
 
     p = truncation.truncated_problem(system, 0.0, N, gap_tol=gap_tol)
     smin, _, sign, _ = truncation.classify_window(p, kernel_tol)
-    # Nonlinear probe: Newton from small random starts at theta = 0 must
-    # fall back onto the trivial solution.  A probe that goes non-finite or
-    # meets an exactly singular LU has not returned: its norm counts as inf,
-    # recorded as null.
+    # Nonlinear probe: continuation.newton_correct from small random starts
+    # at theta = 0 must fall back onto the trivial solution.  A probe that
+    # does not converge or meets an exactly singular LU has not returned:
+    # its norm counts as inf, recorded as null.
     rng = np.random.default_rng(12345)
     largest = 0.0
     with np.errstate(all="ignore"):
         for _ in range(3):
             x = 1e-2 * rng.standard_normal(p.size)
             try:
-                for _ in range(30):
-                    r = truncation.assemble_residual(p, x)
-                    if np.linalg.norm(r) < 1e-12:
-                        break
-                    x = x - truncation.banded_jacobian_lu(p, x).solve(r)
-                norm = float(np.linalg.norm(x))
-            except SingularJacobian:
+                norm = continuation.newton_correct(p, x, newton_tol=1e-12).l2_norm
+            except (NoConvergence, SingularJacobian):
                 norm = math.inf
-            largest = max(largest, norm if math.isfinite(norm) else math.inf)
+            largest = max(largest, norm)
     status = "pass" if (sign != 0 and largest < 1e-8) else "fail"
     return AssumptionCheck("A3", status, {
         "smin_theta0": smin,

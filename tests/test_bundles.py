@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import homcont as hc
-from homcont.bundles import LoopTransport, transport_along_path
+from homcont.bundles import MAX_PATH_STEP, LoopTransport, transport_along_path
 from homcont.errors import AlignmentFailure, DegenerateClosure, IndexMismatch, RankDrop
 
 
@@ -132,15 +132,25 @@ def test_transport_rejects_nonperiodic_family():
         hc.transport_frames(family, hc.CircleGrid.uniform(64))
 
 
-def test_adaptive_refinement_handles_fast_winding():
+def test_adaptive_refinement_handles_fast_winding(paper7_linear):
     # winds two full turns: consecutive 64-node subspaces are fine, but at
-    # m=8 the angle per step is ~1.57 rad and must be bisected.
+    # m=8 the angle per interval is ~1.57 rad and the walk must refine.
     def fast(theta):
         return np.array([[math.cos(2 * theta)], [math.sin(2 * theta)]])
 
-    tr = hc.transport_frames(fast, hc.CircleGrid.uniform(8))
-    assert tr.grid.m > 8
-    assert hc.w1(tr) == 1
+    def paper7_stable(theta):
+        return hc.hyperbolic_splitting(paper7_linear.a_plus(theta)).stable_frame
+
+    for family, expected in ((fast, 1), (paper7_stable, -1)):
+        coarse = hc.transport_frames(family, hc.CircleGrid.uniform(8))
+        assert coarse.grid.m > 8
+        # the walker's step rule: no step longer than MAX_PATH_STEP
+        assert np.max(np.diff(coarse.grid.nodes)) <= MAX_PATH_STEP
+        assert hc.w1(coarse) == expected
+        # a fine grid is walked as given, one step per interval
+        fine = hc.transport_frames(family, hc.CircleGrid.uniform(64))
+        assert fine.grid.m == 64
+        assert hc.w1(fine) == expected
 
 
 def test_transport_along_path_matches_loop():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import homcont as hc
+from homcont import continuation
 from homcont.errors import InvalidConfig
 from homcont.systems import rotating_matrix
 
@@ -204,9 +205,26 @@ def cubic_family(c):
 
 @pytest.mark.parametrize("c", [1e4, 1e10])
 def test_a3_fails_when_newton_probe_does_not_return(grid64, c):
-    # at c = 1e10 every probe overflows to NaN; at c = 1e4 one meets an
-    # exactly singular LU.  Neither has returned to zero.
+    # at c = 1e4 and 1e10 the line search of every probe's newton_correct
+    # stalls (NoConvergence): no probe has returned to zero.
     report = hc.check_hypotheses(cubic_family(c), grid64, N=20, M=1.0, seed=0)
     assert report.a3.status == "fail"
     assert report.a3.evidence["largest_converged_norm"] is None
     json.dumps(report.a3.evidence, allow_nan=False)
+
+
+def test_a3_probes_run_the_continuation_corrector(paper7_perturbed, grid64, monkeypatch):
+    # A3 has no Newton loop of its own: each of its three probes is one
+    # fixed-theta newton_correct call at theta = 0
+    calls = []
+    correct = continuation.newton_correct
+
+    def counted(p, guess, *args, **kwargs):
+        calls.append((p.theta, kwargs))
+        return correct(p, guess, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_correct", counted)
+    report = hc.check_hypotheses(paper7_perturbed, grid64, N=20, M=1.0, seed=0)
+    assert calls == [(0.0, {"newton_tol": 1e-12})] * 3
+    assert report.a3.status == "pass"
+    assert report.a3.evidence["largest_converged_norm"] < 1e-8
