@@ -27,6 +27,9 @@ _GREEN_TRUNC = 1e-14
 # Cosine threshold above which two principal directions count as a true
 # intersection direction (see analytic_kernel_basis).
 _INTERSECT_COS = 1.0 - 1e-8
+# symbol_smin: |z| within _CIRCLE_TOL of 1 is a crossing (a spurious one adds a midpoint).
+_CIRCLE_TOL = 1e-4
+_SYMBOL_PASSES = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +122,30 @@ def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Hyp
 
     d_s = int(np.sum(mods < 1.0))
     return HyperbolicSplitting(a=a.copy(), d_s=d_s, d_u=d - d_s, gap=gap)
+
+
+def symbol_smin(a: np.ndarray) -> float:
+    """min over |z| = 1 of sigma_min(zI - a), a finite invertible real: the
+    smallest singular value of x -> (x_{n+1} - a x_n) on l2(Z; R^d).  sigma
+    is a singular value of zI - a at some |z| = 1 exactly when the pencil
+    [[a, sigma I], [0, I]] - z [[I, 0], [sigma I, a^T]] has an eigenvalue on
+    the circle (Byers; Boyd & Balakrishnan).  Each pass takes the least
+    sigma_min at w = 0, pi and the midpoints of the last level's crossing
+    angles, first |arg lambda(a)|, until it stops falling (w in [0, pi])."""
+    a = np.asarray(a, dtype=float)
+    eye, zero = np.eye(len(a)), np.zeros_like(a)
+    sigma, w = np.inf, np.abs(np.angle(np.linalg.eigvals(a)))
+    for _ in range(_SYMBOL_PASSES):
+        z = np.exp(1j * np.concatenate([[0.0, np.pi], w]))
+        lowest = float(np.min(np.linalg.svd(z[:, None, None] * eye - a, compute_uv=False)[:, -1]))
+        if not lowest < sigma:
+            break
+        sigma = lowest
+        z = sla.eigvals(np.block([[a, sigma * eye], [zero, eye]]),
+                        np.block([[eye, zero], [sigma * eye, a.T]]))
+        w = np.sort(np.concatenate([[0.0, np.pi], np.abs(np.angle(z[abs(abs(z) - 1) < _CIRCLE_TOL]))]))
+        w = 0.5 * (w[1:] + w[:-1])
+    return sigma
 
 
 def _restricted_rows(split: HyperbolicSplitting) -> tuple[np.ndarray, np.ndarray]:

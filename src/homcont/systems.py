@@ -18,7 +18,7 @@ import numpy as np
 
 from .bundles import CircleGrid
 from .errors import InvalidConfig, NoConvergence, SingularJacobian, SizeMismatch
-from .spectral import DEFAULT_GAP_TOL, hyperbolic_splitting
+from .spectral import DEFAULT_GAP_TOL, hyperbolic_splitting, symbol_smin
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,10 +263,10 @@ def check_hypotheses(
 
     These are diagnostics, not proofs: equicontinuity (A1) and the
     trivial-kernel conditions (A3)/(A4) are semi-decidable, so the report
-    records sampled moduli and truncated smallest singular values.  A
-    window fails A3/A4 when truncation.classify_window finds it
-    near-singular at kernel_tol (None: truncation.DEFAULT_KERNEL_TOL, the
-    default of scan_parity and locate_bifurcation).
+    records sampled moduli and smallest singular values.  A3's window and
+    A4's bi-infinite limit operators fail when truncation.near_singular
+    holds at kernel_tol (None: truncation.DEFAULT_KERNEL_TOL, the default
+    of scan_parity and locate_bifurcation).  M must be finite and positive.
     """
     from . import truncation
 
@@ -274,20 +274,20 @@ def check_hypotheses(
         kernel_tol = truncation.DEFAULT_KERNEL_TOL
     if N < 10:
         raise ValueError("window N must be at least 10")
-    if not M > 0:
-        raise ValueError("radius M must be positive")
+    if not 0 < M < math.inf:
+        raise ValueError("radius M must be finite and positive")
     rng = np.random.default_rng(seed)
     a1 = _check_a1(system, grid, N, M, rng)
     a2 = _check_a2(system, grid, N, gap_tol)
     if a2.evidence.get("IndexMismatch"):
-        # The truncated problems of A3/A4 are not even square without the
-        # stable-dimension balance; report them as blocked failures.
+        # A3's window is not even square without the stable-dimension
+        # balance; report A3 and A4 as blocked failures.
         blocked = {"blocked_by": "A2 stable-dimension mismatch"}
         a3 = AssumptionCheck("A3", "fail", dict(blocked))
         a4 = AssumptionCheck("A4", "fail", dict(blocked))
     else:
         a3 = _check_a3(system, N, gap_tol, kernel_tol)
-        a4 = _check_a4(system, grid, N, M, rng, gap_tol, kernel_tol)
+        a4 = _check_a4(system, grid, M, rng, gap_tol, kernel_tol)
     return HypothesisReport(a1=a1, a2=a2, a3=a3, a4=a4)
 
 
@@ -370,20 +370,20 @@ def _check_a3(system, N, gap_tol, kernel_tol) -> AssumptionCheck:
 
     p = truncation.truncated_problem(system, 0.0, N, gap_tol=gap_tol)
     smin, _, sign, _ = truncation.classify_window(p, kernel_tol)
-    # Nonlinear probe: continuation.newton_correct from small random starts
-    # at theta = 0 must fall back onto the trivial solution.  A probe that
-    # does not converge or meets an exactly singular LU has not returned:
-    # its norm counts as inf, recorded as null.
+    # Nonlinear probe: the fixed-theta iteration of continuation's corrector
+    # from small random starts at theta = 0 must fall back onto the trivial
+    # solution.  A probe that does not converge or meets an exactly singular
+    # LU has not returned: its norm counts as inf, recorded as null.
     rng = np.random.default_rng(12345)
     largest = 0.0
     with np.errstate(all="ignore"):
         for _ in range(3):
             x = 1e-2 * rng.standard_normal(p.size)
             try:
-                norm = continuation.newton_correct(p, x, newton_tol=1e-12).l2_norm
+                x = continuation._newton(p, x, None, 1e-12, continuation.DEFAULT_MAX_ITER)[0]
+                largest = max(largest, float(np.linalg.norm(x)))
             except (NoConvergence, SingularJacobian):
-                norm = math.inf
-            largest = max(largest, norm)
+                largest = math.inf
     status = "pass" if (sign != 0 and largest < 1e-8) else "fail"
     return AssumptionCheck("A3", status, {
         "smin_theta0": smin,
@@ -391,17 +391,16 @@ def _check_a3(system, N, gap_tol, kernel_tol) -> AssumptionCheck:
     })
 
 
-def _check_a4(system, grid, N, M, rng, gap_tol, kernel_tol) -> AssumptionCheck:
-    from . import truncation
+def _check_a4(system, grid, M, rng, gap_tol, kernel_tol) -> AssumptionCheck:
+    """Each limit map's linearization a (central differences) must pass the
+    splitting's checks; x -> (x_{n+1} - a x_n) on l2(Z) has smallest
+    singular value symbol_smin(a) and 1-norm 1 + ||a||_1: no window."""
+    from .truncation import near_singular
 
     def fd_matrix(limit_fn, theta, x0):
         eps = 1e-6 * max(1.0, float(np.linalg.norm(x0)))
-        cols = []
-        for j in range(system.d):
-            e = np.zeros(system.d)
-            e[j] = eps
-            cols.append((limit_fn(theta, x0 + e) - limit_fn(theta, x0 - e)) / (2 * eps))
-        return np.column_stack(cols)
+        return np.column_stack([(limit_fn(theta, x0 + e) - limit_fn(theta, x0 - e)) / (2 * eps)
+                                for e in np.diag(np.full(system.d, eps))])
 
     worst = np.inf
     singular = False
@@ -412,10 +411,9 @@ def _check_a4(system, grid, N, M, rng, gap_tol, kernel_tol) -> AssumptionCheck:
             for x0 in probes:
                 with np.errstate(all="ignore"):
                     a = fd_matrix(limit_fn, float(t), x0)
-                auto = linear_family(system.d, lambda _t, a=a: a, lambda _t, a=a: a)
-                p = truncation.truncated_problem(auto, 0.0, N, gap_tol=gap_tol)
-                smin, _, sign, _ = truncation.classify_window(p, kernel_tol)
+                hyperbolic_splitting(a, gap_tol)
+                smin = symbol_smin(a)
                 worst = min(worst, smin)
-                singular = singular or sign == 0
+                singular = singular or near_singular(smin, 1.0 + np.linalg.norm(a, 1), kernel_tol)
     status = "fail" if singular else "pass"
-    return AssumptionCheck("A4", status, {"min_truncated_smin": worst, "nodes_scanned": len(nodes)})
+    return AssumptionCheck("A4", status, {"min_symbol_smin": worst, "nodes_scanned": len(nodes)})

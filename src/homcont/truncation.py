@@ -28,8 +28,8 @@ from .systems import dfdx_rows, f_rows
 DEFAULT_N_MAX = 2 ** 12
 TAIL_FRACTION = 0.25
 THETA_STEP = 1e-7
-# Relative kernel threshold of classify_window: a window whose smallest
-# singular value is not at least kernel_tol * ||J||_1 is near-singular.
+# Relative kernel threshold of near_singular: an operator whose smallest
+# singular value is not at least kernel_tol times its 1-norm is near-singular.
 DEFAULT_KERNEL_TOL = 1e-8
 # WindowLU.smallest_singular stops once the top Ritz pair's residual is below
 # LANCZOS_RTOL times its Ritz value, and starts from a vector seeded by
@@ -404,11 +404,16 @@ def classify_window(p: TruncatedProblem, kernel_tol: float):
     Windows below that floor, every near-singular one at the default
     kernel_tol among them, stay on Lanczos.  scale = ||J||_1, and sign is
     the determinant sign, or 0 exactly when the window is near-singular:
-    when not smin >= kernel_tol * scale, so a NaN smin counts as singular."""
+    when near_singular(smin, scale, kernel_tol)."""
     lu = banded_jacobian_lu(p, np.zeros(p.size))
     smin, vec = lu.smallest_singular()
-    sign = lu.det_sign() if smin >= kernel_tol * lu.norm_1 else 0
+    sign = 0 if near_singular(smin, lu.norm_1, kernel_tol) else lu.det_sign()
     return smin, lu.norm_1, sign, vec
+
+
+def near_singular(smin: float, scale: float, kernel_tol: float) -> bool:
+    """not smin >= kernel_tol * scale (the operator's 1-norm): NaN is singular."""
+    return not smin >= kernel_tol * scale
 
 
 def assemble_dresidual_dtheta(p: TruncatedProblem, x: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import homcont as hc
-from homcont import cli
+from homcont import cli, truncation
+from homcont.spectral import symbol_smin
 
 
 def run_cli(capsys, argv):
@@ -160,6 +161,34 @@ def test_check_overflowing_radius_exits_3(tmp_path, capsys):
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_check_a4_is_independent_of_window_n(tmp_path, capsys):
+    # A4 reads each limit operator's smin from its d x d symbol: no window
+    blocks = []
+    for n in ("40", "160"):
+        code, _, _ = run_cli(capsys, ["check", "--window-n", n, "--out", str(tmp_path / n)])
+        assert code == 0
+        text = (tmp_path / n / "check.json").read_text()
+        blocks.append(text[text.index('"a4"'):])
+    assert blocks[0] == blocks[1]
+    assert json.loads((tmp_path / "40" / "check.json").read_text())["a4"]["evidence"][
+        "min_symbol_smin"] == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("a, code", [([[0.5, 1e5], [0.0, 2.0]], 6), ([[0.5, 0.0], [0.0, 2.0]], 0)])
+def test_check_non_normal_limit_fails_a4(capsys, a, code):
+    # symbol_smin of the strongly non-normal limit is about 5e-6 (A4 reads
+    # it off a finite-difference copy of a), below kernel_tol * (1 +
+    # ||a||_1); the truncated window A4 once built for it is near-singular too
+    a = np.array(a)
+    system = hc.linear_family(2, lambda t: a, lambda t: a)
+    assert cli.cmd_check(cli.RunConfig(system=system, params=None)) == code
+    a4 = json.loads(capsys.readouterr().out)["a4"]
+    assert a4["status"] == ("fail" if code else "pass")
+    assert a4["evidence"]["min_symbol_smin"] == pytest.approx(symbol_smin(a), rel=1e-4)
+    window = truncation.truncated_problem(system, 0.0, 40)
+    assert (truncation.classify_window(window, truncation.DEFAULT_KERNEL_TOL)[2] == 0) == bool(code)
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

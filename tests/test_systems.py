@@ -182,6 +182,8 @@ def test_hypotheses_argument_validation(paper7_linear, grid64):
         hc.check_hypotheses(paper7_linear, grid64, N=20, M=0.0)
     with pytest.raises(ValueError):
         hc.check_hypotheses(paper7_linear, grid64, N=20, M=math.nan)
+    with pytest.raises(ValueError):
+        hc.check_hypotheses(paper7_linear, grid64, N=20, M=math.inf)
 
 
 def cubic_family(c):
@@ -215,16 +217,17 @@ def test_a3_fails_when_newton_probe_does_not_return(grid64, c):
 
 def test_a3_probes_run_the_continuation_corrector(paper7_perturbed, grid64, monkeypatch):
     # A3 has no Newton loop of its own: each of its three probes is one
-    # fixed-theta newton_correct call at theta = 0
+    # fixed-theta run of the corrector's iteration at theta = 0, which
+    # factors no LU beyond its Newton steps (it reads no det sign)
     calls = []
-    correct = continuation.newton_correct
+    newton = continuation._newton
 
-    def counted(p, guess, *args, **kwargs):
-        calls.append((p.theta, kwargs))
-        return correct(p, guess, *args, **kwargs)
+    def counted(p, guess, *args):
+        calls.append((p.theta, args))
+        return newton(p, guess, *args)
 
-    monkeypatch.setattr(continuation, "newton_correct", counted)
+    monkeypatch.setattr(continuation, "_newton", counted)
     report = hc.check_hypotheses(paper7_perturbed, grid64, N=20, M=1.0, seed=0)
-    assert calls == [(0.0, {"newton_tol": 1e-12})] * 3
+    assert calls == [(0.0, (None, 1e-12, continuation.DEFAULT_MAX_ITER))] * 3
     assert report.a3.status == "pass"
     assert report.a3.evidence["largest_converged_norm"] < 1e-8
