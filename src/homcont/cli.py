@@ -232,22 +232,13 @@ def _fmt17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+def _numpy_json(obj):
+    """json.dumps default hook: arrays as lists, numpy scalars as Python ones."""
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj.item()
 
 
 def _emit_json(config: RunConfig, filename: str, payload: dict):
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_numpy_json) + "\n"
     sys.stdout.write(text)
     if config.out_dir:
         out = Path(config.out_dir)
@@ -383,9 +374,8 @@ def cmd_branch(config: RunConfig, theta_star: float) -> int:
         newton_tol=config.newton_tol, gap_tol=config.gap_tol,
     )
     branch = continue_branch(
-        config.system, start, config.continuation_controls(), origin=cand,
-        amplitude_ref=cand.kernel_vector,
-        newton_tol=config.newton_tol, gap_tol=config.gap_tol,
+        start, config.continuation_controls(), amplitude_ref=cand.kernel_vector,
+        newton_tol=config.newton_tol,
     )
 
     rows = [

@@ -33,6 +33,7 @@ from .spectral import DEFAULT_GAP_TOL
 from .truncation import (
     DEFAULT_N_MAX,
     TAIL_FRACTION,
+    TruncatedProblem,
     adapt_window,
     assemble_dresidual_dtheta,
     assemble_residual,
@@ -64,7 +65,13 @@ class AffineConstraint:
 
 @dataclass(frozen=True, eq=False)
 class BranchPoint:
-    """One converged point of the homoclinic branch."""
+    """One converged point of the homoclinic branch.
+
+    problem is the window problem the point was corrected with; its rows
+    belong to problem.theta, which differs from theta only where theta was
+    freed with the rows held fixed (switch_branch's start keeps those of
+    theta*).  continue_branch carries these rows on from point to point.
+    """
 
     theta: float
     X: np.ndarray
@@ -73,7 +80,11 @@ class BranchPoint:
     l2_norm: float
     residual_norm: float
     det_sign: int
-    N: int
+    problem: TruncatedProblem
+
+    @property
+    def N(self) -> int:
+        return self.problem.N
 
 
 @dataclass(frozen=True)
@@ -218,7 +229,7 @@ def _make_point(p, x, theta, residual_norm, det, amplitude_ref):
         l2_norm=l2,
         residual_norm=residual_norm,
         det_sign=det,
-        N=p.N,
+        problem=p,
     )
 
 
@@ -236,7 +247,8 @@ def newton_correct(
     closes the augmented system, solved by block elimination on the same
     window LU.  The recorded det_sign is that of the system actually solved
     (0 when it is exactly singular); amplitude is measured against
-    amplitude_ref, or falls back to the l2 norm.
+    amplitude_ref, or falls back to the l2 norm.  The point keeps p, whose
+    rows the system was solved with.
     """
     x, theta, rn, _ = _newton(p, guess, constraint, newton_tol, DEFAULT_MAX_ITER)
     p_final = p if theta == p.theta else replace(p, theta=float(theta))
@@ -244,7 +256,7 @@ def newton_correct(
         det = banded_jacobian_lu(p_final, x).det_sign()
     else:
         det = _augmented_det_sign(p_final, x, constraint)
-    return _make_point(p_final, x, theta, rn, det, amplitude_ref)
+    return _make_point(p, x, theta, rn, det, amplitude_ref)
 
 
 def switch_branch(
@@ -283,47 +295,38 @@ def switch_branch(
         raise NoConvergence(f"{exc}; try a smaller s0") from exc
 
 
-def _initial_tangent(p, x, theta, orient_x):
-    """Null tangent of the augmented Jacobian, oriented along orient_x."""
+def _initial_tangent(p, x, orient_x):
+    """Null tangent of the augmented Jacobian at (x, p.theta), oriented
+    along orient_x."""
     constraint = AffineConstraint(w_x=orient_x, w_theta=0.0, offset=0.0)
     rhs = np.zeros(p.size + 1)
     rhs[-1] = 1.0
-    p_cur = replace(p, theta=float(theta))
-    t = _solve_augmented(p_cur, x, constraint, rhs)
+    t = _solve_augmented(p, x, constraint, rhs)
     return t / np.linalg.norm(t)
 
 
 def continue_branch(
-    system,
     start: BranchPoint,
     controls: ContinuationControls,
-    origin: BifurcationCandidate | None = None,
     amplitude_ref: np.ndarray | None = None,
     initial_tangent: np.ndarray | None = None,
     newton_tol: float = DEFAULT_NEWTON_TOL,
-    gap_tol: float = DEFAULT_GAP_TOL,
 ) -> Branch:
     """Pseudo-arclength continuation from a converged start point.
 
     Secant predictor (augmented null tangent on the first step), Newton
     corrector with the arclength constraint; the step halves on corrector
     failure down to ds_min and doubles after four easy successes up to
-    ds_max.  Accepted points are re-polished whenever the boundary rows are
-    transported to the new theta or the window is enlarged, so the recorded
-    residual always refers to the stored problem data.  det_sign of the
-    augmented Jacobian (constraint row = predictor tangent) is recorded per
-    point as a fold/secondary-crossing diagnostic.  With an origin, the
-    boundary rows are those of switch_branch, derived at origin.theta_star
-    and carried to start.theta, so the det_sign of every point belongs to
-    the one continuous family of rows; otherwise they are derived at
-    start.theta.
+    ds_max.  The boundary rows are the start point's own, carried from
+    start.problem.theta to start.theta and on to each accepted theta, and
+    accepted points are re-polished whenever the rows move or the window is
+    enlarged, so the recorded residual always refers to the stored problem.
+    det_sign of the augmented Jacobian (constraint row = predictor tangent)
+    is recorded per point as a fold/secondary-crossing diagnostic; all
+    points share one continuous family of rows.
     """
-    d = system.d
-    if origin is None:
-        p = truncated_problem(system, start.theta, start.N, gap_tol=gap_tol)
-    else:
-        p = truncated_problem(system, origin.theta_star, start.N, gap_tol=gap_tol)
-        p = p.transported(start.theta)
+    p = start.problem.transported(start.theta)
+    d = p.d
     x = np.asarray(start.X, dtype=float).copy()
     rn = float(np.linalg.norm(assemble_residual(p, x)))
     # A converged start may drift by rounding when its boundary rows are
@@ -351,7 +354,7 @@ def continue_branch(
         t = np.asarray(initial_tangent, dtype=float).copy()
         t /= np.linalg.norm(t)
     else:
-        t = _initial_tangent(p, x, start.theta, amplitude_ref)
+        t = _initial_tangent(p, x, amplitude_ref)
 
     z = np.concatenate([x, [start.theta]])
     ds = controls.ds0
@@ -381,9 +384,7 @@ def continue_branch(
                 raise NoConvergence("corrector fell back below min_norm")
             # Carry the boundary rows to the accepted theta and re-polish there.
             p = p.transported(theta_new)
-            rn = float(np.linalg.norm(assemble_residual(p, x_new)))
-            if rn > newton_tol:
-                x_new, _, rn, _ = _newton(p, x_new, None, newton_tol, 5)
+            x_new, _, rn, _ = _newton(p, x_new, None, newton_tol, 5)
         except (NoConvergence, SingularJacobian):
             ds *= 0.5
             streak = 0
@@ -409,9 +410,7 @@ def continue_branch(
                 break
 
         det = _augmented_det_sign(
-            replace(p, theta=float(theta_new)),
-            x_new,
-            AffineConstraint(w_x=t[:-1], w_theta=float(t[-1]), offset=0.0),
+            p, x_new, AffineConstraint(w_x=t[:-1], w_theta=float(t[-1]), offset=0.0)
         )
         points.append(_make_point(p, x_new, theta_new, rn, det, amplitude_ref))
 

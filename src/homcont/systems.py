@@ -281,13 +281,12 @@ def check_hypotheses(
     a2 = _check_a2(system, grid, N, gap_tol)
     if a2.evidence.get("IndexMismatch"):
         # A3's window is not even square without the stable-dimension
-        # balance; report A3 and A4 as blocked failures.
-        blocked = {"blocked_by": "A2 stable-dimension mismatch"}
-        a3 = AssumptionCheck("A3", "fail", dict(blocked))
-        a4 = AssumptionCheck("A4", "fail", dict(blocked))
+        # balance; report A3 as a blocked failure.  A4 reads each limit
+        # matrix on its own and needs no balance.
+        a3 = AssumptionCheck("A3", "fail", {"blocked_by": "A2 stable-dimension mismatch"})
     else:
         a3 = _check_a3(system, N, gap_tol, kernel_tol)
-        a4 = _check_a4(system, grid, M, rng, gap_tol, kernel_tol)
+    a4 = _check_a4(system, grid, M, rng, gap_tol, kernel_tol)
     return HypothesisReport(a1=a1, a2=a2, a3=a3, a4=a4)
 
 

@@ -443,8 +443,6 @@ def tail_mass(x: np.ndarray, fraction: float, d: int) -> float:
         return float(np.linalg.norm(blocks[0]))
     ns = np.arange(-N, N + 1)
     mask = np.abs(ns) >= (1.0 - fraction) * N - 1e-12
-    if not np.any(mask):
-        return 0.0
     return float(np.max(np.linalg.norm(blocks[mask], axis=1)))
 
 
@@ -465,7 +463,7 @@ def _estimate_decay(blocks: np.ndarray, N: int) -> float:
     rates = []
     for inner, outer in ((N + N // 2, 2 * N), (N - N // 2, 0)):
         span = abs(outer - inner)
-        if span == 0 or norms[inner] <= 0.0 or norms[outer] <= 0.0:
+        if norms[inner] <= 0.0 or norms[outer] <= 0.0:
             continue
         rates.append((norms[outer] / norms[inner]) ** (1.0 / span))
     if not rates:

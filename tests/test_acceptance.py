@@ -179,9 +179,7 @@ def test_criterion_6_nonlinear_branch(tmp_path, capsys):
     system = hc.paper7_family(hc.Paper7Config())
     start = hc.switch_branch(system, cand, 5e-4, 40)
     controls = hc.ContinuationControls(min_norm=0.5 * 5e-4)
-    branch = hc.continue_branch(
-        system, start, controls, origin=cand, amplitude_ref=cand.kernel_vector
-    )
+    branch = hc.continue_branch(start, controls, amplitude_ref=cand.kernel_vector)
     tails_ok = all(tail_mass(pt.X, 0.25, 2) <= controls.tail_tol for pt in branch.points)
 
     ok = (

@@ -30,10 +30,7 @@ def long_branch(paper7_perturbed, candidate):
         ds0=1e-3, ds_min=1e-8, ds_max=0.01, max_steps=200,
         amplitude_cap=0.5, tail_tol=1e-8, min_norm=0.5 * s0,
     )
-    return hc.continue_branch(
-        paper7_perturbed, start, controls,
-        origin=candidate, amplitude_ref=candidate.kernel_vector,
-    )
+    return hc.continue_branch(start, controls, amplitude_ref=candidate.kernel_vector)
 
 
 def test_newton_fixed_point_is_left_alone(paper7_linear):
@@ -94,7 +91,7 @@ def test_switch_branch_lands_near_crossing(paper7_perturbed, candidate):
 def test_continue_zero_steps(paper7_perturbed, candidate):
     start = hc.switch_branch(paper7_perturbed, candidate, 1e-3, 40)
     controls = hc.ContinuationControls(max_steps=0)
-    branch = hc.continue_branch(paper7_perturbed, start, controls)
+    branch = hc.continue_branch(start, controls)
     assert len(branch.points) == 1
     assert branch.stop_reason == "max_steps"
 
@@ -102,7 +99,7 @@ def test_continue_zero_steps(paper7_perturbed, candidate):
 def test_continue_cap_below_start(paper7_perturbed, candidate):
     start = hc.switch_branch(paper7_perturbed, candidate, 1e-3, 40)
     controls = hc.ContinuationControls(amplitude_cap=0.5 * start.l2_norm)
-    branch = hc.continue_branch(paper7_perturbed, start, controls)
+    branch = hc.continue_branch(start, controls)
     assert len(branch.points) == 1
     assert branch.stop_reason == "amplitude_cap"
 
@@ -127,8 +124,11 @@ def test_branch_points_satisfy_invariants(long_branch):
 
 
 def test_branch_residuals_recheck(paper7_perturbed, long_branch):
-    # recorded residuals must reproduce from the stored data
+    # recorded residuals must reproduce from the stored data, and from rows
+    # derived afresh at the point's theta
     for pt in long_branch.points[:: max(1, len(long_branch.points) // 7)]:
+        assert pt.problem.theta == pt.theta
+        assert np.linalg.norm(hc.assemble_residual(pt.problem, pt.X)) == pt.residual_norm
         p = truncated_problem(paper7_perturbed, pt.theta, pt.N)
         r = hc.assemble_residual(p, pt.X)
         assert np.linalg.norm(r) <= 1e-9
@@ -150,9 +150,7 @@ def test_reversibility(paper7_perturbed, candidate):
         ds0=ds, ds_min=ds, ds_max=ds, max_steps=5, amplitude_cap=10.0,
         tail_tol=1e-7, min_norm=0.25 * s0,
     )
-    fwd = hc.continue_branch(
-        paper7_perturbed, start, controls, amplitude_ref=candidate.kernel_vector
-    )
+    fwd = hc.continue_branch(start, controls, amplitude_ref=candidate.kernel_vector)
     assert len(fwd.points) == 6
 
     def z_of(pt):
@@ -161,7 +159,7 @@ def test_reversibility(paper7_perturbed, candidate):
     back_tangent = z_of(fwd.points[4]) - z_of(fwd.points[5])
     back_tangent /= np.linalg.norm(back_tangent)
     rev = hc.continue_branch(
-        paper7_perturbed, fwd.points[-1], controls,
+        fwd.points[-1], controls,
         amplitude_ref=candidate.kernel_vector, initial_tangent=back_tangent,
     )
     assert len(rev.points) == 6
@@ -170,15 +168,34 @@ def test_reversibility(paper7_perturbed, candidate):
         assert dist <= 1e-6
 
 
+@pytest.mark.parametrize("config", [
+    hc.Paper7Config(),
+    hc.Paper7Config(alpha=0.55, beta=1.9, coupling=0.15, envelope_scale=6.0),
+    hc.Paper7Config(alpha=0.7, beta=1.6, coupling=0.3, envelope_scale=3.0),
+])
+def test_det_sign_continuous_along_branch(config):
+    # every point's rows are carried from the switch point's, so the
+    # augmented det sign cannot flip for a change of row orientation alone,
+    # neither on the first step nor on a restart from a recorded point
+    system = hc.paper7_family(config)
+    cand = hc.locate_bifurcation(system, (math.pi - 0.5, math.pi + 0.5), 40, 1e-6)
+    s0 = 5e-4
+    start = hc.switch_branch(system, cand, s0, 40)
+    controls = hc.ContinuationControls(max_steps=10, min_norm=0.5 * s0)
+    fwd = hc.continue_branch(start, controls)
+    restart = hc.continue_branch(fwd.points[5], controls)
+    for branch in (fwd, restart):
+        assert len(branch.points) == 11
+        assert [pt.det_sign for pt in branch.points] == [start.det_sign] * 11
+
+
 def test_window_adapts_mid_branch(paper7_perturbed, candidate):
     s0 = 5e-4
     start = hc.switch_branch(paper7_perturbed, candidate, s0, 40)
     controls = hc.ContinuationControls(
         tail_tol=1e-12, max_steps=60, amplitude_cap=0.05, min_norm=0.5 * s0
     )
-    branch = hc.continue_branch(
-        paper7_perturbed, start, controls, amplitude_ref=candidate.kernel_vector
-    )
+    branch = hc.continue_branch(start, controls, amplitude_ref=candidate.kernel_vector)
     ns = {pt.N for pt in branch.points}
     assert 80 in ns  # the window doubled along the way
     for pt in branch.points:
@@ -194,9 +211,7 @@ def test_window_overflow_stops_branch(paper7_perturbed, candidate):
     controls = hc.ContinuationControls(
         tail_tol=1e-14, n_max=40, max_steps=30, amplitude_cap=0.5, min_norm=0.5 * s0
     )
-    branch = hc.continue_branch(
-        paper7_perturbed, start, controls, amplitude_ref=candidate.kernel_vector
-    )
+    branch = hc.continue_branch(start, controls, amplitude_ref=candidate.kernel_vector)
     assert branch.stop_reason == "window_overflow"
 
 
@@ -219,9 +234,7 @@ def test_branch_crosses_chart_seam(paper7_perturbed):
     s0 = 5e-4
     start = hc.switch_branch(shifted, cand, s0, 40)
     controls = hc.ContinuationControls(max_steps=200, amplitude_cap=0.5, min_norm=0.5 * s0)
-    branch = hc.continue_branch(
-        shifted, start, controls, amplitude_ref=cand.kernel_vector
-    )
+    branch = hc.continue_branch(start, controls, amplitude_ref=cand.kernel_vector)
     thetas = [pt.theta for pt in branch.points]
     assert min(thetas) < 0.0  # wandered through the seam on the lifted line
     assert all(pt.residual_norm <= 1e-9 for pt in branch.points)
@@ -242,7 +255,7 @@ def test_bordered_solve_matches_dense_oracle(paper7_perturbed, candidate, long_b
     s0 = 1e-3
     phi = candidate.kernel_vector
     start = hc.switch_branch(paper7_perturbed, candidate, s0, 40)
-    p_start = replace(truncated_problem(paper7_perturbed, candidate.theta_star, 40), theta=start.theta)
+    p_start = replace(start.problem, theta=start.theta)
     k = len(long_branch.points) // 2
     mid, nxt = long_branch.points[k], long_branch.points[k + 1]
     assert mid.N == nxt.N
@@ -313,7 +326,7 @@ def test_start_invalid_rejected(paper7_perturbed):
     p = truncated_problem(paper7_perturbed, 1.0, 30)
     bogus = hc.BranchPoint(
         theta=1.0, X=rng.standard_normal(p.size), amplitude=1.0, sup_norm=1.0,
-        l2_norm=1.0, residual_norm=1.0, det_sign=1, N=30,
+        l2_norm=1.0, residual_norm=1.0, det_sign=1, problem=p,
     )
     with pytest.raises(StartInvalid):
-        hc.continue_branch(paper7_perturbed, bogus, hc.ContinuationControls(max_steps=3))
+        hc.continue_branch(bogus, hc.ContinuationControls(max_steps=3))

@@ -173,6 +173,11 @@ def test_hypotheses_detect_stable_dimension_mismatch(grid64):
     assert report.a2.status == "fail"
     assert report.a2.evidence.get("IndexMismatch") is True
     assert report.any_fail
+    # A3's window needs the balance; A4 reads each limit matrix on its own
+    assert report.a3.status == "fail"
+    assert report.a3.evidence == {"blocked_by": "A2 stable-dimension mismatch"}
+    assert report.a4.status == "pass"
+    assert report.a4.evidence["min_symbol_smin"] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_hypotheses_argument_validation(paper7_linear, grid64):
