@@ -16,6 +16,7 @@ determinant-sign bookkeeping depends on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -31,18 +32,24 @@ THETA_STEP = 1e-7
 # Relative kernel threshold of near_singular: an operator whose smallest
 # singular value is not at least kernel_tol times its 1-norm is near-singular.
 DEFAULT_KERNEL_TOL = 1e-8
-# WindowLU.smallest_singular stops once the top Ritz pair's residual is below
-# LANCZOS_RTOL times its Ritz value, and starts from a vector seeded by
-# _LANCZOS_SEED so that reruns are byte-identical.
+# WindowLU.smallest_singular picks its path before iterating.  A window whose
+# J^T J - (GRAM_FLOOR * ||J||_1)^2 I has a Cholesky factor takes the Gram
+# path: smin^2 is bracketed by Cholesky tests of J^T J - mu I to a relative
+# width of _GRAM_BRACKET_RTOL, refined by _INVERSE_STEPS inverse-iteration
+# solves and at most _RQI_STEPS Rayleigh-quotient steps, and accepted when
+# the tests at mu * (1 -+ c), c = _CERTIFY_ULPS * eps * max(1, min diag / mu),
+# confirm it; otherwise the bracket is bisected down to 2 * eps.  Every other
+# window takes shift-invert Lanczos on the LU, which stops once the top Ritz
+# pair's residual is below LANCZOS_RTOL times its Ritz value.  Both paths
+# start from a vector seeded by _LANCZOS_SEED so that reruns are
+# byte-identical.
 LANCZOS_RTOL = 1e-14
 _LANCZOS_SEED = 2012
-# A Lanczos run still unconverged at its first Ritz check at or past
-# LANCZOS_MAX_STEPS steps tries the Gram path: when the Cholesky factor of
-# J^T J - (GRAM_FLOOR * ||J||_1)^2 I exists, smin^2 is bisected by Cholesky
-# tests of J^T J - mu I, at most _GRAM_TESTS of them.
-LANCZOS_MAX_STEPS = 24
 GRAM_FLOOR = 1e-2
-_GRAM_TESTS = 64
+_GRAM_BRACKET_RTOL = 1e-3
+_INVERSE_STEPS = 4
+_RQI_STEPS = 4
+_CERTIFY_ULPS = 64
 # Divide-by-zero guard of smallest_singular, not a singularity criterion:
 # pivots below _ZERO_PIVOT * ||J||_1 are raised to _RAISED_PIVOT * ||J||_1
 # for its solves.
@@ -153,8 +160,13 @@ class WindowLU:
     1-norm of J is taken from the band before factoring; it scales the
     package's one singularity criterion, smin against kernel_tol * ||J||_1
     in classify_window.  The unfactored band is kept for matvec and for the
-    band of J^T J, which smallest_singular's Gram path bisects when
-    shift-invert Lanczos stalls.
+    band of J^T J.  smallest_singular decides from the pivots and one
+    Cholesky test of J^T J - mu0 I, mu0 = (GRAM_FLOOR * ||J||_1)^2, between
+    shift-invert Lanczos on these factors (windows with smin <= sqrt(mu0),
+    every near-singular one among them) and the Gram path on that band
+    (bisect, then Rayleigh-quotient iteration, then a two-Cholesky
+    certificate, with a bisection down to 2 * eps when the certificate
+    fails).
     """
 
     def __init__(self, ab: np.ndarray, kl: int, ku: int, d_s: int, interior: int):
@@ -203,32 +215,46 @@ class WindowLU:
         """(smin, v): the smallest singular value of J and a unit right
         singular vector for it, in assembled column order, sign arbitrary.
 
-        Lanczos with full reorthogonalization on (PJ)^-1 (PJ)^-T = (J^T J)^-1,
-        P the banded row order: each step is two gbtrs solves (transposed,
-        then plain) on the factors held here, O(n * bandwidth), plus the
-        reorthogonalization against the k vectors so far, O(n * k).  The run
-        starts from a fixed seeded vector (a structured one such as all-ones
-        can be orthogonal to a symmetric kernel) and stops when the top Ritz
-        pair (t, s) of the k x k tridiagonal has |beta_k * s_k| <=
-        LANCZOS_RTOL * t, or at k = n, where the Krylov space is the whole
-        space; then smin = t^(-1/2).  Convergence is tested on a growing
-        schedule of k, and the Krylov buffer grows on demand.
+        The path is picked first, from mu0 = (GRAM_FLOOR * ||J||_1)^2 and
+        G = J^T J.  With partial pivoting the unit lower factor has at most
+        kl multipliers of modulus <= 1 per column, so smin <= (1 + kl) *
+        min |u_ii| in practice; a window where that bound is <= sqrt(mu0)
+        (every near-singular one among them) goes straight to Lanczos.
+        Otherwise one Cholesky test of G - mu0 I decides: if the factor
+        exists, smin > sqrt(mu0) and _gram_smallest gives (smin, v) on the
+        band of G; if not, or if G is not finite, Lanczos does.  The pivot
+        bound only saves that test: a window it sends to Lanczos wrongly
+        still gets its exact smin, a little slower.
 
-        Where the small singular values cluster, Lanczos converges slowly
-        and its reorthogonalization dominates.  So a run still unconverged
-        at its first Ritz check with k >= LANCZOS_MAX_STEPS tries the Gram
-        path once (_gram_smallest): if no pivot was raised and J^T J -
-        (GRAM_FLOOR * ||J||_1)^2 I has a Cholesky factor, smin >
-        GRAM_FLOOR * ||J||_1, and smin^2 is bisected on the band of J^T J,
-        O(n * (kl + ku)^2) per test and blind to clustering; v comes from
-        inverse iteration started at the Ritz vector.  Otherwise Lanczos
-        runs on.  Near-singular windows converge in a few steps and never
-        reach the cap.
+        Lanczos runs with full reorthogonalization on (PJ)^-1 (PJ)^-T =
+        (J^T J)^-1, P the banded row order: each step is two gbtrs solves
+        (transposed, then plain) on the factors held here, O(n *
+        bandwidth), plus the reorthogonalization against the k vectors so
+        far, O(n * k).  The run starts from a fixed seeded vector (a
+        structured one such as all-ones can be orthogonal to a symmetric
+        kernel) and stops when the top Ritz pair (t, s) of the k x k
+        tridiagonal has |beta_k * s_k| <= LANCZOS_RTOL * t, or at k = n,
+        where the Krylov space is the whole space; then smin = t^(-1/2).
+        Convergence is tested on a growing schedule of k, and the Krylov
+        buffer grows on demand.  Near-singular windows converge in a few
+        steps; the Gram path keeps clustered regular windows, where Lanczos
+        is slow, off it.
 
         An exactly singular LU, or one with a pivot below _ZERO_PIVOT *
         ||J||_1, gives smin = 0; its tiny pivots are raised to _RAISED_PIVOT
         * ||J||_1 for the solves, so v is still a unit kernel vector.
         """
+        mu0 = (GRAM_FLOOR * self.norm_1) ** 2
+        if (1 + self._kl) * np.min(np.abs(self._udiag)) > np.sqrt(mu0):
+            gram = self._gram_band()
+            if np.all(np.isfinite(gram)):
+                result = self._gram_smallest(gram, mu0)
+                if result is not None:
+                    return result
+        return self._lanczos_smallest()
+
+    def _lanczos_smallest(self) -> tuple[float, np.ndarray]:
+        """smallest_singular's Lanczos path on the LU factors."""
         n, kl, ku = self._n, self._kl, self._ku
         lu = self._lu
         tiny = np.abs(self._udiag) < _ZERO_PIVOT * self.norm_1
@@ -237,11 +263,9 @@ class WindowLU:
             lu = lu.copy()
             lu[kl + ku, tiny] = _RAISED_PIVOT * self.norm_1
         basis = np.empty((min(n, 8), n))
-        q = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
-        q /= np.linalg.norm(q)
+        q = _seeded_unit_vector(n)
         alpha, beta = [], []
         k, check_at = 0, 1
-        try_gram = not singular
         while True:
             if k == len(basis):
                 basis = np.concatenate([basis, np.empty((min(n, 2 * k) - k, n))])
@@ -260,54 +284,96 @@ class WindowLU:
                 t, s = _top_ritz_pair(alpha, beta[:-1])
                 if k == n or abs(beta[-1] * s[-1]) <= LANCZOS_RTOL * t:
                     break
-                if try_gram and k >= LANCZOS_MAX_STEPS:
-                    try_gram = False
-                    gram = self._gram_smallest(t, s @ krylov)
-                    if gram is not None:
-                        return gram
                 check_at = k + max(1, k // 4)
             q = w / beta[-1]
         v = s @ krylov
         v /= np.linalg.norm(v)
         return (0.0 if singular else float(1.0 / np.sqrt(t))), v
 
-    def _gram_smallest(self, t: float, v: np.ndarray) -> tuple[float, np.ndarray] | None:
-        """(smin, v) by Cholesky-inertia bisection on G = J^T J, or None when
-        G - mu0 I, mu0 = (GRAM_FLOOR * ||J||_1)^2, is not finite and
-        positive definite.  By Sylvester's inertia dpbtrf factors G - mu I
-        exactly when mu < lambda_min(G), so [mu0, hi] brackets lambda_min
-        with hi = min(1/t, min diag G), 1/t the Lanczos estimate from above
-        (t the top Ritz value of G^-1); a diagonal entry is a Rayleigh
-        quotient, so G - (min diag G) I never factors.  At most _GRAM_TESTS
-        halvings bring the bracket to a relative width of 2 * eps; smin is
-        the root of its midpoint.  Two inverse-iteration solves with the
-        last positive-definite factor turn v, the Ritz vector, into the
-        singular vector."""
-        mu0 = (GRAM_FLOOR * self.norm_1) ** 2
-        if not 1.0 / t > mu0:  # lambda_min <= 1/t: G - mu0 I cannot factor
-            return None
-        gram = self._gram_band()
-        lo_factor = _shifted_cholesky(gram, mu0) if np.all(np.isfinite(gram)) else None
+    def _gram_smallest(self, gram: np.ndarray, mu0: float) -> tuple[float, np.ndarray] | None:
+        """(smin, v) from the band of G = J^T J, or None when G - mu0 I has
+        no Cholesky factor.  By Sylvester's inertia dpbtrf factors G - mu I
+        exactly when mu < lambda_min(G), so [mu0, min diag G] brackets
+        lambda_min (a diagonal entry is a Rayleigh quotient, so G - (min
+        diag G) I never factors).  In order:
+
+        1. bisect the bracket by Cholesky tests to a relative width of
+           _GRAM_BRACKET_RTOL;
+        2. run _INVERSE_STEPS inverse-iteration solves with the factor at
+           the lower end, from the seeded vector;
+        3. refine by Rayleigh-quotient iteration (_rayleigh_quotient_iteration);
+        4. certify: the RQI value mu is accepted only when G - mu (1 - c) I
+           factors and G - mu (1 + c) I does not, c = _CERTIFY_ULPS * eps *
+           max(1, min diag G / mu), so lambda_min lies in (mu (1 - c),
+           mu (1 + c)]; the Cholesky test's rounding grows with the
+           diagonal of G, hence the ratio.  smin = sqrt(mu), v the RQI vector.
+
+        When the certificate fails (RQI found another eigenvalue of a
+        clustered spectrum, or the tests disagree at rounding level), the
+        held bracket, narrowed by the two tests, is bisected on to a
+        relative width of 2 * eps and smin is the root of its midpoint;
+        _INVERSE_STEPS more inverse-iteration solves, with the last
+        positive-definite factor, turn the step-2 vector into v.  That
+        worst case makes as many Cholesky tests as a bisection from mu0
+        would."""
+        lo_factor = _shifted_cholesky(gram, mu0)
         if lo_factor is None:
             return None
-        lo, diag_min = mu0, float(np.min(gram[-1]))
-        hi = min(1.0 / t, diag_min)
-        factor = _shifted_cholesky(gram, hi)
-        if factor is not None:  # rounding left 1/t below lambda_min
-            lo, lo_factor, hi = hi, factor, diag_min
-        for _ in range(_GRAM_TESTS):
-            if not hi - lo > 2.0 * np.finfo(float).eps * hi:
+        diag_min = float(np.min(gram[-1]))
+        lo, hi, lo_factor = _bisect(gram, mu0, diag_min, lo_factor, _GRAM_BRACKET_RTOL)
+        start = _inverse_iteration(lo_factor, _seeded_unit_vector(self._n), _INVERSE_STEPS)
+        mu, v = self._rayleigh_quotient_iteration(gram, start, diag_min)
+        if mu > lo:  # every Rayleigh quotient is >= lambda_min > lo
+            c = _CERTIFY_ULPS * np.finfo(float).eps * max(1.0, diag_min / mu)
+            below = _shifted_cholesky(gram, mu * (1.0 - c))
+            above = _shifted_cholesky(gram, mu * (1.0 + c))
+            if below is not None and above is None:
+                return float(np.sqrt(mu)), v
+            for shift, factor in ((mu * (1.0 - c), below), (mu * (1.0 + c), above)):
+                if lo < shift < hi:
+                    if factor is None:
+                        hi = shift
+                    else:
+                        lo, lo_factor = shift, factor
+        lo, hi, lo_factor = _bisect(gram, lo, hi, lo_factor, 2.0 * np.finfo(float).eps)
+        return float(np.sqrt(0.5 * (lo + hi))), _inverse_iteration(lo_factor, start, _INVERSE_STEPS)
+
+    def _rayleigh_quotient_iteration(self, gram: np.ndarray, v: np.ndarray,
+                                     diag_min: float) -> tuple[float, np.ndarray]:
+        """(mu, v) by Rayleigh-quotient iteration on G = J^T J from unit v:
+        each step factors G - mu I as a general band (dgbtrf, kl = ku = kd;
+        G - mu I is indefinite) and solves with v, mu = ||J v||^2 being the
+        Rayleigh quotient (computed from J, whose condition number is the
+        root of G's).  A step whose solve w has 1 / ||w||, the residual of
+        w / ||w|| for the old mu, is at most _CERTIFY_ULPS * eps * max(mu,
+        min diag G) is the last; so is an exactly singular factor, at which mu
+        is an eigenvalue to working precision.  At most _RQI_STEPS steps;
+        the caller certifies mu."""
+        kd, n = gram.shape[0] - 1, self._n
+        band = np.zeros((3 * kd + 1, n))
+        band[kd:2 * kd + 1] = gram  # upper triangle, superdiagonal kd first
+        for o in range(1, kd + 1):
+            band[2 * kd + o, :n - o] = gram[kd - o, o:]  # G[j + o, j] = G[j, j + o]
+        mu = self._rayleigh_quotient(v)
+        for _ in range(_RQI_STEPS):
+            shifted = band.copy()
+            shifted[2 * kd] -= mu
+            lu, ipiv, info = lapack.dgbtrf(shifted, kd, kd, overwrite_ab=1)
+            if info != 0:
                 break
-            mid = 0.5 * (lo + hi)
-            factor = _shifted_cholesky(gram, mid)
-            if factor is None:
-                hi = mid
-            else:
-                lo, lo_factor = mid, factor
-        for _ in range(2):
-            v, _ = lapack.dpbtrs(lo_factor, v)
-            v /= np.linalg.norm(v)
-        return float(np.sqrt(0.5 * (lo + hi))), v
+            w, _ = lapack.dgbtrs(lu, kd, kd, v, ipiv)
+            size = float(np.linalg.norm(w))
+            if not np.isfinite(size):
+                break
+            v = w / size
+            mu = self._rayleigh_quotient(v)
+            if 1.0 / size <= _CERTIFY_ULPS * np.finfo(float).eps * max(mu, diag_min):
+                break
+        return mu, v
+
+    def _rayleigh_quotient(self, v: np.ndarray) -> float:
+        """v^T J^T J v = ||J v||^2 for unit v."""
+        return float(np.sum(self.matvec(v) ** 2))
 
     def _gram_band(self) -> np.ndarray:
         """J^T J in LAPACK upper band storage, half-bandwidth kd = kl + ku:
@@ -345,6 +411,40 @@ def _shifted_cholesky(gram: np.ndarray, mu: float) -> np.ndarray | None:
     shifted[-1] -= mu
     factor, info = lapack.dpbtrf(shifted, overwrite_ab=1)
     return factor if info == 0 else None
+
+
+def _bisect(gram: np.ndarray, lo: float, hi: float, factor: np.ndarray,
+            rtol: float) -> tuple[float, float, np.ndarray]:
+    """Halve [lo, hi], which brackets lambda_min(gram), by Cholesky tests of
+    gram - mid I until hi - lo <= rtol * hi; factor is the Cholesky factor at
+    lo and is returned for the final lo.  rtol >= 2 * eps keeps every
+    midpoint strictly inside, so the loop ends."""
+    while hi - lo > rtol * hi:
+        mid = 0.5 * (lo + hi)
+        mid_factor = _shifted_cholesky(gram, mid)
+        if mid_factor is None:
+            hi = mid
+        else:
+            lo, factor = mid, mid_factor
+    return lo, hi, factor
+
+
+def _inverse_iteration(factor: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
+    """steps normalized solves of v with a banded Cholesky factor."""
+    for _ in range(steps):
+        v, _ = lapack.dpbtrs(factor, v)
+        v /= np.linalg.norm(v)
+    return v
+
+
+@lru_cache(maxsize=8)
+def _seeded_unit_vector(n: int) -> np.ndarray:
+    """The unit start vector of both smallest_singular paths, read-only and
+    cached per n: seeding a generator costs more than a banded solve."""
+    q = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    q /= np.linalg.norm(q)
+    q.flags.writeable = False
+    return q
 
 
 def _top_ritz_pair(alpha, beta) -> tuple[float, np.ndarray]:
@@ -398,11 +498,13 @@ def classify_window(p: TruncatedProblem, kernel_tol: float):
     """The package's one singularity criterion, on the window linearization
     at X = 0: (smin, scale, sign, kernel vector), all from the one band of J
     that banded_jacobian_lu writes.  smin and its unit right singular vector
-    come from WindowLU.smallest_singular: shift-invert Lanczos on the LU,
-    or, once Lanczos stalls past LANCZOS_MAX_STEPS at a window with smin >
-    GRAM_FLOOR * ||J||_1, Cholesky-inertia bisection on the band of J^T J.
-    Windows below that floor, every near-singular one at the default
-    kernel_tol among them, stay on Lanczos.  scale = ||J||_1, and sign is
+    come from WindowLU.smallest_singular, whose path is picked before any
+    iteration: a window with smin > GRAM_FLOOR * ||J||_1, shown by one
+    Cholesky test of J^T J, takes the Gram path (Cholesky bisection to
+    1e-3, Rayleigh-quotient iteration, a two-Cholesky certificate, and a
+    bisection down to 2 * eps when that fails); every other window, each
+    near-singular one at the default kernel_tol among them, takes
+    shift-invert Lanczos on the LU.  scale = ||J||_1, and sign is
     the determinant sign, or 0 exactly when the window is near-singular:
     when near_singular(smin, scale, kernel_tol)."""
     lu = banded_jacobian_lu(p, np.zeros(p.size))

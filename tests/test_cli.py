@@ -152,6 +152,33 @@ def test_check_kernel_tol_gates_a3_and_a4(capsys):
     assert payload["a3"]["evidence"]["largest_converged_norm"] < 1e-8
 
 
+def test_check_non_finite_dfdx_fails_a1(tmp_path, capsys):
+    # a coupling of 1e308 overflows dfdx away from x = 0: A1 records its
+    # moduli as null and fails instead of crashing in the norm's SVD
+    cfg = tmp_path / "coupling.json"
+    cfg.write_text('{"system": {"params": {"coupling": 1e308}}}')
+    code, out, err = run_cli(capsys, ["check", "--config", str(cfg)])
+    assert code == 6
+    a1 = json.loads(out)["a1"]
+    assert a1["status"] == "fail"
+    assert None in a1["evidence"]["moduli"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["detect"], ["branch", "--theta-star", "3.14159"], ["check"]],
+    ids=lambda argv: argv[0],
+)
+def test_tiny_envelope_scale_prints_no_warning(tmp_path, argv):
+    # (n / envelope_scale)^2 overflows to inf for every n != 0, the exact
+    # limit 0 of the envelope, without a numpy warning on stderr
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text('{"system": {"params": {"envelope_scale": 1e-300}}}')
+    done = run_python(["-W", "always", "-m", "homcont.cli", *argv, "--config", str(cfg)])
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+
 def test_check_overflowing_radius_exits_3(tmp_path, capsys):
     # the radius passes the schema, but A4's finite-difference matrices
     # overflow to non-finite entries, which the splitting rejects

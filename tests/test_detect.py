@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
 import homcont as hc
 from homcont import truncation
@@ -183,12 +182,14 @@ def test_locate_transports_each_segment_once(paper7_perturbed, monkeypatch):
 def test_no_window_svds(paper7_linear, monkeypatch):
     # Every window singular-value question is answered from the banded LU:
     # no window-size SVD (either compute_uv) in the scan, the localization or
-    # the hypothesis checks, and exactly one factorization per scan node.
-    # The scan derives its rows once and carries them node to node: two
-    # splittings at theta = 0, then one per family and grid step.
+    # the hypothesis checks, and exactly one factorization of the window
+    # Jacobian (one WindowLU) per scan node; smallest_singular's
+    # Rayleigh-quotient steps factor J^T J - mu I, not J.  The scan derives
+    # its rows once and carries them node to node: two splittings at
+    # theta = 0, then one per family and grid step.
     N = 40
     svds, factorizations, splittings = [], [], []
-    svd, dgbtrf = np.linalg.svd, lapack.dgbtrf
+    svd, window_lu = np.linalg.svd, truncation.WindowLU.__init__
     splitting = truncation.hyperbolic_splitting
 
     def counting_svd(a, *args, **kwargs):
@@ -196,16 +197,16 @@ def test_no_window_svds(paper7_linear, monkeypatch):
             svds.append(kwargs.get("compute_uv", True))
         return svd(a, *args, **kwargs)
 
-    def counting_dgbtrf(*args, **kwargs):
+    def counting_window_lu(*args, **kwargs):
         factorizations.append(1)
-        return dgbtrf(*args, **kwargs)
+        return window_lu(*args, **kwargs)
 
     def counting_splitting(*args, **kwargs):
         splittings.append(1)
         return splitting(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(lapack, "dgbtrf", counting_dgbtrf)
+    monkeypatch.setattr(truncation.WindowLU, "__init__", counting_window_lu)
     monkeypatch.setattr(truncation, "hyperbolic_splitting", counting_splitting)
     grid = hc.CircleGrid.uniform(64)
     scan = hc.scan_parity(paper7_linear, grid, N)
@@ -267,11 +268,11 @@ def test_scan_matches_dense_oracles(paper7_linear):
 
 
 def test_smallest_singular_matches_dense_svd(paper7_perturbed):
-    # Lanczos on the banded LU against a full SVD at N = 60, where a run
-    # stops long before k = n: regular nodes (the small singular values
-    # cluster there), theta = pi and pi - 1e-6, and every located candidate,
-    # whose kernel vector must be the dense right singular vector oriented
-    # by the same convention (largest-magnitude entry positive).
+    # smallest_singular against a full SVD at N = 60: regular nodes (the
+    # small singular values cluster there; the Gram path), theta = pi and
+    # pi - 1e-6 (Lanczos, which stops long before k = n), and every located
+    # candidate, whose kernel vector must be the dense right singular vector
+    # oriented by the same convention (largest-magnitude entry positive).
     rng = np.random.default_rng(11)
     families = [paper7_perturbed] + [_rotating_random_family(rng, d) for d in (2, 3, 4)]
     N = 60

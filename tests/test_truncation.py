@@ -13,7 +13,6 @@ from homcont import truncation
 from homcont.truncation import (
     DEFAULT_KERNEL_TOL,
     GRAM_FLOOR,
-    LANCZOS_MAX_STEPS,
     TruncatedProblem,
     _RAISED_PIVOT,
     _top_ritz_pair,
@@ -177,17 +176,22 @@ def test_classify_window_singular_where_pivots_are_not(paper7_linear, N):
     assert banded_jacobian_lu(p, np.zeros(p.size)).det_sign() != 0
 
 
-def random_family(rng, d):
-    """Seeded nonlinear family: random hyperbolic limits with equal stable
-    dimensions, plus an n-dependent linear and quadratic part that decays
-    away from n = 0."""
+def random_limits(rng, d):
+    """Random hyperbolic limits (a_plus, a_minus) with equal stable dimensions."""
     def stable_dim(a):
         return int(np.sum(np.abs(np.linalg.eigvals(a)) < 1.0))
 
     while True:
         a_plus, a_minus = random_hyperbolic(rng, d), random_hyperbolic(rng, d)
         if stable_dim(a_plus) == stable_dim(a_minus):
-            break
+            return a_plus, a_minus
+
+
+def random_family(rng, d):
+    """Seeded nonlinear family: random hyperbolic limits with equal stable
+    dimensions, plus an n-dependent linear and quadratic part that decays
+    away from n = 0."""
+    a_plus, a_minus = random_limits(rng, d)
     b = 0.3 * rng.standard_normal((d, d))
     u = rng.standard_normal(d)
 
@@ -265,41 +269,138 @@ def count_calls(monkeypatch, *names):
     return calls
 
 
+def count_lanczos_steps(monkeypatch):
+    """Count Lanczos steps: each makes one transposed dgbtrs solve on the
+    LU of J, and no other path solves with a transpose."""
+    steps = [0]
+    solve = truncation.lapack.dgbtrs
+
+    def counted(*args, **kwargs):
+        steps[0] += kwargs.get("trans", 0) == 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(truncation.lapack, "dgbtrs", counted)
+    return steps
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.3, 2 * math.pi - 0.3, math.pi])
 def test_stalled_lanczos_takes_gram_path(paper7_perturbed, monkeypatch, theta):
     # At N = 160 the small singular values of regular windows cluster near
-    # 1 - alpha, Lanczos passes its step cap, and the Cholesky bisection on
-    # J^T J gives smin and v; at the kernel crossing theta = pi Lanczos
-    # converges in a few steps and no Cholesky test is made.
+    # 1 - alpha, where Lanczos would stall; those windows pass the mu0 test
+    # and the Gram path gives smin and v without a single Lanczos step.  At
+    # the kernel crossing theta = pi the mu0 test fails, at most once, and
+    # Lanczos converges in a few steps.
     p = truncated_problem(paper7_perturbed, theta, 160)
     lu = banded_jacobian_lu(p, np.zeros(p.size))
     calls = count_calls(monkeypatch, "dpbtrf")
+    steps = count_lanczos_steps(monkeypatch)
     smin, v = lu.smallest_singular()
     _, s, vt = np.linalg.svd(assemble_jacobian(p, np.zeros(p.size)))
     assert abs(smin - s[-1]) <= 1e-13 * s[0]
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert abs(v @ vt[-1]) >= 1.0 - 1e-10
     if theta == math.pi:
-        assert calls["dpbtrf"] == 0
+        assert calls["dpbtrf"] <= 1
+        assert steps[0] > 0
+        assert smin < GRAM_FLOOR * lu.norm_1
     else:
+        assert steps[0] == 0
         assert calls["dpbtrf"] > 0
         assert smin > GRAM_FLOOR * lu.norm_1
 
 
 def test_lanczos_runs_on_below_gram_floor(monkeypatch):
     # beta = 200 puts ||J||_1 near 200 while the small singular values still
-    # cluster near 1 - alpha = 0.5, below GRAM_FLOOR * ||J||_1: Lanczos
-    # passes its step cap and runs to convergence without a Cholesky test.
+    # cluster near 1 - alpha = 0.5, below GRAM_FLOOR * ||J||_1: at most one
+    # failed mu0 test, then Lanczos runs to convergence.
     system = hc.paper7_family(hc.Paper7Config(alpha=0.5, beta=200.0, coupling=0.0))
     p = truncated_problem(system, 0.0, 60)
     lu = banded_jacobian_lu(p, np.zeros(p.size))
-    calls = count_calls(monkeypatch, "dgbtrs", "dpbtrf")
+    calls = count_calls(monkeypatch, "dpbtrf")
+    steps = count_lanczos_steps(monkeypatch)
     smin, _ = lu.smallest_singular()
     s = np.linalg.svd(assemble_jacobian(p, np.zeros(p.size)), compute_uv=False)
-    assert calls["dpbtrf"] == 0
-    assert calls["dgbtrs"] > 2 * LANCZOS_MAX_STEPS
+    assert calls["dpbtrf"] <= 1
+    assert steps[0] > 0
     assert smin < GRAM_FLOOR * lu.norm_1
     assert abs(smin - s[-1]) <= 1e-13 * s[0]
+
+
+def test_failed_certificate_falls_back_to_bisection(monkeypatch):
+    # Two decoupled stable scalar recurrences with rates 0.5 and 0.5 + 1e-6
+    # put two singular values 2e-6 apart (relative) at the bottom of the
+    # window's spectrum.  The inverse iterations from the 1e-3 bracket
+    # cannot separate them, RQI settles on the upper one, the two-Cholesky
+    # certificate rejects it, and the bracket is bisected down to 2 * eps.
+    a = np.diag([0.5, 0.5 + 1e-6])
+    system = hc.linear_family(2, lambda t: a, lambda t: a)
+    p = truncated_problem(system, 0.0, 40)
+    lu = banded_jacobian_lu(p, np.zeros(p.size))
+    widths = []
+    bisect = truncation._bisect
+
+    def recording(*args):
+        widths.append(args[-1])  # rtol, the relative width bisected to
+        return bisect(*args)
+
+    monkeypatch.setattr(truncation, "_bisect", recording)
+    smin, v = lu.smallest_singular()
+    _, s, vt = np.linalg.svd(assemble_jacobian(p, np.zeros(p.size)))
+    assert widths == [truncation._GRAM_BRACKET_RTOL, 2.0 * np.finfo(float).eps]
+    assert (s[-2] - s[-1]) / s[-1] < 1e-5
+    assert abs(smin - s[-1]) <= 1e-13 * s[0]
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert abs(v @ vt[-1]) >= 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_smallest_singular_matches_svd_on_random_windows(seed, monkeypatch):
+    # Seeded linear windows with random hyperbolic limits, d = 2 - 4, at
+    # N = 40 and 160: smin and v against the dense SVD, and the LU's
+    # determinant sign against slogdet.  Both seeds' d = 4 windows lie
+    # below the Gram floor, so each seed covers both paths.
+    rng = np.random.default_rng(seed)
+    results = []
+    gram_smallest = truncation.WindowLU._gram_smallest
+
+    def recording(lu, *args):
+        results.append(gram_smallest(lu, *args))  # None: the mu0 test failed
+        return results[-1]
+
+    monkeypatch.setattr(truncation.WindowLU, "_gram_smallest", recording)
+    taken = set()
+    for d in (2, 3, 4):
+        a_plus, a_minus = random_limits(rng, d)
+        system = hc.linear_family(d, lambda t: a_plus, lambda t: a_minus)
+        for N in (40, 160):
+            p = truncated_problem(system, 0.0, N)
+            lu = banded_jacobian_lu(p, np.zeros(p.size))
+            results.clear()
+            smin, v = lu.smallest_singular()
+            taken.add("gram" if results and results[0] is not None else "lanczos")
+            jac = assemble_jacobian(p, np.zeros(p.size))
+            _, s, vt = np.linalg.svd(jac)
+            assert abs(smin - s[-1]) <= 1e-13 * s[0]
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            assert abs(v @ vt[-1]) >= 1.0 - 1e-10
+            assert lu.det_sign() == int(np.linalg.slogdet(jac)[0])
+    assert taken == {"gram", "lanczos"}
+
+
+def test_gram_path_call_counts(paper7_perturbed, monkeypatch):
+    # Cost guard on a regular N = 160 window: one mu0 test, about a dozen
+    # bisection tests to 1e-3, two certificate tests, no Lanczos step and at
+    # most _RQI_STEPS Rayleigh-quotient factorizations.  Bisecting down to
+    # 2 * eps, or Lanczos, would come back as over 50 Cholesky tests or as
+    # transposed solves.
+    p = truncated_problem(paper7_perturbed, 0.3, 160)
+    lu = banded_jacobian_lu(p, np.zeros(p.size))
+    calls = count_calls(monkeypatch, "dpbtrf", "dgbtrf")
+    steps = count_lanczos_steps(monkeypatch)
+    lu.smallest_singular()
+    assert steps[0] == 0
+    assert calls["dpbtrf"] <= 30
+    assert 1 <= calls["dgbtrf"] <= truncation._RQI_STEPS
 
 
 def nan_window(system, theta, N):
@@ -326,7 +427,7 @@ def test_nan_band_raises_without_spinning(paper7_perturbed, monkeypatch):
 def test_non_finite_gram_band_leaves_lanczos_running(paper7_perturbed, monkeypatch):
     # dpbtrf factors a NaN matrix without complaint, so a Gram band that is
     # not finite (here a NaN put into the kept band after factoring) must
-    # send the run back to Lanczos rather than into the bisection.
+    # send the window to Lanczos without a mu0 test.
     p = truncated_problem(paper7_perturbed, 0.0, 160)
     lu = banded_jacobian_lu(p, np.zeros(p.size))
     lu._ab[lu._kl + lu._ku, p.size // 2] = np.nan
