@@ -2,8 +2,11 @@
 
 Internal module: polar orthonormalization of a small d x k frame, which
 analytic_kernel_basis needs for its averaged intersection directions.
-Splitting frames and their orthogonal complements are Schur columns and
-need none (see spectral.HyperbolicSplitting).  Every window-matrix
+Splitting frames and their orthogonal complements need none: they are
+Schur columns (spectral.HyperbolicSplitting) or the SVD factors of
+stacked stable projectors (spectral.splitting_stack), orthonormal by
+construction, and bundles.transport_frames takes its polar factors from
+one stacked SVD of its own.  Every window-matrix
 question (the banded LU, its determinant sign and singularity criterion,
 the singular values) lives in truncation.
 """

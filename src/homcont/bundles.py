@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AlignmentFailure, DegenerateClosure, IndexMismatch, RankDrop
-from .spectral import DEFAULT_GAP_TOL, hyperbolic_splitting
+from .errors import AlignmentFailure, DegenerateClosure, RankDrop
+from .spectral import DEFAULT_GAP_TOL, hyperbolic_splitting, splitting_stack
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,7 +76,7 @@ class BundleInvariants:
     index: int
 
 
-def _checked_frame(subspace_at: Callable[[float], np.ndarray], theta: float, k: int | None):
+def _shaped_frame(subspace_at: Callable[[float], np.ndarray], theta: float, k: int | None):
     frame = np.asarray(subspace_at(theta), dtype=float)
     if frame.ndim != 2:
         raise RankDrop(f"subspace at theta={theta:.6f} is not a d x k frame")
@@ -84,6 +84,11 @@ def _checked_frame(subspace_at: Callable[[float], np.ndarray], theta: float, k: 
         raise RankDrop(
             f"subspace rank changed to {frame.shape[1]} (expected {k}) at theta={theta:.6f}"
         )
+    return frame
+
+
+def _checked_frame(subspace_at: Callable[[float], np.ndarray], theta: float, k: int | None):
+    frame = _shaped_frame(subspace_at, theta, k)
     err = np.linalg.norm(frame.T @ frame - np.eye(frame.shape[1]))
     if not err <= 1e-10:
         raise RankDrop(f"frame at theta={theta:.6f} is not orthonormal (error {err:.1e})")
@@ -135,18 +140,80 @@ def transport_frames(subspace_at: Callable[[float], np.ndarray], grid: CircleGri
 
     subspace_at(theta) must return a d x k column-orthonormal frame (to
     1e-10, else RankDrop), such as Schur columns; it is never
-    re-orthonormalized.  Each grid interval is walked by _walk, in steps of
-    at most MAX_PATH_STEP (one _transport_step for a shorter interval);
-    every node reached becomes part of the returned grid.
+    re-orthonormalized.  The grid's nodes are first cut by path_nodes into
+    steps of at most MAX_PATH_STEP, and the frames F_i at all those nodes
+    are carried at once: the frame reached at node i is F_i R_i with
+    R_i = polar(M_i) ... polar(M_1), M_i = F_i^T F_{i-1}, from one stacked
+    SVD of the M_i, whose singular values are the principal-angle cosines.
+    An interval whose smallest cosine is below ALIGNMENT_FLOOR is walked
+    from F_{i-1} by the bisecting _transport_step instead, and its factor is
+    F_i^T times the frame reached (polar transport commutes with turning
+    the frame it starts from).  Every node reached becomes part of the
+    returned grid.
     """
-    visited = [(float(grid.nodes[0]), _checked_frame(subspace_at, grid.nodes[0], None), 1.0)]
-    for i in range(grid.m):
-        _walk(subspace_at, visited[-1][1], float(grid.nodes[i]), float(grid.nodes[i + 1]), visited)
-    nodes, frames, cosines = (list(column) for column in zip(*visited))
+    nodes = path_nodes(grid.nodes)
+    first = _shaped_frame(subspace_at, nodes[0], None)
+    k = first.shape[1]
+    frames = np.stack([first] + [_shaped_frame(subspace_at, t, k) for t in nodes[1:]])
+    err = np.linalg.norm(frames.transpose(0, 2, 1) @ frames - np.eye(k), axis=(1, 2))
+    if not np.all(err <= 1e-10):
+        i = int(np.flatnonzero(~(err <= 1e-10))[0])
+        raise RankDrop(f"frame at theta={nodes[i]:.6f} is not orthonormal (error {err[i]:.1e})")
+    if k:
+        u, s, vt = np.linalg.svd(frames[1:].transpose(0, 2, 1) @ frames[:-1])
+        factors, cosines = u @ vt, s[:, -1]
+    else:
+        factors, cosines = np.zeros((len(nodes) - 1, 0, 0)), np.ones(len(nodes) - 1)
+    bisected = {}
+    for i in np.flatnonzero(~(cosines >= ALIGNMENT_FLOOR)):
+        visited: list = []
+        reached = _transport_step(subspace_at, frames[i], float(nodes[i]), float(nodes[i + 1]),
+                                  visited)
+        factors[i] = frames[i + 1].T @ reached
+        bisected[i] = visited
+    # carries[i] = factors[i-1] @ ... @ factors[0], as a prefix product:
+    # log2(n) stacked products, each multiplying in the span `shift` back
+    carries = np.concatenate([np.eye(k)[None], factors])
+    shift = 1
+    while shift < len(carries):
+        carries[shift:] = carries[shift:] @ carries[:-shift]
+        shift *= 2
+    carried = list(frames @ carries)
+    thetas, alignments = list(nodes), [1.0] + cosines.tolist()
+    for i in sorted(bisected, reverse=True):  # splice in the nodes bisection added
+        inner = bisected[i][:-1]
+        thetas[i + 1:i + 1] = [theta for theta, _, _ in inner]
+        carried[i + 1:i + 1] = [frame @ carries[i] for _, frame, _ in inner]
+        alignments[i + 1:i + 2] = [cosine for _, _, cosine in bisected[i]]
     return LoopTransport(
-        grid=CircleGrid(m=len(nodes) - 1, nodes=np.array(nodes)), frames=frames,
-        closure_matrix=loop_closure(frames[0], frames[-1]), min_alignment=min(cosines),
+        grid=CircleGrid(m=len(thetas) - 1, nodes=np.array(thetas)), frames=carried,
+        closure_matrix=loop_closure(carried[0], carried[-1]), min_alignment=min(alignments),
     )
+
+
+def path_nodes(nodes: np.ndarray) -> np.ndarray:
+    """nodes with the interval from each node to the next cut into
+    ceil(width / MAX_PATH_STEP) equal steps, start + j * width / pieces,
+    each interval ending exactly on its own next node: the steps of _walk."""
+    widths = np.diff(nodes)
+    pieces = np.ceil(np.abs(widths) / MAX_PATH_STEP).astype(int)
+    ends = np.cumsum(pieces)
+    j = np.arange(1, ends[-1] + 1) - np.repeat(ends - pieces, pieces)
+    out = np.repeat(nodes[:-1], pieces) + j * np.repeat(widths / pieces, pieces)
+    out[ends - 1] = nodes[1:]
+    return np.concatenate([nodes[:1], out])
+
+
+def sampled_family(nodes: np.ndarray, frames, fallback: Callable[[float], np.ndarray]):
+    """subspace_at reading frames[i] at nodes[i], and fallback(theta) at any
+    other theta (the nodes a bisection adds)."""
+    table = dict(zip(np.asarray(nodes, dtype=float).tolist(), frames))
+
+    def subspace_at(theta: float) -> np.ndarray:
+        frame = table.get(float(theta))
+        return fallback(theta) if frame is None else frame
+
+    return subspace_at
 
 
 def loop_closure(first: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -163,17 +230,16 @@ def loop_closure(first: np.ndarray, last: np.ndarray) -> np.ndarray:
 
 
 def _walk(subspace_at, current, theta_from, theta_to, visited=None):
-    """The one frame walker: equal _transport_steps of at most MAX_PATH_STEP
-    radians.  Principal-angle cosines cannot see a half turn of the subspace
-    (an antipodal frame is perfectly "aligned"), so only small steps keep
-    the transport in the right homotopy class."""
-    pieces = math.ceil(abs(theta_to - theta_from) / MAX_PATH_STEP)
-    step = (theta_to - theta_from) / pieces
-    t_from = theta_from
-    for j in range(1, pieces + 1):
-        t_to = theta_to if j == pieces else theta_from + j * step
+    """The node-by-node frame walker of one segment: _transport_steps
+    between the path_nodes of [theta_from, theta_to], each of at most
+    MAX_PATH_STEP radians.  Principal-angle cosines cannot see a half turn
+    of the subspace (an antipodal frame is perfectly "aligned"), so only
+    small steps keep the transport in the right homotopy class."""
+    path = [theta_from, theta_to]
+    if abs(theta_to - theta_from) > MAX_PATH_STEP:  # else path_nodes keeps it
+        path = path_nodes(np.array(path)).tolist()
+    for t_from, t_to in zip(path, path[1:]):
         current = _transport_step(subspace_at, current, t_from, t_to, visited)
-        t_from = t_to
     return current
 
 
@@ -209,34 +275,24 @@ def index_bundle_invariants(system, grid: CircleGrid,
                             gap_tol: float = DEFAULT_GAP_TOL) -> BundleInvariants:
     """Rank and w1 data of the stable families of a(theta, +inf) and a(theta, -inf).
 
-    Requires the stable dimension of each family to be constant over the
-    grid (raises IndexMismatch otherwise).
+    Each side is split at every node of path_nodes(grid.nodes) by one
+    splitting_stack call, which requires its stable dimension to be
+    constant over those nodes (IndexMismatch otherwise), and transported
+    by transport_frames from the Schur frame at theta = 0.
     """
+    nodes = path_nodes(grid.nodes)
 
     def stable_family(limit_fn):
-        cache: dict[float, np.ndarray] = {}
+        def schur_frame(theta: float) -> np.ndarray:
+            return hyperbolic_splitting(limit_fn(float(theta)), gap_tol).stable_frame
 
-        def subspace(theta: float) -> np.ndarray:
-            key = float(theta)
-            if key not in cache:
-                cache[key] = hyperbolic_splitting(limit_fn(key), gap_tol).stable_frame
-            return cache[key]
+        split = splitting_stack(np.array([limit_fn(float(t)) for t in nodes]), gap_tol)
+        frames = list(split.stable_frames)
+        frames[0] = schur_frame(nodes[0])
+        return split.d_s, sampled_family(nodes, frames, schur_frame)
 
-        return subspace
-
-    plus = stable_family(system.a_plus)
-    minus = stable_family(system.a_minus)
-
-    ranks_plus = {plus(t).shape[1] for t in grid.nodes}
-    ranks_minus = {minus(t).shape[1] for t in grid.nodes}
-    if len(ranks_plus) != 1 or len(ranks_minus) != 1:
-        raise IndexMismatch(
-            f"stable dimension varies over the grid: +inf {sorted(ranks_plus)}, "
-            f"-inf {sorted(ranks_minus)}"
-        )
-    rank_plus = ranks_plus.pop()
-    rank_minus = ranks_minus.pop()
-
+    rank_plus, plus = stable_family(system.a_plus)
+    rank_minus, minus = stable_family(system.a_minus)
     w1_plus = w1(transport_frames(plus, grid))
     w1_minus = w1(transport_frames(minus, grid))
     return BundleInvariants(

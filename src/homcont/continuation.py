@@ -139,7 +139,7 @@ def _solve_augmented(p, x, constraint, rhs):
     then one refinement step against the bordered residual (Govaerts and
     Pryce, BIT 30 (1990) 490-507), which restores accuracy when J itself is
     near-singular, as at a kernel crossing."""
-    lu = banded_jacobian_lu(p, x)
+    lu = _finite_lu(p, x)
     col = assemble_dresidual_dtheta(p, x)
     v, schur = _schur(lu, col, constraint)
     if not (math.isfinite(schur) and schur != 0.0):
@@ -173,12 +173,17 @@ def _augmented_det_sign(p, x, constraint) -> int:
     return sign if schur > 0 else -sign
 
 
+@np.errstate(all="ignore")
 def _newton(p, guess, constraint, newton_tol, max_iter):
     """Damped Newton on the (possibly augmented) truncated system.
 
     Returns (x, theta, residual_norm, iterations); theta equals p.theta in
     fixed-theta mode.  Damping is a halving line search on the residual
-    norm, at most MAX_HALVINGS halvings per step.
+    norm, at most MAX_HALVINGS halvings per step.  Floating-point overflow
+    is not warned about: a residual at the guess that is not finite raises
+    NoConvergence, a Jacobian that is not finite SingularJacobian, and a
+    trial step whose residual is not finite is halved like any other that
+    does not descend.
     """
     x = np.asarray(guess, dtype=float).copy()
     theta = p.theta
@@ -192,11 +197,13 @@ def _newton(p, guess, constraint, newton_tol, max_iter):
         return p_, np.concatenate([r, [c]]), max(float(np.linalg.norm(r)), abs(c))
 
     p_cur, r, rn = norms(x, theta)
+    if not math.isfinite(rn):
+        raise NoConvergence(f"residual at the Newton guess is not finite ({rn!r})")
     for it in range(max_iter):
         if rn <= newton_tol:
             return x, theta, float(np.linalg.norm(r[: p.size])), it
         if constraint is None:
-            dx, dtheta = banded_jacobian_lu(p_cur, x).solve(-r), 0.0
+            dx, dtheta = _finite_lu(p_cur, x).solve(-r), 0.0
         else:
             step = _solve_augmented(p_cur, x, constraint, -r)
             dx, dtheta = step[:-1], float(step[-1])
@@ -216,6 +223,15 @@ def _newton(p, guess, constraint, newton_tol, max_iter):
     if rn <= newton_tol:
         return x, theta, float(np.linalg.norm(r[: p.size])), max_iter
     raise NoConvergence(f"residual {rn:.3e} above {newton_tol:.1e} after {max_iter} iterations")
+
+
+def _finite_lu(p, x):
+    """banded_jacobian_lu(p, x), or SingularJacobian when the Jacobian has
+    a non-finite entry (its 1-norm is not finite)."""
+    lu = banded_jacobian_lu(p, x)
+    if not math.isfinite(lu.norm_1):
+        raise SingularJacobian(f"window Jacobian is not finite (1-norm {lu.norm_1!r})")
+    return lu
 
 
 def _make_point(p, x, theta, residual_norm, det, amplitude_ref):
@@ -374,8 +390,9 @@ def continue_branch(
             w_x=t[:-1], w_theta=float(t[-1]), offset=float(t @ z_pred)
         )
         p_step = replace(p, theta=float(z_pred[-1]))
-        # A failed corrector, a fall back toward the trivial branch and a
-        # failed re-polish all reject the step alike: halve ds and retry.
+        # A failed corrector, a fall back toward the trivial branch, a
+        # failed re-polish and a step too small to move the point all reject
+        # the step alike: halve ds and retry.
         try:
             x_new, theta_new, _, iters = _newton(
                 p_step, z_pred[:-1], constraint, newton_tol, DEFAULT_MAX_ITER
@@ -385,6 +402,8 @@ def continue_branch(
             # Carry the boundary rows to the accepted theta and re-polish there.
             p = p.transported(theta_new)
             x_new, _, rn, _ = _newton(p, x_new, None, newton_tol, 5)
+            if theta_new == z[-1] and np.array_equal(x_new, z[:-1]):
+                raise NoConvergence("the step did not move the point (zero secant)")
         except (NoConvergence, SingularJacobian):
             ds *= 0.5
             streak = 0

@@ -1,8 +1,8 @@
 """Parity scans and bifurcation localization along the parameter loop.
 
 The truncated linearization at the trivial solution is assembled at every
-grid node from one window problem walked node to node by
-TruncatedProblem.transported, so its boundary rows vary continuously.  Its
+grid node from one window problem whose boundary rows are carried over the
+whole grid at once (_boundary_frames), so they vary continuously.  Its
 determinant sign is then a well-defined function of theta whose flips
 locate kernel crossings; the product of the endpoint signs (rows derived at
 0 versus rows carried to 2*pi) is the loop parity, which must match
@@ -11,14 +11,14 @@ locate kernel crossings; the product of the endpoint signs (rows derived at
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bundles import CircleGrid, loop_closure
+from .bundles import CircleGrid, path_nodes, sampled_family, transport_frames
 from .errors import InconsistentParity, MaxIterations, NoSignChange
-from .spectral import DEFAULT_GAP_TOL
-from .truncation import DEFAULT_KERNEL_TOL, classify_window, truncated_problem
+from .spectral import DEFAULT_GAP_TOL, splitting_stack
+from .truncation import DEFAULT_KERNEL_TOL, classify_window, complement_families, truncated_problem
 
 # Iteration budget of the bisection and of the golden-section fallback.
 MAX_ITER = 200
@@ -64,25 +64,24 @@ def scan_parity(
 ) -> ParityScan:
     """Determinant-sign scan of the truncated linearization over the loop.
 
-    One window problem is walked from node to node by
-    TruncatedProblem.transported.  If the rows carried to 2*pi leave the
-    row space they started in, bundles.loop_closure raises
-    AlignmentFailure.  The loop parity is computed both as
-    (-1)^(sign changes between consecutive non-excluded nodes) and as the
+    The rows of one window problem, derived at grid.nodes[0], are carried
+    over the whole grid first by _boundary_frames; each node's window then
+    gets its carried rows.  If the rows carried to 2*pi leave the row space
+    they started in, bundles.loop_closure raises AlignmentFailure.  The
+    loop parity is computed both as (-1)^(sign changes between
+    consecutive non-excluded nodes) and as the
     product of the determinant signs at theta = 0 (rows derived there) and
     theta = 2*pi (rows carried there); InconsistentParity is raised if the
     two disagree or if either endpoint is itself near-singular.
     """
     n_nodes = grid.m + 1
+    start = truncated_problem(system, float(grid.nodes[0]), N, gap_tol=gap_tol)
+    left, right = _boundary_frames(system, grid, start, gap_tol)
     signs = np.zeros(n_nodes, dtype=int)
     smins = np.zeros(n_nodes)
-    start = p = truncated_problem(system, float(grid.nodes[0]), N, gap_tol=gap_tol)
     for i in range(n_nodes):
-        if i:
-            p = p.transported(float(grid.nodes[i]))
+        p = replace(start, theta=float(grid.nodes[i]), left_rows=left[i].T, right_rows=right[i].T)
         smins[i], _, signs[i], _ = classify_window(p, kernel_tol)
-    loop_closure(start.left_rows.T, p.left_rows.T)
-    loop_closure(start.right_rows.T, p.right_rows.T)
 
     if signs[0] == 0 or signs[-1] == 0:
         raise InconsistentParity(
@@ -129,6 +128,33 @@ def scan_parity(
         dip_intervals=dips,
         loop_parity=parity_count,
     )
+
+
+def _boundary_frames(system, grid: CircleGrid, start, gap_tol: float):
+    """Frames of start's boundary rows carried over the whole grid at once:
+    (left, right), each a list of d x k frames, one per grid node.
+
+    a_minus and a_plus are split at every node of
+    bundles.path_nodes(grid.nodes) by one splitting_stack call each, and
+    transport_frames carries E^u(-inf) perp and E^s(+inf) perp from start's
+    rows at grid.nodes[0], bisecting by the Schur splittings of
+    truncation.complement_families where it must.  Rows carried to 2*pi
+    outside the row space they started in fail bundles.loop_closure, which
+    raises AlignmentFailure.
+    """
+    nodes = path_nodes(grid.nodes)
+    schur_left, schur_right = complement_families(system, gap_tol)
+    minus = splitting_stack(np.array([system.a_minus(float(t)) for t in nodes]), gap_tol)
+    plus = splitting_stack(np.array([system.a_plus(float(t)) for t in nodes]), gap_tol)
+    carried = []
+    for rows, frames, fallback in ((start.left_rows, minus.unstable_complements, schur_left),
+                                   (start.right_rows, plus.stable_complements, schur_right)):
+        frames = list(frames)
+        frames[0] = rows.T
+        loop = transport_frames(sampled_family(nodes, frames, fallback), grid)
+        at_grid = np.searchsorted(loop.grid.nodes, grid.nodes)
+        carried.append([loop.frames[i] for i in at_grid])
+    return carried[0], carried[1]
 
 
 def locate_bifurcation(

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._linalg import polar_orthonormalize
-from .errors import NotHyperbolic, Singular
+from .errors import IndexMismatch, NotHyperbolic, Singular
 
 DEFAULT_GAP_TOL = 1e-6
 
@@ -30,6 +30,11 @@ _INTERSECT_COS = 1.0 - 1e-8
 # symbol_smin: |z| within _CIRCLE_TOL of 1 is a crossing (a spurious one adds a midpoint).
 _CIRCLE_TOL = 1e-4
 _SYMBOL_PASSES = 50
+# Matrix sign iteration of splitting_stack (see _stable_projectors).
+_SIGN_STEPS = 40
+_SIGN_TOL = 1e-13
+_SIGN_STALL = 1e-8
+_SCALING_OFF = 1e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,30 +103,153 @@ def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Hyp
     Raises NotHyperbolic if a has a non-finite entry, Singular if a is not
     invertible, NotHyperbolic if any eigenvalue modulus is within gap_tol
     of 1 (or, when a frame is read, if its Schur ordering disagrees with
-    the eigenvalue count).
+    the eigenvalue count).  The checks are those of splitting_stack, on a
+    stack of one.
     """
     a = np.asarray(a, dtype=float)
-    d = a.shape[0]
-    if a.shape != (d, d):
+    if a.ndim != 2:
+        raise ValueError("expected a square matrix")
+    d_s, gap = _checked_stack(a[None], gap_tol)
+    return HyperbolicSplitting(a=a.copy(), d_s=d_s, d_u=len(a) - d_s, gap=float(gap[0]))
+
+
+def _checked_stack(a: np.ndarray, gap_tol: float) -> tuple[int, np.ndarray]:
+    """The one validator of every splitting, on an (n, d, d) stack: returns
+    the stable dimension d_s, which must be the same for every matrix
+    (IndexMismatch otherwise), and each matrix's gap, the least distance of
+    an eigenvalue modulus to 1.  The first matrix in stack order that fails
+    a check raises, for the first check it fails: a non-finite entry
+    (NotHyperbolic), numerical singularity (Singular), a gap below gap_tol
+    or NaN (NotHyperbolic)."""
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("expected a square matrix")
     if not gap_tol > 0:
         raise ValueError("gap_tol must be positive")
-    if not np.all(np.isfinite(a)):
-        raise NotHyperbolic("matrix has non-finite entries")
-
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        a = np.where(finite[:, None, None], a, np.eye(a.shape[1]))
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= 1e-14 * max(1.0, sv[0]):
-        raise Singular("matrix is numerically singular")
-
+    regular = sv[:, -1] > 1e-14 * np.maximum(1.0, sv[:, 0])
     mods = np.abs(np.linalg.eigvals(a))
-    gap = float(np.min(np.abs(mods - 1.0)))
-    if gap < gap_tol:
+    gap = np.abs(mods - 1.0).min(axis=1)
+    good = finite & regular & (gap >= gap_tol)
+    if not good.all():
+        i = int(np.argmin(good))
+        if not finite[i]:
+            raise NotHyperbolic("matrix has non-finite entries")
+        if not regular[i]:
+            raise Singular("matrix is numerically singular")
         raise NotHyperbolic(
-            f"eigenvalue modulus within {gap:.3e} of the unit circle (tol {gap_tol:.1e})"
+            f"eigenvalue modulus within {gap[i]:.3e} of the unit circle (tol {gap_tol:.1e})"
         )
+    dims = (mods < 1.0).sum(axis=1)
+    if len(dims) > 1 and dims.min() != dims.max():
+        raise IndexMismatch(
+            f"stable dimension varies over the stack: {sorted(set(dims.tolist()))}")
+    return int(dims[0]), gap
 
-    d_s = int(np.sum(mods < 1.0))
-    return HyperbolicSplitting(a=a.copy(), d_s=d_s, d_u=d - d_s, gap=gap)
+
+@dataclass(frozen=True, eq=False)
+class SplittingStack:
+    """Stable/unstable splittings of an (n, d, d) stack of hyperbolic
+    matrices of one stable dimension d_s, as orthonormal frames.
+
+    u and vt are the orthogonal SVD factors of each stable projector P_s
+    (or, for a matrix that took the Schur fallback, its stable Schur factor
+    and its unstable one, transposed with the complement's rows first): the
+    leading d_s columns of u span E^s, its trailing columns E^s perp, and
+    the leading d_s rows of vt span range(P_s^T) = E^u perp.  gap holds
+    each matrix's hyperbolicity gap.
+    """
+
+    d_s: int
+    gap: np.ndarray
+    u: np.ndarray
+    vt: np.ndarray
+
+    @property
+    def stable_frames(self) -> np.ndarray:
+        """(n, d, d_s): E^s."""
+        return self.u[:, :, : self.d_s]
+
+    @property
+    def stable_complements(self) -> np.ndarray:
+        """(n, d, d_u): E^s perp."""
+        return self.u[:, :, self.d_s:]
+
+    @property
+    def unstable_complements(self) -> np.ndarray:
+        """(n, d, d_s): E^u perp."""
+        return self.vt[:, : self.d_s].transpose(0, 2, 1)
+
+
+def splitting_stack(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> SplittingStack:
+    """Split every matrix of an (n, d, d) stack in one stacked computation.
+
+    After the checks of _checked_stack (those of hyperbolic_splitting), the
+    stable projectors come from the matrix sign function of the Cayley
+    transforms (a + I)^-1 (a - I) (_stable_projectors), and one stacked SVD
+    of the projectors gives every frame.  A matrix whose sign iteration does
+    not converge, or whose projector rank is not d_s, takes the Schur
+    splitting of hyperbolic_splitting instead.
+    """
+    a = np.asarray(a, dtype=float)
+    d_s, gap = _checked_stack(a, gap_tol)
+    d = a.shape[1]
+    proj, ok = _stable_projectors(a)
+    u, s, vt = np.linalg.svd(np.where(ok[:, None, None], proj, 0.0))
+    ok &= np.sum(s > 0.5, axis=1) == d_s
+    for i in np.flatnonzero(~ok):
+        split = HyperbolicSplitting(a=a[i].copy(), d_s=d_s, d_u=d - d_s, gap=float(gap[i]))
+        u[i] = split.stable_schur
+        z = split.unstable_schur
+        vt[i] = np.hstack([z[:, d - d_s:], z[:, : d - d_s]]).T
+    return SplittingStack(d_s=d_s, gap=gap, u=u, vt=vt)
+
+
+def _stable_projectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable projectors P_s = (I - sign(C)) / 2 of a stack of hyperbolic
+    matrices, C = (a + I)^-1 (a - I) their Cayley transforms (|mu| < 1
+    exactly when Re (mu - 1) / (mu + 1) < 0), and a mask of the matrices
+    whose sign iteration converged.
+
+    The sign function is the limit of Newton's iteration X <- (g X +
+    (g X)^-1) / 2, with Byers' determinant scaling g = |det X|^(-1/d)
+    until the relative update falls below _SCALING_OFF (Higham, Functions
+    of Matrices, ch. 5).  A matrix converges once its update is at most
+    _SIGN_TOL, or stalls below _SIGN_STALL without shrinking further, the
+    rounding floor of an ill-conditioned matrix; one whose update goes
+    non-finite, or that is still moving after _SIGN_STEPS steps, has not
+    converged.
+    """
+    n, d, _ = a.shape
+    eye = np.eye(d)
+    ok = np.zeros(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        try:
+            x = np.linalg.solve(a + eye, a - eye)
+        except np.linalg.LinAlgError:  # an eigenvalue -1 within rounding
+            return np.zeros_like(a), ok
+        live = np.flatnonzero(np.all(np.isfinite(x), axis=(1, 2)))
+        prev = np.full(live.size, np.inf)
+        for _ in range(_SIGN_STEPS):
+            if not live.size:
+                break
+            xk = x[live]
+            try:
+                inv = np.linalg.inv(xk)
+            except np.linalg.LinAlgError:
+                break
+            g = np.where(prev > _SCALING_OFF, np.exp(-np.linalg.slogdet(xk)[1] / d), 1.0)
+            g = g[:, None, None]
+            new = 0.5 * (g * xk + inv / g)
+            update = np.linalg.norm(new - xk, axis=(1, 2)) / np.linalg.norm(new, axis=(1, 2))
+            x[live] = new
+            done = (update <= _SIGN_TOL) | ((update >= prev) & (update <= _SIGN_STALL))
+            ok[live[done]] = True
+            moving = ~done & np.isfinite(update)
+            live, prev = live[moving], update[moving]
+    return 0.5 * (eye - x), ok
 
 
 def symbol_smin(a: np.ndarray) -> float:

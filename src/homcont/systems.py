@@ -310,7 +310,8 @@ def _check_a1(system, grid, N, M, rng) -> AssumptionCheck:
 
     def ball_point():
         v = rng.standard_normal(system.d)
-        return (M * rng.uniform(0.0, 1.0) / max(np.linalg.norm(v), 1e-300)) * v
+        with np.errstate(all="ignore"):  # a radius near the float limit overflows
+            return (M * rng.uniform(0.0, 1.0) / max(np.linalg.norm(v), 1e-300)) * v
 
     bases = [(float(t), ball_point()) for t in thetas for _ in range(2)]
     deltas = [0.4, 0.2, 0.1]
@@ -389,14 +390,13 @@ def _check_a3(system, N, gap_tol, kernel_tol) -> AssumptionCheck:
     # LU has not returned: its norm counts as inf, recorded as null.
     rng = np.random.default_rng(12345)
     largest = 0.0
-    with np.errstate(all="ignore"):
-        for _ in range(3):
-            x = 1e-2 * rng.standard_normal(p.size)
-            try:
-                x = continuation._newton(p, x, None, 1e-12, continuation.DEFAULT_MAX_ITER)[0]
-                largest = max(largest, float(np.linalg.norm(x)))
-            except (NoConvergence, SingularJacobian):
-                largest = math.inf
+    for _ in range(3):
+        x = 1e-2 * rng.standard_normal(p.size)
+        try:
+            x = continuation._newton(p, x, None, 1e-12, continuation.DEFAULT_MAX_ITER)[0]
+            largest = max(largest, float(np.linalg.norm(x)))
+        except (NoConvergence, SingularJacobian):
+            largest = math.inf
     status = "pass" if (sign != 0 and largest < 1e-8) else "fail"
     return AssumptionCheck("A3", status, {
         "smin_theta0": smin,
@@ -420,7 +420,9 @@ def _check_a4(system, grid, M, rng, gap_tol, kernel_tol) -> AssumptionCheck:
     nodes = grid.nodes[:: max(1, grid.m // 16)]
     for t in nodes:
         for limit_fn in (system.f_inf_plus, system.f_inf_minus):
-            probes = [np.zeros(system.d)] + [0.25 * M * rng.standard_normal(system.d) for _ in range(2)]
+            with np.errstate(all="ignore"):
+                probes = [np.zeros(system.d)] + [0.25 * M * rng.standard_normal(system.d)
+                                                 for _ in range(2)]
             for x0 in probes:
                 with np.errstate(all="ignore"):
                     a = fd_matrix(limit_fn, float(t), x0)

@@ -514,8 +514,9 @@ def classify_window(p: TruncatedProblem, kernel_tol: float):
 
 
 def near_singular(smin: float, scale: float, kernel_tol: float) -> bool:
-    """not smin >= kernel_tol * scale (the operator's 1-norm): NaN is singular."""
-    return not smin >= kernel_tol * scale
+    """not smin >= kernel_tol * scale (the operator's 1-norm): NaN is singular.
+    The product is taken in Python floats, which overflow to inf silently."""
+    return not smin >= kernel_tol * float(scale)
 
 
 def assemble_dresidual_dtheta(p: TruncatedProblem, x: np.ndarray) -> np.ndarray:

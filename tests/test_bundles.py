@@ -1,11 +1,16 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import homcont as hc
-from homcont.bundles import MAX_PATH_STEP, LoopTransport, transport_along_path
+from homcont import bundles, spectral
+from homcont.bundles import (MAX_PATH_STEP, LoopTransport, loop_closure, path_nodes,
+                             transport_along_path)
 from homcont.errors import AlignmentFailure, DegenerateClosure, IndexMismatch, RankDrop
+from homcont.systems import rotating_matrix
 
 
 def stable_line(theta):
@@ -202,3 +207,79 @@ def test_index_invariants_rank_mismatch(grid64):
     system = hc.linear_family(2, varying, lambda t: np.diag([0.5, 2.0]))
     with pytest.raises(IndexMismatch):
         hc.index_bundle_invariants(system, grid64)
+
+
+def predict_style_loop(rng, d, fastest):
+    """The benchmark's predict family: 2 x 2 rotating_matrix blocks turning
+    at integer speeds (one of them fastest), conjugated by a seeded
+    orthogonal matrix.  Returns (a, w1 = (-1)^(sum of speeds))."""
+    blocks = d // 2
+    speeds = rng.integers(0, fastest + 1, size=blocks)
+    speeds[rng.integers(blocks)] = fastest
+    alphas, betas = rng.uniform(0.3, 0.7, blocks), rng.uniform(1.5, 3.0, blocks)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+
+    def a(theta):
+        return q @ scipy.linalg.block_diag(*[rotating_matrix(int(k) * theta, al, be)
+                                             for k, al, be in zip(speeds, alphas, betas)]) @ q.T
+
+    return a, (-1) ** int(speeds.sum())
+
+
+@pytest.mark.parametrize("m", [8, 9, 11, 64])
+def test_stacked_transport_matches_node_walker(m):
+    # transport_frames (one stacked SVD, a product of k x k polar factors)
+    # against the node-by-node walker it falls back to, on predict-style
+    # loops; speed 9 turns a stable line 0.88 rad per step of a coarse grid,
+    # so those intervals are bisected
+    assert list(inspect.signature(hc.transport_frames).parameters) == ["subspace_at", "grid"]
+    rng = np.random.default_rng(m)
+    grid = hc.CircleGrid.uniform(m)
+    for d in (2, 4, 6):
+        for fastest in (0, 1, 2, 3, 9):
+            a, expected = predict_style_loop(rng, d, fastest)
+
+            def family(theta):
+                return hc.hyperbolic_splitting(a(theta)).stable_frame
+
+            stacked = hc.transport_frames(family, grid)
+            visited = [(0.0, family(0.0), 1.0)]
+            for lo, hi in zip(grid.nodes[:-1], grid.nodes[1:]):
+                bundles._walk(family, visited[-1][1], float(lo), float(hi), visited)
+            assert stacked.grid.nodes.tolist() == [theta for theta, _, _ in visited]
+            closure = loop_closure(visited[0][1], visited[-1][1])
+            assert np.linalg.norm(stacked.closure_matrix - closure) <= 1e-10
+            assert stacked.min_alignment == pytest.approx(min(c for _, _, c in visited), abs=1e-12)
+            assert hc.w1(stacked) == expected
+            invariants = hc.index_bundle_invariants(hc.linear_family(d, a, a), grid)
+            assert invariants.w1_plus == invariants.w1_minus == expected
+            if fastest == 9 and m < 64:
+                assert stacked.grid.m > len(path_nodes(grid.nodes)) - 1
+
+
+def test_invariants_take_one_schur_per_side(monkeypatch):
+    # at m = 256 each side is one splitting_stack call: one Schur
+    # decomposition for the start frame, plus two per matrix whose sign
+    # iteration fell back
+    schurs, fallbacks = [], []
+    schur, projectors = scipy.linalg.schur, spectral._stable_projectors
+
+    def counting_schur(*args, **kwargs):
+        schurs.append(1)
+        return schur(*args, **kwargs)
+
+    def counting_projectors(a):
+        proj, ok = projectors(a)
+        fallbacks.append(int(np.sum(~ok)))
+        return proj, ok
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    monkeypatch.setattr(spectral, "_stable_projectors", counting_projectors)
+    rng = np.random.default_rng(3)
+    for d in (2, 4, 6):
+        a, expected = predict_style_loop(rng, d, 3)
+        schurs.clear(), fallbacks.clear()
+        inv = hc.index_bundle_invariants(hc.linear_family(d, a, a), hc.CircleGrid.uniform(256))
+        assert inv.w1_plus == expected
+        assert len(fallbacks) == 2
+        assert len(schurs) <= 2 + 2 * sum(fallbacks)

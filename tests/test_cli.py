@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,65 @@ def test_invalid_outside_input_exits_2(tmp_path, capsys, raw, argv, field):
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert err.startswith("error: " + field)
+
+
+# The ends of every documented range (README, "Ranges"), each run by every
+# subcommand that reads the value.  The sweep's base is the lower end of
+# grid_m and window_n, which keeps it fast; their upper ends are unbounded.
+_TINY, _HUGE = 5e-324, sys.float_info.max
+_ALL = ("bundles", "detect", "branch", "check")
+_RANGE_ENDS = [
+    *[({"system": {"params": {name: value}}}, _ALL) for name, value in (
+        ("alpha", _TINY), ("alpha", 1.0 - 2.0 ** -53), ("beta", 1.0 + 2.0 ** -52),
+        ("beta", _HUGE), ("coupling", 0.0), ("coupling", 1e300), ("coupling", _HUGE),
+        ("envelope_scale", _TINY), ("envelope_scale", _HUGE))],
+    *[({"tolerances": {name: value}}, commands)
+      for name, commands in (("gap_tol", _ALL), ("kernel_tol", ("detect", "branch", "check")),
+                             ("newton_tol", ("branch", "check")), ("tail_tol", ("branch",)),
+                             ("tol_theta", ("detect", "branch")))
+      for value in (_TINY, _HUGE)],
+    *[({"continuation": {name: value}}, ("branch",))
+      for name in ("s0", "ds0", "ds_min", "ds_max", "amplitude_cap") for value in (_TINY, _HUGE)
+      if (name, value) != ("ds_min", _HUGE)],
+    ({"continuation": {"s0": 1e300}}, ("branch",)),
+    ({"continuation": {"ds0": _HUGE, "ds_max": _HUGE}}, ("branch",)),
+    ({"continuation": {"max_steps": 0}}, ("branch",)),
+    *[({"check_radius": value}, ("check",)) for value in (_TINY, _HUGE)],
+    *[({"seed": value}, ("check",)) for value in (0, 2 ** 64)],
+]
+_ARGV = {"bundles": ["bundles"], "detect": ["detect"], "check": ["check"],
+         "branch": ["branch", "--theta-star", "3.14"]}
+
+
+@pytest.mark.parametrize("raw, commands", _RANGE_ENDS,
+                         ids=lambda v: json.dumps(v) if isinstance(v, dict) else "+".join(v))
+def test_range_ends_exit_cleanly(tmp_path, capsys, raw, commands):
+    # valid but extreme input ends in a documented exit code (6 or one of
+    # EXIT_CODES), never in 1, a traceback or a numpy warning
+    cfg = tmp_path / "ends.json"
+    cfg.write_text(json.dumps({"grid_m": 8, "window_n": 10, **raw}))
+    allowed = {0, cli.EXIT_HYPOTHESES, *cli.EXIT_CODES}
+    for command in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, _ARGV[command] + ["--config", str(cfg)])
+        assert code in allowed, (command, code, err)
+        assert "Traceback" not in err and "Warning" not in err, (command, err)
+        assert [w for w in caught if w.category is not UserWarning] == [], command
+
+
+@pytest.mark.parametrize("raw", ['{"system": {"params": {"coupling": 1e300}}}',
+                                 '{"continuation": {"s0": 1e300}}'])
+def test_branch_overflow_is_a_step_failure(tmp_path, raw):
+    # the first Newton residual overflows: a named step failure, exit 5,
+    # with no numpy warning on stderr
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(raw)
+    done = run_python(["-W", "always", "-m", "homcont.cli", "branch", "--theta-star", "3.14",
+                       "--config", str(cfg)])
+    assert done.returncode == cli.EXIT_BRANCH
+    assert done.stderr == ("error: residual at the Newton guess is not finite (inf); "
+                           "try a smaller s0\n")
 
 
 def test_cli_import_skips_scipy_sparse():

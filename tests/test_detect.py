@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import homcont as hc
-from homcont import truncation
+from homcont import detect, truncation
 from homcont.errors import AlignmentFailure, MaxIterations, NoSignChange
 from homcont.systems import rotating_matrix
 from homcont.truncation import banded_jacobian_lu, complement_families, truncated_problem
@@ -185,12 +185,12 @@ def test_no_window_svds(paper7_linear, monkeypatch):
     # the hypothesis checks, and exactly one factorization of the window
     # Jacobian (one WindowLU) per scan node; smallest_singular's
     # Rayleigh-quotient steps factor J^T J - mu I, not J.  The scan derives
-    # its rows once and carries them node to node: two splittings at
-    # theta = 0, then one per family and grid step.
+    # its rows once and carries them over the grid: two Schur splittings at
+    # theta = 0, then one stacked splitting of the whole grid per family.
     N = 40
-    svds, factorizations, splittings = [], [], []
+    svds, factorizations, splittings, stacks = [], [], [], []
     svd, window_lu = np.linalg.svd, truncation.WindowLU.__init__
-    splitting = truncation.hyperbolic_splitting
+    splitting, stack = truncation.hyperbolic_splitting, detect.splitting_stack
 
     def counting_svd(a, *args, **kwargs):
         if np.shape(a)[0] >= 2 * N * paper7_linear.d:
@@ -205,14 +205,20 @@ def test_no_window_svds(paper7_linear, monkeypatch):
         splittings.append(1)
         return splitting(*args, **kwargs)
 
+    def counting_stack(a, *args, **kwargs):
+        stacks.append(len(a))
+        return stack(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(truncation.WindowLU, "__init__", counting_window_lu)
     monkeypatch.setattr(truncation, "hyperbolic_splitting", counting_splitting)
+    monkeypatch.setattr(detect, "splitting_stack", counting_stack)
     grid = hc.CircleGrid.uniform(64)
     scan = hc.scan_parity(paper7_linear, grid, N)
     assert scan.grid is grid
     assert len(factorizations) == grid.m + 1
-    assert len(splittings) == 2 * (grid.m + 1)
+    assert len(splittings) == 2
+    assert stacks == [grid.m + 1] * 2
     hc.locate_bifurcation(paper7_linear, scan.sign_change_intervals[0], N, 1e-6)
     hc.check_hypotheses(paper7_linear, grid, N, 1.0)
     assert svds == []

@@ -67,10 +67,10 @@ def half_turn_loop(rng, d, k):
     return a, 1 + sum(stable)
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(8))
 def test_seeded_half_turn_loops(seed):
     rng = np.random.default_rng(seed)
-    d = 3 + seed % 2
+    d = 3 + seed % 4
     while True:
         k_plus, k_minus = (int(k) for k in rng.integers(0, 4, size=2))
         (a_plus, ds_plus), (a_minus, ds_minus) = (half_turn_loop(rng, d, k)

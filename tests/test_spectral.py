@@ -6,9 +6,9 @@ import scipy.linalg
 import scipy.optimize
 
 import homcont as hc
-from homcont import truncation
-from homcont.errors import NotHyperbolic, Singular
-from homcont.spectral import symbol_smin
+from homcont import spectral, truncation
+from homcont.errors import IndexMismatch, NotHyperbolic, Singular
+from homcont.spectral import splitting_stack, symbol_smin
 
 from conftest import random_hyperbolic
 
@@ -87,6 +87,106 @@ def test_splitting_invariants_random():
             assert np.max(np.abs(np.linalg.eigvals(s.restricted_stable()))) < 1.0
         if s.d_u:
             assert np.max(np.abs(np.linalg.eigvals(np.linalg.inv(s.restricted_unstable())))) < 1.0
+
+
+def _seeded_matrices(kind, rng, d):
+    """A seeded hyperbolic d x d matrix: "plain" from random_hyperbolic;
+    "triu" the same under the non-normal similarity I + triu(U(-30, 30)),
+    conditioned up to about 1e14; "-0.9" etc. with that stable eigenvalue,
+    where the Cayley transform (a + I)^-1 (a - I) is worst conditioned."""
+    a = random_hyperbolic(rng, d)
+    if kind == "triu":
+        t = np.eye(d) + np.triu(rng.uniform(-30.0, 30.0, (d, d)), 1)
+        return t @ a @ np.linalg.inv(t)
+    if kind != "plain":
+        moduli = np.where(rng.random(d - 1) < 0.5, rng.uniform(0.2, 0.8, d - 1),
+                          rng.uniform(1.25, 3.0, d - 1))
+        core = np.diag(np.r_[float(kind), moduli * rng.choice([-1.0, 1.0], d - 1)])
+        sim = np.eye(d) + 0.3 * np.diag(rng.uniform(-1.0, 1.0, d - 1), 1)
+        return sim @ core @ np.linalg.inv(sim)
+    return a
+
+
+def _oblique_projector(stable, unstable_perp):
+    """Projector onto span(stable) along the subspace unstable_perp annihilates."""
+    return stable @ np.linalg.solve(unstable_perp.T @ stable, unstable_perp.T)
+
+
+@pytest.mark.parametrize("kind", ["plain", "triu", "-0.9", "-0.99", "-0.999"])
+def test_splitting_stack_against_schur(kind):
+    # splitting_stack's sign-function projectors against the Schur splitting,
+    # one stack per stable dimension of each d = 2..6: equal d_s and gap;
+    # projector distance within 1e-12 + 1e-15 cond(a) (measured: below
+    # 1e-14 on the moderately conditioned kinds, below 3.4e-17 cond(a) up
+    # to cond(a) = 8e13 on "triu")
+    rng = np.random.default_rng(29)
+    for d in range(2, 7):
+        by_dim = {}
+        for _ in range(30):
+            a = _seeded_matrices(kind, rng, d)
+            try:
+                split = hc.hyperbolic_splitting(a)
+            except Singular:  # "triu" can reach cond(a) > 1e14
+                continue
+            by_dim.setdefault(split.d_s, []).append((a, split))
+        for d_s, pairs in by_dim.items():
+            stack = splitting_stack(np.array([a for a, _ in pairs]))
+            assert stack.d_s == d_s
+            assert stack.gap.tolist() == [split.gap for _, split in pairs]
+            for i, (a, split) in enumerate(pairs):
+                for frame in (stack.u[i], stack.vt[i]):
+                    assert np.linalg.norm(frame.T @ frame - np.eye(d)) <= 1e-13
+                if d_s == 0:
+                    continue
+                want = _oblique_projector(split.stable_frame, split.unstable_schur[:, split.d_u:])
+                got = _oblique_projector(stack.stable_frames[i], stack.unstable_complements[i])
+                dist = np.linalg.norm(got - want, 2) / np.linalg.norm(want, 2)
+                assert dist <= 1e-12 + 1e-15 * np.linalg.cond(a)
+        assert len(by_dim) >= 2
+
+
+@pytest.mark.parametrize("bad, error, match", [
+    (np.array([[np.nan, 0.0], [0.0, 2.0]]), NotHyperbolic, "non-finite"),
+    (np.array([[1.0, 1.0], [1.0, 1.0]]), Singular, "singular"),
+    (np.array([[0.0, -1.0], [1.0, 0.0]]), NotHyperbolic, "unit circle"),
+    (np.diag([0.5, 0.25]), IndexMismatch, "stable dimension varies"),
+])
+def test_splitting_stack_rejects_one_bad_matrix(bad, error, match):
+    # the one validator: a single failing matrix anywhere in the stack
+    # raises the error hyperbolic_splitting raises for it alone
+    good = [np.diag([0.5, 2.0]) + 0.1 * k * np.eye(2)[::-1] for k in range(5)]
+    for at in (0, 3, 5):
+        with pytest.raises(error, match=match):
+            splitting_stack(np.array(good[:at] + [bad] + good[at:]))
+    if error is not IndexMismatch:
+        with pytest.raises(error, match=match):
+            hc.hyperbolic_splitting(bad)
+
+
+def test_splitting_stack_falls_back_to_schur(monkeypatch):
+    # a matrix whose sign iteration fails takes the Schur splitting; a Schur
+    # ordering that then disagrees with the eigenvalue count raises
+    rng = np.random.default_rng(4)
+    mats = [random_hyperbolic(rng, 3) for _ in range(40)]
+    ds = [hc.hyperbolic_splitting(a).d_s for a in mats]
+    mats = np.array([a for a, k in zip(mats, ds) if k == ds[0]])
+    converged = spectral._stable_projectors
+
+    def failing_at_two(a):
+        proj, ok = converged(a)
+        proj[2], ok[2] = np.nan, False
+        return proj, ok
+
+    monkeypatch.setattr(spectral, "_stable_projectors", failing_at_two)
+    stack = splitting_stack(mats)
+    split = hc.hyperbolic_splitting(mats[2])
+    assert np.array_equal(stack.u[2], split.stable_schur)
+    assert np.array_equal(stack.unstable_complements[2], split.unstable_schur[:, split.d_u:])
+    schur = scipy.linalg.schur
+    monkeypatch.setattr(scipy.linalg, "schur",
+                        lambda *args, **kwargs: (*schur(*args, **kwargs)[:2], -1))
+    with pytest.raises(NotHyperbolic, match="Schur"):
+        splitting_stack(mats)
 
 
 def test_green_solve_scalar_delta():
