@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import AlignmentFailure, DegenerateClosure, RankDrop
 from .spectral import DEFAULT_GAP_TOL, hyperbolic_splitting, splitting_stack
@@ -106,17 +107,20 @@ def _transport_step(
     """Carry the orthonormal frame current from the subspace at theta_from
     to the one at theta_to: project onto the target, then polar-correct.
 
-    One SVD u s vt of the projection gives both: s are the principal-angle
-    cosines of consecutive subspaces (target is orthonormal) and u vt is the
-    polar factor.  While the smallest cosine is below ALIGNMENT_FLOOR the
-    interval is bisected, up to MAX_REFINEMENTS levels.  Each node reached
-    is appended to visited as (theta, frame, cosine), in order.
+    One SVD u s vt of the projection (LAPACK gesdd, as numpy's svd) gives
+    both: s are the principal-angle cosines of consecutive subspaces (target
+    is orthonormal) and u vt is the polar factor.  While the smallest cosine
+    is below ALIGNMENT_FLOOR the interval is bisected, up to MAX_REFINEMENTS
+    levels.  Each node reached is appended to visited as (theta, frame,
+    cosine), in order.
     """
     k = current.shape[1]
     target = _checked_frame(subspace_at, theta_to, k)
     projected = target @ (target.T @ current)
     if k:
-        u, s, vt = np.linalg.svd(projected, full_matrices=False)
+        u, s, vt, info = lapack.dgesdd(projected, full_matrices=0)
+        if info:
+            raise np.linalg.LinAlgError("SVD did not converge")
         cosine = float(s[-1])
     else:
         cosine = 1.0

@@ -12,10 +12,11 @@ complementary growing modes never enter the computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from ._linalg import polar_orthonormalize
 from .errors import IndexMismatch, NotHyperbolic, Singular
@@ -41,12 +42,15 @@ _SCALING_OFF = 1e-2
 class HyperbolicSplitting:
     """Stable/unstable invariant splitting of a hyperbolic matrix.
 
-    stable_schur / unstable_schur are the orthogonal factors of the ordered
-    real Schur decompositions of a with the eigenvalues inside / outside the
-    unit circle leading, each computed when first read (most callers need
-    one).  Their leading d_s / d_u columns, stable_frame / unstable_frame,
-    span the invariant subspace; the trailing columns span its orthogonal
-    complement.  gap is the smallest distance of any |eigenvalue| to 1.
+    stable_schur / unstable_schur are the orthogonal factors of the real
+    Schur decompositions of a with the eigenvalues inside / outside the unit
+    circle leading, each computed when first read (most callers need one) by
+    LAPACK trsen reordering one unsorted real Schur form of a (gees), itself
+    computed once.  They are bit for bit those of scipy.linalg.schur(a,
+    output="real", sort="iuc" / "ouc").  Their leading d_s / d_u columns,
+    stable_frame / unstable_frame, span the invariant subspace; the trailing
+    columns span its orthogonal complement.  gap is the smallest distance of
+    any |eigenvalue| to 1.
     """
 
     a: np.ndarray
@@ -60,11 +64,11 @@ class HyperbolicSplitting:
 
     @cached_property
     def stable_schur(self) -> np.ndarray:
-        return self._schur_factor("iuc", self.d_s)
+        return self._schur_factor(False, self.d_s)
 
     @cached_property
     def unstable_schur(self) -> np.ndarray:
-        return self._schur_factor("ouc", self.d_u)
+        return self._schur_factor(True, self.d_u)
 
     @property
     def stable_frame(self) -> np.ndarray:
@@ -74,16 +78,32 @@ class HyperbolicSplitting:
     def unstable_frame(self) -> np.ndarray:
         return self.unstable_schur[:, : self.d_u]
 
-    def _schur_factor(self, sort: str, dim: int) -> np.ndarray:
-        """Schur factor of a ordered by sort (complex pairs are never
-        separated), the identity when dim = 0; NotHyperbolic if the
-        ordering's count disagrees with dim, taken from the moduli."""
+    @cached_property
+    def _schur_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Unsorted real Schur form t, its orthogonal factor z and the
+        moduli of its eigenvalues (LAPACK gees), by hypot as Python's
+        abs(complex) in scipy's sort predicates."""
+        t, _, wr, wi, z, _, info = lapack.dgees(_no_sort, self.a, lwork=_gees_lwork(self.d))
+        if info:
+            raise NotHyperbolic(f"real Schur decomposition failed (gees info {info})")
+        return t, z, np.hypot(wr, wi)
+
+    def _schur_factor(self, outside: bool, dim: int) -> np.ndarray:
+        """Schur factor of a with the eigenvalues outside (else inside) the
+        unit circle leading, by scipy's "ouc" / "iuc" predicates (complex
+        pairs are never separated); the identity when dim = 0.
+        NotHyperbolic if the selected count disagrees with dim, taken from
+        the validator's moduli, or if trsen cannot reorder."""
         if dim == 0:
             return np.eye(self.d)
-        _, z, sdim = sla.schur(self.a, output="real", sort=sort)
-        if sdim != dim:
+        t, z, moduli = self._schur_form
+        select = moduli > 1.0 if outside else moduli <= 1.0
+        _, q, _, _, count, _, _, info = lapack.dtrsen(select, t, z, job="N")
+        if info:
+            raise NotHyperbolic(f"Schur reordering failed (trsen info {info})")
+        if count != dim:
             raise NotHyperbolic("ordered Schur decomposition disagrees with eigenvalue count")
-        return z
+        return q
 
     def restricted_stable(self) -> np.ndarray:
         """d_s x d_s matrix of a acting on the stable subspace (contraction)."""
@@ -94,43 +114,69 @@ class HyperbolicSplitting:
         return self.unstable_frame.T @ self.a @ self.unstable_frame
 
 
+def _no_sort(wr: float, wi: float) -> int:
+    """gees's selection callback, never called without sorting."""
+    return 0
+
+
+@cache
+def _gees_lwork(d: int) -> int:
+    """gees's optimal workspace for a d x d matrix, the size that
+    scipy.linalg.schur queries before every call, queried once per d."""
+    return int(lapack.dgees(_no_sort, np.eye(d), lwork=-1)[-2][0])
+
+
 def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> HyperbolicSplitting:
     """Split a hyperbolic matrix into stable and unstable invariant subspaces.
 
-    The frames come from ordered real Schur decompositions, grouping
-    eigenvalues by |mu| < 1 versus |mu| > 1, taken when first read.
+    The frames are the leading columns of orthogonal Schur factors ordered
+    by |mu| <= 1 versus |mu| > 1 (see HyperbolicSplitting), computed when
+    first read.  The singular values and eigenvalue moduli come straight
+    from LAPACK gesdd and geev, the routines numpy's svd and eigvals call.
 
-    Raises NotHyperbolic if a has a non-finite entry, Singular if a is not
-    invertible, NotHyperbolic if any eigenvalue modulus is within gap_tol
-    of 1 (or, when a frame is read, if its Schur ordering disagrees with
-    the eigenvalue count).  The checks are those of splitting_stack, on a
-    stack of one.
+    Raises ValueError unless a is a nonempty square matrix, NotHyperbolic
+    if a has a non-finite entry, Singular if a is not invertible,
+    NotHyperbolic if any eigenvalue modulus is within gap_tol of 1 (or,
+    when a frame is read, if its Schur ordering disagrees with the
+    eigenvalue count).  The checks are those of splitting_stack, by the
+    same function.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a square matrix")
-    d_s, gap = _checked_stack(a[None], gap_tol)
-    return HyperbolicSplitting(a=a.copy(), d_s=d_s, d_u=len(a) - d_s, gap=float(gap[0]))
+    a = np.array(a, dtype=float)
+    finite = _checked_input(a[None], gap_tol)
+    b = a if finite[0] else np.eye(len(a))
+    _, sv, _, info = lapack.dgesdd(b, compute_uv=0)
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    wr, wi, _, _, info = lapack.dgeev(b, compute_vl=0, compute_vr=0)
+    if info:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    d_s, gap = _checked(finite, sv[None], np.abs(wr + 1j * wi)[None], gap_tol)
+    return HyperbolicSplitting(a=a, d_s=d_s, d_u=len(a) - d_s, gap=float(gap[0]))
 
 
-def _checked_stack(a: np.ndarray, gap_tol: float) -> tuple[int, np.ndarray]:
-    """The one validator of every splitting, on an (n, d, d) stack: returns
-    the stable dimension d_s, which must be the same for every matrix
-    (IndexMismatch otherwise), and each matrix's gap, the least distance of
-    an eigenvalue modulus to 1.  The first matrix in stack order that fails
-    a check raises, for the first check it fails: a non-finite entry
-    (NotHyperbolic), numerical singularity (Singular), a gap below gap_tol
-    or NaN (NotHyperbolic)."""
+def _checked_input(a: np.ndarray, gap_tol: float) -> np.ndarray:
+    """Shape and gap_tol checks of an (n, d, d) stack (ValueError); returns
+    which matrices have only finite entries."""
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("expected a square matrix")
+    if not a.size:
+        raise ValueError("expected a nonempty stack of nonempty matrices")
     if not gap_tol > 0:
         raise ValueError("gap_tol must be positive")
-    finite = np.isfinite(a).all(axis=(1, 2))
-    if not finite.all():
-        a = np.where(finite[:, None, None], a, np.eye(a.shape[1]))
-    sv = np.linalg.svd(a, compute_uv=False)
+    return np.isfinite(a).all(axis=(1, 2))
+
+
+def _checked(finite: np.ndarray, sv: np.ndarray, mods: np.ndarray,
+             gap_tol: float) -> tuple[int, np.ndarray]:
+    """The one validator of every splitting, given each matrix's finiteness,
+    singular values (descending) and eigenvalue moduli as (n,) and (n, d)
+    arrays: returns the stable dimension d_s, which must be the same for
+    every matrix (IndexMismatch otherwise), and each matrix's gap, the
+    least distance of an eigenvalue modulus to 1.  The first matrix in
+    stack order that fails a check raises, for the first check it fails: a
+    non-finite entry (NotHyperbolic), numerical singularity (Singular), a
+    gap below gap_tol or NaN (NotHyperbolic)."""
     regular = sv[:, -1] > 1e-14 * np.maximum(1.0, sv[:, 0])
-    mods = np.abs(np.linalg.eigvals(a))
     gap = np.abs(mods - 1.0).min(axis=1)
     good = finite & regular & (gap >= gap_tol)
     if not good.all():
@@ -186,7 +232,8 @@ class SplittingStack:
 def splitting_stack(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> SplittingStack:
     """Split every matrix of an (n, d, d) stack in one stacked computation.
 
-    After the checks of _checked_stack (those of hyperbolic_splitting), the
+    After the checks of _checked (those of hyperbolic_splitting), on numpy's
+    stacked svd and eigvals (a non-finite matrix read as the identity), the
     stable projectors come from the matrix sign function of the Cayley
     transforms (a + I)^-1 (a - I) (_stable_projectors), and one stacked SVD
     of the projectors gives every frame.  A matrix whose sign iteration does
@@ -194,7 +241,10 @@ def splitting_stack(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Splittin
     splitting of hyperbolic_splitting instead.
     """
     a = np.asarray(a, dtype=float)
-    d_s, gap = _checked_stack(a, gap_tol)
+    finite = _checked_input(a, gap_tol)
+    b = a if finite.all() else np.where(finite[:, None, None], a, np.eye(a.shape[1]))
+    d_s, gap = _checked(finite, np.linalg.svd(b, compute_uv=False),
+                        np.abs(np.linalg.eigvals(b)), gap_tol)
     d = a.shape[1]
     proj, ok = _stable_projectors(a)
     u, s, vt = np.linalg.svd(np.where(ok[:, None, None], proj, 0.0))

@@ -40,6 +40,19 @@ def random_hyperbolic(rng, d, gap=0.1):
     return sim @ core @ np.linalg.inv(sim)
 
 
+def record_calls(monkeypatch, owner, name, calls):
+    """Wrap owner.name so that each call appends name to calls; a LAPACK
+    workspace query (lwork=-1) computes nothing and is not counted."""
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        if kwargs.get("lwork") != -1:
+            calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def assemble_jacobian(p, x):
     """Dense window Jacobian, the test oracle for the banded LU: interior
     block rows [-dfdx(n, theta, x_n), I] in window order, then the left and

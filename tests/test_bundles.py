@@ -12,6 +12,8 @@ from homcont.bundles import (MAX_PATH_STEP, LoopTransport, loop_closure, path_no
 from homcont.errors import AlignmentFailure, DegenerateClosure, IndexMismatch, RankDrop
 from homcont.systems import rotating_matrix
 
+from conftest import record_calls
+
 
 def stable_line(theta):
     return np.array([[math.cos(theta / 2)], [math.sin(theta / 2)]])
@@ -257,29 +259,31 @@ def test_stacked_transport_matches_node_walker(m):
                 assert stacked.grid.m > len(path_nodes(grid.nodes)) - 1
 
 
-def test_invariants_take_one_schur_per_side(monkeypatch):
-    # at m = 256 each side is one splitting_stack call: one Schur
-    # decomposition for the start frame, plus two per matrix whose sign
-    # iteration fell back
-    schurs, fallbacks = [], []
-    schur, projectors = scipy.linalg.schur, spectral._stable_projectors
+def test_zero_dimensional_family_is_a_value_error():
+    system = hc.linear_family(0, lambda t: np.zeros((0, 0)), lambda t: np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="nonempty"):
+        hc.index_bundle_invariants(system, hc.CircleGrid.uniform(8))
 
-    def counting_schur(*args, **kwargs):
-        schurs.append(1)
-        return schur(*args, **kwargs)
+
+def test_invariants_take_one_schur_per_side(monkeypatch):
+    # at m = 256 each side is one splitting_stack call: one real Schur form
+    # for the start frame, plus one per matrix whose sign iteration fell back
+    forms, fallbacks = [], []
+    projectors = spectral._stable_projectors
 
     def counting_projectors(a):
         proj, ok = projectors(a)
         fallbacks.append(int(np.sum(~ok)))
         return proj, ok
 
-    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    record_calls(monkeypatch, scipy.linalg, "schur", forms)
+    record_calls(monkeypatch, scipy.linalg.lapack, "dgees", forms)
     monkeypatch.setattr(spectral, "_stable_projectors", counting_projectors)
     rng = np.random.default_rng(3)
     for d in (2, 4, 6):
         a, expected = predict_style_loop(rng, d, 3)
-        schurs.clear(), fallbacks.clear()
+        forms.clear(), fallbacks.clear()
         inv = hc.index_bundle_invariants(hc.linear_family(d, a, a), hc.CircleGrid.uniform(256))
         assert inv.w1_plus == expected
         assert len(fallbacks) == 2
-        assert len(schurs) <= 2 + 2 * sum(fallbacks)
+        assert forms == ["dgees"] * (2 + sum(fallbacks))

@@ -10,7 +10,7 @@ from homcont import spectral, truncation
 from homcont.errors import IndexMismatch, NotHyperbolic, Singular
 from homcont.spectral import splitting_stack, symbol_smin
 
-from conftest import random_hyperbolic
+from conftest import random_hyperbolic, record_calls
 
 
 def test_splitting_diagonal():
@@ -164,12 +164,13 @@ def test_splitting_stack_rejects_one_bad_matrix(bad, error, match):
 
 
 def test_splitting_stack_falls_back_to_schur(monkeypatch):
-    # a matrix whose sign iteration fails takes the Schur splitting; a Schur
-    # ordering that then disagrees with the eigenvalue count raises
+    # a matrix whose sign iteration fails takes the Schur splitting, both
+    # factors reordered from one real Schur form; a Schur ordering that
+    # then disagrees with the eigenvalue count raises
     rng = np.random.default_rng(4)
     mats = [random_hyperbolic(rng, 3) for _ in range(40)]
     ds = [hc.hyperbolic_splitting(a).d_s for a in mats]
-    mats = np.array([a for a, k in zip(mats, ds) if k == ds[0]])
+    mats = np.array([a for a, k in zip(mats, ds) if k == 1])
     converged = spectral._stable_projectors
 
     def failing_at_two(a):
@@ -178,15 +179,82 @@ def test_splitting_stack_falls_back_to_schur(monkeypatch):
         return proj, ok
 
     monkeypatch.setattr(spectral, "_stable_projectors", failing_at_two)
+    calls = []
+    record_calls(monkeypatch, scipy.linalg.lapack, "dgees", calls)
+    record_calls(monkeypatch, scipy.linalg.lapack, "dtrsen", calls)
     stack = splitting_stack(mats)
+    assert calls == ["dgees", "dtrsen", "dtrsen"]
     split = hc.hyperbolic_splitting(mats[2])
     assert np.array_equal(stack.u[2], split.stable_schur)
     assert np.array_equal(stack.unstable_complements[2], split.unstable_schur[:, split.d_u:])
-    schur = scipy.linalg.schur
-    monkeypatch.setattr(scipy.linalg, "schur",
-                        lambda *args, **kwargs: (*schur(*args, **kwargs)[:2], -1))
-    with pytest.raises(NotHyperbolic, match="Schur"):
+    trsen = scipy.linalg.lapack.dtrsen
+
+    def miscounting(*args, **kwargs):
+        ts, qs, wr, wi, count, s, sep, info = trsen(*args, **kwargs)
+        return ts, qs, wr, wi, count - 1, s, sep, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrsen", miscounting)
+    with pytest.raises(NotHyperbolic, match="ordered Schur decomposition disagrees"):
         splitting_stack(mats)
+
+
+@pytest.mark.parametrize("name, match", [("dgees", "gees info 1"), ("dtrsen", "trsen info 1")])
+def test_schur_lapack_failure_is_not_hyperbolic(monkeypatch, name, match):
+    real = getattr(scipy.linalg.lapack, name)
+
+    def failing(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return out if kwargs.get("lwork") == -1 else (*out[:-1], 1)
+
+    monkeypatch.setattr(scipy.linalg.lapack, name, failing)
+    split = hc.hyperbolic_splitting(np.array([[0.5, 1.0], [0.0, 2.0]]))
+    with pytest.raises(NotHyperbolic, match=match):
+        split.stable_schur
+
+
+def _zero_patterned(rng, d):
+    """A hyperbolic matrix with zero entries: block upper triangular with
+    random_hyperbolic diagonal blocks, half its coupling entries zeroed,
+    under a random permutation, so that gees's permutation balancing
+    isolates eigenvalues."""
+    k = int(rng.integers(1, d + 1))
+    a = np.zeros((d, d))
+    a[:k, :k] = random_hyperbolic(rng, k)
+    if k < d:
+        a[k:, k:] = random_hyperbolic(rng, d - k)
+        a[:k, k:] = rng.uniform(-2.0, 2.0, (k, d - k)) * (rng.random((k, d - k)) < 0.5)
+    perm = rng.permutation(d)
+    return a[perm][:, perm]
+
+
+@pytest.mark.parametrize("kind", ["plain", "triu", "-0.9", "-0.99", "-0.999", "zeros"])
+def test_schur_factors_match_scipy_schur(kind):
+    # the trsen reorderings of one unsorted gees form are bit for bit
+    # scipy.linalg.schur(sort="iuc" / "ouc"), whose sorted count is d_s / d_u;
+    # a side of dimension 0 reads the identity
+    rng = np.random.default_rng(31)
+    identities = 0
+    for d in range(1, 7):
+        for _ in range(25):
+            a = _zero_patterned(rng, d) if kind == "zeros" else _seeded_matrices(kind, rng, d)
+            try:
+                split = hc.hyperbolic_splitting(a)
+            except Singular:  # "triu" can reach cond(a) > 1e14
+                continue
+            for factor, sort, dim in ((split.stable_schur, "iuc", split.d_s),
+                                      (split.unstable_schur, "ouc", split.d_u)):
+                _, z, sdim = scipy.linalg.schur(a, output="real", sort=sort)
+                assert sdim == dim
+                assert np.array_equal(factor, z if dim else np.eye(d))
+                identities += dim == 0
+    assert identities >= 10
+
+
+@pytest.mark.parametrize("a", [np.zeros((0, 0)), np.zeros((0, 2, 2)), np.zeros((3, 0, 0))])
+def test_empty_matrices_are_value_errors(a):
+    splitter = hc.hyperbolic_splitting if a.ndim == 2 else splitting_stack
+    with pytest.raises(ValueError, match="nonempty"):
+        splitter(a)
 
 
 def test_green_solve_scalar_delta():

@@ -26,7 +26,7 @@ from homcont.truncation import (
     truncated_problem,
 )
 
-from conftest import assemble_jacobian, random_hyperbolic
+from conftest import assemble_jacobian, random_hyperbolic, record_calls
 
 ALPHA, BETA = 0.5, 2.0
 
@@ -614,29 +614,21 @@ def test_top_ritz_pair_rejects_non_finite(alpha, beta):
 
 def test_short_transport_makes_one_schur_per_family(paper7_perturbed, monkeypatch):
     # Each family reads one Schur factor of its splitting, and a 0.1 rad move
-    # is one transport step per family: two ordered Schur decompositions in
-    # all.  The complement frame is that factor's trailing columns, used as
-    # it is, so each family makes two SVDs: the splitting's singularity test
-    # and the transport step's projection.
+    # is one transport step per family: one real Schur form (gees) and one
+    # reordering of it (trsen) per family.  The complement frame is that
+    # factor's trailing columns, used as it is, so each family makes two
+    # SVDs: the splitting's singularity test and the transport step's
+    # projection.
     p = truncated_problem(paper7_perturbed, 1.0, 10)
-    calls = []
-    svd_calls = []
-    schur = scipy.linalg.schur
-    svd = np.linalg.svd
-
-    def counting_schur(*args, **kwargs):
-        calls.append(kwargs.get("sort"))
-        return schur(*args, **kwargs)
-
-    def counting_svd(*args, **kwargs):
-        svd_calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    schurs, svds = [], []
+    record_calls(monkeypatch, scipy.linalg, "schur", schurs)
+    record_calls(monkeypatch, scipy.linalg.lapack, "dgees", schurs)
+    record_calls(monkeypatch, scipy.linalg.lapack, "dtrsen", schurs)
+    record_calls(monkeypatch, np.linalg, "svd", svds)
+    record_calls(monkeypatch, scipy.linalg.lapack, "dgesdd", svds)
     p.transported(1.1)
-    assert sorted(calls) == ["iuc", "ouc"]
-    assert len(svd_calls) == 4
+    assert schurs == ["dgees", "dtrsen"] * 2
+    assert svds == ["dgesdd"] * 4
 
 
 def test_adapt_window_rejects_nan_tail_tol():
