@@ -10,6 +10,7 @@ locate kernel crossings; the product of the endpoint signs (rows derived at
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -20,7 +21,7 @@ from .errors import InconsistentParity, MaxIterations, NoSignChange
 from .spectral import DEFAULT_GAP_TOL, splitting_stack
 from .truncation import DEFAULT_KERNEL_TOL, classify_window, complement_families, truncated_problem
 
-# Iteration budget of the bisection and of the golden-section fallback.
+# Iteration budget of the regula falsi and of the golden-section fallback.
 MAX_ITER = 200
 
 
@@ -167,17 +168,30 @@ def locate_bifurcation(
 ) -> BifurcationCandidate:
     """Narrow a bracket onto a kernel crossing of the truncated linearization.
 
-    Bisection on the determinant sign (every probe is the window problem
-    at the lower end a, transported to the probe; a probe that becomes the
-    new lower end keeps its problem) continues until the bracket is below
-    tol_theta and the midpoint is near-singular by
-    truncation.classify_window, so the returned candidate always carries a
-    usable kernel vector.  Every probe factors its window once and reads the
-    determinant sign, smin and the kernel vector from that LU; the
-    candidate reuses its midpoint's probe.  Brackets without a sign change
-    fall back to golden-section minimization of smin / ||J||_1; candidates
-    found that way carry no parity certificate and are reported with a
-    warning.
+    Safeguarded regula falsi with the Illinois modification (Dowell and
+    Jarratt, BIT 11, 1971) on the signed smallest singular value: g = +smin
+    where a probe's determinant sign is the lower end's, -smin where it is
+    the upper end's, both from the probe's truncation.classify_window.
+    Every probe is the window problem at the lower end a, transported to
+    the probe; a probe that becomes the new lower end keeps its problem.
+    An iterate stays 1e-3 of the width, and at least one float, inside the
+    bracket, and after two iterates in a row that did not halve the
+    bracket the midpoint is taken, so the bracket at least halves every
+    three iterates.  The candidate is a probe t that classify_window finds
+    near-singular, so it carries a usable kernel vector; theta_star is t,
+    not the bracket's midpoint.  t is returned at once when the bracket is
+    at most tol_theta wide.  Otherwise probes at t -/+ 0.45 tol_theta move
+    the bracket end whose sign they certify.  Across a near-singular
+    plateau wider than that, the offset doubles until a probe is certified
+    or would leave the bracket, the upper side starting from the offset
+    that certified the lower, and the wider bracket is returned.  Every
+    probe factors its window once and reads the
+    determinant sign, smin and the kernel vector from that LU.  A bracket
+    with no float strictly inside raises MaxIterations: no probe can then
+    be near-singular, as when kernel_tol is below the rounding floor.
+    Brackets without a sign change fall back to golden-section
+    minimization of smin / ||J||_1; candidates found that way carry no
+    parity certificate and are reported with a warning.
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not b > a:
@@ -189,38 +203,65 @@ def locate_bifurcation(
         p = p_a.transported(theta)
         return p, classify_window(p, kernel_tol)
 
-    def endpoint_sign(theta: float, inward: float) -> int:
-        return probe(theta)[1][2] or probe(theta + inward * 1e-3 * (b - a))[1][2]
+    def endpoint(theta: float, inward: float):
+        """(sign, smin) at theta, or just inside it when theta is near-singular."""
+        node = probe(theta)[1]
+        if node[2] == 0:
+            node = probe(theta + inward * 1e-3 * (b - a))[1]
+        return node[2], node[0]
 
-    s_a = endpoint_sign(a, +1.0)
-    s_b = endpoint_sign(b, -1.0)
+    s_a, g_a = endpoint(a, +1.0)
+    s_b, g_b = endpoint(b, -1.0)
     if s_a * s_b != -1:  # no certified sign change
         return _golden_fallback(p_a, (a, b), tol_theta, kernel_tol)
-
+    g_b = -g_b
+    moved = 0  # which end the last probe moved: -1 lower, +1 upper (Illinois)
+    stalls = 0  # probes in a row that did not halve the bracket
     for _ in range(MAX_ITER):
         width = b - a
-        mid = 0.5 * (a + b)
-        p_mid, node = probe(mid)
-        s_mid = node[2]
-        if s_mid == s_a:
-            a, p_a = mid, p_mid
-        elif s_mid == s_b:
-            b = mid
+        lo, hi = math.nextafter(a, b), math.nextafter(b, a)
+        if not lo < b:
+            raise MaxIterations(
+                f"the bracket [{a!r}, {b!r}] holds no float strictly inside and no probe "
+                f"was near-singular; kernel_tol {kernel_tol!r} may be below the rounding floor"
+            )
+        t = a + width * g_a / (g_a - g_b)
+        if stalls == 2 or not a <= t <= b:  # NaN included
+            t = 0.5 * (a + b)
+        t = float(min(max(t, a + 1e-3 * width, lo), b - 1e-3 * width, hi))
+        p_t, node = probe(t)
+        if node[2] == s_a:
+            a, p_a, g_a = t, p_t, node[0]
+            if moved < 0:
+                g_b *= 0.5
+            moved = -1
+        elif node[2] == s_b:
+            b, g_b = t, -node[0]
+            if moved > 0:
+                g_a *= 0.5
+            moved = +1
         elif width <= tol_theta:
-            return _candidate(mid, (a, b), node)
+            return _candidate(t, (a, b), node)
         else:
-            # Near-singular midpoint: shrink from both sides with off-center
-            # probes, keeping the crossing inside.
-            lo, hi = a + 0.35 * width, a + 0.65 * width
-            p_lo, (_, _, s_lo, _) = probe(lo)
-            s_hi = probe(hi)[1][2]
-            if s_lo == s_a:
-                a, p_a = lo, p_lo
-            if s_hi == s_b:
-                b = hi
-            if s_lo == 0 and s_hi == 0:
-                return _candidate(mid, (a, b), node)
-    raise MaxIterations(f"bisection did not converge within {MAX_ITER} iterations")
+            # Certify the signs next to the near-singular probe t.
+            offset = max(0.45 * tol_theta, math.ulp(t))
+            for side in (-1.0, 1.0):
+                while a < t + side * offset < b:
+                    theta = t + side * offset
+                    p_s, (smin, _, sign, _) = probe(theta)
+                    if sign == s_a:
+                        a, p_a, g_a = theta, p_s, smin
+                    elif sign == s_b:
+                        b, g_b = theta, -smin
+                    else:
+                        offset *= 2.0
+                        continue
+                    break
+            if a <= t <= b:
+                return _candidate(t, (a, b), node)
+            moved = 0
+        stalls = 0 if stalls == 2 or b - a <= 0.5 * width else stalls + 1
+    raise MaxIterations(f"regula falsi did not converge within {MAX_ITER} iterations")
 
 
 def _golden_fallback(p_a, bracket, tol_theta, kernel_tol):

@@ -5,7 +5,7 @@ window [-N, N] with projection boundary conditions: the left endpoint is
 constrained to the unstable subspace of a(theta, -inf) and the right
 endpoint to the stable subspace of a(theta, +inf), written as orthonormal
 rows annihilating those subspaces.  truncated_problem derives the rows at
-one theta; every move along theta (the parity scan, bisection,
+one theta; every move along theta (the parity scan, localization,
 continuation) goes through TruncatedProblem.transported, which carries
 them continuously, so determinant signs along a path are comparable.  The
 unknown is the flat window vector X = (x_{-N}, ..., x_N), length

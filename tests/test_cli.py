@@ -122,7 +122,7 @@ def test_detect_max_iterations_exits_4(capsys):
     # no window smin clears a relative threshold of 1e-300
     code, _, err = run_cli(capsys, ["detect", "--kernel-tol", "1e-300"])
     assert code == 4
-    assert "bisection did not converge within 200 iterations" in err
+    assert "kernel_tol 1e-300 may be below the rounding floor" in err
 
 
 def test_check_passes(tmp_path, capsys):

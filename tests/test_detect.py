@@ -91,11 +91,22 @@ def test_locate_bifurcation_no_crossing(paper7_linear):
         hc.locate_bifurcation(paper7_linear, (0.5, 1.0), 30, 1e-4)
 
 
-def test_locate_bifurcation_max_iterations(paper7_linear):
-    # no window smin clears a relative threshold of 1e-300, so the
-    # bisection can never accept a midpoint
-    with pytest.raises(MaxIterations):
+def test_locate_bifurcation_max_iterations(paper7_linear, monkeypatch):
+    # no window smin clears a relative threshold of 1e-300, so no probe can
+    # be the candidate: locate gives up once the bracket holds no float
+    # strictly inside, without probing any theta twice
+    thetas = []
+    transported = truncation.TruncatedProblem.transported
+
+    def recording(self, theta):
+        thetas.append(float(theta))
+        return transported(self, theta)
+
+    monkeypatch.setattr(truncation.TruncatedProblem, "transported", recording)
+    with pytest.raises(MaxIterations, match="below the rounding floor"):
         hc.locate_bifurcation(paper7_linear, (3.0, 3.3), 10, 1e-6, kernel_tol=1e-300)
+    assert len(set(thetas)) == len(thetas)
+    assert len(thetas) <= 60
 
 
 def test_even_multiplicity_dip_detection():
@@ -164,18 +175,26 @@ def test_scan_rejects_non_periodic_family():
 
 def test_locate_transports_each_segment_once(paper7_perturbed, monkeypatch):
     # A probe that becomes the new lower end keeps its problem: no segment
-    # of theta is carried twice.
-    segments = []
-    transported = truncation.TruncatedProblem.transported
+    # of theta is carried twice, and each probe's window is transported
+    # once.  At least two endpoints, one iterate and the two probes that
+    # certify the signs next to it.
+    segments, probes = [], []
+    transported, classify = truncation.TruncatedProblem.transported, detect.classify_window
 
     def recording(self, theta):
         segments.append((self.theta, float(theta)))
         return transported(self, theta)
 
+    def counting(p, kernel_tol):
+        probes.append(p.theta)
+        return classify(p, kernel_tol)
+
     monkeypatch.setattr(truncation.TruncatedProblem, "transported", recording)
+    monkeypatch.setattr(detect, "classify_window", counting)
     cand = hc.locate_bifurcation(paper7_perturbed, (math.pi - 0.3, math.pi + 0.2), 30, 1e-6)
     assert abs(cand.theta_star - math.pi) < 1e-3
-    assert len(segments) > 10
+    assert [to for _, to in segments] == probes
+    assert len(segments) >= 5
     assert len(set(segments)) == len(segments)
 
 
@@ -303,3 +322,52 @@ def test_smallest_singular_matches_dense_svd(paper7_perturbed):
                     assert cand.kernel_vector @ oracle >= 1.0 - 1e-12
                     located += 1
     assert located >= 3
+
+
+def test_locate_brackets_a_certified_crossing(paper7_perturbed, monkeypatch):
+    # Seeded loops and paper7 on an asymmetric bracket: the returned bracket
+    # holds theta*, its ends carry opposite certified signs with rows
+    # carried from the start, theta* is near-singular by a dense SVD, and
+    # regula falsi needs at most 12 probes (bisection needs over 20 on these
+    # brackets).  The bracket is at most tol_theta wide unless the points
+    # 0.45 tol_theta either side of theta* are near-singular too; then the
+    # lower end is at most twice as far out as the plateau reaches (the
+    # point halfway to it is near-singular), and the bracket stays within
+    # 10 tol_theta.
+    N, tol_theta, kernel_tol = 30, 1e-6, truncation.DEFAULT_KERNEL_TOL
+    rng = np.random.default_rng(19)
+    cases = [(paper7_perturbed, (math.pi - 0.3, math.pi + 0.2))]
+    for d in (2, 3, 4, 2, 3, 4):
+        system = _rotating_random_family(rng, d)
+        scan = hc.scan_parity(system, hc.CircleGrid.uniform(32), N)
+        cases += [(system, iv) for iv in scan.sign_change_intervals]
+    assert len(cases) >= 7
+    probes = []
+    classify = detect.classify_window
+
+    def counting(p, tol):
+        probes.append(p.theta)
+        return classify(p, tol)
+
+    monkeypatch.setattr(detect, "classify_window", counting)
+    plateaus = 0
+    for system, bracket in cases:
+        probes.clear()
+        cand = hc.locate_bifurcation(system, bracket, N, tol_theta)
+        assert len(probes) <= 12
+        lo, hi, star = *cand.bracket, cand.theta_star
+        assert lo <= star <= hi
+        start = truncated_problem(system, bracket[0], N)
+
+        def sign(theta):
+            return truncation.classify_window(start.transported(theta), kernel_tol)[2]
+
+        assert sign(lo) * sign(hi) == -1
+        if hi - lo > tol_theta:
+            plateaus += 1
+            inner = (star - 0.45 * tol_theta, star + 0.45 * tol_theta, 0.5 * (lo + star))
+            assert [sign(t) for t in inner] == [0, 0, 0]
+            assert hi - lo <= 10 * tol_theta
+        jac = assemble_jacobian(start.transported(star), np.zeros(start.size))
+        assert np.linalg.svd(jac, compute_uv=False)[-1] <= kernel_tol * np.linalg.norm(jac, 1)
+    assert plateaus < len(cases)
