@@ -34,7 +34,8 @@ class ParityScan:
     truncation.classify_window finds near-singular; excluded nodes do not
     enter the sign-change count but end up inside candidate intervals.
     smin holds each node's smallest singular value, from the same band of
-    J as its determinant sign (WindowLU.smallest_singular).
+    J as its determinant sign (WindowLU.smallest_singular), certified
+    whatever estimate scan_parity handed to it.
     dip_intervals brackets nodes whose smin dips four orders of magnitude
     below the grid median without a determinant sign change: candidate
     even-multiplicity crossings, which carry no parity certificate.
@@ -74,6 +75,13 @@ def scan_parity(
     product of the determinant signs at theta = 0 (rows derived there) and
     theta = 2*pi (rows carried there); InconsistentParity is raised if the
     two disagree or if either endpoint is itself near-singular.
+
+    Node i > 0 hands classify_window an estimate of its smin: the value at
+    its theta of the polynomial through smin^2 at nodes i - 1, i - 2 and
+    i - 3 (fewer at the start: linear at node 2, constant at node 1).  It
+    only decides where the Gram path's Cholesky bisection starts, so the
+    scan's signs and smin are those it would have without it, up to the
+    last bits of smin.
     """
     n_nodes = grid.m + 1
     start = truncated_problem(system, float(grid.nodes[0]), N, gap_tol=gap_tol)
@@ -82,7 +90,9 @@ def scan_parity(
     smins = np.zeros(n_nodes)
     for i in range(n_nodes):
         p = replace(start, theta=float(grid.nodes[i]), left_rows=left[i].T, right_rows=right[i].T)
-        smins[i], _, signs[i], _ = classify_window(p, kernel_tol)
+        back = slice(max(0, i - 3), i)
+        estimate = _extrapolated_smin(grid.nodes[back], smins[back], float(grid.nodes[i]))
+        smins[i], _, signs[i], _ = classify_window(p, kernel_tol, estimate=estimate)
 
     if signs[0] == 0 or signs[-1] == 0:
         raise InconsistentParity(
@@ -129,6 +139,19 @@ def scan_parity(
         dip_intervals=dips,
         loop_parity=parity_count,
     )
+
+
+def _extrapolated_smin(thetas, smins, theta: float) -> float | None:
+    """sqrt of the Lagrange polynomial through (thetas, smins^2) at theta,
+    or None when there are no nodes or the polynomial is not positive."""
+    value = 0.0
+    for j, (t_j, s_j) in enumerate(zip(thetas, smins)):
+        weight = 1.0
+        for k, t_k in enumerate(thetas):
+            if k != j:
+                weight *= (theta - t_k) / (t_j - t_k)
+        value += weight * float(s_j) * float(s_j)
+    return math.sqrt(value) if value > 0.0 else None
 
 
 def _boundary_frames(system, grid: CircleGrid, start, gap_tol: float):

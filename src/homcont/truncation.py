@@ -33,12 +33,17 @@ THETA_STEP = 1e-7
 # singular value is not at least kernel_tol times its 1-norm is near-singular.
 DEFAULT_KERNEL_TOL = 1e-8
 # WindowLU.smallest_singular picks its path before iterating.  A window whose
-# J^T J - (GRAM_FLOOR * ||J||_1)^2 I has a Cholesky factor takes the Gram
-# path: smin^2 is bracketed by Cholesky tests of J^T J - mu I to a relative
-# width of _GRAM_BRACKET_RTOL, refined by _INVERSE_STEPS inverse-iteration
-# solves and at most _RQI_STEPS Rayleigh-quotient steps, and accepted when
-# the tests at mu * (1 -+ c), c = _CERTIFY_ULPS * eps * max(1, min diag / mu),
-# confirm it; otherwise the bracket is bisected down to 2 * eps.  Every other
+# pivots, or one transposed solve with the seeded vector q (smin <= 1 /
+# ||J^-T q||), bound smin by GRAM_FLOOR * ||J||_1 goes to Lanczos at once.
+# Of the others, a window whose J^T J - (GRAM_FLOOR * ||J||_1)^2 I has a
+# Cholesky factor takes the Gram path: smin^2 is bracketed by Cholesky tests
+# of J^T J - mu I to a relative width of _GRAM_BRACKET_RTOL, refined by
+# _INVERSE_STEPS inverse-iteration solves and at most _RQI_STEPS
+# Rayleigh-quotient steps, and accepted when the tests at mu * (1 -+ c),
+# c = _CERTIFY_ULPS * eps * max(1, min diag / mu), confirm it; otherwise the
+# bracket is bisected down to 2 * eps.  A caller's estimate e of smin (the
+# parity scan extrapolates its previous nodes) only moves where that bracket
+# starts: the tests at e^2 (1 -+ _ESTIMATE_RTOL) come first.  Every other
 # window takes shift-invert Lanczos on the LU, which stops once the top Ritz
 # pair's residual is below LANCZOS_RTOL times its Ritz value.  Both paths
 # start from a vector seeded by _LANCZOS_SEED so that reruns are
@@ -50,6 +55,9 @@ _GRAM_BRACKET_RTOL = 1e-3
 _INVERSE_STEPS = 4
 _RQI_STEPS = 4
 _CERTIFY_ULPS = 64
+# Just under 4 * _GRAM_BRACKET_RTOL: a bracket e^2 (1 -+ _ESTIMATE_RTOL)
+# reaches _GRAM_BRACKET_RTOL in three halvings.
+_ESTIMATE_RTOL = 3.9e-3
 # Divide-by-zero guard of smallest_singular, not a singularity criterion:
 # pivots below _ZERO_PIVOT * ||J||_1 are raised to _RAISED_PIVOT * ||J||_1
 # for its solves.
@@ -160,13 +168,13 @@ class WindowLU:
     1-norm of J is taken from the band before factoring; it scales the
     package's one singularity criterion, smin against kernel_tol * ||J||_1
     in classify_window.  The unfactored band is kept for matvec and for the
-    band of J^T J.  smallest_singular decides from the pivots and one
-    Cholesky test of J^T J - mu0 I, mu0 = (GRAM_FLOOR * ||J||_1)^2, between
-    shift-invert Lanczos on these factors (windows with smin <= sqrt(mu0),
-    every near-singular one among them) and the Gram path on that band
-    (bisect, then Rayleigh-quotient iteration, then a two-Cholesky
-    certificate, with a bisection down to 2 * eps when the certificate
-    fails).
+    band of J^T J.  smallest_singular decides from the pivots, one
+    transposed solve and one Cholesky test of J^T J - mu0 I, mu0 =
+    (GRAM_FLOOR * ||J||_1)^2, between shift-invert Lanczos on these factors
+    (windows with smin <= sqrt(mu0), every near-singular one among them) and
+    the Gram path on that band (bisect, then Rayleigh-quotient iteration,
+    then a two-Cholesky certificate, with a bisection down to 2 * eps when
+    the certificate fails).
     """
 
     def __init__(self, ab: np.ndarray, kl: int, ku: int, d_s: int, interior: int):
@@ -211,7 +219,7 @@ class WindowLU:
         sign *= int(np.prod(np.sign(self._udiag)))
         return sign
 
-    def smallest_singular(self) -> tuple[float, np.ndarray]:
+    def smallest_singular(self, estimate: float | None = None) -> tuple[float, np.ndarray]:
         """(smin, v): the smallest singular value of J and a unit right
         singular vector for it, in assembled column order, sign arbitrary.
 
@@ -219,12 +227,24 @@ class WindowLU:
         G = J^T J.  With partial pivoting the unit lower factor has at most
         kl multipliers of modulus <= 1 per column, so smin <= (1 + kl) *
         min |u_ii| in practice; a window where that bound is <= sqrt(mu0)
-        (every near-singular one among them) goes straight to Lanczos.
-        Otherwise one Cholesky test of G - mu0 I decides: if the factor
-        exists, smin > sqrt(mu0) and _gram_smallest gives (smin, v) on the
-        band of G; if not, or if G is not finite, Lanczos does.  The pivot
-        bound only saves that test: a window it sends to Lanczos wrongly
-        still gets its exact smin, a little slower.
+        (every near-singular one among them) goes straight to Lanczos.  So
+        does a window where smin <= 1 / ||J^-T q|| <= sqrt(mu0), q the
+        seeded unit start vector; that transposed solve is handed to Lanczos
+        as its first half-step, so the run is the one it would be without
+        the test.  Otherwise one Cholesky test of G - mu0 I decides: if the
+        factor exists, smin > sqrt(mu0) and _gram_smallest gives (smin, v)
+        on the band of G; if not, or if G is not finite, Lanczos does.  The
+        bounds only save that test: a window the pivot bound sends to
+        Lanczos wrongly still gets its exact smin, a little slower, and the
+        solve bound holds for every unit q.
+
+        estimate, a guess of smin, only decides where the Gram path's
+        bisection starts (see _gram_smallest); None, a non-finite or
+        non-positive value, or one whose bracket falls outside (mu0, min
+        diag G) is ignored.  The Gram path's smin is certified by the same
+        two Cholesky tests whatever the estimate, so it changes the cost and
+        the last bits of smin, never which eigenvalue is returned or which
+        path is taken.
 
         Lanczos runs with full reorthogonalization on (PJ)^-1 (PJ)^-T =
         (J^T J)^-1, P the banded row order: each step is two gbtrs solves
@@ -245,16 +265,22 @@ class WindowLU:
         * ||J||_1 for the solves, so v is still a unit kernel vector.
         """
         mu0 = (GRAM_FLOOR * self.norm_1) ** 2
-        if (1 + self._kl) * np.min(np.abs(self._udiag)) > np.sqrt(mu0):
+        if not (1 + self._kl) * np.min(np.abs(self._udiag)) > np.sqrt(mu0):
+            return self._lanczos_smallest()
+        first, _ = lapack.dgbtrs(self._lu, self._kl, self._ku, _seeded_unit_vector(self._n),
+                                 self._ipiv, trans=1)
+        if not np.linalg.norm(first) * np.sqrt(mu0) >= 1.0:  # NaN included
             gram = self._gram_band()
             if np.all(np.isfinite(gram)):
-                result = self._gram_smallest(gram, mu0)
+                result = self._gram_smallest(gram, mu0, estimate)
                 if result is not None:
                     return result
-        return self._lanczos_smallest()
+        return self._lanczos_smallest(first)
 
-    def _lanczos_smallest(self) -> tuple[float, np.ndarray]:
-        """smallest_singular's Lanczos path on the LU factors."""
+    def _lanczos_smallest(self, first: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+        """smallest_singular's Lanczos path on the LU factors; first, when
+        given, is the transposed solve of the first step, already made on
+        these factors."""
         n, kl, ku = self._n, self._kl, self._ku
         lu = self._lu
         tiny = np.abs(self._udiag) < _ZERO_PIVOT * self.norm_1
@@ -265,13 +291,15 @@ class WindowLU:
         basis = np.empty((min(n, 8), n))
         q = _seeded_unit_vector(n)
         alpha, beta = [], []
-        k, check_at = 0, 1
+        k, check_at, y = 0, 1, first
         while True:
             if k == len(basis):
                 basis = np.concatenate([basis, np.empty((min(n, 2 * k) - k, n))])
             basis[k] = q
-            y, _ = lapack.dgbtrs(lu, kl, ku, q, self._ipiv, trans=1)
+            if y is None:
+                y, _ = lapack.dgbtrs(lu, kl, ku, q, self._ipiv, trans=1)
             w, _ = lapack.dgbtrs(lu, kl, ku, y, self._ipiv)
+            y = None
             k += 1
             krylov = basis[:k]
             h = krylov @ w
@@ -290,13 +318,21 @@ class WindowLU:
         v /= np.linalg.norm(v)
         return (0.0 if singular else float(1.0 / np.sqrt(t))), v
 
-    def _gram_smallest(self, gram: np.ndarray, mu0: float) -> tuple[float, np.ndarray] | None:
+    def _gram_smallest(self, gram: np.ndarray, mu0: float,
+                       estimate: float | None = None) -> tuple[float, np.ndarray] | None:
         """(smin, v) from the band of G = J^T J, or None when G - mu0 I has
         no Cholesky factor.  By Sylvester's inertia dpbtrf factors G - mu I
         exactly when mu < lambda_min(G), so [mu0, min diag G] brackets
         lambda_min (a diagonal entry is a Rayleigh quotient, so G - (min
         diag G) I never factors).  In order:
 
+        0. with an estimate e of smin whose shift e^2 (1 - _ESTIMATE_RTOL)
+           lies in (mu0, min diag G), test that shift first.  A factor
+           there makes it the lower end, in place of the mu0 test (G - mu0
+           I is then positive definite too), and e^2 (1 + _ESTIMATE_RTOL),
+           when below min diag G, is tested next and becomes the upper end
+           or the lower one.  A failed first test becomes the upper end and
+           the mu0 test follows.  A wrong estimate costs at most two tests;
         1. bisect the bracket by Cholesky tests to a relative width of
            _GRAM_BRACKET_RTOL;
         2. run _INVERSE_STEPS inverse-iteration solves with the factor at
@@ -315,12 +351,20 @@ class WindowLU:
         _INVERSE_STEPS more inverse-iteration solves, with the last
         positive-definite factor, turn the step-2 vector into v.  That
         worst case makes as many Cholesky tests as a bisection from mu0
-        would."""
-        lo_factor = _shifted_cholesky(gram, mu0)
-        if lo_factor is None:
-            return None
+        would, plus step 0's."""
         diag_min = float(np.min(gram[-1]))
-        lo, hi, lo_factor = _bisect(gram, mu0, diag_min, lo_factor, _GRAM_BRACKET_RTOL)
+        lo, hi, lo_factor = mu0, diag_min, None
+        for shift in _estimate_shifts(estimate, mu0, diag_min):
+            factor = _shifted_cholesky(gram, shift)
+            if factor is None:
+                hi = shift
+                break
+            lo, lo_factor = shift, factor
+        if lo_factor is None:
+            lo_factor = _shifted_cholesky(gram, mu0)
+            if lo_factor is None:
+                return None
+        lo, hi, lo_factor = _bisect(gram, lo, hi, lo_factor, _GRAM_BRACKET_RTOL)
         start = _inverse_iteration(lo_factor, _seeded_unit_vector(self._n), _INVERSE_STEPS)
         mu, v = self._rayleigh_quotient_iteration(gram, start, diag_min)
         if mu > lo:  # every Rayleigh quotient is >= lambda_min > lo
@@ -402,6 +446,20 @@ class WindowLU:
                 out[:n + offset] += diag[-offset:] * v[-offset:]
         m, ds = self._interior, self._d_s
         return np.concatenate([out[ds:ds + m], out[:ds], out[ds + m:]])
+
+
+def _estimate_shifts(estimate: float | None, mu0: float, diag_min: float) -> tuple[float, ...]:
+    """The shifts _gram_smallest tests first for an estimate e of smin:
+    e^2 (1 - _ESTIMATE_RTOL) and, below diag_min, e^2 (1 + _ESTIMATE_RTOL);
+    none when e is None, not finite or not positive, or when the first
+    shift is outside (mu0, diag_min)."""
+    if estimate is None or not 0.0 < estimate < np.inf:
+        return ()
+    guess = float(estimate) * float(estimate)
+    below, above = guess * (1.0 - _ESTIMATE_RTOL), guess * (1.0 + _ESTIMATE_RTOL)
+    if not mu0 < below < diag_min:
+        return ()
+    return (below, above) if above < diag_min else (below,)
 
 
 def _shifted_cholesky(gram: np.ndarray, mu: float) -> np.ndarray | None:
@@ -494,7 +552,7 @@ def banded_jacobian_lu(p: TruncatedProblem, x: np.ndarray) -> WindowLU:
     return WindowLU(ab, kl, ku, d_s=ds, interior=m)
 
 
-def classify_window(p: TruncatedProblem, kernel_tol: float):
+def classify_window(p: TruncatedProblem, kernel_tol: float, estimate: float | None = None):
     """The package's one singularity criterion, on the window linearization
     at X = 0: (smin, scale, sign, kernel vector), all from the one band of J
     that banded_jacobian_lu writes.  smin and its unit right singular vector
@@ -504,11 +562,13 @@ def classify_window(p: TruncatedProblem, kernel_tol: float):
     1e-3, Rayleigh-quotient iteration, a two-Cholesky certificate, and a
     bisection down to 2 * eps when that fails); every other window, each
     near-singular one at the default kernel_tol among them, takes
-    shift-invert Lanczos on the LU.  scale = ||J||_1, and sign is
-    the determinant sign, or 0 exactly when the window is near-singular:
-    when near_singular(smin, scale, kernel_tol)."""
+    shift-invert Lanczos on the LU.  estimate, a guess of smin, only moves
+    where the Gram path's bisection starts; smin is certified whatever it
+    is.  scale = ||J||_1, and sign is the determinant sign, or 0 exactly
+    when the window is near-singular: when near_singular(smin, scale,
+    kernel_tol)."""
     lu = banded_jacobian_lu(p, np.zeros(p.size))
-    smin, vec = lu.smallest_singular()
+    smin, vec = lu.smallest_singular(estimate)
     sign = 0 if near_singular(smin, lu.norm_1, kernel_tol) else lu.det_sign()
     return smin, lu.norm_1, sign, vec
 

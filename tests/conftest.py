@@ -53,6 +53,15 @@ def record_calls(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, counted)
 
 
+def estimate_trials(smin, floor):
+    """Estimates to hand smallest_singular for a window with smallest
+    singular value smin and Gram floor floor = GRAM_FLOOR * ||J||_1: exact,
+    off by 2e-3 and by 0.3 either way, ten times too large, below the floor,
+    and values it must ignore."""
+    return [smin, smin * (1 - 2e-3), smin * (1 + 2e-3), smin * 0.7, smin * 1.3,
+            10 * smin, 0.5 * floor, 0.0, -1.0, float("nan"), float("inf")]
+
+
 def assemble_jacobian(p, x):
     """Dense window Jacobian, the test oracle for the banded LU: interior
     block rows [-dfdx(n, theta, x_n), I] in window order, then the left and

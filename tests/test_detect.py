@@ -10,7 +10,7 @@ from homcont.errors import AlignmentFailure, MaxIterations, NoSignChange
 from homcont.systems import rotating_matrix
 from homcont.truncation import banded_jacobian_lu, complement_families, truncated_problem
 
-from conftest import assemble_jacobian, random_hyperbolic
+from conftest import assemble_jacobian, estimate_trials, random_hyperbolic
 
 
 def test_public_names_resolve():
@@ -243,6 +243,73 @@ def test_no_window_svds(paper7_linear, monkeypatch):
     assert svds == []
 
 
+def test_scan_estimates_cut_cholesky_tests(monkeypatch):
+    # Cost guard without a wall clock: handing each node the smin
+    # extrapolated from the nodes before it cuts the scan's Cholesky tests
+    # (the Gram path's bisection) to at most 0.6 of a scan without
+    # estimates, with no bisection to 2 * eps and the same signs and smin
+    # to the last bits.
+    system = hc.paper7_family(hc.Paper7Config())
+    grid = hc.CircleGrid.uniform(64)
+    tests, widths = [0], []
+    cholesky, bisect, classify = truncation._shifted_cholesky, truncation._bisect, detect.classify_window
+
+    def counting(*args):
+        tests[0] += 1
+        return cholesky(*args)
+
+    def recording(*args):
+        widths.append(args[-1])  # rtol, the relative width bisected to
+        return bisect(*args)
+
+    def without_estimate(p, kernel_tol, estimate=None):
+        return classify(p, kernel_tol)
+
+    monkeypatch.setattr(truncation, "_shifted_cholesky", counting)
+    monkeypatch.setattr(truncation, "_bisect", recording)
+    scan = hc.scan_parity(system, grid, 40)
+    with_estimates, fallbacks = tests[0], widths.count(2.0 * np.finfo(float).eps)
+    tests[0] = 0
+    monkeypatch.setattr(detect, "classify_window", without_estimate)
+    plain = hc.scan_parity(system, grid, 40)
+    assert with_estimates <= 0.6 * tests[0]
+    assert fallbacks == 0
+    assert np.array_equal(scan.det_signs, plain.det_signs)
+    assert np.max(np.abs(scan.smin - plain.smin) / plain.smin) <= 1e-15
+
+
+def test_transposed_bound_skips_gram_band(paper7_perturbed, monkeypatch):
+    # At N = 160 and theta = pi the pivots do not bound smin below the Gram
+    # floor, but one transposed solve does: the window goes to Lanczos
+    # without building the band of J^T J, and the Lanczos run that reuses
+    # that solve is the one made without it, bit for bit and with as many
+    # transposed solves.
+    p = truncated_problem(paper7_perturbed, math.pi, 160)
+    lu = banded_jacobian_lu(p, np.zeros(p.size))
+    floor = truncation.GRAM_FLOOR * lu.norm_1
+    assert (1 + lu._kl) * np.min(np.abs(lu._udiag)) > floor
+    bands, transposed = [], [0]
+    gram_band, solve = truncation.WindowLU._gram_band, truncation.lapack.dgbtrs
+
+    def recording(self):
+        bands.append(1)
+        return gram_band(self)
+
+    def counting(*args, **kwargs):
+        transposed[0] += kwargs.get("trans", 0) == 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(truncation.WindowLU, "_gram_band", recording)
+    monkeypatch.setattr(truncation.lapack, "dgbtrs", counting)
+    smin, v = lu.smallest_singular(estimate=floor)
+    assert bands == []
+    solves, transposed[0] = transposed[0], 0
+    want_smin, want_v = lu._lanczos_smallest()
+    assert solves == transposed[0] > 0
+    assert smin == want_smin < floor
+    assert np.array_equal(v, want_v)
+
+
 def _plane_rotation(d, theta):
     r = np.eye(d)
     r[:2, :2] = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
@@ -292,12 +359,22 @@ def test_scan_matches_dense_oracles(paper7_linear):
         assert np.count_nonzero(scan.det_signs == 0) <= 1
 
 
-def test_smallest_singular_matches_dense_svd(paper7_perturbed):
+def test_smallest_singular_matches_dense_svd(paper7_perturbed, monkeypatch):
     # smallest_singular against a full SVD at N = 60: regular nodes (the
     # small singular values cluster there; the Gram path), theta = pi and
     # pi - 1e-6 (Lanczos, which stops long before k = n), and every located
     # candidate, whose kernel vector must be the dense right singular vector
     # oriented by the same convention (largest-magnitude entry positive).
+    # On paper7 every estimate of smin gives the same answer on the same
+    # path as none.
+    lanczos_runs = []
+    lanczos = truncation.WindowLU._lanczos_smallest
+
+    def recording(lu, *args):
+        lanczos_runs.append(1)
+        return lanczos(lu, *args)
+
+    monkeypatch.setattr(truncation.WindowLU, "_lanczos_smallest", recording)
     rng = np.random.default_rng(11)
     families = [paper7_perturbed] + [_rotating_random_family(rng, d) for d in (2, 3, 4)]
     N = 60
@@ -316,6 +393,18 @@ def test_smallest_singular_matches_dense_svd(paper7_perturbed):
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
             if smin <= 1e-8 * lu.norm_1:
                 assert abs(v @ vt[-1]) >= 1.0 - 1e-12
+            if system is paper7_perturbed:
+                lanczos_runs.clear()
+                lu.smallest_singular()
+                path = len(lanczos_runs)
+                for estimate in estimate_trials(s[-1], truncation.GRAM_FLOOR * lu.norm_1):
+                    lanczos_runs.clear()
+                    smin, v = lu.smallest_singular(estimate)
+                    assert len(lanczos_runs) == path
+                    assert abs(smin - s[-1]) <= 1e-13 * s[0]
+                    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+                    if smin <= 1e-8 * lu.norm_1:
+                        assert abs(v @ vt[-1]) >= 1.0 - 1e-12
             for cand in candidates:
                 if cand.theta_star == theta:
                     oracle = vt[-1] * np.sign(vt[-1][np.argmax(np.abs(vt[-1]))])

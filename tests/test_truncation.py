@@ -26,7 +26,7 @@ from homcont.truncation import (
     truncated_problem,
 )
 
-from conftest import assemble_jacobian, random_hyperbolic, record_calls
+from conftest import assemble_jacobian, estimate_trials, random_hyperbolic, record_calls
 
 ALPHA, BETA = 0.5, 2.0
 
@@ -270,14 +270,20 @@ def count_calls(monkeypatch, *names):
 
 
 def count_lanczos_steps(monkeypatch):
-    """Count Lanczos steps: each makes one transposed dgbtrs solve on the
-    LU of J, and no other path solves with a transpose."""
-    steps = [0]
+    """Count Lanczos steps: each makes one plain dgbtrs solve on the LU of J
+    after a transposed one on the same factors (for the first step that may
+    be smallest_singular's transposed bound).  The Gram path makes that one
+    transposed solve too, but its plain solves are on factors of J^T J - mu
+    I."""
+    steps, factors = [0], [None]
     solve = truncation.lapack.dgbtrs
 
-    def counted(*args, **kwargs):
-        steps[0] += kwargs.get("trans", 0) == 1
-        return solve(*args, **kwargs)
+    def counted(lu, *args, **kwargs):
+        if kwargs.get("trans", 0) == 1:
+            factors[0] = lu
+        else:
+            steps[0] += lu is factors[0]
+        return solve(lu, *args, **kwargs)
 
     monkeypatch.setattr(truncation.lapack, "dgbtrs", counted)
     return steps
@@ -288,8 +294,9 @@ def test_stalled_lanczos_takes_gram_path(paper7_perturbed, monkeypatch, theta):
     # At N = 160 the small singular values of regular windows cluster near
     # 1 - alpha, where Lanczos would stall; those windows pass the mu0 test
     # and the Gram path gives smin and v without a single Lanczos step.  At
-    # the kernel crossing theta = pi the mu0 test fails, at most once, and
-    # Lanczos converges in a few steps.
+    # the kernel crossing theta = pi the pivots do not bound smin below the
+    # floor, but one transposed solve does: no mu0 test, and Lanczos
+    # converges in a few steps.
     p = truncated_problem(paper7_perturbed, theta, 160)
     lu = banded_jacobian_lu(p, np.zeros(p.size))
     calls = count_calls(monkeypatch, "dpbtrf")
@@ -300,7 +307,7 @@ def test_stalled_lanczos_takes_gram_path(paper7_perturbed, monkeypatch, theta):
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert abs(v @ vt[-1]) >= 1.0 - 1e-10
     if theta == math.pi:
-        assert calls["dpbtrf"] <= 1
+        assert calls["dpbtrf"] == 0
         assert steps[0] > 0
         assert smin < GRAM_FLOOR * lu.norm_1
     else:
@@ -358,7 +365,9 @@ def test_smallest_singular_matches_svd_on_random_windows(seed, monkeypatch):
     # Seeded linear windows with random hyperbolic limits, d = 2 - 4, at
     # N = 40 and 160: smin and v against the dense SVD, and the LU's
     # determinant sign against slogdet.  Both seeds' d = 4 windows lie
-    # below the Gram floor, so each seed covers both paths.
+    # below the Gram floor, so each seed covers both paths.  Every estimate
+    # of smin, good, bad or meaningless, gives the same answer on the same
+    # path: it changes the cost, not the result.
     rng = np.random.default_rng(seed)
     results = []
     gram_smallest = truncation.WindowLU._gram_smallest
@@ -366,6 +375,11 @@ def test_smallest_singular_matches_svd_on_random_windows(seed, monkeypatch):
     def recording(lu, *args):
         results.append(gram_smallest(lu, *args))  # None: the mu0 test failed
         return results[-1]
+
+    def path(estimate):
+        results.clear()
+        smin, v = lu.smallest_singular(estimate)
+        return smin, v, "gram" if results and results[0] is not None else "lanczos"
 
     monkeypatch.setattr(truncation.WindowLU, "_gram_smallest", recording)
     taken = set()
@@ -375,15 +389,17 @@ def test_smallest_singular_matches_svd_on_random_windows(seed, monkeypatch):
         for N in (40, 160):
             p = truncated_problem(system, 0.0, N)
             lu = banded_jacobian_lu(p, np.zeros(p.size))
-            results.clear()
-            smin, v = lu.smallest_singular()
-            taken.add("gram" if results and results[0] is not None else "lanczos")
+            smin, v, taken_here = path(None)
+            taken.add(taken_here)
             jac = assemble_jacobian(p, np.zeros(p.size))
             _, s, vt = np.linalg.svd(jac)
-            assert abs(smin - s[-1]) <= 1e-13 * s[0]
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-            assert abs(v @ vt[-1]) >= 1.0 - 1e-10
             assert lu.det_sign() == int(np.linalg.slogdet(jac)[0])
+            for estimate in [None] + estimate_trials(s[-1], GRAM_FLOOR * lu.norm_1):
+                smin, v, taken_with = path(estimate)
+                assert taken_with == taken_here
+                assert abs(smin - s[-1]) <= 1e-13 * s[0]
+                assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+                assert abs(v @ vt[-1]) >= 1.0 - 1e-10
     assert taken == {"gram", "lanczos"}
 
 
