@@ -55,14 +55,12 @@ class LoopTransport:
     """Frames of a subspace family transported once around the circle.
 
     frames[i] is a d x k column-orthonormal basis at grid.nodes[i];
-    closure_matrix expresses frames[-1] in terms of frames[0];
-    min_alignment is the smallest consecutive principal-angle cosine met.
+    closure_matrix expresses frames[-1] in terms of frames[0].
     """
 
     grid: CircleGrid
     frames: list[np.ndarray]
     closure_matrix: np.ndarray
-    min_alignment: float
 
 
 @dataclass(frozen=True)
@@ -111,8 +109,8 @@ def _transport_step(
     both: s are the principal-angle cosines of consecutive subspaces (target
     is orthonormal) and u vt is the polar factor.  While the smallest cosine
     is below ALIGNMENT_FLOOR the interval is bisected, up to MAX_REFINEMENTS
-    levels.  Each node reached is appended to visited as (theta, frame,
-    cosine), in order.
+    levels.  Each node reached is appended to visited as (theta, frame), in
+    order.
     """
     k = current.shape[1]
     target = _checked_frame(subspace_at, theta_to, k)
@@ -135,7 +133,7 @@ def _transport_step(
         return _transport_step(subspace_at, halfway, mid, theta_to, visited, depth + 1)
     frame = u @ vt if k else projected
     if visited is not None:
-        visited.append((theta_to, frame, cosine))
+        visited.append((theta_to, frame))
     return frame
 
 
@@ -183,15 +181,14 @@ def transport_frames(subspace_at: Callable[[float], np.ndarray], grid: CircleGri
         carries[shift:] = carries[shift:] @ carries[:-shift]
         shift *= 2
     carried = list(frames @ carries)
-    thetas, alignments = list(nodes), [1.0] + cosines.tolist()
+    thetas = list(nodes)
     for i in sorted(bisected, reverse=True):  # splice in the nodes bisection added
         inner = bisected[i][:-1]
-        thetas[i + 1:i + 1] = [theta for theta, _, _ in inner]
-        carried[i + 1:i + 1] = [frame @ carries[i] for _, frame, _ in inner]
-        alignments[i + 1:i + 2] = [cosine for _, _, cosine in bisected[i]]
+        thetas[i + 1:i + 1] = [theta for theta, _ in inner]
+        carried[i + 1:i + 1] = [frame @ carries[i] for _, frame in inner]
     return LoopTransport(
         grid=CircleGrid(m=len(thetas) - 1, nodes=np.array(thetas)), frames=carried,
-        closure_matrix=loop_closure(carried[0], carried[-1]), min_alignment=min(alignments),
+        closure_matrix=loop_closure(carried[0], carried[-1]),
     )
 
 

@@ -32,7 +32,6 @@ from .errors import (
 from .spectral import DEFAULT_GAP_TOL
 from .truncation import (
     DEFAULT_N_MAX,
-    TAIL_FRACTION,
     TruncatedProblem,
     adapt_window,
     assemble_dresidual_dtheta,
@@ -412,7 +411,7 @@ def continue_branch(
                 break
             continue
 
-        if tail_mass(x_new, TAIL_FRACTION, d) > controls.tail_tol:
+        if tail_mass(x_new, d) > controls.tail_tol:
             try:
                 n_old = p.N
                 p, x_new = adapt_window(p, x_new, controls.tail_tol, controls.n_max)

@@ -32,22 +32,9 @@ THETA_STEP = 1e-7
 # Relative kernel threshold of near_singular: an operator whose smallest
 # singular value is not at least kernel_tol times its 1-norm is near-singular.
 DEFAULT_KERNEL_TOL = 1e-8
-# WindowLU.smallest_singular picks its path before iterating.  A window whose
-# pivots, or one transposed solve with the seeded vector q (smin <= 1 /
-# ||J^-T q||), bound smin by GRAM_FLOOR * ||J||_1 goes to Lanczos at once.
-# Of the others, a window whose J^T J - (GRAM_FLOOR * ||J||_1)^2 I has a
-# Cholesky factor takes the Gram path: smin^2 is bracketed by Cholesky tests
-# of J^T J - mu I to a relative width of _GRAM_BRACKET_RTOL, refined by
-# _INVERSE_STEPS inverse-iteration solves and at most _RQI_STEPS
-# Rayleigh-quotient steps, and accepted when the tests at mu * (1 -+ c),
-# c = _CERTIFY_ULPS * eps * max(1, min diag / mu), confirm it; otherwise the
-# bracket is bisected down to 2 * eps.  A caller's estimate e of smin (the
-# parity scan extrapolates its previous nodes) only moves where that bracket
-# starts: the tests at e^2 (1 -+ _ESTIMATE_RTOL) come first.  Every other
-# window takes shift-invert Lanczos on the LU, which stops once the top Ritz
-# pair's residual is below LANCZOS_RTOL times its Ritz value.  Both paths
-# start from a vector seeded by _LANCZOS_SEED so that reruns are
-# byte-identical.
+# Constants of WindowLU.smallest_singular, whose docstring describes how
+# it picks and runs its path.  Every start vector is seeded by _LANCZOS_SEED
+# so that reruns are byte-identical.
 LANCZOS_RTOL = 1e-14
 _LANCZOS_SEED = 2012
 GRAM_FLOOR = 1e-2
@@ -60,7 +47,7 @@ _CERTIFY_ULPS = 64
 _ESTIMATE_RTOL = 3.9e-3
 # Divide-by-zero guard of smallest_singular, not a singularity criterion:
 # pivots below _ZERO_PIVOT * ||J||_1 are raised to _RAISED_PIVOT * ||J||_1
-# for its solves.
+# for all of its solves.
 _RAISED_PIVOT = 1e-12
 _ZERO_PIVOT = _RAISED_PIVOT * np.finfo(float).eps
 
@@ -168,13 +155,8 @@ class WindowLU:
     1-norm of J is taken from the band before factoring; it scales the
     package's one singularity criterion, smin against kernel_tol * ||J||_1
     in classify_window.  The unfactored band is kept for matvec and for the
-    band of J^T J.  smallest_singular decides from the pivots, one
-    transposed solve and one Cholesky test of J^T J - mu0 I, mu0 =
-    (GRAM_FLOOR * ||J||_1)^2, between shift-invert Lanczos on these factors
-    (windows with smin <= sqrt(mu0), every near-singular one among them) and
-    the Gram path on that band (bisect, then Rayleigh-quotient iteration,
-    then a two-Cholesky certificate, with a bisection down to 2 * eps when
-    the certificate fails).
+    band of J^T J; smallest_singular's docstring says how it chooses
+    between Lanczos on these factors and the Gram path on that band.
     """
 
     def __init__(self, ab: np.ndarray, kl: int, ku: int, d_s: int, interior: int):
@@ -223,20 +205,21 @@ class WindowLU:
         """(smin, v): the smallest singular value of J and a unit right
         singular vector for it, in assembled column order, sign arbitrary.
 
-        The path is picked first, from mu0 = (GRAM_FLOOR * ||J||_1)^2 and
-        G = J^T J.  With partial pivoting the unit lower factor has at most
-        kl multipliers of modulus <= 1 per column, so smin <= (1 + kl) *
-        min |u_ii| in practice; a window where that bound is <= sqrt(mu0)
-        (every near-singular one among them) goes straight to Lanczos.  So
-        does a window where smin <= 1 / ||J^-T q|| <= sqrt(mu0), q the
-        seeded unit start vector; that transposed solve is handed to Lanczos
-        as its first half-step, so the run is the one it would be without
-        the test.  Otherwise one Cholesky test of G - mu0 I decides: if the
-        factor exists, smin > sqrt(mu0) and _gram_smallest gives (smin, v)
-        on the band of G; if not, or if G is not finite, Lanczos does.  The
-        bounds only save that test: a window the pivot bound sends to
-        Lanczos wrongly still gets its exact smin, a little slower, and the
-        solve bound holds for every unit q.
+        The path is picked before any iteration, with mu0 = (GRAM_FLOOR *
+        ||J||_1)^2 and G = J^T J:
+        1. the LU's pivots below _ZERO_PIVOT * ||J||_1 (exact zeros among
+           them) are raised to _RAISED_PIVOT * ||J||_1, here and nowhere
+           else; every solve below runs on these floored factors;
+        2. one transposed solve y = J^-T q, q the seeded unit start vector,
+           bounds smin <= 1 / ||y||.  A window where that bound is not
+           above sqrt(mu0) (every near-singular one, and every NaN bound)
+           goes to Lanczos, with y as its first half-step, so the run is the
+           one it would be without the bound;
+        3. otherwise one Cholesky test of G - mu0 I decides: if the factor
+           exists, smin > sqrt(mu0) and _gram_smallest gives (smin, v) on
+           the band of G; if not, or if G is not finite, Lanczos
+           (_lanczos_smallest) does.
+        The bound only saves that test: it holds for every unit q.
 
         estimate, a guess of smin, only decides where the Gram path's
         bisection starts (see _gram_smallest); None, a non-finite or
@@ -246,48 +229,44 @@ class WindowLU:
         the last bits of smin, never which eigenvalue is returned or which
         path is taken.
 
-        Lanczos runs with full reorthogonalization on (PJ)^-1 (PJ)^-T =
-        (J^T J)^-1, P the banded row order: each step is two gbtrs solves
-        (transposed, then plain) on the factors held here, O(n *
-        bandwidth), plus the reorthogonalization against the k vectors so
-        far, O(n * k).  The run starts from a fixed seeded vector (a
-        structured one such as all-ones can be orthogonal to a symmetric
-        kernel) and stops when the top Ritz pair (t, s) of the k x k
-        tridiagonal has |beta_k * s_k| <= LANCZOS_RTOL * t, or at k = n,
-        where the Krylov space is the whole space; then smin = t^(-1/2).
-        Convergence is tested on a growing schedule of k, and the Krylov
-        buffer grows on demand.  Near-singular windows converge in a few
-        steps; the Gram path keeps clustered regular windows, where Lanczos
-        is slow, off it.
-
-        An exactly singular LU, or one with a pivot below _ZERO_PIVOT *
-        ||J||_1, gives smin = 0; its tiny pivots are raised to _RAISED_PIVOT
-        * ||J||_1 for the solves, so v is still a unit kernel vector.
+        A window with a floored pivot gives smin = 0, and v is still a unit
+        kernel vector of J.
         """
+        kl, ku = self._kl, self._ku
+        tiny = np.abs(self._udiag) < _ZERO_PIVOT * self.norm_1
+        lu = self._lu
+        if np.any(tiny):
+            lu = lu.copy()
+            lu[kl + ku, tiny] = _RAISED_PIVOT * self.norm_1
+        first, _ = lapack.dgbtrs(lu, kl, ku, _seeded_unit_vector(self._n), self._ipiv, trans=1)
         mu0 = (GRAM_FLOOR * self.norm_1) ** 2
-        if not (1 + self._kl) * np.min(np.abs(self._udiag)) > np.sqrt(mu0):
-            return self._lanczos_smallest()
-        first, _ = lapack.dgbtrs(self._lu, self._kl, self._ku, _seeded_unit_vector(self._n),
-                                 self._ipiv, trans=1)
-        if not np.linalg.norm(first) * np.sqrt(mu0) >= 1.0:  # NaN included
+        if np.linalg.norm(first) * np.sqrt(mu0) < 1.0:  # NaN goes to Lanczos
             gram = self._gram_band()
             if np.all(np.isfinite(gram)):
                 result = self._gram_smallest(gram, mu0, estimate)
                 if result is not None:
                     return result
-        return self._lanczos_smallest(first)
+        smin, v = self._lanczos_smallest(lu, first)
+        return (0.0 if np.any(tiny) else smin), v
 
-    def _lanczos_smallest(self, first: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-        """smallest_singular's Lanczos path on the LU factors; first, when
-        given, is the transposed solve of the first step, already made on
-        these factors."""
+    def _lanczos_smallest(self, lu: np.ndarray, first: np.ndarray) -> tuple[float, np.ndarray]:
+        """smallest_singular's Lanczos path on lu, the floored factors; first
+        is the transposed solve of the seeded vector q that smallest_singular
+        made on them, the first step's first half.
+
+        Lanczos runs with full reorthogonalization on (PJ)^-1 (PJ)^-T =
+        (J^T J)^-1, P the banded row order: each step is two gbtrs solves
+        (transposed, then plain) on lu, O(n * bandwidth), plus the
+        reorthogonalization against the k vectors so far, O(n * k).  The
+        run starts from q (a structured vector such as all-ones can be
+        orthogonal to a symmetric kernel) and stops when the top Ritz pair
+        (t, s) of the k x k tridiagonal has |beta_k * s_k| <= LANCZOS_RTOL *
+        t, or at k = n, where the Krylov space is the whole space; then
+        smin = t^(-1/2).  Convergence is tested on a growing schedule of k,
+        and the Krylov buffer grows on demand.  Near-singular windows
+        converge in a few steps; the Gram path keeps clustered regular
+        windows, where Lanczos is slow, off it."""
         n, kl, ku = self._n, self._kl, self._ku
-        lu = self._lu
-        tiny = np.abs(self._udiag) < _ZERO_PIVOT * self.norm_1
-        singular = bool(np.any(tiny))
-        if singular:
-            lu = lu.copy()
-            lu[kl + ku, tiny] = _RAISED_PIVOT * self.norm_1
         basis = np.empty((min(n, 8), n))
         q = _seeded_unit_vector(n)
         alpha, beta = [], []
@@ -296,10 +275,9 @@ class WindowLU:
             if k == len(basis):
                 basis = np.concatenate([basis, np.empty((min(n, 2 * k) - k, n))])
             basis[k] = q
-            if y is None:
+            if k:
                 y, _ = lapack.dgbtrs(lu, kl, ku, q, self._ipiv, trans=1)
             w, _ = lapack.dgbtrs(lu, kl, ku, y, self._ipiv)
-            y = None
             k += 1
             krylov = basis[:k]
             h = krylov @ w
@@ -316,7 +294,7 @@ class WindowLU:
             q = w / beta[-1]
         v = s @ krylov
         v /= np.linalg.norm(v)
-        return (0.0 if singular else float(1.0 / np.sqrt(t))), v
+        return float(1.0 / np.sqrt(t)), v
 
     def _gram_smallest(self, gram: np.ndarray, mu0: float,
                        estimate: float | None = None) -> tuple[float, np.ndarray] | None:
@@ -556,17 +534,11 @@ def classify_window(p: TruncatedProblem, kernel_tol: float, estimate: float | No
     """The package's one singularity criterion, on the window linearization
     at X = 0: (smin, scale, sign, kernel vector), all from the one band of J
     that banded_jacobian_lu writes.  smin and its unit right singular vector
-    come from WindowLU.smallest_singular, whose path is picked before any
-    iteration: a window with smin > GRAM_FLOOR * ||J||_1, shown by one
-    Cholesky test of J^T J, takes the Gram path (Cholesky bisection to
-    1e-3, Rayleigh-quotient iteration, a two-Cholesky certificate, and a
-    bisection down to 2 * eps when that fails); every other window, each
-    near-singular one at the default kernel_tol among them, takes
-    shift-invert Lanczos on the LU.  estimate, a guess of smin, only moves
-    where the Gram path's bisection starts; smin is certified whatever it
-    is.  scale = ||J||_1, and sign is the determinant sign, or 0 exactly
-    when the window is near-singular: when near_singular(smin, scale,
-    kernel_tol)."""
+    come from WindowLU.smallest_singular, whose docstring says which path
+    it takes; estimate, a guess of smin, only moves where its Gram path's
+    bisection starts, and smin is certified whatever it is.  scale =
+    ||J||_1, and sign is the determinant sign, or 0 exactly when the window
+    is near-singular: when near_singular(smin, scale, kernel_tol)."""
     lu = banded_jacobian_lu(p, np.zeros(p.size))
     smin, vec = lu.smallest_singular(estimate)
     sign = 0 if near_singular(smin, lu.norm_1, kernel_tol) else lu.det_sign()
@@ -593,19 +565,16 @@ def assemble_dresidual_dtheta(p: TruncatedProblem, x: np.ndarray) -> np.ndarray:
     return np.concatenate([-df.ravel(), np.zeros(p.d)])
 
 
-def tail_mass(x: np.ndarray, fraction: float, d: int) -> float:
-    """Largest block norm over the outer window fraction (|n| >= (1-fraction)*N)."""
-    if not (0.0 < fraction < 1.0):
-        raise ValueError("fraction must lie in (0, 1)")
+def tail_mass(x: np.ndarray, d: int) -> float:
+    """Largest block norm over the outer TAIL_FRACTION of the window,
+    |n| >= (1 - TAIL_FRACTION) * N."""
     x = np.asarray(x, dtype=float)
     if x.size % d != 0 or (x.size // d) % 2 != 1:
         raise SizeMismatch("window vector length must be d * (2N + 1)")
     blocks = x.reshape(-1, d)
     N = (blocks.shape[0] - 1) // 2
-    if N == 0:
-        return float(np.linalg.norm(blocks[0]))
     ns = np.arange(-N, N + 1)
-    mask = np.abs(ns) >= (1.0 - fraction) * N - 1e-12
+    mask = np.abs(ns) >= (1.0 - TAIL_FRACTION) * N - 1e-12
     return float(np.max(np.linalg.norm(blocks[mask], axis=1)))
 
 
@@ -651,7 +620,7 @@ def adapt_window(
     """
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
-    if tail_mass(x, TAIL_FRACTION, p.d) <= tail_tol:
+    if tail_mass(x, p.d) <= tail_tol:
         return p, np.asarray(x, dtype=float)
 
     blocks = p.blocks(x)

@@ -30,7 +30,6 @@ def test_constant_subspace_transport():
     grid = hc.CircleGrid.uniform(16)
     tr = hc.transport_frames(lambda t: np.array([[1.0], [0.0]]), grid)
     assert tr.closure_matrix == pytest.approx(np.array([[1.0]]), abs=1e-12)
-    assert tr.min_alignment >= 1.0 - 1e-12
     assert hc.w1(tr) == 1
 
 
@@ -91,7 +90,7 @@ def test_degenerate_closure_rejected(grid64):
     tr = hc.transport_frames(stable_line, grid64)
     broken = LoopTransport(
         grid=tr.grid, frames=tr.frames,
-        closure_matrix=np.array([[1e-9]]), min_alignment=tr.min_alignment,
+        closure_matrix=np.array([[1e-9]]),
     )
     with pytest.raises(DegenerateClosure):
         hc.w1(broken)
@@ -245,13 +244,12 @@ def test_stacked_transport_matches_node_walker(m):
                 return hc.hyperbolic_splitting(a(theta)).stable_frame
 
             stacked = hc.transport_frames(family, grid)
-            visited = [(0.0, family(0.0), 1.0)]
+            visited = [(0.0, family(0.0))]
             for lo, hi in zip(grid.nodes[:-1], grid.nodes[1:]):
                 bundles._walk(family, visited[-1][1], float(lo), float(hi), visited)
-            assert stacked.grid.nodes.tolist() == [theta for theta, _, _ in visited]
+            assert stacked.grid.nodes.tolist() == [theta for theta, _ in visited]
             closure = loop_closure(visited[0][1], visited[-1][1])
             assert np.linalg.norm(stacked.closure_matrix - closure) <= 1e-10
-            assert stacked.min_alignment == pytest.approx(min(c for _, _, c in visited), abs=1e-12)
             assert hc.w1(stacked) == expected
             invariants = hc.index_bundle_invariants(hc.linear_family(d, a, a), grid)
             assert invariants.w1_plus == invariants.w1_minus == expected

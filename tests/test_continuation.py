@@ -119,7 +119,7 @@ def test_branch_points_satisfy_invariants(long_branch):
     for pt in long_branch.points:
         assert pt.residual_norm <= 1e-9
         assert pt.l2_norm >= 0.5 * s0
-        assert tail_mass(pt.X, 0.25, 2) <= 1e-8
+        assert tail_mass(pt.X, 2) <= 1e-8
         assert pt.amplitude != 0.0
 
 
@@ -200,7 +200,7 @@ def test_window_adapts_mid_branch(paper7_perturbed, candidate):
     assert 80 in ns  # the window doubled along the way
     for pt in branch.points:
         assert pt.residual_norm <= 1e-10
-        assert tail_mass(pt.X, 0.25, 2) <= 1e-12
+        assert tail_mass(pt.X, 2) <= 1e-12
     # amplitude reference was re-embedded: amplitudes stay consistent
     assert all(pt.amplitude > 0 for pt in branch.points)
 

@@ -279,16 +279,15 @@ def test_scan_estimates_cut_cholesky_tests(monkeypatch):
 
 
 def test_transposed_bound_skips_gram_band(paper7_perturbed, monkeypatch):
-    # At N = 160 and theta = pi the pivots do not bound smin below the Gram
-    # floor, but one transposed solve does: the window goes to Lanczos
-    # without building the band of J^T J, and the Lanczos run that reuses
-    # that solve is the one made without it, bit for bit and with as many
-    # transposed solves.
+    # At N = 160 and theta = pi one transposed solve bounds smin below the
+    # Gram floor: the window goes to Lanczos without building the band of
+    # J^T J, and that solve is the first half of Lanczos's first step, so
+    # every step makes one transposed and one plain solve and the run is
+    # the one Lanczos makes from that solve, bit for bit.
     p = truncated_problem(paper7_perturbed, math.pi, 160)
     lu = banded_jacobian_lu(p, np.zeros(p.size))
     floor = truncation.GRAM_FLOOR * lu.norm_1
-    assert (1 + lu._kl) * np.min(np.abs(lu._udiag)) > floor
-    bands, transposed = [], [0]
+    bands, solves = [], {0: 0, 1: 0}
     gram_band, solve = truncation.WindowLU._gram_band, truncation.lapack.dgbtrs
 
     def recording(self):
@@ -296,16 +295,17 @@ def test_transposed_bound_skips_gram_band(paper7_perturbed, monkeypatch):
         return gram_band(self)
 
     def counting(*args, **kwargs):
-        transposed[0] += kwargs.get("trans", 0) == 1
+        solves[kwargs.get("trans", 0)] += 1
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(truncation.WindowLU, "_gram_band", recording)
     monkeypatch.setattr(truncation.lapack, "dgbtrs", counting)
     smin, v = lu.smallest_singular(estimate=floor)
     assert bands == []
-    solves, transposed[0] = transposed[0], 0
-    want_smin, want_v = lu._lanczos_smallest()
-    assert solves == transposed[0] > 0
+    assert solves[1] == solves[0] > 0
+    first, _ = solve(lu._lu, lu._kl, lu._ku, truncation._seeded_unit_vector(lu._n), lu._ipiv,
+                     trans=1)
+    want_smin, want_v = lu._lanczos_smallest(lu._lu, first)
     assert smin == want_smin < floor
     assert np.array_equal(v, want_v)
 

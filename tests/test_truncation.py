@@ -271,8 +271,8 @@ def count_calls(monkeypatch, *names):
 
 def count_lanczos_steps(monkeypatch):
     """Count Lanczos steps: each makes one plain dgbtrs solve on the LU of J
-    after a transposed one on the same factors (for the first step that may
-    be smallest_singular's transposed bound).  The Gram path makes that one
+    after a transposed one on the same factors (for the first step that is
+    smallest_singular's transposed bound).  The Gram path makes that one
     transposed solve too, but its plain solves are on factors of J^T J - mu
     I."""
     steps, factors = [0], [None]
@@ -294,9 +294,8 @@ def test_stalled_lanczos_takes_gram_path(paper7_perturbed, monkeypatch, theta):
     # At N = 160 the small singular values of regular windows cluster near
     # 1 - alpha, where Lanczos would stall; those windows pass the mu0 test
     # and the Gram path gives smin and v without a single Lanczos step.  At
-    # the kernel crossing theta = pi the pivots do not bound smin below the
-    # floor, but one transposed solve does: no mu0 test, and Lanczos
-    # converges in a few steps.
+    # the kernel crossing theta = pi one transposed solve bounds smin below
+    # the floor: no mu0 test, and Lanczos converges in a few steps.
     p = truncated_problem(paper7_perturbed, theta, 160)
     lu = banded_jacobian_lu(p, np.zeros(p.size))
     calls = count_calls(monkeypatch, "dpbtrf")
@@ -467,20 +466,19 @@ def test_smin_geometric_decay_certificate(paper7_linear):
 
 def test_tail_mass_examples(paper7_linear):
     N = 40
-    assert tail_mass(np.zeros(2 * (2 * N + 1)), 0.25, 2) == 0.0
+    assert tail_mass(np.zeros(2 * (2 * N + 1)), 2) == 0.0
     kern = kernel_window(paper7_linear, N)
-    tm = tail_mass(kern, 0.25, 2)
+    tm = tail_mass(kern, 2)
     assert 0.0 < tm <= max(ALPHA ** 30, BETA ** (-30)) + 1e-15
     unit_edge = np.zeros(2 * (2 * N + 1))
     unit_edge[-2:] = [1.0, 0.0]  # unit block at n = N
-    assert tail_mass(unit_edge, 0.25, 2) == 1.0
+    assert tail_mass(unit_edge, 2) == 1.0
+    assert tail_mass(np.array([3.0, 4.0]), 2) == 5.0  # N = 0: the one block
 
 
 def test_tail_mass_validation():
-    with pytest.raises(ValueError):
-        tail_mass(np.zeros(10), 1.5, 2)
     with pytest.raises(SizeMismatch):
-        tail_mass(np.zeros(11), 0.25, 2)
+        tail_mass(np.zeros(11), 2)
 
 
 def geometric_window(rate, N, d=1):
