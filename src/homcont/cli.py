@@ -499,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--window-n", type=int, help="window half-width (>= 10)")
     common.add_argument("--seed", type=int, help="seed for randomized trials")
     common.add_argument("--gap-tol", type=float, help="hyperbolicity gap tolerance")
-    common.add_argument("--kernel-tol", type=float, help="kernel threshold on smin relative to ||J||_1")
+    common.add_argument("--kernel-tol", type=float, help="kernel threshold on smin (absolute)")
     common.add_argument("--newton-tol", type=float, help="Newton residual tolerance")
     common.add_argument("--tail-tol", type=float, help="window tail tolerance")
     common.add_argument("--tol-theta", type=float, help="bifurcation bracket tolerance")

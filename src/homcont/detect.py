@@ -19,7 +19,8 @@ import numpy as np
 from .bundles import CircleGrid, path_nodes, sampled_family, transport_frames
 from .errors import InconsistentParity, MaxIterations, NoSignChange
 from .spectral import DEFAULT_GAP_TOL, splitting_stack
-from .truncation import DEFAULT_KERNEL_TOL, classify_window, complement_families, truncated_problem
+from .truncation import (DEFAULT_KERNEL_TOL, ROUNDING_FLOOR, classify_window, complement_families,
+                         truncated_problem)
 
 # Iteration budget of the regula falsi and of the golden-section fallback.
 MAX_ITER = 200
@@ -211,7 +212,7 @@ def locate_bifurcation(
     probe factors its window once and reads the
     determinant sign, smin and the kernel vector from that LU.  A bracket
     with no float strictly inside raises MaxIterations: no probe can then
-    be near-singular, as when kernel_tol is below the rounding floor.
+    be near-singular.
     Brackets without a sign change fall back to golden-section
     minimization of smin / ||J||_1; candidates found that way carry no
     parity certificate and are reported with a warning.
@@ -246,7 +247,7 @@ def locate_bifurcation(
         if not lo < b:
             raise MaxIterations(
                 f"the bracket [{a!r}, {b!r}] holds no float strictly inside and no probe "
-                f"was near-singular; kernel_tol {kernel_tol!r} may be below the rounding floor"
+                f"was near-singular at kernel_tol {kernel_tol!r}"
             )
         t = a + width * g_a / (g_a - g_b)
         if stalls == 2 or not a <= t <= b:  # NaN included
@@ -326,10 +327,11 @@ def _golden_fallback(p_a, bracket, tol_theta, kernel_tol):
     mid, node = (x1, c1) if rel_smin(c1) <= rel_smin(c2) else (x2, c2)
     smin, scale, sign, _ = node
     if sign != 0:
+        threshold = max(kernel_tol, ROUNDING_FLOOR * scale)
         raise NoSignChange(
             f"no determinant sign change in the bracket and the smallest "
             f"singular-value dip stays above the kernel threshold (smallest "
-            f"singular value {smin:.3e} exceeds {kernel_tol * scale:.3e})"
+            f"singular value {smin:.3e} exceeds {threshold:.3e})"
         )
     cand = _candidate(mid, (a, b), node)
     warnings.warn(

@@ -29,9 +29,13 @@ from .systems import dfdx_rows, f_rows
 DEFAULT_N_MAX = 2 ** 12
 TAIL_FRACTION = 0.25
 THETA_STEP = 1e-7
-# Relative kernel threshold of near_singular: an operator whose smallest
-# singular value is not at least kernel_tol times its 1-norm is near-singular.
+# Kernel threshold of near_singular, absolute: an operator whose smallest
+# singular value is not at least kernel_tol is near-singular.
 DEFAULT_KERNEL_TOL = 1e-8
+# Rounding floor of near_singular: an smin at or below ROUNDING_FLOOR times
+# the operator's 1-norm is near-singular whatever kernel_tol is, since
+# rounding alone can put it there.
+ROUNDING_FLOOR = 64 * np.finfo(float).eps
 # Constants of WindowLU.smallest_singular, whose docstring describes how
 # it picks and runs its path.  Every start vector is seeded by _LANCZOS_SEED
 # so that reruns are byte-identical.
@@ -153,8 +157,8 @@ class WindowLU:
     left rows over the 2*N*d interior rows is an even permutation (2*N*d is
     even), so determinant signs agree with the assembled ordering.  The
     1-norm of J is taken from the band before factoring; it scales the
-    package's one singularity criterion, smin against kernel_tol * ||J||_1
-    in classify_window.  The unfactored band is kept for matvec and for the
+    rounding floor of the package's one singularity criterion
+    (near_singular, in classify_window).  The unfactored band is kept for matvec and for the
     band of J^T J; smallest_singular's docstring says how it chooses
     between Lanczos on these factors and the Gram path on that band.
     """
@@ -546,9 +550,14 @@ def classify_window(p: TruncatedProblem, kernel_tol: float, estimate: float | No
 
 
 def near_singular(smin: float, scale: float, kernel_tol: float) -> bool:
-    """not smin >= kernel_tol * scale (the operator's 1-norm): NaN is singular.
-    The product is taken in Python floats, which overflow to inf silently."""
-    return not smin >= kernel_tol * float(scale)
+    """The package's one singularity criterion: an operator with smallest
+    singular value smin and 1-norm scale is near-singular unless smin >=
+    kernel_tol and smin > ROUNDING_FLOOR * scale.  kernel_tol is absolute:
+    smin is the 2-norm distance to the nearest singular operator
+    (Eckart-Young); scale enters only the rounding floor, below which the
+    LU's determinant sign is noise.  NaN is singular, and the product is
+    taken in Python floats, which overflow to inf silently."""
+    return not (smin >= kernel_tol and smin > ROUNDING_FLOOR * float(scale))
 
 
 def assemble_dresidual_dtheta(p: TruncatedProblem, x: np.ndarray) -> np.ndarray:

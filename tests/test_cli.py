@@ -118,11 +118,51 @@ def test_branch_bad_theta_star_exits_4(capsys):
     assert "no bifurcation candidate" in err
 
 
-def test_detect_max_iterations_exits_4(capsys):
-    # no window smin clears a relative threshold of 1e-300
-    code, _, err = run_cli(capsys, ["detect", "--kernel-tol", "1e-300"])
+def test_detect_max_iterations_exits_4(capsys, monkeypatch):
+    # with no window near-singular, localization narrows the bracket until
+    # it holds no float strictly inside and gives up
+    monkeypatch.setattr(truncation, "near_singular", lambda smin, scale, kernel_tol: False)
+    code, _, err = run_cli(capsys, ["detect"])
     assert code == 4
-    assert "kernel_tol 1e-300 may be below the rounding floor" in err
+    assert "holds no float strictly inside and no probe was near-singular" in err
+
+
+def beta_config(tmp_path, beta):
+    cfg = tmp_path / "beta.json"
+    cfg.write_text(json.dumps({"system": {"params": {"beta": beta}}}))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("beta", [1e8, 1e12])
+def test_detect_finds_pi_at_large_beta(tmp_path, capsys, beta):
+    # ||J||_1 grows like beta while the regular windows' smin stays near the
+    # symbol floor 0.5: the absolute kernel_tol keeps them regular, and the
+    # crossing at pi is found with its parity
+    code, out, err = run_cli(capsys, ["detect", "--config", beta_config(tmp_path, beta)])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["loop_parity"] == -1
+    (cand,) = payload["candidates"]
+    assert cand["kind"] == "sign_change"
+    assert abs(cand["theta_star"] - math.pi) <= cli.RunConfig.tol_theta
+
+
+def test_check_passes_at_large_beta(tmp_path, capsys):
+    # beta = 1e8: A3's window smin and A4's symbol smin stay near 0.5
+    code, out, err = run_cli(capsys, ["check", "--config", beta_config(tmp_path, 1e8)])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["a3"]["status"] == payload["a4"]["status"] == "pass"
+    assert payload["a3"]["evidence"]["smin_theta0"] == pytest.approx(0.5, abs=1e-2)
+
+
+@pytest.mark.parametrize("argv", [["detect"], ["branch", "--theta-star", "3.14"]],
+                         ids=lambda argv: argv[0])
+def test_kernel_tol_below_rounding_floor_succeeds(capsys, argv):
+    # kernel_tol 5e-324 leaves the rounding floor 64 eps ||J||_1 to call the
+    # crossing's windows near-singular, so the crossing is still located
+    code, _, err = run_cli(capsys, argv + ["--kernel-tol", "5e-324"])
+    assert code == 0, err
 
 
 def test_check_passes(tmp_path, capsys):
@@ -142,9 +182,9 @@ def test_check_failure_exits_6(capsys):
 
 
 def test_check_kernel_tol_gates_a3_and_a4(capsys):
-    # kernel_tol 1.0 puts every window's smin (0.5) below kernel_tol *
-    # ||J||_1, while A3's Newton probes still return to zero: only the
-    # singular-value criterion fails A3
+    # kernel_tol 1.0 puts every window's smin (0.5) below kernel_tol, while
+    # A3's Newton probes still return to zero: only the singular-value
+    # criterion fails A3
     code, out, _ = run_cli(capsys, ["check", "--kernel-tol", "1.0"])
     payload = json.loads(out)
     assert code == 6
@@ -207,16 +247,18 @@ def test_check_a4_is_independent_of_window_n(tmp_path, capsys):
 @pytest.mark.parametrize("a, code", [([[0.5, 1e5], [0.0, 2.0]], 6), ([[0.5, 0.0], [0.0, 2.0]], 0)])
 def test_check_non_normal_limit_fails_a4(capsys, a, code):
     # symbol_smin of the strongly non-normal limit is about 5e-6 (A4 reads
-    # it off a finite-difference copy of a), below kernel_tol * (1 +
-    # ||a||_1); the truncated window A4 once built for it is near-singular too
+    # it off a finite-difference copy of a), below kernel_tol 1e-5; the
+    # truncated window A4 once built for it is near-singular too.  (A larger
+    # corner entry cannot take the default 1e-8: with eigenvalues 0.5 and 2,
+    # symbol_smin is at least 5e-8 while the splitting still accepts a.)
     a = np.array(a)
     system = hc.linear_family(2, lambda t: a, lambda t: a)
-    assert cli.cmd_check(cli.RunConfig(system=system, params=None)) == code
+    assert cli.cmd_check(cli.RunConfig(system=system, params=None, kernel_tol=1e-5)) == code
     a4 = json.loads(capsys.readouterr().out)["a4"]
     assert a4["status"] == ("fail" if code else "pass")
     assert a4["evidence"]["min_symbol_smin"] == pytest.approx(symbol_smin(a), rel=1e-4)
     window = truncation.truncated_problem(system, 0.0, 40)
-    assert (truncation.classify_window(window, truncation.DEFAULT_KERNEL_TOL)[2] == 0) == bool(code)
+    assert (truncation.classify_window(window, 1e-5)[2] == 0) == bool(code)
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

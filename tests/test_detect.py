@@ -92,9 +92,10 @@ def test_locate_bifurcation_no_crossing(paper7_linear):
 
 
 def test_locate_bifurcation_max_iterations(paper7_linear, monkeypatch):
-    # no window smin clears a relative threshold of 1e-300, so no probe can
-    # be the candidate: locate gives up once the bracket holds no float
-    # strictly inside, without probing any theta twice
+    # with near_singular never holding, no probe can be the candidate:
+    # locate gives up once the bracket holds no float strictly inside,
+    # without probing any theta twice
+    monkeypatch.setattr(truncation, "near_singular", lambda smin, scale, kernel_tol: False)
     thetas = []
     transported = truncation.TruncatedProblem.transported
 
@@ -103,8 +104,8 @@ def test_locate_bifurcation_max_iterations(paper7_linear, monkeypatch):
         return transported(self, theta)
 
     monkeypatch.setattr(truncation.TruncatedProblem, "transported", recording)
-    with pytest.raises(MaxIterations, match="below the rounding floor"):
-        hc.locate_bifurcation(paper7_linear, (3.0, 3.3), 10, 1e-6, kernel_tol=1e-300)
+    with pytest.raises(MaxIterations, match="holds no float strictly inside"):
+        hc.locate_bifurcation(paper7_linear, (3.0, 3.3), 10, 1e-6)
     assert len(set(thetas)) == len(thetas)
     assert len(thetas) <= 60
 

@@ -22,6 +22,7 @@ from homcont.truncation import (
     banded_jacobian_lu,
     classify_window,
     embed_window,
+    near_singular,
     tail_mass,
     truncated_problem,
 )
@@ -174,6 +175,17 @@ def test_classify_window_singular_where_pivots_are_not(paper7_linear, N):
     assert smin < DEFAULT_KERNEL_TOL * scale
     assert sign == 0
     assert banded_jacobian_lu(p, np.zeros(p.size)).det_sign() != 0
+
+
+def test_near_singular_is_absolute_with_a_rounding_floor():
+    # kernel_tol compares smin itself; the 1-norm enters only the floor
+    # ROUNDING_FLOOR * scale, which holds whatever kernel_tol is
+    assert not near_singular(0.5, 1e8, DEFAULT_KERNEL_TOL)
+    assert near_singular(0.5 * DEFAULT_KERNEL_TOL, 1.0, DEFAULT_KERNEL_TOL)
+    floor = truncation.ROUNDING_FLOOR * 3.0
+    assert near_singular(floor, 3.0, 5e-324)
+    assert not near_singular(2.0 * floor, 3.0, 5e-324)
+    assert near_singular(float("nan"), 3.0, DEFAULT_KERNEL_TOL)
 
 
 def random_limits(rng, d):
