@@ -51,7 +51,7 @@ _CERTIFY_ULPS = 64
 _ESTIMATE_RTOL = 3.9e-3
 # Divide-by-zero guard of smallest_singular, not a singularity criterion:
 # pivots below _ZERO_PIVOT * ||J||_1 are raised to _RAISED_PIVOT * ||J||_1
-# for all of its solves.
+# for its solves.
 _RAISED_PIVOT = 1e-12
 _ZERO_PIVOT = _RAISED_PIVOT * np.finfo(float).eps
 
@@ -158,9 +158,10 @@ class WindowLU:
     even), so determinant signs agree with the assembled ordering.  The
     1-norm of J is taken from the band before factoring; it scales the
     rounding floor of the package's one singularity criterion
-    (near_singular, in classify_window).  The unfactored band is kept for matvec and for the
-    band of J^T J; smallest_singular's docstring says how it chooses
-    between Lanczos on these factors and the Gram path on that band.
+    (near_singular, in classify_window).  The unfactored band is kept for
+    matvec and for the band of J^T J; smallest_singular's docstring says
+    how it chooses between Lanczos on these factors and the Gram path on
+    that band.
     """
 
     def __init__(self, ab: np.ndarray, kl: int, ku: int, d_s: int, interior: int):
@@ -238,8 +239,9 @@ class WindowLU:
         """
         kl, ku = self._kl, self._ku
         tiny = np.abs(self._udiag) < _ZERO_PIVOT * self.norm_1
+        floored = bool(np.any(tiny))
         lu = self._lu
-        if np.any(tiny):
+        if floored:
             lu = lu.copy()
             lu[kl + ku, tiny] = _RAISED_PIVOT * self.norm_1
         first, _ = lapack.dgbtrs(lu, kl, ku, _seeded_unit_vector(self._n), self._ipiv, trans=1)
@@ -251,7 +253,7 @@ class WindowLU:
                 if result is not None:
                     return result
         smin, v = self._lanczos_smallest(lu, first)
-        return (0.0 if np.any(tiny) else smin), v
+        return (0.0 if floored else smin), v
 
     def _lanczos_smallest(self, lu: np.ndarray, first: np.ndarray) -> tuple[float, np.ndarray]:
         """smallest_singular's Lanczos path on lu, the floored factors; first

@@ -29,7 +29,10 @@ def test_tracer_traces_the_pipeline(paper7_perturbed):
     # localization and a short branch, then uninstall: nothing may raise,
     # the hooks that read result fields must have run, and every patched
     # name must be back
-    originals = (bundles.transport_frames, detect.scan_parity, continuation.continue_branch)
+    def patched_names():
+        return bundles.transport_frames, detect.scan_parity, continuation.continue_branch
+
+    originals = patched_names()
     tracer = load_layertrace().Tracer()
     tracer.install()
     try:
@@ -46,7 +49,7 @@ def test_tracer_traces_the_pipeline(paper7_perturbed):
         counters = tracer.end_op()
     finally:
         tracer.uninstall()
-    assert (bundles.transport_frames, detect.scan_parity, continuation.continue_branch) == originals
+    assert patched_names() == originals
     assert counters["bundles.transport_frames.calls"] == 4
     assert counters["detect.scan_nodes"] == grid.m + 1
     assert counters["continuation.points"] == len(branch.points) > 1
