@@ -205,14 +205,29 @@ def path_nodes(nodes: np.ndarray) -> np.ndarray:
     return np.concatenate([nodes[:1], out])
 
 
-def sampled_family(nodes: np.ndarray, frames, fallback: Callable[[float], np.ndarray]):
-    """subspace_at reading frames[i] at nodes[i], and fallback(theta) at any
-    other theta (the nodes a bisection adds)."""
-    table = dict(zip(np.asarray(nodes, dtype=float).tolist(), frames))
+def limit_family(limit_fn: Callable[[float], np.ndarray], part: str,
+                 gap_tol: float = DEFAULT_GAP_TOL, grid: CircleGrid | None = None):
+    """subspace_at(theta): one part of the splitting of limit_fn(theta),
+    "stable_frame", "stable_complement" or "unstable_complement" (names
+    HyperbolicSplitting and, in the plural, SplittingStack share), read
+    from hyperbolic_splitting.  Given a grid, limit_fn is split at every
+    node of path_nodes(grid.nodes), the nodes transport_frames reads on
+    it, by one splitting_stack call (IndexMismatch unless its stable
+    dimension is constant), which the nodes after the first are read from.
+    """
+
+    def split_at(theta: float) -> np.ndarray:
+        return getattr(hyperbolic_splitting(limit_fn(float(theta)), gap_tol), part)
+
+    if grid is None:
+        return split_at
+    nodes = path_nodes(grid.nodes)
+    stack = splitting_stack(np.array([limit_fn(float(t)) for t in nodes]), gap_tol)
+    table = dict(zip(nodes[1:].tolist(), getattr(stack, part + "s")[1:]))
 
     def subspace_at(theta: float) -> np.ndarray:
         frame = table.get(float(theta))
-        return fallback(theta) if frame is None else frame
+        return split_at(theta) if frame is None else frame
 
     return subspace_at
 
@@ -220,7 +235,8 @@ def sampled_family(nodes: np.ndarray, frames, fallback: Callable[[float], np.nda
 def loop_closure(first: np.ndarray, last: np.ndarray) -> np.ndarray:
     """Closure matrix C = first^T last of a frame carried from first at 0 to
     last at 2*pi; raises AlignmentFailure if last leaves the span of first.
-    The one closure test of transport_frames and detect.scan_parity."""
+    The one closure test of transport_frames, so of the bundles and of
+    the scan's rows (truncation.TruncatedProblem.over)."""
     closure = first.T @ last
     if np.linalg.norm(first @ closure - last) > 1e-8:
         raise AlignmentFailure(
@@ -276,26 +292,17 @@ def index_bundle_invariants(system, grid: CircleGrid,
                             gap_tol: float = DEFAULT_GAP_TOL) -> BundleInvariants:
     """Rank and w1 data of the stable families of a(theta, +inf) and a(theta, -inf).
 
-    Each side is split at every node of path_nodes(grid.nodes) by one
-    splitting_stack call, which requires its stable dimension to be
-    constant over those nodes (IndexMismatch otherwise), and transported
-    by transport_frames from the Schur frame at theta = 0.
+    Each side is the limit_family of its stable frames on grid (one
+    splitting_stack call), transported by transport_frames from the Schur
+    frame at theta = 0.
     """
-    nodes = path_nodes(grid.nodes)
-
-    def stable_family(limit_fn):
-        def schur_frame(theta: float) -> np.ndarray:
-            return hyperbolic_splitting(limit_fn(float(theta)), gap_tol).stable_frame
-
-        split = splitting_stack(np.array([limit_fn(float(t)) for t in nodes]), gap_tol)
-        frames = list(split.stable_frames)
-        frames[0] = schur_frame(nodes[0])
-        return split.d_s, sampled_family(nodes, frames, schur_frame)
-
-    rank_plus, plus = stable_family(system.a_plus)
-    rank_minus, minus = stable_family(system.a_minus)
-    w1_plus = w1(transport_frames(plus, grid))
-    w1_minus = w1(transport_frames(minus, grid))
+    plus = limit_family(system.a_plus, "stable_frame", gap_tol, grid)
+    minus = limit_family(system.a_minus, "stable_frame", gap_tol, grid)
+    loop_plus = transport_frames(plus, grid)
+    w1_plus = w1(loop_plus)
+    loop_minus = transport_frames(minus, grid)
+    w1_minus = w1(loop_minus)
+    rank_plus, rank_minus = len(loop_plus.closure_matrix), len(loop_minus.closure_matrix)
     return BundleInvariants(
         rank_plus=rank_plus,
         rank_minus=rank_minus,

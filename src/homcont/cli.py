@@ -353,13 +353,6 @@ def cmd_branch(config: RunConfig, theta_star: float) -> int:
     if not bracket[0] < bracket[1]:
         raise InvalidConfig("theta_star: must be finite and small enough that theta_star - 0.5 < "
                             f"theta_star + 0.5, got {theta_star!r}")
-    if config.params is not None and config.params.coupling == 0.0:
-        _report_error(
-            HomcontError("linear family: no nonlinear branch (the kernel line is "
-                         "not an isolated homoclinic)")
-        )
-        return EXIT_BRANCH
-
     try:
         cand = locate_bifurcation(
             config.system, bracket, config.window_n, config.tol_theta,
@@ -390,7 +383,7 @@ def cmd_branch(config: RunConfig, theta_star: float) -> int:
     )
     payload = {"points": len(branch.points), "stop_reason": branch.stop_reason}
     _emit_json(config, "branch.json", payload)
-    return EXIT_OK if branch.points else EXIT_BRANCH
+    return EXIT_OK
 
 
 @_exits

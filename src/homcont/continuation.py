@@ -31,7 +31,6 @@ from .errors import (
 )
 from .spectral import DEFAULT_GAP_TOL
 from .truncation import (
-    DEFAULT_N_MAX,
     TruncatedProblem,
     adapt_window,
     assemble_dresidual_dtheta,
@@ -95,7 +94,6 @@ class ContinuationControls:
     amplitude_cap: float = 0.5
     tail_tol: float = 1e-8
     min_norm: float = 0.0
-    n_max: int = DEFAULT_N_MAX
 
     def __post_init__(self):
         for name in ("ds0", "ds_min", "ds_max", "amplitude_cap", "tail_tol"):
@@ -111,8 +109,6 @@ class ContinuationControls:
             raise InvalidConfig(f"min_norm: must be finite and >= 0, got {self.min_norm!r}")
         if not self.max_steps >= 0:
             raise InvalidConfig(f"max_steps: must be at least 0, got {self.max_steps!r}")
-        if not self.n_max >= 1:
-            raise InvalidConfig(f"n_max: must be at least 1, got {self.n_max!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,6 +283,10 @@ def switch_branch(
     Starts from X = s0 * phi with phi the candidate kernel vector, frees
     theta and imposes <phi, X> = s0, which every point of the trivial
     branch violates.  Any converged point therefore has l2 norm >= s0.
+    A converged X at which the residual is exactly homogeneous,
+    R(2 X) = 2 R(X) bit for bit (doubling is exact in floating point), lies
+    on the kernel line of a family linear along X, which is no isolated
+    homoclinic: DegenerateKernel.
     """
     if not (isinstance(s0, (int, float)) and math.isfinite(s0)) or s0 <= 0:
         raise InvalidConfig(f"s0: must be finite and positive, got {s0!r}")
@@ -303,11 +303,17 @@ def switch_branch(
     p = truncated_problem(system, cand.theta_star, N, gap_tol=gap_tol)
     constraint = AffineConstraint(w_x=phi, w_theta=0.0, offset=float(s0))
     try:
-        return newton_correct(
+        start = newton_correct(
             p, s0 * phi, constraint, newton_tol=newton_tol, amplitude_ref=phi
         )
     except NoConvergence as exc:
         raise NoConvergence(f"{exc}; try a smaller s0") from exc
+    at_start = replace(p, theta=start.theta)
+    if np.array_equal(assemble_residual(at_start, 2.0 * start.X),
+                      2.0 * assemble_residual(at_start, start.X)):
+        raise DegenerateKernel("linear family: no nonlinear branch (the kernel line is "
+                               "not an isolated homoclinic)")
+    return start
 
 
 def _initial_tangent(p, x, orient_x):
@@ -414,7 +420,7 @@ def continue_branch(
         if tail_mass(x_new, d) > controls.tail_tol:
             try:
                 n_old = p.N
-                p, x_new = adapt_window(p, x_new, controls.tail_tol, controls.n_max)
+                p, x_new = adapt_window(p, x_new, controls.tail_tol)
                 log.info("window enlarged from N=%d to N=%d", n_old, p.N)
                 x_new, _, rn, _ = _newton(p, x_new, None, newton_tol, DEFAULT_MAX_ITER)
                 amplitude_ref = embed_window(amplitude_ref, d, n_old, p.N)

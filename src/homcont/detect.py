@@ -2,25 +2,23 @@
 
 The truncated linearization at the trivial solution is assembled at every
 grid node from one window problem whose boundary rows are carried over the
-whole grid at once (_boundary_frames), so they vary continuously.  Its
-determinant sign is then a well-defined function of theta whose flips
-locate kernel crossings; the product of the endpoint signs (rows derived at
-0 versus rows carried to 2*pi) is the loop parity, which must match
-(-1)^(number of sign changes).
+whole grid at once (truncation.TruncatedProblem.over), so they vary
+continuously.  Its determinant sign is then a well-defined function of theta
+whose flips locate kernel crossings; the product of the endpoint signs (rows
+derived at 0 versus rows carried to 2*pi) is the loop parity.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import CircleGrid, path_nodes, sampled_family, transport_frames
+from .bundles import CircleGrid
 from .errors import InconsistentParity, MaxIterations, NoSignChange
-from .spectral import DEFAULT_GAP_TOL, splitting_stack
-from .truncation import (DEFAULT_KERNEL_TOL, ROUNDING_FLOOR, classify_window, complement_families,
-                         truncated_problem)
+from .spectral import DEFAULT_GAP_TOL
+from .truncation import DEFAULT_KERNEL_TOL, ROUNDING_FLOOR, classify_window, truncated_problem
 
 # Iteration budget of the regula falsi and of the golden-section fallback.
 MAX_ITER = 200
@@ -68,14 +66,16 @@ def scan_parity(
     """Determinant-sign scan of the truncated linearization over the loop.
 
     The rows of one window problem, derived at grid.nodes[0], are carried
-    over the whole grid first by _boundary_frames; each node's window then
-    gets its carried rows.  If the rows carried to 2*pi leave the row space
-    they started in, bundles.loop_closure raises AlignmentFailure.  The
-    loop parity is computed both as (-1)^(sign changes between
-    consecutive non-excluded nodes) and as the
-    product of the determinant signs at theta = 0 (rows derived there) and
-    theta = 2*pi (rows carried there); InconsistentParity is raised if the
-    two disagree or if either endpoint is itself near-singular.
+    over the whole grid first by TruncatedProblem.over, and the scan reads
+    the problems it returns, one per node.  If the rows carried to 2*pi
+    leave the row space they started in, bundles.loop_closure raises
+    AlignmentFailure.  The loop parity is the product of the determinant
+    signs at theta = 0 (rows derived there) and theta = 2*pi (rows carried
+    there); InconsistentParity is raised if either endpoint is itself
+    near-singular.  With both endpoints nonzero, (-1)^(sign changes between
+    consecutive non-excluded nodes) telescopes to that same product, so the
+    count is no independent check; the theory's check is loop parity =
+    w1_index (verify-paper).
 
     Node i > 0 hands classify_window an estimate of its smin: the value at
     its theta of the polynomial through smin^2 at nodes i - 1, i - 2 and
@@ -86,11 +86,9 @@ def scan_parity(
     """
     n_nodes = grid.m + 1
     start = truncated_problem(system, float(grid.nodes[0]), N, gap_tol=gap_tol)
-    left, right = _boundary_frames(system, grid, start, gap_tol)
     signs = np.zeros(n_nodes, dtype=int)
     smins = np.zeros(n_nodes)
-    for i in range(n_nodes):
-        p = replace(start, theta=float(grid.nodes[i]), left_rows=left[i].T, right_rows=right[i].T)
+    for i, p in enumerate(start.over(grid)):
         back = slice(max(0, i - 3), i)
         estimate = _extrapolated_smin(grid.nodes[back], smins[back], float(grid.nodes[i]))
         smins[i], _, signs[i], _ = classify_window(p, kernel_tol, estimate=estimate)
@@ -125,20 +123,13 @@ def scan_parity(
         else:
             dips.append((lo, hi))
 
-    parity_count = -1 if len(intervals) % 2 else 1
-    parity_endpoints = int(signs[0] * signs[-1])
-    if parity_count != parity_endpoints:
-        raise InconsistentParity(
-            f"sign-change count gives parity {parity_count} but endpoint "
-            f"determinants give {parity_endpoints}; refine the grid"
-        )
     return ParityScan(
         grid=grid,
         det_signs=signs,
         smin=smins,
         sign_change_intervals=intervals,
         dip_intervals=dips,
-        loop_parity=parity_count,
+        loop_parity=int(signs[0] * signs[-1]),
     )
 
 
@@ -153,33 +144,6 @@ def _extrapolated_smin(thetas, smins, theta: float) -> float | None:
                 weight *= (theta - t_k) / (t_j - t_k)
         value += weight * float(s_j) * float(s_j)
     return math.sqrt(value) if value > 0.0 else None
-
-
-def _boundary_frames(system, grid: CircleGrid, start, gap_tol: float):
-    """Frames of start's boundary rows carried over the whole grid at once:
-    (left, right), each a list of d x k frames, one per grid node.
-
-    a_minus and a_plus are split at every node of
-    bundles.path_nodes(grid.nodes) by one splitting_stack call each, and
-    transport_frames carries E^u(-inf) perp and E^s(+inf) perp from start's
-    rows at grid.nodes[0], bisecting by the Schur splittings of
-    truncation.complement_families where it must.  Rows carried to 2*pi
-    outside the row space they started in fail bundles.loop_closure, which
-    raises AlignmentFailure.
-    """
-    nodes = path_nodes(grid.nodes)
-    schur_left, schur_right = complement_families(system, gap_tol)
-    minus = splitting_stack(np.array([system.a_minus(float(t)) for t in nodes]), gap_tol)
-    plus = splitting_stack(np.array([system.a_plus(float(t)) for t in nodes]), gap_tol)
-    carried = []
-    for rows, frames, fallback in ((start.left_rows, minus.unstable_complements, schur_left),
-                                   (start.right_rows, plus.stable_complements, schur_right)):
-        frames = list(frames)
-        frames[0] = rows.T
-        loop = transport_frames(sampled_family(nodes, frames, fallback), grid)
-        at_grid = np.searchsorted(loop.grid.nodes, grid.nodes)
-        carried.append([loop.frames[i] for i in at_grid])
-    return carried[0], carried[1]
 
 
 def locate_bifurcation(

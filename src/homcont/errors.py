@@ -38,7 +38,7 @@ class WindowOverflow(HomcontError):
 
 
 class InconsistentParity(HomcontError):
-    """Sign-change count and endpoint determinants disagree."""
+    """A parity scan's endpoint linearization is near-singular."""
 
 
 class NoSignChange(HomcontError):

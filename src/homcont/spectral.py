@@ -49,8 +49,9 @@ class HyperbolicSplitting:
     computed once.  They are bit for bit those of scipy.linalg.schur(a,
     output="real", sort="iuc" / "ouc").  Their leading d_s / d_u columns,
     stable_frame / unstable_frame, span the invariant subspace; the trailing
-    columns span its orthogonal complement.  gap is the smallest distance of
-    any |eigenvalue| to 1.
+    columns, stable_complement / unstable_complement, span its orthogonal
+    complement, as the parts of the same names in SplittingStack.  gap is
+    the smallest distance of any |eigenvalue| to 1.
     """
 
     a: np.ndarray
@@ -77,6 +78,14 @@ class HyperbolicSplitting:
     @property
     def unstable_frame(self) -> np.ndarray:
         return self.unstable_schur[:, : self.d_u]
+
+    @property
+    def stable_complement(self) -> np.ndarray:
+        return self.stable_schur[:, self.d_s:]
+
+    @property
+    def unstable_complement(self) -> np.ndarray:
+        return self.unstable_schur[:, self.d_u:]
 
     @cached_property
     def _schur_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

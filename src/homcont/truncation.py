@@ -5,13 +5,13 @@ window [-N, N] with projection boundary conditions: the left endpoint is
 constrained to the unstable subspace of a(theta, -inf) and the right
 endpoint to the stable subspace of a(theta, +inf), written as orthonormal
 rows annihilating those subspaces.  truncated_problem derives the rows at
-one theta; every move along theta (the parity scan, localization,
-continuation) goes through TruncatedProblem.transported, which carries
-them continuously, so determinant signs along a path are comparable.  The
-unknown is the flat window vector X = (x_{-N}, ..., x_N), length
-d*(2N+1); rows are ordered interior first (n = -N .. N-1), then the left
-boundary rows, then the right ones.  That ordering is frozen because
-determinant-sign bookkeeping depends on it.
+one theta, and only the problem moves them, continuously, so determinant
+signs along a path are comparable: TruncatedProblem.over carries them over
+a whole circle grid (the parity scan), TruncatedProblem.transported to one
+other theta (localization, continuation).  The unknown is the flat window
+vector X = (x_{-N}, ..., x_N), length d*(2N+1); rows are ordered interior
+first (n = -N .. N-1), then the left boundary rows, then the right ones.
+That ordering is frozen because determinant-sign bookkeeping depends on it.
 """
 from __future__ import annotations
 
@@ -21,9 +21,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import lapack
 
-from .bundles import transport_along_path
+from .bundles import CircleGrid, limit_family, transport_along_path, transport_frames
 from .errors import SingularJacobian, SizeMismatch, WindowOverflow
-from .spectral import DEFAULT_GAP_TOL, hyperbolic_splitting
+from .spectral import DEFAULT_GAP_TOL
 from .systems import dfdx_rows, f_rows
 
 DEFAULT_N_MAX = 2 ** 12
@@ -86,6 +86,27 @@ class TruncatedProblem:
             right_rows=transport_along_path(right, self.right_rows.T, self.theta, theta).T,
         )
 
+    def over(self, grid: CircleGrid) -> list["TruncatedProblem"]:
+        """The same problem at every node of grid, its boundary rows
+        carried there from its own: to grid.nodes[0] by transported (if not
+        there already), then around the loop by one
+        bundles.transport_frames call per side on the grid's
+        complement_families.  Rows carried to 2*pi outside the row space
+        they started in fail bundles.loop_closure (AlignmentFailure)."""
+        theta0 = float(grid.nodes[0])
+        start = self if self.theta == theta0 else self.transported(theta0)
+        carried = []
+        for rows, family in zip((start.left_rows, start.right_rows),
+                                complement_families(self.system, self.gap_tol, grid)):
+            def subspace_at(theta, rows=rows.T, family=family):
+                return rows if theta == theta0 else family(theta)
+
+            loop = transport_frames(subspace_at, grid)
+            at_grid = np.searchsorted(loop.grid.nodes, grid.nodes)
+            carried.append([loop.frames[i] for i in at_grid])
+        return [replace(start, theta=float(theta), left_rows=left.T, right_rows=right.T)
+                for theta, left, right in zip(grid.nodes, *carried)]
+
     @property
     def size(self) -> int:
         return self.d * (2 * self.N + 1)
@@ -102,24 +123,18 @@ class TruncatedProblem:
         return x.reshape(2 * self.N + 1, self.d)
 
 
-def complement_families(system, gap_tol: float = DEFAULT_GAP_TOL):
+def complement_families(system, gap_tol: float = DEFAULT_GAP_TOL,
+                        grid: CircleGrid | None = None):
     """Frame functions of the boundary-condition subspace families.
 
     Returns (left, right): left(theta) spans E^u(theta,-inf)^perp and
-    right(theta) spans E^s(theta,+inf)^perp, each the trailing columns of
-    the splitting's Schur factor (orientation per call is arbitrary;
+    right(theta) spans E^s(theta,+inf)^perp, the bundles.limit_family
+    parts "unstable_complement" of a_minus and "stable_complement" of
+    a_plus, on grid if one is given (orientation per call is arbitrary;
     transport for continuity).
     """
-
-    def left(theta: float) -> np.ndarray:
-        split = hyperbolic_splitting(system.a_minus(theta), gap_tol)
-        return split.unstable_schur[:, split.d_u:]
-
-    def right(theta: float) -> np.ndarray:
-        split = hyperbolic_splitting(system.a_plus(theta), gap_tol)
-        return split.stable_schur[:, split.d_s:]
-
-    return left, right
+    return (limit_family(system.a_minus, "unstable_complement", gap_tol, grid),
+            limit_family(system.a_plus, "stable_complement", gap_tol, grid))
 
 
 def truncated_problem(system, theta: float, N: int,
@@ -614,12 +629,8 @@ def _estimate_decay(blocks: np.ndarray, N: int) -> float:
     return float(np.clip(max(rates), 1e-12, 1.0 - 1e-12))
 
 
-def adapt_window(
-    p: TruncatedProblem,
-    x: np.ndarray,
-    tail_tol: float,
-    n_max: int = DEFAULT_N_MAX,
-) -> tuple[TruncatedProblem, np.ndarray]:
+def adapt_window(p: TruncatedProblem, x: np.ndarray,
+                 tail_tol: float) -> tuple[TruncatedProblem, np.ndarray]:
     """Double the window until the predicted tail clears tail_tol.
 
     The vector is zero-padded (homoclinics decay, so the padding error is
@@ -627,7 +638,8 @@ def adapt_window(
     the same theta.  The required width is predicted from the measured decay
     rate rho of the current data: the window N is accepted once
     A * rho^(0.75 * N) <= tail_tol, with A the peak block norm.  A tail that
-    does not decay, or a width beyond n_max, raises WindowOverflow.
+    does not decay, or a width beyond DEFAULT_N_MAX (read at each call),
+    raises WindowOverflow.
     """
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
@@ -643,9 +655,9 @@ def adapt_window(
     n_new = p.N
     while True:
         n_new *= 2
-        if n_new > n_max:
+        if n_new > DEFAULT_N_MAX:
             raise WindowOverflow(
-                f"window {n_new} exceeds the cap {n_max} before the tail "
+                f"window {n_new} exceeds the cap {DEFAULT_N_MAX} before the tail "
                 f"prediction {amplitude:.2e} * {rho:.4f}^(0.75 N) reaches {tail_tol:.1e}"
             )
         if amplitude * rho ** (0.75 * n_new) <= tail_tol:

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import homcont as hc
+from homcont import truncation
 from homcont.continuation import AffineConstraint, _augmented_det_sign, _solve_augmented
 from homcont.errors import DegenerateKernel, InvalidConfig, NoConvergence, SingularJacobian, StartInvalid
 from homcont.truncation import (
     assemble_dresidual_dtheta,
+    assemble_residual,
     embed_window,
     tail_mass,
     truncated_problem,
@@ -72,6 +74,16 @@ def test_switch_branch_validation(paper7_perturbed, candidate):
     )
     with pytest.raises(DegenerateKernel):
         hc.switch_branch(paper7_perturbed, broken, 1e-3, 40)
+
+
+def test_switch_branch_rejects_linear_family(paper7_linear):
+    # paper7's limits as a piecewise-constant linear family: the corrector
+    # converges onto the kernel line, where the residual is exactly
+    # homogeneous, so there is no isolated nonlinear branch to start
+    system = hc.linear_family(2, paper7_linear.a_plus, paper7_linear.a_minus)
+    cand = hc.locate_bifurcation(system, (math.pi - 0.5, math.pi + 0.5), 40, 1e-6)
+    with pytest.raises(DegenerateKernel, match="linear family"):
+        hc.switch_branch(system, cand, 5e-4, 40)
 
 
 def test_switch_branch_too_large_s0_no_convergence(paper7_perturbed, candidate):
@@ -205,11 +217,12 @@ def test_window_adapts_mid_branch(paper7_perturbed, candidate):
     assert all(pt.amplitude > 0 for pt in branch.points)
 
 
-def test_window_overflow_stops_branch(paper7_perturbed, candidate):
+def test_window_overflow_stops_branch(paper7_perturbed, candidate, monkeypatch):
     s0 = 5e-4
     start = hc.switch_branch(paper7_perturbed, candidate, s0, 40)
+    monkeypatch.setattr(truncation, "DEFAULT_N_MAX", 40)
     controls = hc.ContinuationControls(
-        tail_tol=1e-14, n_max=40, max_steps=30, amplitude_cap=0.5, min_norm=0.5 * s0
+        tail_tol=1e-14, max_steps=30, amplitude_cap=0.5, min_norm=0.5 * s0
     )
     branch = hc.continue_branch(start, controls, amplitude_ref=candidate.kernel_vector)
     assert branch.stop_reason == "window_overflow"
@@ -313,12 +326,26 @@ def test_bordered_solve_exact_zero_pivot_raises():
         ("ds_min", 0.1),  # above ds_max
         ("max_steps", -1),
         ("min_norm", -1e-4),
-        ("n_max", 0),
     ],
 )
 def test_controls_reject_invalid_values(field, value):
     with pytest.raises(InvalidConfig, match=field):
         hc.ContinuationControls(**{field: value})
+
+
+def test_nearly_converged_start_is_polished(paper7_perturbed, candidate):
+    # a start residual in (newton_tol, 1e3 * newton_tol] is corrected at
+    # fixed theta before the first step, not rejected
+    start = hc.switch_branch(paper7_perturbed, candidate, 5e-4, 40)
+    nudge = 1e-9 * np.random.default_rng(5).standard_normal(start.X.size)
+    rough = replace(start, X=start.X + nudge)
+    rn = np.linalg.norm(assemble_residual(start.problem.transported(start.theta), rough.X))
+    assert 1e-10 < rn <= 1e-7
+    branch = hc.continue_branch(rough, hc.ContinuationControls(max_steps=0))
+    first = branch.points[0]
+    assert first.residual_norm <= 1e-10
+    assert not np.array_equal(first.X, rough.X)
+    assert np.linalg.norm(first.X - start.X) <= 1e-7
 
 
 def test_start_invalid_rejected(paper7_perturbed):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import homcont as hc
-from homcont import detect, truncation
+from homcont import bundles, detect, truncation
 from homcont.errors import AlignmentFailure, MaxIterations, NoSignChange
 from homcont.systems import rotating_matrix
 from homcont.truncation import banded_jacobian_lu, complement_families, truncated_problem
@@ -143,6 +143,32 @@ def test_even_multiplicity_dip_detection():
     assert abs(cand.theta_star - theta_star) <= 1e-5
 
 
+def test_adjacent_dips_merge_into_one_interval():
+    # the double crossing of test_even_multiplicity_dip_detection, held for
+    # a plateau of theta wider than two grid steps: the rotation angle psi
+    # stops at the crossing angle on [c - w, c + w] and is stretched
+    # elsewhere so that it still winds once.  The nodes on the plateau all
+    # dip, and their brackets merge into one dip interval.
+    phi, w, grid = math.pi / 8, 0.15, hc.CircleGrid.uniform(64)
+    rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+    const = rot @ np.diag([0.4, 2.5]) @ rot.T
+    stretch = 2 * math.pi / (2 * math.pi - 2 * w)
+    c = (2 * phi + math.pi) / stretch + w
+
+    def a_plus(theta):
+        psi = stretch * (theta - min(max(theta - (c - w), 0.0), 2 * w))
+        return np.kron(np.eye(2), rotating_matrix(psi, 0.5, 2.0))
+
+    system = hc.linear_family(4, a_plus, lambda t: np.kron(np.eye(2), const))
+    scan = hc.scan_parity(system, grid, 30)
+    plateau = np.flatnonzero(np.abs(grid.nodes - c) <= w)
+    assert len(plateau) >= 3
+    assert scan.sign_change_intervals == []
+    assert np.all(scan.det_signs[plateau] == 0)
+    assert scan.dip_intervals == [(float(grid.nodes[plateau[0] - 1]),
+                                   float(grid.nodes[plateau[-1] + 1]))]
+
+
 def test_scan_rejects_singular_base_point(paper7_linear):
     # chart rotated so the kernel crossing sits exactly at theta = 0: the
     # endpoint determinant is meaningless and the scan must say so
@@ -210,7 +236,7 @@ def test_no_window_svds(paper7_linear, monkeypatch):
     N = 40
     svds, factorizations, splittings, stacks = [], [], [], []
     svd, window_lu = np.linalg.svd, truncation.WindowLU.__init__
-    splitting, stack = truncation.hyperbolic_splitting, detect.splitting_stack
+    splitting, stack = bundles.hyperbolic_splitting, bundles.splitting_stack
 
     def counting_svd(a, *args, **kwargs):
         if np.shape(a)[0] >= 2 * N * paper7_linear.d:
@@ -231,8 +257,8 @@ def test_no_window_svds(paper7_linear, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(truncation.WindowLU, "__init__", counting_window_lu)
-    monkeypatch.setattr(truncation, "hyperbolic_splitting", counting_splitting)
-    monkeypatch.setattr(detect, "splitting_stack", counting_stack)
+    monkeypatch.setattr(bundles, "hyperbolic_splitting", counting_splitting)
+    monkeypatch.setattr(bundles, "splitting_stack", counting_stack)
     grid = hc.CircleGrid.uniform(64)
     scan = hc.scan_parity(paper7_linear, grid, N)
     assert scan.grid is grid

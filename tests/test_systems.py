@@ -165,6 +165,53 @@ def test_hypotheses_a1_pass_unperturbed(paper7_linear, grid64):
     assert len(report.a1.evidence["moduli"]) == 3
 
 
+NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("g, status", [
+    # Hoelder-1/4 cusp at theta = 0: the modulus shrinks, but by less than half
+    (lambda t: abs(math.sin(t)) ** 0.25, "warn"),
+    # period 2*pi/16, just under delta = 0.4: the modulus grows as delta shrinks
+    (lambda t: math.sin(16.0 * t), "fail"),
+])
+def test_hypotheses_a1_rough_theta_dependence(grid64, g, status):
+    # dfdx = diag(0.5, 2) + g(theta) N with N nilpotent: every limit keeps
+    # the eigenvalues 0.5 and 2, so only A1 sees the roughness of g
+    a = lambda t: np.diag([0.5, 2.0]) + g(t) * NILPOTENT
+    report = hc.check_hypotheses(hc.linear_family(2, a, a), grid64, N=40, M=1.0, seed=0)
+    assert report.a1.status == status
+    assert None not in report.a1.evidence["moduli"]
+    assert report.a2.status == "pass"
+
+
+def drifting_family(h):
+    """Linear family diag(0.5, 2) + 0.1 h(n) N at step n, whose limit at
+    both ends is taken to be diag(0.5, 2)."""
+    lin = np.diag([0.5, 2.0])
+
+    def dfdx(ns, t, X):
+        return lin + 0.1 * h(np.abs(ns))[:, None, None] * NILPOTENT
+
+    return hc.SystemFamily(
+        d=2, f=lambda ns, t, X: (dfdx(ns, t, X) @ X[..., None])[..., 0], dfdx=dfdx,
+        a_plus=lambda t: lin, a_minus=lambda t: lin,
+        f_inf_plus=lambda t, x: lin @ x, f_inf_minus=lambda t, x: lin @ x,
+    )
+
+
+@pytest.mark.parametrize("h, status", [
+    # (1 + |n|)^-0.1: from |n| = 20 to 40 the distance falls only to 0.94
+    (lambda n: (1.0 + n) ** -0.1, "warn"),
+    # |n|: the distance to the limit doubles
+    (lambda n: n.astype(float), "fail"),
+])
+def test_hypotheses_a2_slow_convergence(grid64, h, status):
+    report = hc.check_hypotheses(drifting_family(h), grid64, N=40, M=1.0, seed=0)
+    assert report.a2.status == status
+    assert "IndexMismatch" not in report.a2.evidence
+    assert report.a1.status == "pass"
+
+
 def test_hypotheses_detect_stable_dimension_mismatch(grid64):
     system = hc.linear_family(
         2, lambda t: np.diag([0.5, 2.0]), lambda t: np.diag([0.5, 0.4])

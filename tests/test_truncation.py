@@ -526,6 +526,28 @@ def test_adapt_window_overflow_on_slow_decay():
         adapt_window(p, x, tail_tol=1e-9)
 
 
+def test_adapt_window_overflow_without_decay():
+    # constant block norms: no enlargement can bring the tail down
+    system = hc.linear_family(1, lambda t: np.array([[0.5]]), lambda t: np.array([[0.5]]))
+    p = truncated_problem(system, 0.0, 20)
+    with pytest.raises(WindowOverflow, match="does not decay"):
+        adapt_window(p, np.ones(p.size), tail_tol=1e-9)
+
+
+@pytest.mark.parametrize("zero_side", [slice(0, 20), slice(21, 41)])
+def test_adapt_window_reads_one_sided_decay(zero_side):
+    # data that vanishes on one side gives a rate from the other side only:
+    # 0.7^(0.75 N) <= 1e-9 first holds at N = 80
+    system = hc.linear_family(1, lambda t: np.array([[0.5]]), lambda t: np.array([[0.5]]))
+    p = truncated_problem(system, 0.0, 20)
+    x = geometric_window(0.7, 20)
+    x[zero_side] = 0.0
+    assert truncation._estimate_decay(p.blocks(x), 20) == pytest.approx(0.7, rel=1e-12)
+    p2, x2 = adapt_window(p, x, tail_tol=1e-9)
+    assert p2.N == 80
+    assert np.array_equal(x2[60:101], x)
+
+
 def test_embed_window_roundtrip():
     x = np.arange(10.0)  # d=2, N=2
     out = embed_window(x, 2, 2, 4)
