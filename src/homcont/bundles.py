@@ -30,24 +30,25 @@ MAX_PATH_STEP = 0.2
 class CircleGrid:
     """Sample nodes 0 = theta_0 < ... < theta_m = 2*pi, endpoints identified."""
 
-    m: int
     nodes: np.ndarray
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
-        if self.m < 8:
+        if len(nodes) - 1 < 8:
             raise ValueError("grid needs at least 8 samples")
-        if len(nodes) != self.m + 1:
-            raise ValueError("node count must be m + 1")
         if nodes[0] != 0.0 or abs(nodes[-1] - TWO_PI) > 1e-12:
             raise ValueError("grid must run from 0 to 2*pi")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("grid nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
 
+    @property
+    def m(self) -> int:
+        return len(self.nodes) - 1
+
     @classmethod
     def uniform(cls, m: int) -> "CircleGrid":
-        return cls(m=m, nodes=np.linspace(0.0, TWO_PI, m + 1))
+        return cls(np.linspace(0.0, TWO_PI, m + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +72,14 @@ class BundleInvariants:
     rank_minus: int
     w1_plus: int
     w1_minus: int
-    w1_index: int
-    index: int
+
+    @property
+    def w1_index(self) -> int:
+        return self.w1_plus * self.w1_minus
+
+    @property
+    def index(self) -> int:
+        return self.rank_plus - self.rank_minus
 
 
 def _shaped_frame(subspace_at: Callable[[float], np.ndarray], theta: float, k: int | None):
@@ -102,8 +109,9 @@ def _transport_step(
     visited: list | None = None,
     depth: int = 0,
 ) -> np.ndarray:
-    """Carry the orthonormal frame current from the subspace at theta_from
-    to the one at theta_to: project onto the target, then polar-correct.
+    """Carry the orthonormal frame current, of at least one column, from the
+    subspace at theta_from to the one at theta_to: project onto the target,
+    then polar-correct.
 
     One SVD u s vt of the projection (LAPACK gesdd, as numpy's svd) gives
     both: s are the principal-angle cosines of consecutive subspaces (target
@@ -112,16 +120,12 @@ def _transport_step(
     levels.  Each node reached is appended to visited as (theta, frame), in
     order.
     """
-    k = current.shape[1]
-    target = _checked_frame(subspace_at, theta_to, k)
+    target = _checked_frame(subspace_at, theta_to, current.shape[1])
     projected = target @ (target.T @ current)
-    if k:
-        u, s, vt, info = lapack.dgesdd(projected, full_matrices=0)
-        if info:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        cosine = float(s[-1])
-    else:
-        cosine = 1.0
+    u, s, vt, info = lapack.dgesdd(projected, full_matrices=0)
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    cosine = float(s[-1])
     if cosine < ALIGNMENT_FLOOR:
         if depth >= MAX_REFINEMENTS:
             raise AlignmentFailure(
@@ -131,7 +135,7 @@ def _transport_step(
         mid = 0.5 * (theta_from + theta_to)
         halfway = _transport_step(subspace_at, current, theta_from, mid, visited, depth + 1)
         return _transport_step(subspace_at, halfway, mid, theta_to, visited, depth + 1)
-    frame = u @ vt if k else projected
+    frame = u @ vt
     if visited is not None:
         visited.append((theta_to, frame))
     return frame
@@ -187,7 +191,7 @@ def transport_frames(subspace_at: Callable[[float], np.ndarray], grid: CircleGri
         thetas[i + 1:i + 1] = [theta for theta, _ in inner]
         carried[i + 1:i + 1] = [frame @ carries[i] for _, frame in inner]
     return LoopTransport(
-        grid=CircleGrid(m=len(thetas) - 1, nodes=np.array(thetas)), frames=carried,
+        grid=CircleGrid(np.array(thetas)), frames=carried,
         closure_matrix=loop_closure(carried[0], carried[-1]),
     )
 
@@ -302,12 +306,9 @@ def index_bundle_invariants(system, grid: CircleGrid,
     w1_plus = w1(loop_plus)
     loop_minus = transport_frames(minus, grid)
     w1_minus = w1(loop_minus)
-    rank_plus, rank_minus = len(loop_plus.closure_matrix), len(loop_minus.closure_matrix)
     return BundleInvariants(
-        rank_plus=rank_plus,
-        rank_minus=rank_minus,
+        rank_plus=len(loop_plus.closure_matrix),
+        rank_minus=len(loop_minus.closure_matrix),
         w1_plus=w1_plus,
         w1_minus=w1_minus,
-        w1_index=w1_plus * w1_minus,
-        index=rank_plus - rank_minus,
     )

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .bundles import CircleGrid, index_bundle_invariants
-from .continuation import ContinuationControls, continue_branch, switch_branch
+from .continuation import DEFAULT_NEWTON_TOL, ContinuationControls, continue_branch, switch_branch
 from .detect import locate_bifurcation, scan_parity
 from .errors import (
     AlignmentFailure,
@@ -77,7 +77,8 @@ EXIT_CODES = {
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration (file values overridden by CLI flags)."""
+    """Resolved run configuration (file values overridden by CLI flags);
+    the defaults of the continuation settings are the library's."""
 
     system: SystemFamily
     params: Paper7Config | None = None
@@ -85,16 +86,16 @@ class RunConfig:
     window_n: int = 40
     gap_tol: float = DEFAULT_GAP_TOL
     kernel_tol: float = DEFAULT_KERNEL_TOL
-    newton_tol: float = 1e-10
-    tail_tol: float = 1e-8
+    newton_tol: float = DEFAULT_NEWTON_TOL
+    tail_tol: float = ContinuationControls.tail_tol
     tol_theta: float = 1e-6
     seed: int = 0
     s0: float = 5e-4
-    ds0: float = 1e-3
-    ds_min: float = 1e-8
-    ds_max: float = 0.01
-    max_steps: int = 400
-    amplitude_cap: float = 0.5
+    ds0: float = ContinuationControls.ds0
+    ds_min: float = ContinuationControls.ds_min
+    ds_max: float = ContinuationControls.ds_max
+    max_steps: int = ContinuationControls.max_steps
+    amplitude_cap: float = ContinuationControls.amplitude_cap
     check_radius: float = 2.0
     out_dir: str | None = None
 
@@ -232,13 +233,8 @@ def _fmt17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _numpy_json(obj):
-    """json.dumps default hook: arrays as lists, numpy scalars as Python ones."""
-    return obj.tolist() if isinstance(obj, np.ndarray) else obj.item()
-
-
 def _emit_json(config: RunConfig, filename: str, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_numpy_json) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if config.out_dir:
         out = Path(config.out_dir)
@@ -366,10 +362,7 @@ def cmd_branch(config: RunConfig, theta_star: float) -> int:
         config.system, cand, config.s0, config.window_n,
         newton_tol=config.newton_tol, gap_tol=config.gap_tol,
     )
-    branch = continue_branch(
-        start, config.continuation_controls(), amplitude_ref=cand.kernel_vector,
-        newton_tol=config.newton_tol,
-    )
+    branch = continue_branch(start, config.continuation_controls(), newton_tol=config.newton_tol)
 
     rows = [
         [step, pt.theta, pt.l2_norm, pt.sup_norm, pt.amplitude,

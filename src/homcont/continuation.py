@@ -69,20 +69,35 @@ class BranchPoint:
     belong to problem.theta, which differs from theta only where theta was
     freed with the rows held fixed (switch_branch's start keeps those of
     theta*).  continue_branch carries these rows on from point to point.
+    amplitude is <amplitude_ref, X>, or the l2 norm of X when amplitude_ref
+    is None; sup_norm is the largest block norm of X.  All three norms are
+    computed when read.
     """
 
     theta: float
     X: np.ndarray
-    amplitude: float
-    sup_norm: float
-    l2_norm: float
     residual_norm: float
     det_sign: int
     problem: TruncatedProblem
+    amplitude_ref: np.ndarray | None = None
 
     @property
     def N(self) -> int:
         return self.problem.N
+
+    @property
+    def l2_norm(self) -> float:
+        return float(np.linalg.norm(self.X))
+
+    @property
+    def sup_norm(self) -> float:
+        return float(np.max(np.linalg.norm(self.problem.blocks(self.X), axis=1)))
+
+    @property
+    def amplitude(self) -> float:
+        if self.amplitude_ref is None:
+            return self.l2_norm
+        return float(self.amplitude_ref @ self.X)
 
 
 @dataclass(frozen=True)
@@ -90,7 +105,7 @@ class ContinuationControls:
     ds0: float = 1e-3
     ds_min: float = 1e-8
     ds_max: float = 0.01
-    max_steps: int = 200
+    max_steps: int = 400
     amplitude_cap: float = 0.5
     tail_tol: float = 1e-8
     min_norm: float = 0.0
@@ -115,10 +130,6 @@ class ContinuationControls:
 class Branch:
     points: list[BranchPoint]
     stop_reason: str
-
-
-def _block_sup_norm(x: np.ndarray, d: int) -> float:
-    return float(np.max(np.linalg.norm(x.reshape(-1, d), axis=1)))
 
 
 def _schur(lu, col, constraint):
@@ -229,21 +240,6 @@ def _finite_lu(p, x):
     return lu
 
 
-def _make_point(p, x, theta, residual_norm, det, amplitude_ref):
-    l2 = float(np.linalg.norm(x))
-    amplitude = float(amplitude_ref @ x) if amplitude_ref is not None else l2
-    return BranchPoint(
-        theta=float(theta),
-        X=x.copy(),
-        amplitude=amplitude,
-        sup_norm=_block_sup_norm(x, p.d),
-        l2_norm=l2,
-        residual_norm=residual_norm,
-        det_sign=det,
-        problem=p,
-    )
-
-
 def newton_correct(
     p,
     guess: np.ndarray,
@@ -257,9 +253,9 @@ def newton_correct(
     system is solved; otherwise theta is freed and the affine constraint
     closes the augmented system, solved by block elimination on the same
     window LU.  The recorded det_sign is that of the system actually solved
-    (0 when it is exactly singular); amplitude is measured against
-    amplitude_ref, or falls back to the l2 norm.  The point keeps p, whose
-    rows the system was solved with.
+    (0 when it is exactly singular).  The point keeps p, whose rows the
+    system was solved with, and amplitude_ref, the direction its amplitude
+    is measured along.
     """
     x, theta, rn, _ = _newton(p, guess, constraint, newton_tol, DEFAULT_MAX_ITER)
     p_final = p if theta == p.theta else replace(p, theta=float(theta))
@@ -267,7 +263,8 @@ def newton_correct(
         det = banded_jacobian_lu(p_final, x).det_sign()
     else:
         det = _augmented_det_sign(p_final, x, constraint)
-    return _make_point(p, x, theta, rn, det, amplitude_ref)
+    return BranchPoint(theta=float(theta), X=x, residual_norm=rn, det_sign=det, problem=p,
+                       amplitude_ref=amplitude_ref)
 
 
 def switch_branch(
@@ -329,7 +326,6 @@ def _initial_tangent(p, x, orient_x):
 def continue_branch(
     start: BranchPoint,
     controls: ContinuationControls,
-    amplitude_ref: np.ndarray | None = None,
     initial_tangent: np.ndarray | None = None,
     newton_tol: float = DEFAULT_NEWTON_TOL,
 ) -> Branch:
@@ -344,7 +340,9 @@ def continue_branch(
     enlarged, so the recorded residual always refers to the stored problem.
     det_sign of the augmented Jacobian (constraint row = predictor tangent)
     is recorded per point as a fold/secondary-crossing diagnostic; all
-    points share one continuous family of rows.
+    points share one continuous family of rows.  Amplitudes are measured
+    along start.amplitude_ref (switch_branch's kernel direction), or along
+    the start's own direction when it has none.
     """
     p = start.problem.transported(start.theta)
     d = p.d
@@ -361,15 +359,15 @@ def continue_branch(
         except (NoConvergence, SingularJacobian) as exc:
             raise StartInvalid(f"start point does not satisfy its residual: {exc}") from exc
 
+    amplitude_ref = start.amplitude_ref
     if amplitude_ref is None:
         nrm = np.linalg.norm(x)
         if nrm == 0.0:
             raise StartInvalid("start point is the trivial solution")
         amplitude_ref = x / nrm
-    amplitude_ref = np.asarray(amplitude_ref, dtype=float).copy()
 
-    start_pt = _make_point(p, x, start.theta, rn, start.det_sign, amplitude_ref)
-    points = [start_pt]
+    points = [BranchPoint(theta=start.theta, X=x, residual_norm=rn, det_sign=start.det_sign,
+                          problem=p, amplitude_ref=amplitude_ref)]
 
     if initial_tangent is not None:
         t = np.asarray(initial_tangent, dtype=float).copy()
@@ -404,9 +402,10 @@ def continue_branch(
             )
             if np.linalg.norm(x_new) < controls.min_norm:
                 raise NoConvergence("corrector fell back below min_norm")
-            # Carry the boundary rows to the accepted theta and re-polish there.
-            p = p.transported(theta_new)
-            x_new, _, rn, _ = _newton(p, x_new, None, newton_tol, 5)
+            # Carry the boundary rows to the new theta and re-polish there;
+            # p moves only once the step is accepted.
+            p_new = p.transported(theta_new)
+            x_new, _, rn, _ = _newton(p_new, x_new, None, newton_tol, 5)
             if theta_new == z[-1] and np.array_equal(x_new, z[:-1]):
                 raise NoConvergence("the step did not move the point (zero secant)")
         except (NoConvergence, SingularJacobian):
@@ -416,6 +415,7 @@ def continue_branch(
                 stop = "step_failure"
                 break
             continue
+        p = p_new
 
         if tail_mass(x_new, d) > controls.tail_tol:
             try:
@@ -436,7 +436,8 @@ def continue_branch(
         det = _augmented_det_sign(
             p, x_new, AffineConstraint(w_x=t[:-1], w_theta=float(t[-1]), offset=0.0)
         )
-        points.append(_make_point(p, x_new, theta_new, rn, det, amplitude_ref))
+        points.append(BranchPoint(theta=theta_new, X=x_new, residual_norm=rn, det_sign=det,
+                                  problem=p, amplitude_ref=amplitude_ref))
 
         z_new = np.concatenate([x_new, [theta_new]])
         secant = z_new - z

@@ -50,18 +50,19 @@ class HyperbolicSplitting:
     output="real", sort="iuc" / "ouc").  Their leading d_s / d_u columns,
     stable_frame / unstable_frame, span the invariant subspace; the trailing
     columns, stable_complement / unstable_complement, span its orthogonal
-    complement, as the parts of the same names in SplittingStack.  gap is
-    the smallest distance of any |eigenvalue| to 1.
+    complement, as the parts of the same names in SplittingStack.
     """
 
     a: np.ndarray
     d_s: int
-    d_u: int
-    gap: float
 
     @property
     def d(self) -> int:
-        return self.d_s + self.d_u
+        return len(self.a)
+
+    @property
+    def d_u(self) -> int:
+        return self.d - self.d_s
 
     @cached_property
     def stable_schur(self) -> np.ndarray:
@@ -159,8 +160,8 @@ def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Hyp
     wr, wi, _, _, info = lapack.dgeev(b, compute_vl=0, compute_vr=0)
     if info:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    d_s, gap = _checked(finite, sv[None], np.abs(wr + 1j * wi)[None], gap_tol)
-    return HyperbolicSplitting(a=a, d_s=d_s, d_u=len(a) - d_s, gap=float(gap[0]))
+    d_s = _checked(finite, sv[None], np.abs(wr + 1j * wi)[None], gap_tol)
+    return HyperbolicSplitting(a=a, d_s=d_s)
 
 
 def _checked_input(a: np.ndarray, gap_tol: float) -> np.ndarray:
@@ -176,12 +177,11 @@ def _checked_input(a: np.ndarray, gap_tol: float) -> np.ndarray:
 
 
 def _checked(finite: np.ndarray, sv: np.ndarray, mods: np.ndarray,
-             gap_tol: float) -> tuple[int, np.ndarray]:
+             gap_tol: float) -> int:
     """The one validator of every splitting, given each matrix's finiteness,
     singular values (descending) and eigenvalue moduli as (n,) and (n, d)
     arrays: returns the stable dimension d_s, which must be the same for
-    every matrix (IndexMismatch otherwise), and each matrix's gap, the
-    least distance of an eigenvalue modulus to 1.  The first matrix in
+    every matrix (IndexMismatch otherwise).  The first matrix in
     stack order that fails a check raises, for the first check it fails: a
     non-finite entry (NotHyperbolic), numerical singularity (Singular), a
     gap below gap_tol or NaN (NotHyperbolic)."""
@@ -201,7 +201,7 @@ def _checked(finite: np.ndarray, sv: np.ndarray, mods: np.ndarray,
     if len(dims) > 1 and dims.min() != dims.max():
         raise IndexMismatch(
             f"stable dimension varies over the stack: {sorted(set(dims.tolist()))}")
-    return int(dims[0]), gap
+    return int(dims[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,12 +213,10 @@ class SplittingStack:
     (or, for a matrix that took the Schur fallback, its stable Schur factor
     and its unstable one, transposed with the complement's rows first): the
     leading d_s columns of u span E^s, its trailing columns E^s perp, and
-    the leading d_s rows of vt span range(P_s^T) = E^u perp.  gap holds
-    each matrix's hyperbolicity gap.
+    the leading d_s rows of vt span range(P_s^T) = E^u perp.
     """
 
     d_s: int
-    gap: np.ndarray
     u: np.ndarray
     vt: np.ndarray
 
@@ -252,18 +250,18 @@ def splitting_stack(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Splittin
     a = np.asarray(a, dtype=float)
     finite = _checked_input(a, gap_tol)
     b = a if finite.all() else np.where(finite[:, None, None], a, np.eye(a.shape[1]))
-    d_s, gap = _checked(finite, np.linalg.svd(b, compute_uv=False),
-                        np.abs(np.linalg.eigvals(b)), gap_tol)
+    d_s = _checked(finite, np.linalg.svd(b, compute_uv=False),
+                   np.abs(np.linalg.eigvals(b)), gap_tol)
     d = a.shape[1]
     proj, ok = _stable_projectors(a)
     u, s, vt = np.linalg.svd(np.where(ok[:, None, None], proj, 0.0))
     ok &= np.sum(s > 0.5, axis=1) == d_s
     for i in np.flatnonzero(~ok):
-        split = HyperbolicSplitting(a=a[i].copy(), d_s=d_s, d_u=d - d_s, gap=float(gap[i]))
+        split = HyperbolicSplitting(a=a[i].copy(), d_s=d_s)
         u[i] = split.stable_schur
         z = split.unstable_schur
         vt[i] = np.hstack([z[:, d - d_s:], z[:, : d - d_s]]).T
-    return SplittingStack(d_s=d_s, gap=gap, u=u, vt=vt)
+    return SplittingStack(d_s=d_s, u=u, vt=vt)
 
 
 def _stable_projectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

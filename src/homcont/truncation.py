@@ -63,7 +63,6 @@ class TruncatedProblem:
     system: object
     theta: float
     N: int
-    d: int
     left_rows: np.ndarray   # d_s x d, annihilates E^u(theta, -inf)
     right_rows: np.ndarray  # d_u x d, annihilates E^s(theta, +inf)
     gap_tol: float          # hyperbolicity gap of the splittings behind the rows
@@ -108,6 +107,10 @@ class TruncatedProblem:
                 for theta, left, right in zip(grid.nodes, *carried)]
 
     @property
+    def d(self) -> int:
+        return self.system.d
+
+    @property
     def size(self) -> int:
         return self.d * (2 * self.N + 1)
 
@@ -148,7 +151,6 @@ def truncated_problem(system, theta: float, N: int,
         system=system,
         theta=float(theta),
         N=int(N),
-        d=system.d,
         left_rows=left(theta).T,
         right_rows=right(theta).T,
         gap_tol=gap_tol,

@@ -269,6 +269,13 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, _, err = run_cli(capsys, ["bundles", "--config", str(missing)])
+    assert code == 2
+    assert f"config: cannot read {missing}" in err
+
+
 def test_invalid_beta_exits_2_with_field(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"system": {"builtin": "paper7", "params": {"beta": 0.5}}}))

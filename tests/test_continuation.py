@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 import homcont as hc
-from homcont import truncation
-from homcont.continuation import AffineConstraint, _augmented_det_sign, _solve_augmented
+from homcont import continuation, truncation
+from homcont.continuation import (
+    DEFAULT_MAX_ITER,
+    AffineConstraint,
+    _augmented_det_sign,
+    _newton,
+    _solve_augmented,
+)
 from homcont.errors import DegenerateKernel, InvalidConfig, NoConvergence, SingularJacobian, StartInvalid
 from homcont.truncation import (
     assemble_dresidual_dtheta,
@@ -32,7 +38,7 @@ def long_branch(paper7_perturbed, candidate):
         ds0=1e-3, ds_min=1e-8, ds_max=0.01, max_steps=200,
         amplitude_cap=0.5, tail_tol=1e-8, min_norm=0.5 * s0,
     )
-    return hc.continue_branch(start, controls, amplitude_ref=candidate.kernel_vector)
+    return hc.continue_branch(start, controls)
 
 
 def test_newton_fixed_point_is_left_alone(paper7_linear):
@@ -49,6 +55,13 @@ def test_newton_converges_to_trivial_solution(paper7_linear):
     pt = hc.newton_correct(p, 1e-2 * rng.standard_normal(p.size))
     assert pt.residual_norm <= 1e-10
     assert pt.l2_norm <= 1e-10
+
+
+def test_newton_out_of_iterations_raises(paper7_perturbed):
+    rng = np.random.default_rng(12)
+    p = truncated_problem(paper7_perturbed, 0.0, 25)
+    with pytest.raises(NoConvergence, match="after 1 iterations"):
+        _newton(p, 1e-2 * rng.standard_normal(p.size), None, 1e-10, 1)
 
 
 def test_newton_with_amplitude_constraint(paper7_perturbed, candidate):
@@ -116,6 +129,69 @@ def test_continue_cap_below_start(paper7_perturbed, candidate):
     assert branch.stop_reason == "amplitude_cap"
 
 
+def test_min_norm_rejects_every_step(paper7_perturbed, candidate):
+    # every corrected point lies below min_norm, so each step is rejected
+    # until ds falls below ds_min
+    start = hc.switch_branch(paper7_perturbed, candidate, 1e-3, 40)
+    branch = hc.continue_branch(start, hc.ContinuationControls(min_norm=1.0))
+    assert len(branch.points) == 1
+    assert branch.stop_reason == "step_failure"
+
+
+def _newton_failing_on(monkeypatch, fails):
+    """Replace continuation._newton by one that raises NoConvergence on the
+    calls fails(fixed_theta, max_iter, count) selects, count numbering from
+    1 the calls of that mode and max_iter; returns the thetas it failed at."""
+    real, counts, raised = continuation._newton, {}, []
+
+    def newton(p, guess, constraint, newton_tol, max_iter):
+        key = (constraint is None, max_iter)
+        counts[key] = counts.get(key, 0) + 1
+        if fails(*key, counts[key]):
+            raised.append(p.theta)
+            raise NoConvergence("forced")
+        return real(p, guess, constraint, newton_tol, max_iter)
+
+    monkeypatch.setattr(continuation, "_newton", newton)
+    return raised
+
+
+def test_rejected_step_leaves_rows_at_accepted_theta(paper7_perturbed, candidate, monkeypatch):
+    # the third fixed-theta re-polish fails: its step is rejected, and the
+    # rows are carried on from the last accepted theta, not the rejected one
+    start = hc.switch_branch(paper7_perturbed, candidate, 5e-4, 40)
+    raised = _newton_failing_on(
+        monkeypatch, lambda fixed, max_iter, count: fixed and max_iter == 5 and count == 3)
+    origins = []
+    real = truncation.TruncatedProblem.transported
+
+    def transported(self, theta):
+        origins.append(self.theta)
+        return real(self, theta)
+
+    monkeypatch.setattr(truncation.TruncatedProblem, "transported", transported)
+    branch = hc.continue_branch(start, hc.ContinuationControls(max_steps=6, min_norm=2.5e-4))
+    assert len(raised) == 1 and len(branch.points) == 7
+    accepted = {pt.theta for pt in branch.points}
+    assert origins[0] == start.problem.theta
+    assert raised[0] not in accepted
+    assert all(theta in accepted for theta in origins[1:])
+
+
+def test_failed_resolve_after_enlargement_stops_branch(paper7_perturbed, candidate, monkeypatch):
+    s0 = 5e-4
+    start = hc.switch_branch(paper7_perturbed, candidate, s0, 40)
+    raised = _newton_failing_on(
+        monkeypatch, lambda fixed, max_iter, count: fixed and max_iter == DEFAULT_MAX_ITER)
+    controls = hc.ContinuationControls(
+        tail_tol=1e-12, max_steps=60, amplitude_cap=0.05, min_norm=0.5 * s0
+    )
+    branch = hc.continue_branch(start, controls)
+    assert len(raised) == 1
+    assert branch.stop_reason == "step_failure"
+    assert {pt.N for pt in branch.points} == {40}
+
+
 def test_branch_reaches_large_amplitude(long_branch):
     pts = long_branch.points
     assert long_branch.stop_reason == "amplitude_cap"
@@ -162,7 +238,7 @@ def test_reversibility(paper7_perturbed, candidate):
         ds0=ds, ds_min=ds, ds_max=ds, max_steps=5, amplitude_cap=10.0,
         tail_tol=1e-7, min_norm=0.25 * s0,
     )
-    fwd = hc.continue_branch(start, controls, amplitude_ref=candidate.kernel_vector)
+    fwd = hc.continue_branch(start, controls)
     assert len(fwd.points) == 6
 
     def z_of(pt):
@@ -170,10 +246,7 @@ def test_reversibility(paper7_perturbed, candidate):
 
     back_tangent = z_of(fwd.points[4]) - z_of(fwd.points[5])
     back_tangent /= np.linalg.norm(back_tangent)
-    rev = hc.continue_branch(
-        fwd.points[-1], controls,
-        amplitude_ref=candidate.kernel_vector, initial_tangent=back_tangent,
-    )
+    rev = hc.continue_branch(fwd.points[-1], controls, initial_tangent=back_tangent)
     assert len(rev.points) == 6
     for k in range(1, 6):
         dist = np.linalg.norm(z_of(rev.points[k]) - z_of(fwd.points[5 - k]))
@@ -207,7 +280,7 @@ def test_window_adapts_mid_branch(paper7_perturbed, candidate):
     controls = hc.ContinuationControls(
         tail_tol=1e-12, max_steps=60, amplitude_cap=0.05, min_norm=0.5 * s0
     )
-    branch = hc.continue_branch(start, controls, amplitude_ref=candidate.kernel_vector)
+    branch = hc.continue_branch(start, controls)
     ns = {pt.N for pt in branch.points}
     assert 80 in ns  # the window doubled along the way
     for pt in branch.points:
@@ -224,7 +297,7 @@ def test_window_overflow_stops_branch(paper7_perturbed, candidate, monkeypatch):
     controls = hc.ContinuationControls(
         tail_tol=1e-14, max_steps=30, amplitude_cap=0.5, min_norm=0.5 * s0
     )
-    branch = hc.continue_branch(start, controls, amplitude_ref=candidate.kernel_vector)
+    branch = hc.continue_branch(start, controls)
     assert branch.stop_reason == "window_overflow"
 
 
@@ -247,7 +320,7 @@ def test_branch_crosses_chart_seam(paper7_perturbed):
     s0 = 5e-4
     start = hc.switch_branch(shifted, cand, s0, 40)
     controls = hc.ContinuationControls(max_steps=200, amplitude_cap=0.5, min_norm=0.5 * s0)
-    branch = hc.continue_branch(start, controls, amplitude_ref=cand.kernel_vector)
+    branch = hc.continue_branch(start, controls)
     thetas = [pt.theta for pt in branch.points]
     assert min(thetas) < 0.0  # wandered through the seam on the lifted line
     assert all(pt.residual_norm <= 1e-9 for pt in branch.points)
@@ -352,8 +425,7 @@ def test_start_invalid_rejected(paper7_perturbed):
     rng = np.random.default_rng(13)
     p = truncated_problem(paper7_perturbed, 1.0, 30)
     bogus = hc.BranchPoint(
-        theta=1.0, X=rng.standard_normal(p.size), amplitude=1.0, sup_norm=1.0,
-        l2_norm=1.0, residual_norm=1.0, det_sign=1, problem=p,
+        theta=1.0, X=rng.standard_normal(p.size), residual_norm=1.0, det_sign=1, problem=p,
     )
     with pytest.raises(StartInvalid):
         hc.continue_branch(bogus, hc.ContinuationControls(max_steps=3))

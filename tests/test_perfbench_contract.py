@@ -44,8 +44,7 @@ def test_tracer_traces_the_pipeline(paper7_perturbed):
         candidate = detect.locate_bifurcation(paper7_perturbed, bracket, 20, 1e-6)
         assert abs(candidate.theta_star - math.pi) <= 1e-6
         start = continuation.switch_branch(paper7_perturbed, candidate, 1e-3, 20)
-        branch = continuation.continue_branch(
-            start, hc.ContinuationControls(max_steps=5), amplitude_ref=candidate.kernel_vector)
+        branch = continuation.continue_branch(start, hc.ContinuationControls(max_steps=5))
         counters = tracer.end_op()
     finally:
         tracer.uninstall()

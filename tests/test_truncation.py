@@ -609,7 +609,7 @@ def random_window(d, ds, seed, N=5):
     system = SystemFamily(d=d, f=None, dfdx=dfdx, a_plus=None, a_minus=None,
                           f_inf_plus=None, f_inf_minus=None)
     rows, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    p = TruncatedProblem(system=system, theta=0.0, N=N, d=d, left_rows=rows[:ds],
+    p = TruncatedProblem(system=system, theta=0.0, N=N, left_rows=rows[:ds],
                          right_rows=rows[ds:], gap_tol=1e-6)
     return p, rng.standard_normal(p.size)
 
