@@ -26,7 +26,7 @@ MAX_REFINEMENTS = 20
 MAX_PATH_STEP = 0.2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircleGrid:
     """Sample nodes 0 = theta_0 < ... < theta_m = 2*pi, endpoints identified."""
 
@@ -93,113 +93,85 @@ def _shaped_frame(subspace_at: Callable[[float], np.ndarray], theta: float, k: i
     return frame
 
 
-def _checked_frame(subspace_at: Callable[[float], np.ndarray], theta: float, k: int | None):
-    frame = _shaped_frame(subspace_at, theta, k)
-    err = np.linalg.norm(frame.T @ frame - np.eye(frame.shape[1]))
-    if not err <= 1e-10:
-        raise RankDrop(f"frame at theta={theta:.6f} is not orthonormal (error {err:.1e})")
-    return frame
-
-
-def _transport_step(
-    subspace_at: Callable[[float], np.ndarray],
-    current: np.ndarray,
-    theta_from: float,
-    theta_to: float,
-    visited: list | None = None,
-    depth: int = 0,
-) -> np.ndarray:
-    """Carry the orthonormal frame current, of at least one column, from the
-    subspace at theta_from to the one at theta_to: project onto the target,
-    then polar-correct.
-
-    One SVD u s vt of the projection (LAPACK gesdd, as numpy's svd) gives
-    both: s are the principal-angle cosines of consecutive subspaces (target
-    is orthonormal) and u vt is the polar factor.  While the smallest cosine
-    is below ALIGNMENT_FLOOR the interval is bisected, up to MAX_REFINEMENTS
-    levels.  Each node reached is appended to visited as (theta, frame), in
-    order.
-    """
-    target = _checked_frame(subspace_at, theta_to, current.shape[1])
-    projected = target @ (target.T @ current)
-    u, s, vt, info = lapack.dgesdd(projected, full_matrices=0)
-    if info:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    cosine = float(s[-1])
-    if cosine < ALIGNMENT_FLOOR:
-        if depth >= MAX_REFINEMENTS:
-            raise AlignmentFailure(
-                f"subspaces misaligned (cos={cosine:.3f}) on "
-                f"[{theta_from:.6f}, {theta_to:.6f}] after {depth} bisections"
-            )
-        mid = 0.5 * (theta_from + theta_to)
-        halfway = _transport_step(subspace_at, current, theta_from, mid, visited, depth + 1)
-        return _transport_step(subspace_at, halfway, mid, theta_to, visited, depth + 1)
-    frame = u @ vt
-    if visited is not None:
-        visited.append((theta_to, frame))
-    return frame
-
-
-def transport_frames(subspace_at: Callable[[float], np.ndarray], grid: CircleGrid) -> LoopTransport:
-    """Transport a frame of subspace_at(0) around the circle.
-
-    subspace_at(theta) must return a d x k column-orthonormal frame (to
-    1e-10, else RankDrop), such as Schur columns; it is never
-    re-orthonormalized.  The grid's nodes are first cut by path_nodes into
-    steps of at most MAX_PATH_STEP, and the frames F_i at all those nodes
-    are carried at once: the frame reached at node i is F_i R_i with
-    R_i = polar(M_i) ... polar(M_1), M_i = F_i^T F_{i-1}, from one stacked
-    SVD of the M_i, whose singular values are the principal-angle cosines.
-    An interval whose smallest cosine is below ALIGNMENT_FLOOR is walked
-    from F_{i-1} by the bisecting _transport_step instead, and its factor is
-    F_i^T times the frame reached (polar transport commutes with turning
-    the frame it starts from).  Every node reached becomes part of the
-    returned grid.
-    """
-    nodes = path_nodes(grid.nodes)
-    first = _shaped_frame(subspace_at, nodes[0], None)
-    k = first.shape[1]
-    frames = np.stack([first] + [_shaped_frame(subspace_at, t, k) for t in nodes[1:]])
+def _read_frames(subspace_at: Callable[[float], np.ndarray], thetas, k: int | None):
+    """The frames subspace_at(theta) at thetas, stacked; RankDrop unless each
+    is a d x k frame (k = None: any k) that is orthonormal to 1e-10."""
+    frames = np.stack([_shaped_frame(subspace_at, float(t), k) for t in thetas])
+    k = frames.shape[2]
     err = np.linalg.norm(frames.transpose(0, 2, 1) @ frames - np.eye(k), axis=(1, 2))
     if not np.all(err <= 1e-10):
         i = int(np.flatnonzero(~(err <= 1e-10))[0])
-        raise RankDrop(f"frame at theta={nodes[i]:.6f} is not orthonormal (error {err[i]:.1e})")
-    if k:
+        raise RankDrop(f"frame at theta={thetas[i]:.6f} is not orthonormal (error {err[i]:.1e})")
+    return frames
+
+
+def _carry(subspace_at: Callable[[float], np.ndarray], nodes, first: np.ndarray):
+    """Carry the orthonormal frame first, in the subspace at nodes[0], over
+    nodes; returns (thetas, frames), every node reached and the frame
+    carried to it.
+
+    nodes are first cut by path_nodes, and the frames F_i there are read.
+    One stacked SVD of the k x k matrices M_i = F_i^T F_{i-1}, F_0 = first,
+    gives the principal-angle cosines and the polar factors.  Every
+    interval whose smallest cosine is below ALIGNMENT_FLOOR (or NaN) gets
+    its midpoint as a new node and the stacked pass runs again, for at most
+    MAX_REFINEMENTS levels; an interval still misaligned then raises
+    AlignmentFailure.  The frame reached at node i is F_i R_i with
+    R_i = polar(M_i) ... polar(M_1) (polar transport commutes with turning
+    the frame it starts from).
+    """
+    nodes = path_nodes(np.asarray(nodes, dtype=float))
+    k = first.shape[1]
+    frames = np.concatenate([first[None], _read_frames(subspace_at, nodes[1:], k)])
+    for depth in range(MAX_REFINEMENTS + 1):
         u, s, vt = np.linalg.svd(frames[1:].transpose(0, 2, 1) @ frames[:-1])
-        factors, cosines = u @ vt, s[:, -1]
-    else:
-        factors, cosines = np.zeros((len(nodes) - 1, 0, 0)), np.ones(len(nodes) - 1)
-    bisected = {}
-    for i in np.flatnonzero(~(cosines >= ALIGNMENT_FLOOR)):
-        visited: list = []
-        reached = _transport_step(subspace_at, frames[i], float(nodes[i]), float(nodes[i + 1]),
-                                  visited)
-        factors[i] = frames[i + 1].T @ reached
-        bisected[i] = visited
-    # carries[i] = factors[i-1] @ ... @ factors[0], as a prefix product:
-    # log2(n) stacked products, each multiplying in the span `shift` back
-    carries = np.concatenate([np.eye(k)[None], factors])
+        cosines = np.min(s, axis=1, initial=1.0)  # 1 when k = 0
+        bad = np.flatnonzero(~(cosines >= ALIGNMENT_FLOOR))
+        if not len(bad):
+            break
+        if depth == MAX_REFINEMENTS:
+            i = bad[0]
+            raise AlignmentFailure(
+                f"subspaces misaligned (cos={cosines[i]:.3f}) on "
+                f"[{nodes[i]:.6f}, {nodes[i + 1]:.6f}] after {depth} bisections"
+            )
+        mids = 0.5 * (nodes[bad] + nodes[bad + 1])
+        frames = np.insert(frames, bad + 1, _read_frames(subspace_at, mids, k), axis=0)
+        nodes = np.insert(nodes, bad + 1, mids)
+    # carries[i] = polar(M_i) @ ... @ polar(M_1), polar(M) = u vt, as a
+    # prefix product: log2(n) stacked products, each multiplying in the
+    # span `shift` back
+    carries = np.concatenate([np.eye(k)[None], u @ vt])
     shift = 1
     while shift < len(carries):
         carries[shift:] = carries[shift:] @ carries[:-shift]
         shift *= 2
-    carried = list(frames @ carries)
-    thetas = list(nodes)
-    for i in sorted(bisected, reverse=True):  # splice in the nodes bisection added
-        inner = bisected[i][:-1]
-        thetas[i + 1:i + 1] = [theta for theta, _ in inner]
-        carried[i + 1:i + 1] = [frame @ carries[i] for _, frame in inner]
+    return nodes, frames @ carries
+
+
+def transport_frames(subspace_at: Callable[[float], np.ndarray], grid: CircleGrid) -> LoopTransport:
+    """Transport a frame of subspace_at(0) around the circle by _carry.
+
+    subspace_at(theta) must return a d x k column-orthonormal frame (to
+    1e-10, else RankDrop), such as Schur columns; it is never
+    re-orthonormalized.  Every node _carry reaches, the path_nodes of the
+    grid and any midpoints it refines by, is part of the returned grid.
+    """
+    first = _read_frames(subspace_at, grid.nodes[:1], None)[0]
+    thetas, frames = _carry(subspace_at, grid.nodes, first)
     return LoopTransport(
-        grid=CircleGrid(np.array(thetas)), frames=carried,
-        closure_matrix=loop_closure(carried[0], carried[-1]),
+        grid=CircleGrid(thetas), frames=list(frames),
+        closure_matrix=loop_closure(frames[0], frames[-1]),
     )
 
 
 def path_nodes(nodes: np.ndarray) -> np.ndarray:
     """nodes with the interval from each node to the next cut into
     ceil(width / MAX_PATH_STEP) equal steps, start + j * width / pieces,
-    each interval ending exactly on its own next node: the steps of _walk."""
+    each interval ending exactly on its own next node: the steps of every
+    frame transport.  Principal-angle cosines cannot see a half turn of the
+    subspace (an antipodal frame is perfectly "aligned"), so only small
+    steps keep the transport in the right homotopy class."""
     widths = np.diff(nodes)
     pieces = np.ceil(np.abs(widths) / MAX_PATH_STEP).astype(int)
     ends = np.cumsum(pieces)
@@ -250,34 +222,43 @@ def loop_closure(first: np.ndarray, last: np.ndarray) -> np.ndarray:
     return closure
 
 
-def _walk(subspace_at, current, theta_from, theta_to, visited=None):
-    """The node-by-node frame walker of one segment: _transport_steps
-    between the path_nodes of [theta_from, theta_to], each of at most
-    MAX_PATH_STEP radians.  Principal-angle cosines cannot see a half turn
-    of the subspace (an antipodal frame is perfectly "aligned"), so only
-    small steps keep the transport in the right homotopy class."""
-    path = [theta_from, theta_to]
-    if abs(theta_to - theta_from) > MAX_PATH_STEP:  # else path_nodes keeps it
-        path = path_nodes(np.array(path)).tolist()
-    for t_from, t_to in zip(path, path[1:]):
-        current = _transport_step(subspace_at, current, t_from, t_to, visited)
-    return current
-
-
 def transport_along_path(
     subspace_at: Callable[[float], np.ndarray],
     frame: np.ndarray,
     theta_from: float,
     theta_to: float,
 ) -> np.ndarray:
-    """Transport an orthonormal frame along a theta segment by _walk, the
-    walker of transport_frames, without closure.  Its one caller is
+    """Transport an orthonormal frame along a theta segment, without closure.
+
+    The segment is cut by path_nodes; each step reads the frame F at its
+    end (orthonormal to 1e-10, else RankDrop), projects onto it and
+    polar-corrects: one SVD u s vt of F F^T current (LAPACK gesdd) gives
+    the carried frame u vt, and s the principal-angle cosines.  A step
+    whose smallest cosine is below ALIGNMENT_FLOOR (or NaN) is handed to
+    _carry, which bisects it.  Node by node, so short segments pay no
+    stacking overhead.  Its one caller is
     truncation.TruncatedProblem.transported, which keeps the
     boundary-condition rows continuous whenever theta moves.
     """
-    if frame.shape[1] == 0 or theta_from == theta_to:
-        return frame.copy()
-    return _walk(subspace_at, np.asarray(frame, dtype=float), float(theta_from), float(theta_to))
+    current = np.asarray(frame, dtype=float)
+    if current.shape[1] == 0 or theta_from == theta_to:
+        return current.copy()
+    path = [float(theta_from), float(theta_to)]
+    if abs(theta_to - theta_from) > MAX_PATH_STEP:  # else path_nodes keeps it
+        path = path_nodes(np.array(path)).tolist()
+    for t_from, t_to in zip(path, path[1:]):
+        target = _shaped_frame(subspace_at, t_to, current.shape[1])
+        err = np.linalg.norm(target.T @ target - np.eye(current.shape[1]))
+        if not err <= 1e-10:
+            raise RankDrop(f"frame at theta={t_to:.6f} is not orthonormal (error {err:.1e})")
+        u, s, vt, info = lapack.dgesdd(target @ (target.T @ current), full_matrices=0)
+        if info:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        if s[-1] >= ALIGNMENT_FLOOR:
+            current = u @ vt
+        else:
+            current = _carry(subspace_at, [t_from, t_to], current)[1][-1]
+    return current
 
 
 def w1(transport: LoopTransport) -> int:

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .spectral import DEFAULT_GAP_TOL
 from .truncation import (
+    ROUNDING_FLOOR,
     TruncatedProblem,
     adapt_window,
     assemble_dresidual_dtheta,
@@ -144,7 +145,8 @@ def _solve_augmented(p, x, constraint, rhs):
     """Solve the augmented system by block elimination on the window LU,
     then one refinement step against the bordered residual (Govaerts and
     Pryce, BIT 30 (1990) 490-507), which restores accuracy when J itself is
-    near-singular, as at a kernel crossing."""
+    near-singular, as at a kernel crossing.  Returns the solution and the
+    window LU it was solved with."""
     lu = _finite_lu(p, x)
     col = assemble_dresidual_dtheta(p, x)
     v, schur = _schur(lu, col, constraint)
@@ -161,7 +163,7 @@ def _solve_augmented(p, x, constraint, rhs):
     applied = np.concatenate([
         lu.matvec(z[:-1]) + z[-1] * col, [w_x @ z[:-1] + w_theta * z[-1]]
     ])
-    return z + eliminate(rhs - applied)
+    return z + eliminate(rhs - applied), lu
 
 
 def _augmented_det_sign(p, x, constraint) -> int:
@@ -184,12 +186,16 @@ def _newton(p, guess, constraint, newton_tol, max_iter):
     """Damped Newton on the (possibly augmented) truncated system.
 
     Returns (x, theta, residual_norm, iterations); theta equals p.theta in
-    fixed-theta mode.  Damping is a halving line search on the residual
-    norm, at most MAX_HALVINGS halvings per step.  Floating-point overflow
-    is not warned about: a residual at the guess that is not finite raises
-    NoConvergence, a Jacobian that is not finite SingularJacobian, and a
-    trial step whose residual is not finite is halved like any other that
-    does not descend.
+    fixed-theta mode.  The iteration has converged once the residual norm
+    is at most newton_tol, or at most its rounding floor
+    ROUNDING_FLOOR * ||J||_1 * max|x| (near_singular's floor), with ||J||_1
+    from the Jacobian last factored; the floor is reached before newton_tol
+    when ||J||_1 is large.  Damping is a halving line search on the
+    residual norm, at most MAX_HALVINGS halvings per step.  Floating-point
+    overflow is not warned about: a residual at the guess that is not
+    finite raises NoConvergence, a Jacobian that is not finite
+    SingularJacobian, and a trial step whose residual is not finite is
+    halved like any other that does not descend.
     """
     x = np.asarray(guess, dtype=float).copy()
     theta = p.theta
@@ -202,16 +208,25 @@ def _newton(p, guess, constraint, newton_tol, max_iter):
         c = constraint.value(x_, theta_)
         return p_, np.concatenate([r, [c]]), max(float(np.linalg.norm(r)), abs(c))
 
+    lu = None  # the Jacobian last factored
+
+    def converged(rn_, x_):
+        if rn_ <= newton_tol:
+            return True
+        floor = math.inf if lu is None else ROUNDING_FLOOR * lu.norm_1 * float(np.max(np.abs(x_)))
+        return rn_ <= floor < math.inf
+
     p_cur, r, rn = norms(x, theta)
     if not math.isfinite(rn):
         raise NoConvergence(f"residual at the Newton guess is not finite ({rn!r})")
     for it in range(max_iter):
-        if rn <= newton_tol:
+        if converged(rn, x):
             return x, theta, float(np.linalg.norm(r[: p.size])), it
         if constraint is None:
-            dx, dtheta = _finite_lu(p_cur, x).solve(-r), 0.0
+            lu = _finite_lu(p_cur, x)
+            dx, dtheta = lu.solve(-r), 0.0
         else:
-            step = _solve_augmented(p_cur, x, constraint, -r)
+            step, lu = _solve_augmented(p_cur, x, constraint, -r)
             dx, dtheta = step[:-1], float(step[-1])
         scale = 1.0
         for _ in range(MAX_HALVINGS + 1):
@@ -226,7 +241,7 @@ def _newton(p, guess, constraint, newton_tol, max_iter):
             raise NoConvergence(
                 f"line search stalled at residual {rn:.3e} (iteration {it})"
             )
-    if rn <= newton_tol:
+    if converged(rn, x):
         return x, theta, float(np.linalg.norm(r[: p.size])), max_iter
     raise NoConvergence(f"residual {rn:.3e} above {newton_tol:.1e} after {max_iter} iterations")
 
@@ -319,22 +334,23 @@ def _initial_tangent(p, x, orient_x):
     constraint = AffineConstraint(w_x=orient_x, w_theta=0.0, offset=0.0)
     rhs = np.zeros(p.size + 1)
     rhs[-1] = 1.0
-    t = _solve_augmented(p, x, constraint, rhs)
+    t, _ = _solve_augmented(p, x, constraint, rhs)
     return t / np.linalg.norm(t)
 
 
 def continue_branch(
     start: BranchPoint,
     controls: ContinuationControls,
-    initial_tangent: np.ndarray | None = None,
     newton_tol: float = DEFAULT_NEWTON_TOL,
 ) -> Branch:
     """Pseudo-arclength continuation from a converged start point.
 
-    Secant predictor (augmented null tangent on the first step), Newton
-    corrector with the arclength constraint; the step halves on corrector
-    failure down to ds_min and doubles after four easy successes up to
-    ds_max.  The boundary rows are the start point's own, carried from
+    Secant predictor (on the first step the augmented null tangent,
+    oriented along the amplitude reference, so a start whose amplitude_ref
+    is negated runs the branch backwards), Newton corrector with the
+    arclength constraint; the step halves on corrector failure down to
+    ds_min and doubles after four easy successes up to ds_max.  The
+    boundary rows are the start point's own, carried from
     start.problem.theta to start.theta and on to each accepted theta, and
     accepted points are re-polished whenever the rows move or the window is
     enlarged, so the recorded residual always refers to the stored problem.
@@ -369,11 +385,7 @@ def continue_branch(
     points = [BranchPoint(theta=start.theta, X=x, residual_norm=rn, det_sign=start.det_sign,
                           problem=p, amplitude_ref=amplitude_ref)]
 
-    if initial_tangent is not None:
-        t = np.asarray(initial_tangent, dtype=float).copy()
-        t /= np.linalg.norm(t)
-    else:
-        t = _initial_tangent(p, x, amplitude_ref)
+    t = _initial_tangent(p, x, amplitude_ref)
 
     z = np.concatenate([x, [start.theta]])
     ds = controls.ds0

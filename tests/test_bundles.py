@@ -26,6 +26,12 @@ def test_grid_validation():
         hc.CircleGrid(np.linspace(0.0, 1.0, 9))
 
 
+def test_grid_compares_by_identity():
+    grid = hc.CircleGrid.uniform(8)
+    assert grid == grid and grid != hc.CircleGrid.uniform(8)
+    assert len({grid, hc.CircleGrid.uniform(8)}) == 2
+
+
 def test_constant_subspace_transport():
     grid = hc.CircleGrid.uniform(16)
     tr = hc.transport_frames(lambda t: np.array([[1.0], [0.0]]), grid)
@@ -119,14 +125,33 @@ def test_non_orthonormal_frame_rejected(bad):
         transport_along_path(family, np.array([[1.0], [0.0]]), 0.0, 1.1)
 
 
-def test_alignment_failure_on_subspace_jump():
+def jump_family(calls):
+    """A line that jumps by a right angle at pi/2 and back at 3*pi/2;
+    appends every theta it is read at to calls."""
     def family(theta):
+        calls.append(theta)
         if math.pi / 2 < theta < 3 * math.pi / 2:
             return np.array([[0.0], [1.0]])
         return np.array([[1.0], [0.0]])
 
-    with pytest.raises(AlignmentFailure):
-        hc.transport_frames(family, hc.CircleGrid.uniform(8))
+    return family
+
+
+def test_alignment_failure_on_subspace_jump():
+    # each jump costs one midpoint read per refinement level, on top of
+    # the path nodes' reads
+    calls = []
+    grid = hc.CircleGrid.uniform(8)
+    with pytest.raises(AlignmentFailure, match="after 20 bisections"):
+        hc.transport_frames(jump_family(calls), grid)
+    assert len(calls) <= len(path_nodes(grid.nodes)) + 2 * bundles.MAX_REFINEMENTS
+
+
+def test_segment_across_a_jump_fails_in_bounded_reads():
+    calls = []
+    with pytest.raises(AlignmentFailure, match="misaligned"):
+        transport_along_path(jump_family(calls), np.array([[1.0], [0.0]]), 1.5, 1.6)
+    assert len(calls) <= 2 + bundles.MAX_REFINEMENTS
 
 
 def test_transport_rejects_nonperiodic_family():
@@ -150,10 +175,10 @@ def test_adaptive_refinement_handles_fast_winding(paper7_linear):
     for family, expected in ((fast, 1), (paper7_stable, -1)):
         coarse = hc.transport_frames(family, hc.CircleGrid.uniform(8))
         assert coarse.grid.m > 8
-        # the walker's step rule: no step longer than MAX_PATH_STEP
+        # path_nodes' step rule: no step longer than MAX_PATH_STEP
         assert np.max(np.diff(coarse.grid.nodes)) <= MAX_PATH_STEP
         assert hc.w1(coarse) == expected
-        # a fine grid is walked as given, one step per interval
+        # a fine grid is carried as given, one step per interval
         fine = hc.transport_frames(family, hc.CircleGrid.uniform(64))
         assert fine.grid.m == 64
         assert hc.w1(fine) == expected
@@ -163,6 +188,21 @@ def test_transport_along_path_matches_loop():
     frame0 = stable_line(0.0)
     out = transport_along_path(stable_line, frame0, 0.0, 2 * math.pi)
     assert np.allclose(out, -frame0, atol=1e-9)
+
+
+def test_misaligned_segment_is_bisected_like_the_loop():
+    # the line turns 5 * 2*pi/32 = 0.98 rad over one step of a 32-node
+    # grid, so both the segment and the loop must bisect that step
+    def fast(theta):
+        return np.array([[math.cos(5 * theta)], [math.sin(5 * theta)]])
+
+    grid = hc.CircleGrid.uniform(32)
+    loop = hc.transport_frames(fast, grid)
+    assert loop.grid.m > 32
+    at = int(np.flatnonzero(loop.grid.nodes == grid.nodes[1])[0])
+    assert at > 1
+    out = transport_along_path(fast, fast(0.0), 0.0, grid.nodes[1])
+    assert np.abs(out - loop.frames[at]).max() <= 1e-14
 
 
 def test_index_invariants_builtin(paper7_linear, grid64):
@@ -226,12 +266,28 @@ def predict_style_loop(rng, d, fastest):
     return a, (-1) ** int(speeds.sum())
 
 
+def reference_step(family, frame, lo, hi, visited, depth=0):
+    """Carry frame from the subspace at lo to the one at hi the slow way:
+    project onto the target, polar-correct, and bisect recursively while
+    the smallest principal-angle cosine is below ALIGNMENT_FLOOR.  Appends
+    every node reached to visited as (theta, frame)."""
+    target = family(hi)
+    u, s, vt = np.linalg.svd(target @ (target.T @ frame), full_matrices=False)
+    if s[-1] < bundles.ALIGNMENT_FLOOR:
+        assert depth < bundles.MAX_REFINEMENTS
+        mid = 0.5 * (lo + hi)
+        reference_step(family, frame, lo, mid, visited, depth + 1)
+        reference_step(family, visited[-1][1], mid, hi, visited, depth + 1)
+    else:
+        visited.append((hi, u @ vt))
+
+
 @pytest.mark.parametrize("m", [8, 9, 11, 64])
 def test_stacked_transport_matches_node_walker(m):
     # transport_frames (one stacked SVD, a product of k x k polar factors)
-    # against the node-by-node walker it falls back to, on predict-style
-    # loops; speed 9 turns a stable line 0.88 rad per step of a coarse grid,
-    # so those intervals are bisected
+    # against a recursive node-by-node walker, on predict-style loops;
+    # speed 9 turns a stable line 0.88 rad per step of a coarse grid, so
+    # those intervals are bisected
     assert list(inspect.signature(hc.transport_frames).parameters) == ["subspace_at", "grid"]
     rng = np.random.default_rng(m)
     grid = hc.CircleGrid.uniform(m)
@@ -244,9 +300,12 @@ def test_stacked_transport_matches_node_walker(m):
 
             stacked = hc.transport_frames(family, grid)
             visited = [(0.0, family(0.0))]
-            for lo, hi in zip(grid.nodes[:-1], grid.nodes[1:]):
-                bundles._walk(family, visited[-1][1], float(lo), float(hi), visited)
+            nodes = path_nodes(grid.nodes).tolist()
+            for lo, hi in zip(nodes, nodes[1:]):
+                reference_step(family, visited[-1][1], lo, hi, visited)
             assert stacked.grid.nodes.tolist() == [theta for theta, _ in visited]
+            assert max(np.abs(frame - ref).max()
+                       for frame, (_, ref) in zip(stacked.frames, visited)) <= 1e-10
             closure = loop_closure(visited[0][1], visited[-1][1])
             assert np.linalg.norm(stacked.closure_matrix - closure) <= 1e-10
             assert hc.w1(stacked) == expected

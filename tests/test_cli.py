@@ -156,6 +156,29 @@ def test_check_passes_at_large_beta(tmp_path, capsys):
     assert payload["a3"]["evidence"]["smin_theta0"] == pytest.approx(0.5, abs=1e-2)
 
 
+def test_branch_reaches_amplitude_cap_at_large_beta(tmp_path, capsys, monkeypatch):
+    # beta = 1e8: the residual's rounding floor ROUNDING_FLOOR * ||J||_1 *
+    # max|X| is above newton_tol from amplitude ~0.01 on, and the corrector
+    # stops there instead of failing the step
+    branches, real = [], cli.continue_branch
+
+    def recorded(*args, **kwargs):
+        branches.append(real(*args, **kwargs))
+        return branches[-1]
+
+    monkeypatch.setattr(cli, "continue_branch", recorded)
+    code, out, err = run_cli(capsys, ["branch", "--config", beta_config(tmp_path, 1e8),
+                                      "--theta-star", repr(math.pi), "--out", str(tmp_path)])
+    assert code == 0, err
+    assert json.loads(out)["stop_reason"] == "amplitude_cap"
+    (branch,) = branches
+    floors = [truncation.ROUNDING_FLOOR * truncation.banded_jacobian_lu(pt.problem, pt.X).norm_1
+              * np.max(np.abs(pt.X)) for pt in branch.points]
+    assert max(floors) > cli.RunConfig.newton_tol
+    for pt, floor in zip(branch.points, floors):
+        assert pt.residual_norm <= max(cli.RunConfig.newton_tol, floor)
+
+
 @pytest.mark.parametrize("argv", [["detect"], ["branch", "--theta-star", "3.14"]],
                          ids=lambda argv: argv[0])
 def test_kernel_tol_below_rounding_floor_succeeds(capsys, argv):

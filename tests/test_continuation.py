@@ -244,9 +244,9 @@ def test_reversibility(paper7_perturbed, candidate):
     def z_of(pt):
         return np.concatenate([pt.X, [pt.theta]])
 
-    back_tangent = z_of(fwd.points[4]) - z_of(fwd.points[5])
-    back_tangent /= np.linalg.norm(back_tangent)
-    rev = hc.continue_branch(fwd.points[-1], controls, initial_tangent=back_tangent)
+    # a negated amplitude reference orients the first tangent backwards
+    end = fwd.points[-1]
+    rev = hc.continue_branch(replace(end, amplitude_ref=-end.amplitude_ref), controls)
     assert len(rev.points) == 6
     for k in range(1, 6):
         dist = np.linalg.norm(z_of(rev.points[k]) - z_of(fwd.points[5 - k]))
@@ -369,7 +369,7 @@ def test_bordered_solve_matches_dense_oracle(paper7_perturbed, candidate, long_b
         aug = dense_augmented(p, x, constraint)
         rhs = rng.standard_normal(p.size + 1)
         oracle = np.linalg.solve(aug, rhs)
-        got = _solve_augmented(p, x, constraint, rhs)
+        got, _ = _solve_augmented(p, x, constraint, rhs)
         assert np.linalg.norm(got - oracle) <= 1e-10 * np.linalg.norm(oracle)
         sign, _ = np.linalg.slogdet(aug)
         assert _augmented_det_sign(p, x, constraint) == int(sign) != 0
