@@ -24,6 +24,7 @@ TWO_PI = 2.0 * math.pi
 ALIGNMENT_FLOOR = 0.9
 MAX_REFINEMENTS = 20
 MAX_PATH_STEP = 0.2
+MAX_PATH_STEPS = 2 ** 16  # bounds the total width of a path (path_nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,9 +37,9 @@ class CircleGrid:
         nodes = np.asarray(self.nodes, dtype=float)
         if len(nodes) - 1 < 8:
             raise ValueError("grid needs at least 8 samples")
-        if nodes[0] != 0.0 or abs(nodes[-1] - TWO_PI) > 1e-12:
+        if not (nodes[0] == 0.0 and abs(nodes[-1] - TWO_PI) <= 1e-12):
             raise ValueError("grid must run from 0 to 2*pi")
-        if np.any(np.diff(nodes) <= 0):
+        if not np.all(np.diff(nodes) > 0):
             raise ValueError("grid nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
 
@@ -171,8 +172,13 @@ def path_nodes(nodes: np.ndarray) -> np.ndarray:
     each interval ending exactly on its own next node: the steps of every
     frame transport.  Principal-angle cosines cannot see a half turn of the
     subspace (an antipodal frame is perfectly "aligned"), so only small
-    steps keep the transport in the right homotopy class."""
+    steps keep the transport in the right homotopy class.  A path whose
+    total width is not finite or above MAX_PATH_STEPS * MAX_PATH_STEP
+    raises ValueError."""
     widths = np.diff(nodes)
+    if not np.sum(np.abs(widths)) <= MAX_PATH_STEPS * MAX_PATH_STEP:
+        raise ValueError(f"theta path from {float(nodes[0])!r} to {float(nodes[-1])!r} is not "
+                         f"finite or longer than {MAX_PATH_STEPS} steps of {MAX_PATH_STEP}")
     pieces = np.ceil(np.abs(widths) / MAX_PATH_STEP).astype(int)
     ends = np.cumsum(pieces)
     j = np.arange(1, ends[-1] + 1) - np.repeat(ends - pieces, pieces)
@@ -244,7 +250,7 @@ def transport_along_path(
     if current.shape[1] == 0 or theta_from == theta_to:
         return current.copy()
     path = [float(theta_from), float(theta_to)]
-    if abs(theta_to - theta_from) > MAX_PATH_STEP:  # else path_nodes keeps it
+    if not abs(theta_to - theta_from) <= MAX_PATH_STEP:  # NaN, to be rejected, too
         path = path_nodes(np.array(path)).tolist()
     for t_from, t_to in zip(path, path[1:]):
         target = _shaped_frame(subspace_at, t_to, current.shape[1])

@@ -233,25 +233,32 @@ def _fmt17(x) -> str:
     return format(float(x), ".17g")
 
 
+def _write_out(out_dir: str, filename: str, text: str):
+    """Write text to out_dir/filename; InvalidConfig if it cannot."""
+    path = Path(out_dir) / filename
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise InvalidConfig(f"out: cannot write {path}: {exc}") from exc
+
+
 def _emit_json(config: RunConfig, filename: str, payload: dict):
+    """Write payload under --out first, so a failed write prints nothing."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
     if config.out_dir:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / filename).write_text(text)
+        _write_out(config.out_dir, filename, text)
+    sys.stdout.write(text)
 
 
 def _emit_csv(config: RunConfig, filename: str, header: list[str], rows: list[list]):
     if not config.out_dir:
         log.info("no --out directory; skipping %s", filename)
         return
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt17(v) if isinstance(v, float) else str(v) for v in row))
-    (out / filename).write_text("\n".join(lines) + "\n")
+    _write_out(config.out_dir, filename, "\n".join(lines) + "\n")
 
 
 def _report_error(exc: Exception) -> None:

@@ -11,7 +11,7 @@ complementary growing modes never enter the computation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -45,16 +45,19 @@ class HyperbolicSplitting:
     stable_schur / unstable_schur are the orthogonal factors of the real
     Schur decompositions of a with the eigenvalues inside / outside the unit
     circle leading, each computed when first read (most callers need one) by
-    LAPACK trsen reordering one unsorted real Schur form of a (gees), itself
-    computed once.  They are bit for bit those of scipy.linalg.schur(a,
-    output="real", sort="iuc" / "ouc").  Their leading d_s / d_u columns,
-    stable_frame / unstable_frame, span the invariant subspace; the trailing
-    columns, stable_complement / unstable_complement, span its orthogonal
+    LAPACK trsen from hyperbolic_splitting's unsorted real Schur form of a
+    (gees), bit for bit those of scipy.linalg.schur(a, output="real",
+    sort="iuc" / "ouc").  Their leading d_s / d_u columns, stable_frame /
+    unstable_frame, span the invariant subspace; the trailing columns,
+    stable_complement / unstable_complement, span its orthogonal
     complement, as the parts of the same names in SplittingStack.
     """
 
     a: np.ndarray
     d_s: int
+    # (t, z, moduli): gees's Schur form of a, its orthogonal factor and the
+    # eigenvalue moduli, by hypot as abs(complex) in scipy's sort predicates
+    _schur_form: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
     @property
     def d(self) -> int:
@@ -87,16 +90,6 @@ class HyperbolicSplitting:
     @property
     def unstable_complement(self) -> np.ndarray:
         return self.unstable_schur[:, self.d_u:]
-
-    @cached_property
-    def _schur_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Unsorted real Schur form t, its orthogonal factor z and the
-        moduli of its eigenvalues (LAPACK gees), by hypot as Python's
-        abs(complex) in scipy's sort predicates."""
-        t, _, wr, wi, z, _, info = lapack.dgees(_no_sort, self.a, lwork=_gees_lwork(self.d))
-        if info:
-            raise NotHyperbolic(f"real Schur decomposition failed (gees info {info})")
-        return t, z, np.hypot(wr, wi)
 
     def _schur_factor(self, outside: bool, dim: int) -> np.ndarray:
         """Schur factor of a with the eigenvalues outside (else inside) the
@@ -141,15 +134,14 @@ def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Hyp
 
     The frames are the leading columns of orthogonal Schur factors ordered
     by |mu| <= 1 versus |mu| > 1 (see HyperbolicSplitting), computed when
-    first read.  The singular values and eigenvalue moduli come straight
-    from LAPACK gesdd and geev, the routines numpy's svd and eigvals call.
+    first read.  The singular values come from LAPACK gesdd, as in numpy's
+    svd, and the eigenvalue moduli from the Schur form (gees) they reorder.
 
     Raises ValueError unless a is a nonempty square matrix, NotHyperbolic
-    if a has a non-finite entry, Singular if a is not invertible,
-    NotHyperbolic if any eigenvalue modulus is within gap_tol of 1 (or,
-    when a frame is read, if its Schur ordering disagrees with the
-    eigenvalue count).  The checks are those of splitting_stack, by the
-    same function.
+    if gees fails or a has a non-finite entry, Singular if a is not
+    invertible, NotHyperbolic if any eigenvalue modulus is within gap_tol
+    of 1 (or, when a frame is read, if trsen or its count fails).  The
+    checks after gees are those of splitting_stack, by the same function.
     """
     a = np.array(a, dtype=float)
     finite = _checked_input(a[None], gap_tol)
@@ -157,11 +149,12 @@ def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Hyp
     _, sv, _, info = lapack.dgesdd(b, compute_uv=0)
     if info:
         raise np.linalg.LinAlgError("SVD did not converge")
-    wr, wi, _, _, info = lapack.dgeev(b, compute_vl=0, compute_vr=0)
+    t, _, wr, wi, z, _, info = lapack.dgees(_no_sort, b, lwork=_gees_lwork(len(a)))
     if info:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    d_s = _checked(finite, sv[None], np.abs(wr + 1j * wi)[None], gap_tol)
-    return HyperbolicSplitting(a=a, d_s=d_s)
+        raise NotHyperbolic(f"real Schur decomposition failed (gees info {info})")
+    moduli = np.hypot(wr, wi)
+    d_s = _checked(finite, sv[None], moduli[None], gap_tol)
+    return HyperbolicSplitting(a=a, d_s=d_s, _schur_form=(t, z, moduli))
 
 
 def _checked_input(a: np.ndarray, gap_tol: float) -> np.ndarray:
@@ -257,7 +250,7 @@ def splitting_stack(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Splittin
     u, s, vt = np.linalg.svd(np.where(ok[:, None, None], proj, 0.0))
     ok &= np.sum(s > 0.5, axis=1) == d_s
     for i in np.flatnonzero(~ok):
-        split = HyperbolicSplitting(a=a[i].copy(), d_s=d_s)
+        split = hyperbolic_splitting(a[i], gap_tol)
         u[i] = split.stable_schur
         z = split.unstable_schur
         vt[i] = np.hstack([z[:, d - d_s:], z[:, : d - d_s]]).T

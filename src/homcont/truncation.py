@@ -9,9 +9,10 @@ one theta, and only the problem moves them, continuously, so determinant
 signs along a path are comparable: TruncatedProblem.over carries them over
 a whole circle grid (the parity scan), TruncatedProblem.transported to one
 other theta (localization, continuation).  The unknown is the flat window
-vector X = (x_{-N}, ..., x_N), length d*(2N+1); rows are ordered interior
-first (n = -N .. N-1), then the left boundary rows, then the right ones.
-That ordering is frozen because determinant-sign bookkeeping depends on it.
+vector X = (x_{-N}, ..., x_N), length d*(2N+1).  The rows have one order,
+in which the Jacobian is banded and which the residual, its theta
+derivative and WindowLU all use: the d_s left boundary rows, the 2Nd
+interior rows n = -N .. N-1, then the d_u right boundary rows.
 """
 from __future__ import annotations
 
@@ -158,21 +159,17 @@ def truncated_problem(system, theta: float, N: int,
 
 
 def assemble_residual(p: TruncatedProblem, x: np.ndarray) -> np.ndarray:
-    """Interior rows x_{n+1} - f_n(theta, x_n), then the boundary rows."""
+    """The left boundary rows, the interior rows x_{n+1} - f_n(theta, x_n),
+    then the right boundary rows."""
     blocks = p.blocks(x)
     interior = blocks[1:] - f_rows(p.system, p.ns, p.theta, blocks[:-1])
-    return np.concatenate([interior.ravel(), p.left_rows @ blocks[0], p.right_rows @ blocks[-1]])
+    return np.concatenate([p.left_rows @ blocks[0], interior.ravel(), p.right_rows @ blocks[-1]])
 
 
 class WindowLU:
-    """Banded LU of the window Jacobian (LAPACK gbtrf/gbtrs), presented in
-    assembled ordering.
-
-    Internally the rows are permuted to [left boundary, interior, right
-    boundary] so the matrix is banded; solve() maps right-hand sides from
-    the frozen assembled ordering [interior, left, right].  Moving the d_s
-    left rows over the 2*N*d interior rows is an even permutation (2*N*d is
-    even), so determinant signs agree with the assembled ordering.  The
+    """Banded LU of the window Jacobian (LAPACK gbtrf/gbtrs), its rows in
+    the one order of the module docstring, so solve() takes right-hand
+    sides and matvec() returns products as the residual lays them out.  The
     1-norm of J is taken from the band before factoring; it scales the
     rounding floor of the package's one singularity criterion
     (near_singular, in classify_window).  The unfactored band is kept for
@@ -181,7 +178,7 @@ class WindowLU:
     that band.
     """
 
-    def __init__(self, ab: np.ndarray, kl: int, ku: int, d_s: int, interior: int):
+    def __init__(self, ab: np.ndarray, kl: int, ku: int):
         self.norm_1 = float(np.max(np.sum(np.abs(ab[kl:]), axis=0)))
         lu, ipiv, info = lapack.dgbtrf(ab, kl=kl, ku=ku)
         if info < 0:
@@ -195,18 +192,11 @@ class WindowLU:
         self._exact_singular = info > 0
         # U diagonal lives in row kl + ku of the factored band storage.
         self._udiag = lu[kl + ku]
-        self._d_s = d_s
-        self._interior = interior
-
-    def _permute(self, rhs: np.ndarray) -> np.ndarray:
-        m, ds = self._interior, self._d_s
-        return np.concatenate([rhs[m:m + ds], rhs[:m], rhs[m + ds:]])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._exact_singular:
             raise SingularJacobian("banded LU is exactly singular")
-        b = self._permute(np.asarray(rhs, dtype=float))
-        x, info = lapack.dgbtrs(self._lu, self._kl, self._ku, b, self._ipiv)
+        x, info = lapack.dgbtrs(self._lu, self._kl, self._ku, rhs, self._ipiv)
         if info != 0:
             raise SingularJacobian(f"dgbtrs failed with info={info}")
         return x
@@ -225,7 +215,7 @@ class WindowLU:
 
     def smallest_singular(self, estimate: float | None = None) -> tuple[float, np.ndarray]:
         """(smin, v): the smallest singular value of J and a unit right
-        singular vector for it, in assembled column order, sign arbitrary.
+        singular vector for it, a window vector, sign arbitrary.
 
         The path is picked before any iteration, with mu0 = (GRAM_FLOOR *
         ||J||_1)^2 and G = J^T J:
@@ -277,18 +267,17 @@ class WindowLU:
         is the transposed solve of the seeded vector q that smallest_singular
         made on them, the first step's first half.
 
-        Lanczos runs with full reorthogonalization on (PJ)^-1 (PJ)^-T =
-        (J^T J)^-1, P the banded row order: each step is two gbtrs solves
-        (transposed, then plain) on lu, O(n * bandwidth), plus the
-        reorthogonalization against the k vectors so far, O(n * k).  The
-        run starts from q (a structured vector such as all-ones can be
-        orthogonal to a symmetric kernel) and stops when the top Ritz pair
-        (t, s) of the k x k tridiagonal has |beta_k * s_k| <= LANCZOS_RTOL *
-        t, or at k = n, where the Krylov space is the whole space; then
-        smin = t^(-1/2).  Convergence is tested on a growing schedule of k,
-        and the Krylov buffer grows on demand.  Near-singular windows
-        converge in a few steps; the Gram path keeps clustered regular
-        windows, where Lanczos is slow, off it."""
+        Lanczos runs with full reorthogonalization on J^-1 J^-T = (J^T J)^-1:
+        each step is two gbtrs solves (transposed, then plain) on lu,
+        O(n * bandwidth), plus the reorthogonalization against the k vectors
+        so far, O(n * k).  The run starts from q (a structured vector such
+        as all-ones can be orthogonal to a symmetric kernel) and stops when
+        the top Ritz pair (t, s) of the k x k tridiagonal has |beta_k * s_k|
+        <= LANCZOS_RTOL * t, or at k = n, where the Krylov space is the
+        whole space; then smin = t^(-1/2).  Convergence is tested on a
+        growing schedule of k, and the Krylov buffer grows on demand.
+        Near-singular windows converge in a few steps; the Gram path keeps
+        clustered regular windows, where Lanczos is slow, off it."""
         n, kl, ku = self._n, self._kl, self._ku
         basis = np.empty((min(n, 8), n))
         q = _seeded_unit_vector(n)
@@ -424,8 +413,7 @@ class WindowLU:
         """J^T J in LAPACK upper band storage, half-bandwidth kd = kl + ku:
         row kd - o holds superdiagonal o, G[j, j + o] at column j + o.
         With B the unfactored band (B[r, j] = J[j + r - ku, j]),
-        G[j, j + o] = sum over r = o .. kd of B[r, j] * B[r - o, j + o].
-        The banded row order drops out, since (PJ)^T (PJ) = J^T J."""
+        G[j, j + o] = sum over r = o .. kd of B[r, j] * B[r - o, j + o]."""
         band = self._ab[self._kl:]
         kd, n = band.shape[0] - 1, self._n
         gram = np.zeros((kd + 1, n))
@@ -434,9 +422,8 @@ class WindowLU:
         return gram
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """J @ v in assembled ordering, from the unfactored band.  Diagonals
-        are summed from kl down to -ku, so each row adds its entries in
-        column order."""
+        """J @ v from the unfactored band.  Diagonals are summed from kl
+        down to -ku, so each row adds its entries in column order."""
         n, kl, ku = self._n, self._kl, self._ku
         out = np.zeros(n)
         for offset in range(kl, -ku - 1, -1):  # row i - column j
@@ -445,8 +432,7 @@ class WindowLU:
                 out[offset:] += diag[:n - offset] * v[:n - offset]
             else:
                 out[:n + offset] += diag[-offset:] * v[-offset:]
-        m, ds = self._interior, self._d_s
-        return np.concatenate([out[ds:ds + m], out[:ds], out[ds + m:]])
+        return out
 
 
 def _estimate_shifts(estimate: float | None, mu0: float, diag_min: float) -> tuple[float, ...]:
@@ -530,8 +516,8 @@ def _top_ritz_pair(alpha, beta) -> tuple[float, np.ndarray]:
 def banded_jacobian_lu(p: TruncatedProblem, x: np.ndarray) -> WindowLU:
     """Factor the window Jacobian in LAPACK band storage (see WindowLU).
 
-    Band row kl + ku + i - j of column j holds J[i, j], i counted in the
-    banded row order [left, interior, right]; kl rows of workspace sit on
+    Band row kl + ku + i - j of column j holds J[i, j], i in the window
+    system's row order [left, interior, right]; kl rows of workspace sit on
     top.  Interior block row k puts -dfdx[k][r, c] on band row
     kl + ku + ds + r - c and its identity on band row kl + ku + ds - d; a
     boundary row is a short diagonal."""
@@ -550,7 +536,7 @@ def banded_jacobian_lu(p: TruncatedProblem, x: np.ndarray) -> WindowLU:
     cols = np.arange(d)
     ab[top + np.arange(ds)[:, None] - cols, cols] = p.left_rows
     ab[top + ds + np.arange(d - ds)[:, None] - cols, m + cols] = p.right_rows
-    return WindowLU(ab, kl, ku, d_s=ds, interior=m)
+    return WindowLU(ab, kl, ku)
 
 
 def classify_window(p: TruncatedProblem, kernel_tol: float, estimate: float | None = None):
@@ -583,14 +569,15 @@ def assemble_dresidual_dtheta(p: TruncatedProblem, x: np.ndarray) -> np.ndarray:
     """Central-difference derivative of the residual in theta, step THETA_STEP.
 
     Boundary rows are fixed data of the problem, so only the interior rows
-    (-df_n/dtheta evaluated at x_n) contribute.
+    (-df_n/dtheta evaluated at x_n) contribute; both boundary blocks are zero.
     """
     blocks = p.blocks(x)
     df = (
         f_rows(p.system, p.ns, p.theta + THETA_STEP, blocks[:-1])
         - f_rows(p.system, p.ns, p.theta - THETA_STEP, blocks[:-1])
     ) / (2.0 * THETA_STEP)
-    return np.concatenate([-df.ravel(), np.zeros(p.d)])
+    ds = p.left_rows.shape[0]
+    return np.concatenate([np.zeros(ds), -df.ravel(), np.zeros(p.d - ds)])
 
 
 def tail_mass(x: np.ndarray, d: int) -> float:

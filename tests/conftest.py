@@ -63,19 +63,20 @@ def estimate_trials(smin, floor):
 
 
 def assemble_jacobian(p, x):
-    """Dense window Jacobian, the test oracle for the banded LU: interior
-    block rows [-dfdx(n, theta, x_n), I] in window order, then the left and
-    right boundary rows.  Assembled block by block, independently of the
-    library's scatter into band storage."""
+    """Dense window Jacobian, the test oracle for the banded LU: the left
+    boundary rows, the interior block rows [-dfdx(n, theta, x_n), I] in
+    window order, then the right boundary rows.  Assembled block by block,
+    independently of the library's scatter into band storage."""
     blocks = p.blocks(x)
     d, m = p.d, 2 * p.N * p.d
     ds = p.left_rows.shape[0]
     jac = np.zeros((p.size, p.size))
+    jac[:ds, :d] = p.left_rows
     for i, a in enumerate(dfdx_rows(p.system, p.ns, p.theta, blocks[:-1])):
-        jac[d * i:d * i + d, d * i:d * i + d] = -a
-        jac[d * i:d * i + d, d * i + d:d * i + 2 * d] = np.eye(d)
-    jac[m:m + ds, :d] = p.left_rows
-    jac[m + ds:, m:] = p.right_rows
+        row = ds + d * i
+        jac[row:row + d, d * i:d * i + d] = -a
+        jac[row:row + d, d * i + d:d * i + 2 * d] = np.eye(d)
+    jac[ds + m:, m:] = p.right_rows
     return jac
 
 

@@ -26,6 +26,14 @@ def test_grid_validation():
         hc.CircleGrid(np.linspace(0.0, 1.0, 9))
 
 
+@pytest.mark.parametrize("i, value", [(4, math.nan), (-1, math.nan), (-1, math.inf)])
+def test_grid_rejects_non_finite_nodes(i, value):
+    nodes = np.linspace(0.0, 2 * math.pi, 9)
+    nodes[i] = value
+    with pytest.raises(ValueError, match="grid"):
+        hc.CircleGrid(nodes)
+
+
 def test_grid_compares_by_identity():
     grid = hc.CircleGrid.uniform(8)
     assert grid == grid and grid != hc.CircleGrid.uniform(8)

@@ -437,6 +437,20 @@ def test_branch_overflow_is_a_step_failure(tmp_path, raw):
                            "try a smaller s0\n")
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["bundles"], "file"),
+    (["detect", "--grid-m", "8", "--window-n", "10"], "file/sub"),
+], ids=["existing-file", "under-a-file"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, out):
+    # a path --out cannot write is a config error, and no result is printed
+    (tmp_path / "file").write_text("")
+    code, stdout, err = run_cli(capsys, argv + ["--out", str(tmp_path / out)])
+    assert code == 2
+    assert err.startswith("error: out: cannot write")
+    assert "Traceback" not in err
+    assert stdout == ""
+
+
 def test_cli_import_skips_scipy_sparse():
     done = run_python(["-c", "import sys, homcont.cli; print('scipy.sparse' in sys.modules)"])
     assert done.returncode == 0, done.stderr

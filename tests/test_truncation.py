@@ -58,7 +58,8 @@ def test_kernel_sequence_residual(paper7_linear):
     N = 40
     p = truncated_problem(paper7_linear, math.pi, N)
     r = assemble_residual(p, kernel_window(paper7_linear, N))
-    interior, boundary = r[: 2 * N * p.d], r[2 * N * p.d:]
+    ds, m = p.left_rows.shape[0], 2 * N * p.d
+    interior, boundary = r[ds:ds + m], np.r_[r[:ds], r[ds + m:]]
     assert np.max(np.abs(interior)) <= 1e-12
     assert np.max(np.abs(boundary)) <= ALPHA ** N + BETA ** (-N)
 
@@ -70,11 +71,12 @@ def test_scalar_delta_residual():
     x = np.zeros(p.size)
     x[N] = 1.0  # unit block at n = 0
     r = assemble_residual(p, x)
+    ds = p.left_rows.shape[0]
     nonzero = np.nonzero(r)[0]
     # row for n = -1 sees x_0 arriving (+1); row for n = 0 sees -0.5 x_0
-    assert list(nonzero) == [N - 1, N]
-    assert r[N - 1] == 1.0
-    assert r[N] == -0.5
+    assert list(nonzero) == [ds + N - 1, ds + N]
+    assert r[ds + N - 1] == 1.0
+    assert r[ds + N] == -0.5
 
 
 def test_jacobian_blocks_at_origin(paper7_perturbed):
@@ -82,10 +84,12 @@ def test_jacobian_blocks_at_origin(paper7_perturbed):
     p = truncated_problem(paper7_perturbed, theta, N)
     jac = assemble_jacobian(p, np.zeros(p.size))
     lin = paper7_perturbed.dfdx(np.arange(-N, N), theta, np.zeros((2 * N, 2)))
+    ds = p.left_rows.shape[0]
     for i in range(2 * N):
-        block = jac[2 * i:2 * i + 2, 2 * i:2 * i + 2]
+        row = ds + 2 * i
+        block = jac[row:row + 2, 2 * i:2 * i + 2]
         assert np.array_equal(block, -lin[i])
-        assert np.array_equal(jac[2 * i:2 * i + 2, 2 * i + 2:2 * i + 4], np.eye(2))
+        assert np.array_equal(jac[row:row + 2, 2 * i + 2:2 * i + 4], np.eye(2))
 
 
 def test_jacobian_matches_finite_differences(paper7_perturbed):
@@ -621,25 +625,44 @@ ROW_SPLITS = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3)]
 def test_band_unpacks_to_dense_oracle(d, ds):
     p, x = random_window(d, ds, seed=10 * d + ds)
     lu = banded_jacobian_lu(p, x)
-    kl, ku, n, m = lu._kl, lu._ku, p.size, 2 * p.N * d
-    assembled_row = np.r_[m:m + ds, :m, m + ds:n]  # of each banded row
+    kl, ku, n = lu._kl, lu._ku, p.size
     dense = np.zeros((n, n))
     for i in range(n):
         for j in range(max(0, i - kl), min(n, i + ku + 1)):
-            dense[assembled_row[i], j] = lu._ab[kl + ku + i - j, j]
+            dense[i, j] = lu._ab[kl + ku + i - j, j]
     assert np.array_equal(dense, assemble_jacobian(p, x))
 
 
 @pytest.mark.parametrize("d, ds", ROW_SPLITS)
-def test_matvec_matches_assembled_order_sum(d, ds):
+def test_matvec_matches_oracle_scatter_sum(d, ds):
     # Entries of each row summed in column order, as a scatter of the
-    # assembled Jacobian's nonzeros would.
+    # dense oracle's nonzeros would.
     p, x = random_window(d, ds, seed=10 * d + ds)
     v = np.random.default_rng(d).standard_normal(p.size)
     jac = assemble_jacobian(p, x)
     rows, cols = np.nonzero(jac)
     reference = np.bincount(rows, weights=jac[rows, cols] * v[cols], minlength=p.size)
     assert np.array_equal(banded_jacobian_lu(p, x).matvec(v), reference)
+
+
+# (d, seed) of random_family with d_s = 1, 2, 3, 0 (no left rows) and 2 = d
+# (no right rows)
+@pytest.mark.parametrize("d, seed", [(2, 3), (3, 2), (4, 2), (3, 0), (2, 0)])
+def test_window_system_has_one_row_order(d, seed):
+    # left boundary rows, interior rows, right boundary rows: the residual
+    # and dR/dtheta are laid out as solve() takes and matvec() returns
+    rng = np.random.default_rng(seed)
+    p = truncated_problem(random_family(rng, d), 0.4, 12)
+    x = 0.2 * rng.standard_normal(p.size)
+    ds, m = p.left_rows.shape[0], 2 * p.N * d
+    blocks = p.blocks(x)
+    r = assemble_residual(p, x)
+    assert np.array_equal(r[:ds], p.left_rows @ blocks[0])
+    assert np.array_equal(r[ds + m:], p.right_rows @ blocks[-1])
+    dr = assemble_dresidual_dtheta(p, x)
+    assert not np.any(dr[:ds]) and not np.any(dr[ds + m:])
+    lu = banded_jacobian_lu(p, x)
+    assert np.linalg.norm(lu.matvec(lu.solve(r)) - r) <= 1e-12 * np.linalg.norm(r)
 
 
 @pytest.mark.parametrize("k", [1, 2, 8, 121])
@@ -677,6 +700,18 @@ def test_short_transport_makes_one_schur_per_family(paper7_perturbed, monkeypatc
     p.transported(1.1)
     assert schurs == ["dgees", "dtrsen"] * 2
     assert svds == ["dgesdd"] * 4
+
+
+@pytest.mark.parametrize("theta", [1e30, math.inf, math.nan, 1e8])
+def test_far_transport_is_rejected_before_any_frame(paper7_perturbed, monkeypatch, theta):
+    # a path that is not finite or longer than MAX_PATH_STEPS steps raises
+    # before a single node is split
+    p = truncated_problem(paper7_perturbed, 1.0, 10)
+    schurs = []
+    record_calls(monkeypatch, scipy.linalg.lapack, "dgees", schurs)
+    with pytest.raises(ValueError, match="theta path from 1.0 to"):
+        p.transported(theta)
+    assert schurs == []
 
 
 def test_adapt_window_rejects_nan_tail_tol():
