@@ -349,14 +349,17 @@ def continue_branch(
     oriented along the amplitude reference, so a start whose amplitude_ref
     is negated runs the branch backwards), Newton corrector with the
     arclength constraint; the step halves on corrector failure down to
-    ds_min and doubles after four easy successes up to ds_max.  The
-    boundary rows are the start point's own, carried from
-    start.problem.theta to start.theta and on to each accepted theta, and
-    accepted points are re-polished whenever the rows move or the window is
-    enlarged, so the recorded residual always refers to the stored problem.
-    det_sign of the augmented Jacobian (constraint row = predictor tangent)
-    is recorded per point as a fold/secondary-crossing diagnostic; all
-    points share one continuous family of rows.  Amplitudes are measured
+    ds_min and doubles after four easy successes up to ds_max; the branch
+    stops with "step_failure" once ds falls below ds_min.  The boundary
+    rows are the start point's own, carried from start.problem.theta to
+    start.theta and on to each accepted theta, and every accepted point is
+    re-polished after its rows move, so the recorded residual always refers
+    to the stored problem.  A corrected point whose tail exceeds tail_tol is
+    not accepted: the window is enlarged and the step retried with the same
+    ds at the wider window.  det_sign of the augmented Jacobian (constraint
+    row = predictor tangent) is recorded per point as a
+    fold/secondary-crossing diagnostic; all points share one continuous
+    family of rows.  Amplitudes are measured
     along start.amplitude_ref (switch_branch's kernel direction), or along
     the start's own direction when it has none.
     """
@@ -427,23 +430,23 @@ def continue_branch(
                 stop = "step_failure"
                 break
             continue
-        p = p_new
 
         if tail_mass(x_new, d) > controls.tail_tol:
+            # The window is too narrow for the corrected point: widen it
+            # (rows still at the last accepted theta) and retry the step
+            # with the same ds, so every point comes out of the corrector.
+            n_old = p.N
             try:
-                n_old = p.N
-                p, x_new = adapt_window(p, x_new, controls.tail_tol)
-                log.info("window enlarged from N=%d to N=%d", n_old, p.N)
-                x_new, _, rn, _ = _newton(p, x_new, None, newton_tol, DEFAULT_MAX_ITER)
-                amplitude_ref = embed_window(amplitude_ref, d, n_old, p.N)
-                t = np.concatenate([embed_window(t[:-1], d, n_old, p.N), [t[-1]]])
-                z = np.concatenate([embed_window(z[:-1], d, n_old, p.N), [z[-1]]])
+                p, _ = adapt_window(p, x_new, controls.tail_tol)
             except WindowOverflow:
                 stop = "window_overflow"
                 break
-            except (NoConvergence, SingularJacobian):
-                stop = "step_failure"
-                break
+            log.info("window enlarged from N=%d to N=%d", n_old, p.N)
+            amplitude_ref = embed_window(amplitude_ref, d, n_old, p.N)
+            t = np.concatenate([embed_window(t[:-1], d, n_old, p.N), [t[-1]]])
+            z = np.concatenate([embed_window(z[:-1], d, n_old, p.N), [z[-1]]])
+            continue
+        p = p_new
 
         det = _augmented_det_sign(
             p, x_new, AffineConstraint(w_x=t[:-1], w_theta=float(t[-1]), offset=0.0)

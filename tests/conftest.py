@@ -1,3 +1,4 @@
+import math
 import os
 
 # Must precede the first numpy import: small-matrix LAPACK calls dominate
@@ -38,6 +39,42 @@ def random_hyperbolic(rng, d, gap=0.1):
         if np.linalg.cond(sim) < 20:
             break
     return sim @ core @ np.linalg.inv(sim)
+
+
+def half_turn_loop(rng, d, k):
+    """a(theta) = Q G(k theta/2) D G(k theta/2)^T Q^T, 2*pi-periodic.
+
+    D is block diagonal: a stable real eigenvalue on e_0, an unstable one
+    on e_1 and a random hyperbolic rest (real, or at d = 4 possibly a
+    complex pair); G rotates the (e_0, e_1) plane, so G(pi) = -1 there
+    commutes with D.  The stable line of e_0 makes k half-turns per circuit
+    while the rest of the stable space stays put: w1 = (-1)^k.  Q is a
+    fixed seeded orthogonal matrix.  Returns (a, stable dimension).
+    """
+    def modulus(stable):
+        return rng.uniform(0.2, 0.8) if stable else rng.uniform(1.25, 3.0)
+
+    core = np.zeros((d, d))
+    core[0, 0] = modulus(True) * rng.choice([-1.0, 1.0])
+    core[1, 1] = modulus(False) * rng.choice([-1.0, 1.0])
+    stable = [bool(rng.random() < 0.5) for _ in range(d - 2)]
+    if d == 4 and rng.random() < 0.5:
+        r, phi = modulus(stable[0]), rng.uniform(0.3, math.pi - 0.3)
+        core[2:, 2:] = r * np.array([[math.cos(phi), -math.sin(phi)],
+                                     [math.sin(phi), math.cos(phi)]])
+        stable[1] = stable[0]
+    else:
+        for i, s in enumerate(stable):
+            core[2 + i, 2 + i] = modulus(s) * rng.choice([-1.0, 1.0])
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+
+    def a(theta):
+        g = np.eye(d)
+        c, s = math.cos(0.5 * k * theta), math.sin(0.5 * k * theta)
+        g[:2, :2] = [[c, -s], [s, c]]
+        return q @ g @ core @ g.T @ q.T
+
+    return a, 1 + sum(stable)
 
 
 def record_calls(monkeypatch, owner, name, calls):

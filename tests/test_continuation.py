@@ -7,7 +7,6 @@ import pytest
 import homcont as hc
 from homcont import continuation, truncation
 from homcont.continuation import (
-    DEFAULT_MAX_ITER,
     AffineConstraint,
     _augmented_det_sign,
     _newton,
@@ -140,14 +139,15 @@ def test_min_norm_rejects_every_step(paper7_perturbed, candidate):
 
 def _newton_failing_on(monkeypatch, fails):
     """Replace continuation._newton by one that raises NoConvergence on the
-    calls fails(fixed_theta, max_iter, count) selects, count numbering from
-    1 the calls of that mode and max_iter; returns the thetas it failed at."""
+    calls fails(p, fixed_theta, max_iter, count) selects, count numbering
+    from 1 the calls of that mode and max_iter; returns the thetas it failed
+    at."""
     real, counts, raised = continuation._newton, {}, []
 
     def newton(p, guess, constraint, newton_tol, max_iter):
         key = (constraint is None, max_iter)
         counts[key] = counts.get(key, 0) + 1
-        if fails(*key, counts[key]):
+        if fails(p, *key, counts[key]):
             raised.append(p.theta)
             raise NoConvergence("forced")
         return real(p, guess, constraint, newton_tol, max_iter)
@@ -161,7 +161,7 @@ def test_rejected_step_leaves_rows_at_accepted_theta(paper7_perturbed, candidate
     # rows are carried on from the last accepted theta, not the rejected one
     start = hc.switch_branch(paper7_perturbed, candidate, 5e-4, 40)
     raised = _newton_failing_on(
-        monkeypatch, lambda fixed, max_iter, count: fixed and max_iter == 5 and count == 3)
+        monkeypatch, lambda p, fixed, max_iter, count: fixed and max_iter == 5 and count == 3)
     origins = []
     real = truncation.TruncatedProblem.transported
 
@@ -178,18 +178,21 @@ def test_rejected_step_leaves_rows_at_accepted_theta(paper7_perturbed, candidate
     assert all(theta in accepted for theta in origins[1:])
 
 
-def test_failed_resolve_after_enlargement_stops_branch(paper7_perturbed, candidate, monkeypatch):
+def test_failed_retry_after_enlargement_rejects_step(paper7_perturbed, candidate, monkeypatch):
+    # the first corrector at the enlarged window fails: the step is rejected
+    # like any other, and the branch goes on at the wider window (the
+    # selector reads raised when called, so it fails one call only)
     s0 = 5e-4
     start = hc.switch_branch(paper7_perturbed, candidate, s0, 40)
     raised = _newton_failing_on(
-        monkeypatch, lambda fixed, max_iter, count: fixed and max_iter == DEFAULT_MAX_ITER)
+        monkeypatch, lambda p, fixed, max_iter, count: not fixed and p.N == 80 and not raised)
     controls = hc.ContinuationControls(
         tail_tol=1e-12, max_steps=60, amplitude_cap=0.05, min_norm=0.5 * s0
     )
     branch = hc.continue_branch(start, controls)
     assert len(raised) == 1
-    assert branch.stop_reason == "step_failure"
-    assert {pt.N for pt in branch.points} == {40}
+    assert branch.stop_reason == "amplitude_cap"
+    assert branch.points[1].N == 80
 
 
 def test_branch_reaches_large_amplitude(long_branch):
