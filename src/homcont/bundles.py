@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack
 
+from . import _linalg as lapack
 from .errors import AlignmentFailure, DegenerateClosure, RankDrop
 from .spectral import DEFAULT_GAP_TOL, hyperbolic_splitting, splitting_stack
 

@@ -15,11 +15,9 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
-from ._linalg import polar_orthonormalize
-from .errors import IndexMismatch, NotHyperbolic, Singular
+from . import _linalg as lapack
+from .errors import IndexMismatch, NotHyperbolic, RankDrop, Singular
 
 DEFAULT_GAP_TOL = 1e-6
 
@@ -319,11 +317,29 @@ def symbol_smin(a: np.ndarray) -> float:
         if not lowest < sigma:
             break
         sigma = lowest
-        z = sla.eigvals(np.block([[a, sigma * eye], [zero, eye]]),
-                        np.block([[eye, zero], [sigma * eye, a.T]]))
+        z = _pencil_eigvals(np.block([[a, sigma * eye], [zero, eye]]),
+                            np.block([[eye, zero], [sigma * eye, a.T]]))
         w = np.sort(np.concatenate([[0.0, np.pi], np.abs(np.angle(z[abs(abs(z) - 1) < _CIRCLE_TOL]))]))
         w = 0.5 * (w[1:] + w[:-1])
     return sigma
+
+
+def _pencil_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the real pencil a - z b by LAPACK ggev, bit for bit
+    those of scipy.linalg.eigvals(a, b): alpha/beta, inf where only beta is
+    0, and nan where both are (complex nan when some alpha is not real)."""
+    a, b = np.asarray_chkfinite(a, dtype=float), np.asarray_chkfinite(b, dtype=float)
+    lwork = int(lapack.dggev(a, b, lwork=-1)[-2][0])
+    alphar, alphai, beta, _, _, _, info = lapack.dggev(a, b, 0, 0, lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"generalized eigenvalue solver (ggev) failed, info={info}")
+    alpha = alphar + 1j * alphai
+    z = np.empty_like(alpha)
+    finite = beta != 0
+    z[finite] = alpha[finite] / beta[finite]
+    z[~finite & (alpha != 0)] = np.inf
+    z[~finite & (alpha == 0)] = np.nan if np.all(alphai == 0) else complex(np.nan, np.nan)
+    return z
 
 
 def _restricted_rows(split: HyperbolicSplitting) -> tuple[np.ndarray, np.ndarray]:
@@ -387,6 +403,18 @@ def halfline_green_solve(
 
     out = np.array(xs)
     return out[:, 0] if flat else out
+
+
+def polar_orthonormalize(b: np.ndarray) -> np.ndarray:
+    """Closest orthonormal frame to b (polar factor via SVD).
+
+    Unlike QR this is continuous in b and does not introduce arbitrary
+    column sign flips.
+    """
+    u, s, vt = np.linalg.svd(b, full_matrices=False)
+    if s[-1] <= 1e-13 * max(1.0, s[0]):
+        raise RankDrop("frame lost rank during orthonormalization")
+    return u @ vt
 
 
 def analytic_kernel_basis(

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 
+from . import _linalg as lapack
 from .bundles import CircleGrid, limit_family, transport_along_path, transport_frames
 from .errors import SingularJacobian, SizeMismatch, WindowOverflow
 from .spectral import DEFAULT_GAP_TOL

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import homcont as hc
-from homcont import bundles, spectral
+from homcont import _linalg, bundles, spectral
 from homcont.bundles import (MAX_PATH_STEP, LoopTransport, loop_closure, path_nodes,
                              transport_along_path)
 from homcont.errors import AlignmentFailure, DegenerateClosure, IndexMismatch, RankDrop
@@ -341,7 +341,7 @@ def test_invariants_take_one_schur_per_side(monkeypatch):
         return proj, ok
 
     record_calls(monkeypatch, scipy.linalg, "schur", forms)
-    record_calls(monkeypatch, scipy.linalg.lapack, "dgees", forms)
+    record_calls(monkeypatch, _linalg, "dgees", forms)
     monkeypatch.setattr(spectral, "_stable_projectors", counting_projectors)
     rng = np.random.default_rng(3)
     for d in (2, 4, 6):

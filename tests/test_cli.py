@@ -457,6 +457,50 @@ def test_cli_import_skips_scipy_sparse():
     assert done.stdout.strip() == "False"
 
 
+def test_cli_import_skips_scipy_linalg_python_layer():
+    # LAPACK is loaded from scipy's compiled module alone
+    heavy = ["scipy.linalg._basic", "scipy.linalg._decomp", "numpy.f2py", "numpy.testing"]
+    done = run_python(["-c", f"import sys, homcont.cli; print([m for m in {heavy} if m in sys.modules])"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("scipy_first", [True, False], ids=["scipy-first", "homcont-first"])
+def test_lapack_handle_is_scipys_routine(scipy_first):
+    # one _flapack module whichever is imported first, so scipy.linalg.lapack
+    # hands out the very routines the library calls
+    imports = ["import sys, scipy.linalg", "from homcont import _linalg"]
+    check = ("print(sys.modules['scipy.linalg._flapack'] is _linalg._flapack,"
+             " all(getattr(scipy.linalg.lapack, name) is getattr(_linalg, name)"
+             " for name in ('dgbtrf', 'dgbtrs', 'dgees', 'dgesdd', 'dggev', 'dpbtrf',"
+             " 'dpbtrs', 'dstebz', 'dstein', 'dtrsen')))")
+    done = run_python(["-c", "; ".join((imports if scipy_first else imports[::-1]) + [check])])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True True"
+
+
+LAPACK_RUN = """
+import importlib.util, sys
+out, fallback = sys.argv[1], sys.argv[2] == "fallback"
+if fallback:
+    importlib.util.spec_from_file_location = lambda *args, **kwargs: None
+from homcont import _linalg, cli
+loaded = "scipy.linalg.lapack" if fallback else "scipy.linalg._flapack"
+assert _linalg._flapack.__name__ == loaded, _linalg._flapack
+sys.exit(max(cli.main([cmd, "--seed", "7", "--out", out]) for cmd in ("bundles", "detect")))
+"""
+
+
+def test_lapack_fallback_gives_the_same_outputs(tmp_path):
+    # when _flapack cannot be loaded from its file, the routines come from
+    # scipy.linalg.lapack, with byte-identical outputs
+    for how in ("file", "fallback"):
+        done = run_python(["-c", LAPACK_RUN, str(tmp_path / how), how])
+        assert done.returncode == 0, done.stderr
+    for name in ("bundles.json", "detect.json", "detect_nodes.csv"):
+        assert (tmp_path / "fallback" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+
 def test_invalid_grid_exits_2(capsys):
     code, _, err = run_cli(capsys, ["bundles", "--grid-m", "4"])
     assert code == 2

@@ -1,15 +1,17 @@
-"""The paper's result on seeded cubic loop families: a nonorientable stable
+"""The paper's result on seeded loop families: a nonorientable stable
 bundle (w1 = -1) forces a kernel crossing, and the branch of nontrivial
 homoclinics that bifurcates there stays on its own side of the trivial
-solution.
+solution; an orientable one (w1 = +1) gives an even number of crossings.
 
-f_n(theta, x) = a_n(theta) x + c / (1 + (n/tau)^2) |x|^2 x, with a_n the
-half-turn loop a_plus(theta) for n >= 0 and the constant a_minus for n < 0.
-With a_minus = a_plus(theta0) the linearization is singular exactly at
+f_n(theta, x) = a_n(theta) x + c / (1 + (n/tau)^2) h(x), with a_n the
+half-turn loop a_plus(theta) for n >= 0 and the constant a_minus for n < 0,
+and h cubic, |x|^2 x, or quadratic, (x^T B_i x)_i.  With k = 1 and
+a_minus = a_plus(theta0) the linearization is singular exactly at
 theta0 + pi, where the stable line of a_plus has turned a quarter turn
 onto the unstable line of a_minus.  The cubic branches are vertical in
 theta, so they also test that a window enlargement does not let the
-continuation slide back through the trivial solution.
+continuation slide back through the trivial solution; the quadratic ones
+are transcritical and run to the amplitude cap on both halves.
 """
 import math
 from dataclasses import replace
@@ -27,12 +29,31 @@ S0 = 5e-4
 COUPLING, TAU = 0.5, 5.0
 
 
-def cubic_loop(seed, theta0=0.0):
-    """The cubic family on half_turn_loop(default_rng(seed), 2 + seed % 3, 1),
-    with a_minus = a_plus(theta0) held constant."""
+def loop_family(seed, theta0=0.0, k=1, quadratic=False):
+    """f_n = a_n x + c / (1 + (n/tau)^2) h(x) on half_turn_loop(default_rng(seed),
+    2 + seed % 3, k), with a_minus = a_plus(theta0) held constant: h is the
+    cubic |x|^2 x, or the quadratic (x^T B_i x)_i with B_i seeded symmetric
+    matrices drawn after the loop."""
     d = 2 + seed % 3
-    a_of, _ = half_turn_loop(np.random.default_rng(seed), d, 1)
+    rng = np.random.default_rng(seed)
+    a_of, _ = half_turn_loop(rng, d, k)
     a_minus = a_of(theta0)
+
+    if quadratic:
+        b = rng.standard_normal((d, d, d))
+        b = 0.5 * (b + b.transpose(0, 2, 1))
+
+        def h(X):
+            return np.einsum("ijk,...j,...k->...i", b, X, X)
+
+        def dh(X):
+            return 2.0 * np.einsum("ijk,...k->...ij", b, X)
+    else:
+        def h(X):
+            return np.sum(X * X, axis=-1, keepdims=True) * X
+
+        def dh(X):
+            return np.sum(X * X, axis=-1)[:, None, None] * np.eye(d) + 2.0 * X[:, :, None] * X[:, None, :]
 
     def a_n(ns, theta):
         return _by_side(ns, a_of(theta), a_minus)
@@ -42,14 +63,11 @@ def cubic_loop(seed, theta0=0.0):
 
     def f(ns, theta, X):
         X = np.asarray(X, dtype=float)
-        cubic = np.sum(X * X, axis=-1, keepdims=True) * X
-        return (a_n(ns, theta) @ X[..., None])[..., 0] + envelope(ns)[:, None] * cubic
+        return (a_n(ns, theta) @ X[..., None])[..., 0] + envelope(ns)[:, None] * h(X)
 
     def dfdx(ns, theta, X):
         X = np.asarray(X, dtype=float)
-        sq = np.sum(X * X, axis=-1)[:, None, None]
-        dcubic = sq * np.eye(d) + 2.0 * X[:, :, None] * X[:, None, :]
-        return a_n(ns, theta) + envelope(ns)[:, None, None] * dcubic
+        return a_n(ns, theta) + envelope(ns)[:, None, None] * dh(X)
 
     return SystemFamily(
         d=d,
@@ -87,7 +105,7 @@ def assert_one_sided(branch):
 
 @pytest.mark.parametrize("seed", [0, 1, 9, 10])
 def test_enlarged_cubic_branch_stays_on_its_half(seed):
-    system = cubic_loop(seed)
+    system = loop_family(seed)
     for cand in halves(system):
         branch = continued(system, cand)
         assert branch.stop_reason == "max_steps"
@@ -98,7 +116,7 @@ def test_enlarged_cubic_branch_stays_on_its_half(seed):
 @pytest.mark.parametrize("seed", range(3, 9))
 def test_shifted_cubic_loop_bifurcates_at_the_half_turn(seed):
     theta0 = float(np.random.default_rng(1000 + seed).uniform(0.0, 2 * math.pi))
-    system = cubic_loop(seed, theta0)
+    system = loop_family(seed, theta0)
     grid = hc.CircleGrid.uniform(64)
     assert hc.index_bundle_invariants(system, grid).w1_index == -1
     assert hc.scan_parity(system, grid, N).loop_parity == -1
@@ -106,3 +124,32 @@ def test_shifted_cubic_loop_bifurcates_at_the_half_turn(seed):
     assert abs(cands[0].theta_star - (theta0 + math.pi)) <= 1e-6
     for half in cands:
         assert_one_sided(continued(system, half))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_orientable_loop_has_even_parity(seed):
+    # k = 2: the stable line makes a whole turn, w1 = +1, and the kernel
+    # crosses twice (a quarter turn and three quarter turns from theta0)
+    system = loop_family(seed, k=2)
+    grid = hc.CircleGrid.uniform(64)
+    assert hc.index_bundle_invariants(system, grid).w1_index == 1
+    scan = hc.scan_parity(system, grid, N)
+    assert scan.loop_parity == 1
+    assert len(scan.sign_change_intervals) == 2
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4, 6])
+def test_quadratic_branch_halves_reach_the_cap(seed):
+    # a quadratic nonlinearity makes the crossing transcritical: both halves
+    # reach the amplitude cap without returning to the trivial solution,
+    # and theta leaves theta* in opposite directions on the two halves
+    system = loop_family(seed, quadratic=True)
+    moves = []
+    for cand in halves(system):
+        start = hc.switch_branch(system, cand, S0, N)
+        branch = hc.continue_branch(start, hc.ContinuationControls())
+        assert branch.stop_reason == "amplitude_cap"
+        assert_one_sided(branch)
+        assert min(pt.l2_norm for pt in branch.points) >= S0
+        moves.append(branch.points[-1].theta - cand.theta_star)
+    assert moves[0] * moves[1] < 0, moves

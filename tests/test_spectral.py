@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.optimize
 
 import homcont as hc
-from homcont import spectral, truncation
+from homcont import _linalg, spectral, truncation
 from homcont.errors import IndexMismatch, NotHyperbolic, Singular
 from homcont.spectral import splitting_stack, symbol_smin
 
@@ -178,34 +178,34 @@ def test_splitting_stack_falls_back_to_schur(monkeypatch):
 
     monkeypatch.setattr(spectral, "_stable_projectors", failing_at_two)
     calls = []
-    record_calls(monkeypatch, scipy.linalg.lapack, "dgees", calls)
-    record_calls(monkeypatch, scipy.linalg.lapack, "dtrsen", calls)
+    record_calls(monkeypatch, _linalg, "dgees", calls)
+    record_calls(monkeypatch, _linalg, "dtrsen", calls)
     stack = splitting_stack(mats)
     assert calls == ["dgees", "dtrsen", "dtrsen"]
     split = hc.hyperbolic_splitting(mats[2])
     assert np.array_equal(stack.u[2], split.stable_schur)
     assert np.array_equal(stack.unstable_complements[2], split.unstable_schur[:, split.d_u:])
-    trsen = scipy.linalg.lapack.dtrsen
+    trsen = _linalg.dtrsen
 
     def miscounting(*args, **kwargs):
         ts, qs, wr, wi, count, s, sep, info = trsen(*args, **kwargs)
         return ts, qs, wr, wi, count - 1, s, sep, info
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dtrsen", miscounting)
+    monkeypatch.setattr(_linalg, "dtrsen", miscounting)
     with pytest.raises(NotHyperbolic, match="ordered Schur decomposition disagrees"):
         splitting_stack(mats)
 
 
 @pytest.mark.parametrize("name, match", [("dgees", "gees info 1"), ("dtrsen", "trsen info 1")])
 def test_schur_lapack_failure_is_not_hyperbolic(monkeypatch, name, match):
-    real = getattr(scipy.linalg.lapack, name)
+    real = getattr(_linalg, name)
 
     def failing(*args, **kwargs):
         out = real(*args, **kwargs)
         return out if kwargs.get("lwork") == -1 else (*out[:-1], 1)
 
     # gees fails in hyperbolic_splitting itself, trsen when a frame is read
-    monkeypatch.setattr(scipy.linalg.lapack, name, failing)
+    monkeypatch.setattr(_linalg, name, failing)
     with pytest.raises(NotHyperbolic, match=match):
         hc.hyperbolic_splitting(np.array([[0.5, 1.0], [0.0, 2.0]])).stable_schur
 
@@ -431,6 +431,69 @@ def test_symbol_smin_of_normal_matrix_is_the_modulus_gap():
     # for normal a, sigma_min(zI - a) = min over eigenvalues of |z - lambda|
     a = np.diag([0.5, 2.0, -3.0])
     assert abs(symbol_smin(a) - 0.5) <= 1e-15
+
+
+def _pencils():
+    """Seeded real pencils (a, b): symbol_smin's own pencils, random ones,
+    ones with a singular b (beta = 0: infinite eigenvalues) and singular
+    ones sharing a zero column (alpha = beta = 0), with complex and with
+    only real finite eigenvalues."""
+    rng = np.random.default_rng(11)
+    pencils = []
+    for d in (1, 2, 3, 4):
+        a = random_hyperbolic(rng, d)
+        eye, zero = np.eye(d), np.zeros((d, d))
+        sigma = rng.uniform(0.1, 1.0)
+        pencils.append((np.block([[a, sigma * eye], [zero, eye]]),
+                        np.block([[eye, zero], [sigma * eye, a.T]])))
+    for d in (2, 4, 6):
+        a, b = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+        pencils.append((a, b))
+        col = int(rng.integers(d))
+        singular_a, singular_b = a.copy(), b.copy()
+        singular_a[:, col], singular_b[:, col] = 0.0, 0.0
+        pencils += [(a, singular_b), (singular_b, a), (singular_a, singular_b)]
+        triu_a, triu_b = np.triu(a), np.triu(b) + np.eye(d)
+        triu_a[:, col], triu_b[:, col] = 0.0, 0.0
+        pencils.append((triu_a, triu_b))
+    return pencils
+
+
+def test_pencil_eigvals_match_scipy_bit_for_bit():
+    # the direct ggev call is scipy.linalg.eigvals(a, b) without its Python
+    # layer, beta = 0 included (inf, nan or complex nan, and no warning)
+    kinds = set()
+    for a, b in _pencils():
+        z = spectral._pencil_eigvals(a, b)
+        assert z.tobytes() == scipy.linalg.eigvals(a, b).tobytes()
+        kinds.update({"inf"} if np.any(np.isinf(z)) else set())
+        kinds.update({"nan"} if np.any(np.isnan(z.real) & (z.imag == 0)) else set())
+        kinds.update({"complex nan"} if np.any(np.isnan(z.imag)) else set())
+    assert kinds == {"inf", "nan", "complex nan"}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pencil_eigvals_reject_non_finite(bad):
+    a = np.eye(2)
+    a[0, 1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        spectral._pencil_eigvals(a, np.eye(2))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        spectral._pencil_eigvals(np.eye(2), a)
+
+
+def test_pencil_eigvals_lapack_failure_raises(monkeypatch):
+    real = _linalg.dggev
+
+    def failing(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return out if kwargs.get("lwork") == -1 else (*out[:-1], 3)
+
+    monkeypatch.setattr(_linalg, "dggev", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="ggev"):
+        spectral._pencil_eigvals(np.diag([0.5, 2.0]), np.eye(2))
+    with pytest.raises(np.linalg.LinAlgError, match="ggev"):
+        symbol_smin(np.diag([0.5, 2.0]))
 
 
 def _normal_hyperbolic(rng, d):

@@ -9,7 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 import homcont as hc
 from homcont.errors import SingularJacobian, SizeMismatch, WindowOverflow
 from homcont.systems import SystemFamily
-from homcont import truncation
+from homcont import _linalg, truncation
 from homcont.truncation import (
     DEFAULT_KERNEL_TOL,
     GRAM_FLOOR,
@@ -693,10 +693,10 @@ def test_short_transport_makes_one_schur_per_family(paper7_perturbed, monkeypatc
     p = truncated_problem(paper7_perturbed, 1.0, 10)
     schurs, svds = [], []
     record_calls(monkeypatch, scipy.linalg, "schur", schurs)
-    record_calls(monkeypatch, scipy.linalg.lapack, "dgees", schurs)
-    record_calls(monkeypatch, scipy.linalg.lapack, "dtrsen", schurs)
+    record_calls(monkeypatch, _linalg, "dgees", schurs)
+    record_calls(monkeypatch, _linalg, "dtrsen", schurs)
     record_calls(monkeypatch, np.linalg, "svd", svds)
-    record_calls(monkeypatch, scipy.linalg.lapack, "dgesdd", svds)
+    record_calls(monkeypatch, _linalg, "dgesdd", svds)
     p.transported(1.1)
     assert schurs == ["dgees", "dtrsen"] * 2
     assert svds == ["dgesdd"] * 4
@@ -705,13 +705,16 @@ def test_short_transport_makes_one_schur_per_family(paper7_perturbed, monkeypatc
 @pytest.mark.parametrize("theta", [1e30, math.inf, math.nan, 1e8])
 def test_far_transport_is_rejected_before_any_frame(paper7_perturbed, monkeypatch, theta):
     # a path that is not finite or longer than MAX_PATH_STEPS steps raises
-    # before a single node is split
+    # before a single node is split; the same recorder sees the splittings
+    # of a short finite path, so the empty record is not vacuous
     p = truncated_problem(paper7_perturbed, 1.0, 10)
     schurs = []
-    record_calls(monkeypatch, scipy.linalg.lapack, "dgees", schurs)
+    record_calls(monkeypatch, _linalg, "dgees", schurs)
     with pytest.raises(ValueError, match="theta path from 1.0 to"):
         p.transported(theta)
     assert schurs == []
+    p.transported(1.1)
+    assert schurs == ["dgees"] * 2
 
 
 def test_adapt_window_rejects_nan_tail_tol():
