@@ -196,10 +196,25 @@ def limit_family(limit_fn: Callable[[float], np.ndarray], part: str,
     node of path_nodes(grid.nodes), the nodes transport_frames reads on
     it, by one splitting_stack call (IndexMismatch unless its stable
     dimension is constant), which the nodes after the first are read from.
+
+    The family keeps its last splitting: a matrix bitwise equal to the one
+    it split last (a limit that does not depend on theta, or a theta read
+    again) returns that frame, read-only, without splitting again.  The
+    memo is one (matrix bytes, frame) pair replaced in one assignment, so
+    concurrent callers of one family see either pair, never a mix.
     """
+    memo = (None, None)
 
     def split_at(theta: float) -> np.ndarray:
-        return getattr(hyperbolic_splitting(limit_fn(float(theta)), gap_tol), part)
+        nonlocal memo
+        a = np.asarray(limit_fn(float(theta)), dtype=float)
+        key = (a.shape, a.tobytes())
+        last_key, frame = memo
+        if key != last_key:
+            frame = getattr(hyperbolic_splitting(a, gap_tol), part)
+            frame.flags.writeable = False
+            memo = (key, frame)
+        return frame
 
     if grid is None:
         return split_at

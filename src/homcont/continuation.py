@@ -182,15 +182,17 @@ def _augmented_det_sign(p, x, constraint) -> int:
 
 
 @np.errstate(all="ignore")
-def _newton(p, guess, constraint, newton_tol, max_iter):
+def _newton(p, guess, constraint, newton_tol, max_iter, residual=None):
     """Damped Newton on the (possibly augmented) truncated system.
 
-    Returns (x, theta, residual_norm, iterations); theta equals p.theta in
-    fixed-theta mode.  The iteration has converged once the residual norm
-    is at most newton_tol, or at most its rounding floor
-    ROUNDING_FLOOR * ||J||_1 * max|x| (near_singular's floor), with ||J||_1
-    from the Jacobian last factored; the floor is reached before newton_tol
-    when ||J||_1 is large.  Damping is a halving line search on the
+    Returns (x, theta, residual_norm, iterations, r), r the window residual
+    at (x, theta) with p's rows; theta equals p.theta in fixed-theta mode.
+    residual, when given, is assemble_residual(p, guess), already known to
+    the caller, and is not assembled again.  The iteration has converged
+    once the residual norm is at most newton_tol, or at most its rounding
+    floor ROUNDING_FLOOR * ||J||_1 * max|x| (near_singular's floor), with
+    ||J||_1 from the Jacobian last factored; the floor is reached before
+    newton_tol when ||J||_1 is large.  Damping is a halving line search on the
     residual norm, at most MAX_HALVINGS halvings per step.  Floating-point
     overflow is not warned about: a residual at the guess that is not
     finite raises NoConvergence, a Jacobian that is not finite
@@ -200,9 +202,10 @@ def _newton(p, guess, constraint, newton_tol, max_iter):
     x = np.asarray(guess, dtype=float).copy()
     theta = p.theta
 
-    def norms(x_, theta_):
+    def norms(x_, theta_, r=None):
         p_ = p if theta_ == p.theta else replace(p, theta=float(theta_))
-        r = assemble_residual(p_, x_)
+        if r is None:
+            r = assemble_residual(p_, x_)
         if constraint is None:
             return p_, r, float(np.linalg.norm(r))
         c = constraint.value(x_, theta_)
@@ -216,12 +219,12 @@ def _newton(p, guess, constraint, newton_tol, max_iter):
         floor = math.inf if lu is None else ROUNDING_FLOOR * lu.norm_1 * float(np.max(np.abs(x_)))
         return rn_ <= floor < math.inf
 
-    p_cur, r, rn = norms(x, theta)
+    p_cur, r, rn = norms(x, theta, residual)
     if not math.isfinite(rn):
         raise NoConvergence(f"residual at the Newton guess is not finite ({rn!r})")
     for it in range(max_iter):
         if converged(rn, x):
-            return x, theta, float(np.linalg.norm(r[: p.size])), it
+            return x, theta, float(np.linalg.norm(r[: p.size])), it, r[: p.size]
         if constraint is None:
             lu = _finite_lu(p_cur, x)
             dx, dtheta = lu.solve(-r), 0.0
@@ -242,7 +245,7 @@ def _newton(p, guess, constraint, newton_tol, max_iter):
                 f"line search stalled at residual {rn:.3e} (iteration {it})"
             )
     if converged(rn, x):
-        return x, theta, float(np.linalg.norm(r[: p.size])), max_iter
+        return x, theta, float(np.linalg.norm(r[: p.size])), max_iter, r[: p.size]
     raise NoConvergence(f"residual {rn:.3e} above {newton_tol:.1e} after {max_iter} iterations")
 
 
@@ -272,7 +275,7 @@ def newton_correct(
     system was solved with, and amplitude_ref, the direction its amplitude
     is measured along.
     """
-    x, theta, rn, _ = _newton(p, guess, constraint, newton_tol, DEFAULT_MAX_ITER)
+    x, theta, rn, _, _ = _newton(p, guess, constraint, newton_tol, DEFAULT_MAX_ITER)
     p_final = p if theta == p.theta else replace(p, theta=float(theta))
     if constraint is None:
         det = banded_jacobian_lu(p_final, x).det_sign()
@@ -354,9 +357,12 @@ def continue_branch(
     rows are the start point's own, carried from start.problem.theta to
     start.theta and on to each accepted theta, and every accepted point is
     re-polished after its rows move, so the recorded residual always refers
-    to the stored problem.  A corrected point whose tail exceeds tail_tol is
-    not accepted: the window is enlarged and the step retried with the same
-    ds at the wider window.  det_sign of the augmented Jacobian (constraint
+    to the stored problem.  The re-polish starts from the corrector's final
+    residual, whose interior rows are those at the new rows too; only the
+    two boundary blocks are recomputed (assemble_residual's reuse), so a
+    point that needs no further Newton step costs no f pass there.  A
+    corrected point whose tail exceeds tail_tol is not accepted: the window
+    is enlarged and the step retried with the same ds at the wider window.  det_sign of the augmented Jacobian (constraint
     row = predictor tangent) is recorded per point as a
     fold/secondary-crossing diagnostic; all points share one continuous
     family of rows.  Amplitudes are measured
@@ -366,7 +372,8 @@ def continue_branch(
     p = start.problem.transported(start.theta)
     d = p.d
     x = np.asarray(start.X, dtype=float).copy()
-    rn = float(np.linalg.norm(assemble_residual(p, x)))
+    r = assemble_residual(p, x)
+    rn = float(np.linalg.norm(r))
     # A converged start may drift by rounding when its boundary rows are
     # moved to start.theta; absorb that, but reject anything genuinely
     # unconverged.
@@ -374,7 +381,7 @@ def continue_branch(
         raise StartInvalid(f"start point residual {rn:.3e} is not converged")
     if rn > newton_tol:
         try:
-            x, _, rn, _ = _newton(p, x, None, newton_tol, 5)
+            x, _, rn, _, _ = _newton(p, x, None, newton_tol, 5, residual=r)
         except (NoConvergence, SingularJacobian) as exc:
             raise StartInvalid(f"start point does not satisfy its residual: {exc}") from exc
 
@@ -412,15 +419,17 @@ def continue_branch(
         # failed re-polish and a step too small to move the point all reject
         # the step alike: halve ds and retry.
         try:
-            x_new, theta_new, _, iters = _newton(
+            x_new, theta_new, _, iters, r = _newton(
                 p_step, z_pred[:-1], constraint, newton_tol, DEFAULT_MAX_ITER
             )
             if np.linalg.norm(x_new) < controls.min_norm:
                 raise NoConvergence("corrector fell back below min_norm")
-            # Carry the boundary rows to the new theta and re-polish there;
-            # p moves only once the step is accepted.
+            # Carry the boundary rows to the new theta and re-polish there,
+            # from the corrector's residual with the boundary blocks redone
+            # at the new rows; p moves only once the step is accepted.
             p_new = p.transported(theta_new)
-            x_new, _, rn, _ = _newton(p_new, x_new, None, newton_tol, 5)
+            x_new, _, rn, _, _ = _newton(p_new, x_new, None, newton_tol, 5,
+                                         residual=assemble_residual(p_new, x_new, reuse=r))
             if theta_new == z[-1] and np.array_equal(x_new, z[:-1]):
                 raise NoConvergence("the step did not move the point (zero secant)")
         except (NoConvergence, SingularJacobian):

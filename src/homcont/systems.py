@@ -111,7 +111,10 @@ def paper7_family(cfg: Paper7Config) -> SystemFamily:
     theta = 0 matrix diag(alpha, beta) for n < 0.  Perturbation:
     h_n(theta, x) = coupling / (1 + (n/tau)^2) * (x1^2 + x2^2, x1 x2),
     which vanishes to second order at x = 0 and decays as |n| grows, so the
-    asymptotic maps are exactly the linear limits.
+    asymptotic maps are exactly the linear limits.  f and dfdx add the
+    perturbation in place onto the per-row linear part (a_n x, a_n), the
+    same floating-point operations as a_n x + h and a_n + dh/dx; a_minus
+    does not depend on theta.
     """
     alpha, beta = cfg.alpha, cfg.beta
     c, tau = cfg.coupling, cfg.envelope_scale
@@ -135,14 +138,22 @@ def paper7_family(cfg: Paper7Config) -> SystemFamily:
     def f(ns: np.ndarray, theta: float, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         x1, x2 = X[:, 0], X[:, 1]
-        q = np.stack([x1 ** 2 + x2 ** 2, x1 * x2], axis=-1)
-        return (a_n(ns, theta) @ X[..., None])[..., 0] + envelope(ns)[:, None] * q
+        out = (a_n(ns, theta) @ X[..., None])[..., 0]
+        env = envelope(ns)
+        out[:, 0] += env * (x1 ** 2 + x2 ** 2)
+        out[:, 1] += env * (x1 * x2)
+        return out
 
     def dfdx(ns: np.ndarray, theta: float, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         x1, x2 = X[:, 0], X[:, 1]
-        dq = np.stack([np.stack([2.0 * x1, 2.0 * x2], -1), np.stack([x2, x1], -1)], -2)
-        return a_n(ns, theta) + envelope(ns)[:, None, None] * dq
+        out = a_n(ns, theta)
+        env = envelope(ns)
+        out[:, 0, 0] += env * (2.0 * x1)
+        out[:, 0, 1] += env * (2.0 * x2)
+        out[:, 1, 0] += env * x2
+        out[:, 1, 1] += env * x1
+        return out
 
     return SystemFamily(
         d=2,
@@ -405,27 +416,37 @@ def _check_a3(system, N, gap_tol, kernel_tol) -> AssumptionCheck:
 
 
 def _check_a4(system, grid, M, rng, gap_tol, kernel_tol) -> AssumptionCheck:
-    """Each limit map's linearization a (central differences) must pass the
-    splitting's checks; x -> (x_{n+1} - a x_n) on l2(Z) has smallest
-    singular value symbol_smin(a) and 1-norm 1 + ||a||_1: no window."""
+    """Each limit map's linearization a must pass the splitting's checks;
+    x -> (x_{n+1} - a x_n) on l2(Z) has smallest singular value
+    symbol_smin(a) and 1-norm 1 + ||a||_1: no window.  a is the exact limit
+    matrix plus central differences of the nonlinear remainder
+    f_inf(theta, x) - a(theta) x, so the differencing rounds with the
+    remainder, not with ||a||; a limit map computed as a(theta) @ x gets a
+    exactly."""
     from .truncation import near_singular
 
-    def fd_matrix(limit_fn, theta, x0):
+    def fd_matrix(limit_fn, a_fn, theta, x0):
+        a0 = np.asarray(a_fn(theta), dtype=float)
+
+        def remainder(x):
+            return limit_fn(theta, x) - a0 @ x
+
         eps = 1e-6 * max(1.0, float(np.linalg.norm(x0)))
-        return np.column_stack([(limit_fn(theta, x0 + e) - limit_fn(theta, x0 - e)) / (2 * eps)
-                                for e in np.diag(np.full(system.d, eps))])
+        return a0 + np.column_stack([(remainder(x0 + e) - remainder(x0 - e)) / (2 * eps)
+                                     for e in np.diag(np.full(system.d, eps))])
 
     worst = np.inf
     singular = False
     nodes = grid.nodes[:: max(1, grid.m // 16)]
     for t in nodes:
-        for limit_fn in (system.f_inf_plus, system.f_inf_minus):
+        for limit_fn, a_fn in ((system.f_inf_plus, system.a_plus),
+                               (system.f_inf_minus, system.a_minus)):
             with np.errstate(all="ignore"):
                 probes = [np.zeros(system.d)] + [0.25 * M * rng.standard_normal(system.d)
                                                  for _ in range(2)]
             for x0 in probes:
                 with np.errstate(all="ignore"):
-                    a = fd_matrix(limit_fn, float(t), x0)
+                    a = fd_matrix(limit_fn, a_fn, float(t), x0)
                 hyperbolic_splitting(a, gap_tol)
                 smin = symbol_smin(a)
                 worst = min(worst, smin)

@@ -16,7 +16,7 @@ interior rows n = -N .. N-1, then the d_u right boundary rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -59,7 +59,13 @@ _ZERO_PIVOT = _RAISED_PIVOT * np.finfo(float).eps
 
 @dataclass(frozen=True, eq=False)
 class TruncatedProblem:
-    """Residual/Jacobian assembly data for one window and parameter value."""
+    """Residual/Jacobian assembly data for one window and parameter value.
+
+    families, the complement_families of system at gap_tol, is built with
+    the first problem and handed on by dataclasses.replace (so by
+    transported, over and adapt_window), so that every problem derived
+    from one keeps the families' last splittings; a replace that changes
+    system or gap_tol builds new ones."""
 
     system: object
     theta: float
@@ -67,18 +73,30 @@ class TruncatedProblem:
     left_rows: np.ndarray   # d_s x d, annihilates E^u(theta, -inf)
     right_rows: np.ndarray  # d_u x d, annihilates E^s(theta, +inf)
     gap_tol: float          # hyperbolicity gap of the splittings behind the rows
+    # (system, gap_tol, left, right): the families and what they split
+    _families: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.left_rows.shape[0] + self.right_rows.shape[0] != self.d:
             raise SizeMismatch(
                 "boundary rows must total d; stable dimensions at +inf/-inf disagree"
             )
+        if self._families is None or self._families[:2] != (self.system, self.gap_tol):
+            families = complement_families(self.system, self.gap_tol)
+            object.__setattr__(self, "_families", (self.system, self.gap_tol, *families))
+
+    @property
+    def families(self) -> tuple:
+        """(left, right), the complement_families the rows are read from."""
+        return self._families[2:]
 
     def transported(self, theta: float) -> "TruncatedProblem":
         """The same problem at theta, its boundary rows carried there from
-        self.theta by bundles.transport_along_path, so that determinant
-        signs along the path are those of one continuous family."""
-        left, right = complement_families(self.system, self.gap_tol)
+        self.theta by bundles.transport_along_path on self.families, so
+        that determinant signs along the path are those of one continuous
+        family.  A family whose limit matrix is unchanged at the path's
+        nodes (a theta-independent a_minus) is not split again."""
+        left, right = self.families
         return replace(
             self,
             theta=float(theta),
@@ -147,7 +165,7 @@ def truncated_problem(system, theta: float, N: int,
     at theta; TruncatedProblem.transported moves it along theta."""
     if N < 1:
         raise ValueError("window half-width N must be positive")
-    left, right = complement_families(system, gap_tol)
+    left, right = families = complement_families(system, gap_tol)
     return TruncatedProblem(
         system=system,
         theta=float(theta),
@@ -155,15 +173,23 @@ def truncated_problem(system, theta: float, N: int,
         left_rows=left(theta).T,
         right_rows=right(theta).T,
         gap_tol=gap_tol,
+        _families=(system, gap_tol, *families),
     )
 
 
-def assemble_residual(p: TruncatedProblem, x: np.ndarray) -> np.ndarray:
+def assemble_residual(p: TruncatedProblem, x: np.ndarray,
+                      reuse: np.ndarray | None = None) -> np.ndarray:
     """The left boundary rows, the interior rows x_{n+1} - f_n(theta, x_n),
-    then the right boundary rows."""
+    then the right boundary rows.  reuse, a residual assembled at the same
+    system, theta, N and x with other boundary rows, lends its interior
+    rows: no f pass, only the two boundary blocks at p's rows."""
     blocks = p.blocks(x)
-    interior = blocks[1:] - f_rows(p.system, p.ns, p.theta, blocks[:-1])
-    return np.concatenate([p.left_rows @ blocks[0], interior.ravel(), p.right_rows @ blocks[-1]])
+    if reuse is None:
+        interior = (blocks[1:] - f_rows(p.system, p.ns, p.theta, blocks[:-1])).ravel()
+    else:
+        ds = p.left_rows.shape[0]
+        interior = reuse[ds:ds + 2 * p.N * p.d]
+    return np.concatenate([p.left_rows @ blocks[0], interior, p.right_rows @ blocks[-1]])
 
 
 class WindowLU:
@@ -588,9 +614,11 @@ def tail_mass(x: np.ndarray, d: int) -> float:
         raise SizeMismatch("window vector length must be d * (2N + 1)")
     blocks = x.reshape(-1, d)
     N = (blocks.shape[0] - 1) // 2
-    ns = np.arange(-N, N + 1)
-    mask = np.abs(ns) >= (1.0 - TAIL_FRACTION) * N - 1e-12
-    return float(np.max(np.linalg.norm(blocks[mask], axis=1)))
+    # the integers |n| >= (1 - TAIL_FRACTION) * N - 1e-12 are |n| >= k:
+    # blocks n = -N .. -k and n = k .. N
+    k = int(np.ceil((1.0 - TAIL_FRACTION) * N - 1e-12))
+    return float(np.maximum(np.max(np.linalg.norm(blocks[:N - k + 1], axis=1)),
+                            np.max(np.linalg.norm(blocks[N + k:], axis=1))))
 
 
 def embed_window(x: np.ndarray, d: int, n_old: int, n_new: int) -> np.ndarray:

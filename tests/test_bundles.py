@@ -1,5 +1,7 @@
 import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -351,3 +353,66 @@ def test_invariants_take_one_schur_per_side(monkeypatch):
         assert inv.w1_plus == expected
         assert len(fallbacks) == 2
         assert forms == ["dgees"] * (2 + sum(fallbacks))
+
+
+@pytest.mark.parametrize("part", ["stable_frame", "stable_complement", "unstable_complement"])
+def test_limit_family_splits_an_unchanged_matrix_once(monkeypatch, part):
+    # a matrix bitwise equal to the last one split returns the memo's frame,
+    # equal to a fresh splitting's and read-only; a changed matrix (even by
+    # one ulp) is split again
+    matrices = {0.0: rotating_matrix(1.0, 0.5, 2.0), 1.0: rotating_matrix(1.0, 0.5, 2.0)}
+    matrices[2.0] = matrices[1.0].copy()
+    matrices[2.0][0, 1] = np.nextafter(matrices[2.0][0, 1], 1.0)
+    splits = []
+    record_calls(monkeypatch, bundles, "hyperbolic_splitting", splits)
+    family = bundles.limit_family(lambda t: matrices[t].copy(), part)
+    first = family(0.0)
+    assert np.array_equal(first, getattr(spectral.hyperbolic_splitting(matrices[0.0]), part))
+    assert not first.flags.writeable
+    assert family(1.0) is first and family(0.0) is first
+    assert len(splits) == 1
+    changed = family(2.0)
+    assert len(splits) == 2
+    assert np.array_equal(changed, getattr(spectral.hyperbolic_splitting(matrices[2.0]), part))
+    family(1.0)
+    assert len(splits) == 3
+
+
+def test_limit_family_memo_is_per_family(monkeypatch):
+    # two families of one limit map split independently; no cache is shared
+    splits = []
+    record_calls(monkeypatch, bundles, "hyperbolic_splitting", splits)
+    a = rotating_matrix(0.3, 0.5, 2.0)
+    families = [bundles.limit_family(lambda t: a, "stable_frame") for _ in range(2)]
+    for family in families + families:
+        family(0.3)
+    assert len(splits) == 2
+
+
+def test_limit_family_memo_under_threads():
+    # threads sharing one family never see a frame of another matrix: the
+    # memo's (matrix, frame) pair is replaced in one assignment
+    thetas = (0.0, 0.7, 2.1)
+    family = bundles.limit_family(lambda t: rotating_matrix(t, 0.5, 2.0), "stable_complement")
+    want = {t: getattr(spectral.hyperbolic_splitting(rotating_matrix(t, 0.5, 2.0)),
+                       "stable_complement") for t in thetas}
+    wrong = []
+
+    def worker(k):
+        for i in range(300):
+            t = thetas[(i + k) % len(thetas)]
+            if not np.array_equal(family(t), want[t]):
+                wrong.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

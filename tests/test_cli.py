@@ -156,6 +156,17 @@ def test_check_passes_at_large_beta(tmp_path, capsys):
     assert payload["a3"]["evidence"]["smin_theta0"] == pytest.approx(0.5, abs=1e-2)
 
 
+def test_check_passes_at_beta_1e12(tmp_path, capsys):
+    # beta = 1e12: A4 differences only the limit maps' nonlinear remainder
+    # (here 0) and adds the exact limit matrix back, so its splitting sees
+    # a itself instead of a finite-difference copy rounded at ||a|| ~ 1e12
+    code, out, err = run_cli(capsys, ["check", "--config", beta_config(tmp_path, 1e12)])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["a4"]["status"] == "pass"
+    assert payload["a4"]["evidence"]["min_symbol_smin"] == pytest.approx(0.5, abs=1e-3)
+
+
 def test_branch_reaches_amplitude_cap_at_large_beta(tmp_path, capsys, monkeypatch):
     # beta = 1e8: the residual's rounding floor ROUNDING_FLOOR * ||J||_1 *
     # max|X| is above newton_tol from amplitude ~0.01 on, and the corrector
@@ -270,7 +281,7 @@ def test_check_a4_is_independent_of_window_n(tmp_path, capsys):
 @pytest.mark.parametrize("a, code", [([[0.5, 1e5], [0.0, 2.0]], 6), ([[0.5, 0.0], [0.0, 2.0]], 0)])
 def test_check_non_normal_limit_fails_a4(capsys, a, code):
     # symbol_smin of the strongly non-normal limit is about 5e-6 (A4 reads
-    # it off a finite-difference copy of a), below kernel_tol 1e-5; the
+    # it off a itself, the limit map being linear), below kernel_tol 1e-5; the
     # truncated window A4 once built for it is near-singular too.  (A larger
     # corner entry cannot take the default 1e-8: with eigenvalues 0.5 and 2,
     # symbol_smin is at least 5e-8 while the splitting still accepts a.)
@@ -279,7 +290,7 @@ def test_check_non_normal_limit_fails_a4(capsys, a, code):
     assert cli.cmd_check(cli.RunConfig(system=system, params=None, kernel_tol=1e-5)) == code
     a4 = json.loads(capsys.readouterr().out)["a4"]
     assert a4["status"] == ("fail" if code else "pass")
-    assert a4["evidence"]["min_symbol_smin"] == pytest.approx(symbol_smin(a), rel=1e-4)
+    assert a4["evidence"]["min_symbol_smin"] == symbol_smin(a)
     window = truncation.truncated_problem(system, 0.0, 40)
     assert (truncation.classify_window(window, 1e-5)[2] == 0) == bool(code)
 

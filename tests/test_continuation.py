@@ -144,13 +144,13 @@ def _newton_failing_on(monkeypatch, fails):
     at."""
     real, counts, raised = continuation._newton, {}, []
 
-    def newton(p, guess, constraint, newton_tol, max_iter):
+    def newton(p, guess, constraint, newton_tol, max_iter, residual=None):
         key = (constraint is None, max_iter)
         counts[key] = counts.get(key, 0) + 1
         if fails(p, *key, counts[key]):
             raised.append(p.theta)
             raise NoConvergence("forced")
-        return real(p, guess, constraint, newton_tol, max_iter)
+        return real(p, guess, constraint, newton_tol, max_iter, residual=residual)
 
     monkeypatch.setattr(continuation, "_newton", newton)
     return raised
@@ -193,6 +193,24 @@ def test_failed_retry_after_enlargement_rejects_step(paper7_perturbed, candidate
     assert len(raised) == 1
     assert branch.stop_reason == "amplitude_cap"
     assert branch.points[1].N == 80
+
+
+def test_repolish_starts_from_the_correctors_residual(paper7_perturbed, candidate, monkeypatch):
+    # every re-polish after the rows move is handed the corrector's residual
+    # with only the boundary blocks redone at the new rows: bit for bit the
+    # residual a fresh assembly gives at its guess
+    handed, real = [], continuation._newton
+
+    def newton(p, guess, constraint, newton_tol, max_iter, residual=None):
+        if residual is not None:
+            handed.append(np.array_equal(residual, assemble_residual(p, guess)))
+        return real(p, guess, constraint, newton_tol, max_iter, residual=residual)
+
+    monkeypatch.setattr(continuation, "_newton", newton)
+    start = hc.switch_branch(paper7_perturbed, candidate, 5e-4, 40)
+    branch = hc.continue_branch(start, hc.ContinuationControls(max_steps=20))
+    assert len(branch.points) == 21
+    assert len(handed) >= 20 and all(handed)
 
 
 def test_branch_reaches_large_amplitude(long_branch):

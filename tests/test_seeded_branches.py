@@ -80,6 +80,10 @@ def loop_family(seed, theta0=0.0, k=1, quadratic=False):
     )
 
 
+def shifted_theta0(seed):
+    return float(np.random.default_rng(1000 + seed).uniform(0.0, 2 * math.pi))
+
+
 def halves(system, theta0=0.0):
     """Both halves of the branch at the crossing near theta0 + pi: the
     candidate and its copy with the kernel vector negated."""
@@ -115,7 +119,7 @@ def test_enlarged_cubic_branch_stays_on_its_half(seed):
 
 @pytest.mark.parametrize("seed", range(3, 9))
 def test_shifted_cubic_loop_bifurcates_at_the_half_turn(seed):
-    theta0 = float(np.random.default_rng(1000 + seed).uniform(0.0, 2 * math.pi))
+    theta0 = shifted_theta0(seed)
     system = loop_family(seed, theta0)
     grid = hc.CircleGrid.uniform(64)
     assert hc.index_bundle_invariants(system, grid).w1_index == -1
@@ -153,3 +157,27 @@ def test_quadratic_branch_halves_reach_the_cap(seed):
         assert min(pt.l2_norm for pt in branch.points) >= S0
         moves.append(branch.points[-1].theta - cand.theta_star)
     assert moves[0] * moves[1] < 0, moves
+
+
+
+@pytest.mark.parametrize("seed", range(3, 9))
+def test_shifted_cubic_theta_star_is_stable_under_grid_refinement(seed):
+    # the scan finds one sign change at every m, and locating in it gives
+    # theta0 + pi (mod 2 pi) to 1e-6 whatever the grid
+    theta0 = shifted_theta0(seed)
+    system = loop_family(seed, theta0)
+    for m in (64, 128, 256):
+        scan = hc.scan_parity(system, hc.CircleGrid.uniform(m), N)
+        (interval,) = scan.sign_change_intervals
+        cand = hc.locate_bifurcation(system, interval, N, 1e-6)
+        assert abs(math.remainder(cand.theta_star - (theta0 + math.pi), 2 * math.pi)) <= 1e-6, m
+
+
+def test_loop_parity_equals_w1_index_at_wide_window():
+    # N = 640: the window is 16 times the other tests', and the parity scan
+    # still reads the orientation product of the bundles
+    seed = 4
+    system = loop_family(seed, shifted_theta0(seed))
+    grid = hc.CircleGrid.uniform(64)
+    assert hc.index_bundle_invariants(system, grid).w1_index == -1
+    assert hc.scan_parity(system, grid, 640).loop_parity == -1

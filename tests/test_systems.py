@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import homcont as hc
-from homcont import continuation
+from homcont import continuation, systems
 from homcont.errors import InvalidConfig
-from homcont.systems import rotating_matrix
+from homcont.systems import _by_side, rotating_matrix
 
 
 ALPHA, BETA = 0.5, 2.0
@@ -283,3 +283,74 @@ def test_a3_probes_run_the_continuation_corrector(paper7_perturbed, grid64, monk
     assert calls == [(0.0, (None, 1e-12, continuation.DEFAULT_MAX_ITER))] * 3
     assert report.a3.status == "pass"
     assert report.a3.evidence["largest_converged_norm"] < 1e-8
+
+
+def paper7_oracle(cfg):
+    """f and dfdx of paper7_family written as stacked expressions, a_n x +
+    h and a_n + dh/dx with a_n from _by_side: the lean in-place passes must
+    equal them bit for bit."""
+    a_origin = rotating_matrix(0.0, cfg.alpha, cfg.beta)
+
+    def parts(ns, theta, X):
+        a_n = _by_side(ns, rotating_matrix(theta, cfg.alpha, cfg.beta), a_origin)
+        return a_n, cfg.coupling / (1.0 + (ns / cfg.envelope_scale) ** 2), X[:, 0], X[:, 1]
+
+    def f(ns, theta, X):
+        a_n, env, x1, x2 = parts(ns, theta, X)
+        q = np.stack([x1 ** 2 + x2 ** 2, x1 * x2], axis=-1)
+        return (a_n @ X[..., None])[..., 0] + env[:, None] * q
+
+    def dfdx(ns, theta, X):
+        a_n, env, x1, x2 = parts(ns, theta, X)
+        dq = np.stack([np.stack([2.0 * x1, 2.0 * x2], -1), np.stack([x2, x1], -1)], -2)
+        return a_n + env[:, None, None] * dq
+
+    return f, dfdx
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_paper7_passes_equal_stacked_oracle_bitwise(seed):
+    rng = np.random.default_rng(300 + seed)
+    cfg = hc.Paper7Config(alpha=float(rng.uniform(0.1, 0.9)), beta=float(rng.uniform(1.1, 9.0)),
+                          coupling=float(rng.uniform(0.0, 2.0)),
+                          envelope_scale=float(rng.uniform(0.5, 20.0)))
+    system = hc.paper7_family(cfg)
+    oracle_f, oracle_dfdx = paper7_oracle(cfg)
+    ns = rng.permutation(np.arange(-40, 40))  # unsorted, both signs
+    for theta in (0.0, 1.0, math.pi, float(rng.uniform(-10.0, 10.0))):
+        for scale in (0.0, 1e-8, 1e-3, 1.0, 1e2):  # X = 0 first
+            X = scale * rng.standard_normal((ns.size, 2))
+            assert np.array_equal(system.f(ns, theta, X), oracle_f(ns, theta, X))
+            assert np.array_equal(system.dfdx(ns, theta, X), oracle_dfdx(ns, theta, X))
+
+
+def test_a4_reads_exact_limit_matrix_plus_remainder_jacobian(grid64, monkeypatch):
+    # A4 differences only f_inf(theta, x) - a(theta) x: a limit map computed
+    # as a @ x gives a itself, while one that is nonlinear away from 0 gives
+    # a plus the finite-difference Jacobian of its remainder, c x1^2 in the
+    # first component (2 c x1 at (0, 0) of the matrix, 0 elsewhere)
+    a, c = np.diag([0.5, 2.0]), 0.1
+    system = hc.SystemFamily(
+        d=2, f=lambda ns, t, X: X @ a.T, dfdx=lambda ns, t, X: np.broadcast_to(a, (len(ns), 2, 2)),
+        a_plus=lambda t: a.copy(), a_minus=lambda t: a.copy(),
+        f_inf_plus=lambda t, x: a @ x + np.array([c * x[0] ** 2, 0.0]),
+        f_inf_minus=lambda t, x: a @ x,
+    )
+    seen = []
+    real = systems.symbol_smin
+
+    def recorded(m):
+        seen.append(np.array(m))
+        return real(m)
+
+    monkeypatch.setattr(systems, "symbol_smin", recorded)
+    report = hc.check_hypotheses(system, grid64, N=20, M=1.0, seed=0)
+    assert report.a4.status == "pass"
+    # per node: three probes of f_inf_plus (x = 0 first), then three of f_inf_minus
+    plus = [m for i, m in enumerate(seen) if i % 6 < 3]
+    minus = [m for i, m in enumerate(seen) if i % 6 >= 3]
+    assert all(np.array_equal(m, a) for m in minus)
+    assert all(np.array_equal(m, a) for m in plus[::3])  # the probe at x = 0
+    for m in plus:
+        assert np.array_equal(np.delete(m.ravel(), 0), np.delete(a.ravel(), 0))
+    assert max(abs(m[0, 0] - a[0, 0]) for m in plus) > 1e-3

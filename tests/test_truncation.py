@@ -27,7 +27,8 @@ from homcont.truncation import (
     truncated_problem,
 )
 
-from conftest import assemble_jacobian, estimate_trials, random_hyperbolic, record_calls
+from conftest import (assemble_jacobian, estimate_trials, half_turn_loop, random_hyperbolic,
+                      record_calls)
 
 ALPHA, BETA = 0.5, 2.0
 
@@ -684,37 +685,56 @@ def test_top_ritz_pair_rejects_non_finite(alpha, beta):
 
 
 def test_short_transport_makes_one_schur_per_family(paper7_perturbed, monkeypatch):
-    # Each family reads one Schur factor of its splitting, and a 0.1 rad move
-    # is one transport step per family: one real Schur form (gees) and one
-    # reordering of it (trsen) per family.  The complement frame is that
-    # factor's trailing columns, used as it is, so each family makes two
-    # SVDs: the splitting's singularity test and the transport step's
-    # projection.
-    p = truncated_problem(paper7_perturbed, 1.0, 10)
-    schurs, svds = [], []
-    record_calls(monkeypatch, scipy.linalg, "schur", schurs)
-    record_calls(monkeypatch, _linalg, "dgees", schurs)
-    record_calls(monkeypatch, _linalg, "dtrsen", schurs)
-    record_calls(monkeypatch, np.linalg, "svd", svds)
-    record_calls(monkeypatch, _linalg, "dgesdd", svds)
-    p.transported(1.1)
-    assert schurs == ["dgees", "dtrsen"] * 2
-    assert svds == ["dgesdd"] * 4
+    # A 0.1 rad move is one transport step per family.  A family whose limit
+    # matrix moves reads one Schur factor of its new splitting: one real
+    # Schur form (gees) and one reordering of it (trsen).  paper7's a_minus
+    # does not depend on theta, so its family reuses the splitting the
+    # problem was built with and makes none; a family of two moving limits
+    # makes one each.  The complement frame is the factor's trailing
+    # columns, used as it is, so the SVDs are one singularity test per new
+    # splitting and one projection per transport step.
+    rng = np.random.default_rng(4)
+    a_of, _ = half_turn_loop(rng, 2, 1)
+    both_move = hc.linear_family(2, a_of, lambda theta: a_of(theta + 0.5))
+    for system, moving in ((paper7_perturbed, 1), (both_move, 2)):
+        p = truncated_problem(system, 1.0, 10)
+        schurs, svds = [], []
+        with monkeypatch.context() as patch:
+            record_calls(patch, scipy.linalg, "schur", schurs)
+            record_calls(patch, _linalg, "dgees", schurs)
+            record_calls(patch, _linalg, "dtrsen", schurs)
+            record_calls(patch, np.linalg, "svd", svds)
+            record_calls(patch, _linalg, "dgesdd", svds)
+            p.transported(1.1)
+        assert schurs == ["dgees", "dtrsen"] * moving
+        assert svds == ["dgesdd"] * (moving + 2)
 
 
 @pytest.mark.parametrize("theta", [1e30, math.inf, math.nan, 1e8])
 def test_far_transport_is_rejected_before_any_frame(paper7_perturbed, monkeypatch, theta):
     # a path that is not finite or longer than MAX_PATH_STEPS steps raises
-    # before a single node is split; the same recorder sees the splittings
-    # of a short finite path, so the empty record is not vacuous
-    p = truncated_problem(paper7_perturbed, 1.0, 10)
+    # before a single limit matrix is read or split; the same recorders see
+    # the reads of a short finite path and its splitting of the moving
+    # a_plus (a_minus is constant), so the empty records are not vacuous
+    limits = []
+
+    def counted(fn):
+        def read(theta):
+            limits.append(theta)
+            return fn(theta)
+        return read
+
+    system = replace(paper7_perturbed, a_plus=counted(paper7_perturbed.a_plus),
+                     a_minus=counted(paper7_perturbed.a_minus))
+    p = truncated_problem(system, 1.0, 10)
     schurs = []
     record_calls(monkeypatch, _linalg, "dgees", schurs)
+    limits.clear()
     with pytest.raises(ValueError, match="theta path from 1.0 to"):
         p.transported(theta)
-    assert schurs == []
+    assert schurs == [] and limits == []
     p.transported(1.1)
-    assert schurs == ["dgees"] * 2
+    assert schurs == ["dgees"] and limits == [1.1, 1.1]
 
 
 def test_adapt_window_rejects_nan_tail_tol():
@@ -722,3 +742,50 @@ def test_adapt_window_rejects_nan_tail_tol():
     p = truncated_problem(system, 0.0, 20)
     with pytest.raises(ValueError, match="tail_tol"):
         adapt_window(p, geometric_window(0.5, 20), tail_tol=math.nan)
+
+
+def test_problem_families_survive_derivation(paper7_perturbed):
+    # transported, over, adapt_window and replace hand the problem's
+    # complement families on, so their splitting memos persist; a replace
+    # that changes the system or gap_tol builds new ones
+    p = truncated_problem(paper7_perturbed, 1.0, 10)
+    left, right = p.families
+    x = geometric_window(0.9, 10, d=2)
+    derived = [p.transported(1.1), replace(p, theta=2.0), adapt_window(p, x, 1e-12)[0],
+               *p.over(hc.CircleGrid.uniform(8))[:2]]
+    for q in derived:
+        assert q.families[0] is left and q.families[1] is right
+    other = hc.paper7_family(hc.Paper7Config())
+    for q in (replace(p, system=other), replace(p, gap_tol=1e-7)):
+        assert q.families[0] is not left and q.families[1] is not right
+        assert np.array_equal(q.transported(1.1).right_rows, p.transported(1.1).right_rows)
+
+
+@pytest.mark.parametrize("d, seed", [(2, 3), (3, 2), (3, 0)])
+def test_residual_reuse_equals_full_assembly(d, seed):
+    # the interior rows of a residual at the same theta, N and x with other
+    # boundary rows, plus the two boundary blocks at the new rows, are the
+    # full assembly bit for bit, with no f pass
+    rng = np.random.default_rng(seed)
+    p = truncated_problem(random_family(rng, d), 0.4, 12)
+    moved = p.transported(0.55)
+    x = 0.2 * rng.standard_normal(p.size)
+    other = assemble_residual(replace(p, theta=0.55), x)
+    full = assemble_residual(moved, x)
+    no_f = replace(moved, system=replace(moved.system, f=None))
+    assert np.array_equal(assemble_residual(no_f, x, reuse=other), full)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tail_mass_equals_mask_definition(d):
+    # the slice form reads the blocks |n| >= 0.75 N - 1e-12, the mask's
+    rng = np.random.default_rng(40 + d)
+    for N in range(1, 65):
+        blocks = rng.standard_normal((2 * N + 1, d)) * rng.uniform(0.0, 2.0, (2 * N + 1, 1))
+        ns = np.arange(-N, N + 1)
+        mask = np.abs(ns) >= (1.0 - truncation.TAIL_FRACTION) * N - 1e-12
+        want = float(np.max(np.linalg.norm(blocks[mask], axis=1)))
+        assert tail_mass(blocks.ravel(), d) == want, N
+    for size in (d * 2, d * 4 + (d > 1), 0):
+        with pytest.raises(SizeMismatch):
+            tail_mass(np.zeros(size), d)
