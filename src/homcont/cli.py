@@ -460,6 +460,36 @@ def cmd_verify_paper(config: RunConfig) -> int:
         ok3, detail3 = False, str(exc)
     rows.append(("kernel crossing at theta=pi with analytic kernel match", ok3, detail3))
 
+    # The main theorem on the configured family: both halves of the branch
+    # (kernel vector +phi and -phi) reach the amplitude cap without coming
+    # back to the trivial solution, and theta leaves theta* both ways.
+    try:
+        cand = locate_bifurcation(
+            system, (math.pi - 0.5, math.pi + 0.5), config.window_n, config.tol_theta,
+            gap_tol=config.gap_tol, kernel_tol=config.kernel_tol,
+        )
+        halves = []
+        for sign in (1.0, -1.0):
+            start = switch_branch(
+                system, dataclasses.replace(cand, kernel_vector=sign * cand.kernel_vector),
+                config.s0, config.window_n, newton_tol=config.newton_tol, gap_tol=config.gap_tol,
+            )
+            halves.append(continue_branch(start, config.continuation_controls(),
+                                          newton_tol=config.newton_tol))
+        moves = [half.points[-1].theta - cand.theta_star for half in halves]
+        signs = [sorted({pt.det_sign for pt in half.points}) for half in halves]
+        ok4 = moves[0] * moves[1] < 0 and all(
+            half.stop_reason == "amplitude_cap" and len(det) == 1
+            and all(pt.amplitude > 0 and pt.l2_norm >= config.s0 for pt in half.points)
+            for half, det in zip(halves, signs)
+        )
+        detail4 = (f"points={len(halves[0].points)}/{len(halves[1].points)} "
+                   f"det_sign={'/'.join(','.join(map(str, det)) for det in signs)} "
+                   f"theta-theta*={moves[0]:+.4f}/{moves[1]:+.4f}")
+    except HomcontError as exc:
+        ok4, detail4 = False, str(exc)
+    rows.append(("main theorem: both halves reach the amplitude cap", ok4, detail4))
+
     width = max(len(r[0]) for r in rows)
     for name, ok, detail in rows:
         sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {detail}\n")

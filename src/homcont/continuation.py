@@ -70,6 +70,9 @@ class BranchPoint:
     belong to problem.theta, which differs from theta only where theta was
     freed with the rows held fixed (switch_branch's start keeps those of
     theta*).  continue_branch carries these rows on from point to point.
+    det_sign is the determinant sign of the Newton system the point was
+    corrected with (augmented when theta was freed), read from the
+    corrector's own factorization (newton_correct, continue_branch).
     amplitude is <amplitude_ref, X>, or the l2 norm of X when amplitude_ref
     is None; sup_norm is the largest block norm of X.  All three norms are
     computed when read.
@@ -145,8 +148,10 @@ def _solve_augmented(p, x, constraint, rhs):
     """Solve the augmented system by block elimination on the window LU,
     then one refinement step against the bordered residual (Govaerts and
     Pryce, BIT 30 (1990) 490-507), which restores accuracy when J itself is
-    near-singular, as at a kernel crossing.  Returns the solution and the
-    window LU it was solved with."""
+    near-singular, as at a kernel crossing.  Returns the solution, the
+    window LU it was solved with and the determinant sign of the augmented
+    matrix, sign det J * sign s, read from that LU and Schur complement
+    (never 0: an exactly singular J or a zero s raises SingularJacobian)."""
     lu = _finite_lu(p, x)
     col = assemble_dresidual_dtheta(p, x)
     v, schur = _schur(lu, col, constraint)
@@ -163,7 +168,7 @@ def _solve_augmented(p, x, constraint, rhs):
     applied = np.concatenate([
         lu.matvec(z[:-1]) + z[-1] * col, [w_x @ z[:-1] + w_theta * z[-1]]
     ])
-    return z + eliminate(rhs - applied), lu
+    return z + eliminate(rhs - applied), lu, lu.det_sign() if schur > 0 else -lu.det_sign()
 
 
 def _augmented_det_sign(p, x, constraint) -> int:
@@ -185,8 +190,12 @@ def _augmented_det_sign(p, x, constraint) -> int:
 def _newton(p, guess, constraint, newton_tol, max_iter, residual=None):
     """Damped Newton on the (possibly augmented) truncated system.
 
-    Returns (x, theta, residual_norm, iterations, r), r the window residual
-    at (x, theta) with p's rows; theta equals p.theta in fixed-theta mode.
+    Returns (x, theta, residual_norm, iterations, r, det_sign), r the window
+    residual at (x, theta) with p's rows; theta equals p.theta in
+    fixed-theta mode.  det_sign is the determinant sign of the last system
+    solved, the square J or the augmented matrix (_solve_augmented), read
+    from the factorization the step was taken with; None when the guess had
+    already converged and no system was solved.
     residual, when given, is assemble_residual(p, guess), already known to
     the caller, and is not assembled again.  The iteration has converged
     once the residual norm is at most newton_tol, or at most its rounding
@@ -211,7 +220,7 @@ def _newton(p, guess, constraint, newton_tol, max_iter, residual=None):
         c = constraint.value(x_, theta_)
         return p_, np.concatenate([r, [c]]), max(float(np.linalg.norm(r)), abs(c))
 
-    lu = None  # the Jacobian last factored
+    lu = sign = None  # the Jacobian last factored, the sign of the system solved
 
     def converged(rn_, x_):
         if rn_ <= newton_tol:
@@ -224,12 +233,12 @@ def _newton(p, guess, constraint, newton_tol, max_iter, residual=None):
         raise NoConvergence(f"residual at the Newton guess is not finite ({rn!r})")
     for it in range(max_iter):
         if converged(rn, x):
-            return x, theta, float(np.linalg.norm(r[: p.size])), it, r[: p.size]
+            return x, theta, float(np.linalg.norm(r[: p.size])), it, r[: p.size], sign
         if constraint is None:
             lu = _finite_lu(p_cur, x)
-            dx, dtheta = lu.solve(-r), 0.0
+            dx, dtheta, sign = lu.solve(-r), 0.0, lu.det_sign()
         else:
-            step, lu = _solve_augmented(p_cur, x, constraint, -r)
+            step, lu, sign = _solve_augmented(p_cur, x, constraint, -r)
             dx, dtheta = step[:-1], float(step[-1])
         scale = 1.0
         for _ in range(MAX_HALVINGS + 1):
@@ -245,7 +254,7 @@ def _newton(p, guess, constraint, newton_tol, max_iter, residual=None):
                 f"line search stalled at residual {rn:.3e} (iteration {it})"
             )
     if converged(rn, x):
-        return x, theta, float(np.linalg.norm(r[: p.size])), max_iter, r[: p.size]
+        return x, theta, float(np.linalg.norm(r[: p.size])), max_iter, r[: p.size], sign
     raise NoConvergence(f"residual {rn:.3e} above {newton_tol:.1e} after {max_iter} iterations")
 
 
@@ -270,17 +279,21 @@ def newton_correct(
     With constraint = None theta is held at p.theta and the square window
     system is solved; otherwise theta is freed and the affine constraint
     closes the augmented system, solved by block elimination on the same
-    window LU.  The recorded det_sign is that of the system actually solved
-    (0 when it is exactly singular).  The point keeps p, whose rows the
+    window LU.  The recorded det_sign is that of the system actually solved:
+    the corrector's last Newton system, from the factorization it already
+    holds, so no window LU is made for it alone.  Only a guess that has
+    already converged is factored once at the point for its sign (0 when
+    that system is exactly singular).  The point keeps p, whose rows the
     system was solved with, and amplitude_ref, the direction its amplitude
     is measured along.
     """
-    x, theta, rn, _, _ = _newton(p, guess, constraint, newton_tol, DEFAULT_MAX_ITER)
-    p_final = p if theta == p.theta else replace(p, theta=float(theta))
-    if constraint is None:
-        det = banded_jacobian_lu(p_final, x).det_sign()
-    else:
-        det = _augmented_det_sign(p_final, x, constraint)
+    x, theta, rn, _, _, det = _newton(p, guess, constraint, newton_tol, DEFAULT_MAX_ITER)
+    if det is None:
+        p_final = p if theta == p.theta else replace(p, theta=float(theta))
+        if constraint is None:
+            det = banded_jacobian_lu(p_final, x).det_sign()
+        else:
+            det = _augmented_det_sign(p_final, x, constraint)
     return BranchPoint(theta=float(theta), X=x, residual_norm=rn, det_sign=det, problem=p,
                        amplitude_ref=amplitude_ref)
 
@@ -337,7 +350,7 @@ def _initial_tangent(p, x, orient_x):
     constraint = AffineConstraint(w_x=orient_x, w_theta=0.0, offset=0.0)
     rhs = np.zeros(p.size + 1)
     rhs[-1] = 1.0
-    t, _ = _solve_augmented(p, x, constraint, rhs)
+    t, _, _ = _solve_augmented(p, x, constraint, rhs)
     return t / np.linalg.norm(t)
 
 
@@ -353,19 +366,29 @@ def continue_branch(
     is negated runs the branch backwards), Newton corrector with the
     arclength constraint; the step halves on corrector failure down to
     ds_min and doubles after four easy successes up to ds_max; the branch
-    stops with "step_failure" once ds falls below ds_min.  The boundary
-    rows are the start point's own, carried from start.problem.theta to
-    start.theta and on to each accepted theta, and every accepted point is
-    re-polished after its rows move, so the recorded residual always refers
-    to the stored problem.  The re-polish starts from the corrector's final
-    residual, whose interior rows are those at the new rows too; only the
-    two boundary blocks are recomputed (assemble_residual's reuse), so a
-    point that needs no further Newton step costs no f pass there.  A
-    corrected point whose tail exceeds tail_tol is not accepted: the window
-    is enlarged and the step retried with the same ds at the wider window.  det_sign of the augmented Jacobian (constraint
-    row = predictor tangent) is recorded per point as a
-    fold/secondary-crossing diagnostic; all points share one continuous
-    family of rows.  Amplitudes are measured
+    stops with "step_failure" once ds falls below ds_min.  Each rejected
+    step is logged at INFO with its ds and the error that rejected it.
+
+    The boundary rows are the start point's own, carried from
+    start.problem.theta to start.theta and on to each accepted theta, and
+    every accepted point is re-polished after its rows move, so the
+    recorded residual always refers to the stored problem.  The re-polish
+    starts from the corrector's final residual, whose interior rows are
+    those at the new rows too; only the two boundary blocks are recomputed
+    (assemble_residual's reuse), so a point that needs no further Newton
+    step costs no f pass there.  A corrected point whose tail exceeds
+    tail_tol is not accepted: the window is enlarged and the step retried
+    with the same ds at the wider window.
+
+    Each point records, as a fold/secondary-crossing diagnostic, the
+    det_sign of the augmented Jacobian with the predictor tangent as its
+    constraint row: the sign of the arclength corrector's last bordered
+    system, read from the LU and Schur complement that solve already made
+    (_solve_augmented).  That system lies within one Newton step of the
+    point, on the rows of the last accepted theta; the signs differ only if
+    the bordered matrix is singular in between.  A corrector that took no
+    step factors once at the point instead (_augmented_det_sign).  All
+    points share one continuous family of rows.  Amplitudes are measured
     along start.amplitude_ref (switch_branch's kernel direction), or along
     the start's own direction when it has none.
     """
@@ -381,7 +404,7 @@ def continue_branch(
         raise StartInvalid(f"start point residual {rn:.3e} is not converged")
     if rn > newton_tol:
         try:
-            x, _, rn, _, _ = _newton(p, x, None, newton_tol, 5, residual=r)
+            x, _, rn, _, _, _ = _newton(p, x, None, newton_tol, 5, residual=r)
         except (NoConvergence, SingularJacobian) as exc:
             raise StartInvalid(f"start point does not satisfy its residual: {exc}") from exc
 
@@ -419,7 +442,7 @@ def continue_branch(
         # failed re-polish and a step too small to move the point all reject
         # the step alike: halve ds and retry.
         try:
-            x_new, theta_new, _, iters, r = _newton(
+            x_new, theta_new, _, iters, r, det = _newton(
                 p_step, z_pred[:-1], constraint, newton_tol, DEFAULT_MAX_ITER
             )
             if np.linalg.norm(x_new) < controls.min_norm:
@@ -428,11 +451,12 @@ def continue_branch(
             # from the corrector's residual with the boundary blocks redone
             # at the new rows; p moves only once the step is accepted.
             p_new = p.transported(theta_new)
-            x_new, _, rn, _, _ = _newton(p_new, x_new, None, newton_tol, 5,
-                                         residual=assemble_residual(p_new, x_new, reuse=r))
+            x_new, _, rn, _, _, _ = _newton(p_new, x_new, None, newton_tol, 5,
+                                            residual=assemble_residual(p_new, x_new, reuse=r))
             if theta_new == z[-1] and np.array_equal(x_new, z[:-1]):
                 raise NoConvergence("the step did not move the point (zero secant)")
-        except (NoConvergence, SingularJacobian):
+        except (NoConvergence, SingularJacobian) as exc:
+            log.info("step rejected at ds=%.3e: %s: %s", ds, type(exc).__name__, exc)
             ds *= 0.5
             streak = 0
             if ds < controls.ds_min:
@@ -457,9 +481,8 @@ def continue_branch(
             continue
         p = p_new
 
-        det = _augmented_det_sign(
-            p, x_new, AffineConstraint(w_x=t[:-1], w_theta=float(t[-1]), offset=0.0)
-        )
+        if det is None:  # the corrector took no step: no bordered solve to read
+            det = _augmented_det_sign(p, x_new, constraint)
         points.append(BranchPoint(theta=theta_new, X=x_new, residual_norm=rn, det_sign=det,
                                   problem=p, amplitude_ref=amplitude_ref))
 

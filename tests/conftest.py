@@ -99,6 +99,33 @@ def estimate_trials(smin, floor):
             10 * smin, 0.5 * floor, 0.0, -1.0, float("nan"), float("inf")]
 
 
+def predictor_det_signs(branch):
+    """_augmented_det_sign at every point after the start, each with the
+    constraint row continue_branch's step to it used: the initial tangent
+    for the first step, then the unit secant of the two points before,
+    zero-padded (embed_window) to the window the point was accepted at."""
+    from homcont.continuation import AffineConstraint, _augmented_det_sign, _initial_tangent
+    from homcont.truncation import embed_window
+
+    pts = branch.points
+
+    def to_window(z, n_old, n_new):
+        return np.append(embed_window(z[:-1], pts[0].problem.d, n_old, n_new), z[-1])
+
+    t = _initial_tangent(pts[0].problem, pts[0].X, pts[0].amplitude_ref)
+    signs = []
+    for k in range(1, len(pts)):
+        if k > 1:
+            z_old = to_window(np.append(pts[k - 2].X, pts[k - 2].theta), pts[k - 2].N,
+                              pts[k - 1].N)
+            t = np.append(pts[k - 1].X, pts[k - 1].theta) - z_old
+            t /= np.linalg.norm(t)
+        t = to_window(t, pts[k - 1].N, pts[k].N)
+        constraint = AffineConstraint(w_x=t[:-1], w_theta=float(t[-1]), offset=0.0)
+        signs.append(_augmented_det_sign(pts[k].problem, pts[k].X, constraint))
+    return signs
+
+
 def assemble_jacobian(p, x):
     """Dense window Jacobian, the test oracle for the banded LU: the left
     boundary rows, the interior block rows [-dfdx(n, theta, x_n), I] in

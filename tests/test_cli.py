@@ -575,5 +575,17 @@ def test_verify_paper(capsys):
     code, out, _ = run_cli(capsys, ["verify-paper"])
     assert code == 0
     lines = [line for line in out.splitlines() if line]
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_verify_paper_main_theorem_row_fails_short_of_the_cap(tmp_path, capsys):
+    # five steps do not reach the amplitude cap: only the main-theorem row
+    # fails, and verify-paper exits 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"continuation": {"max_steps": 5}}))
+    code, out, _ = run_cli(capsys, ["verify-paper", "--config", str(cfg)])
+    assert code == 1
+    lines = [line for line in out.splitlines() if line]
+    assert [line[:4] for line in lines] == ["PASS", "PASS", "PASS", "FAIL"]
+    assert "points=6/6" in lines[3]

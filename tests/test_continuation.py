@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -21,7 +22,7 @@ from homcont.truncation import (
     truncated_problem,
 )
 
-from conftest import assemble_jacobian
+from conftest import assemble_jacobian, predictor_det_signs, record_calls
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +294,71 @@ def test_det_sign_continuous_along_branch(config):
     for branch in (fwd, restart):
         assert len(branch.points) == 11
         assert [pt.det_sign for pt in branch.points] == [start.det_sign] * 11
+        # the sign read from the corrector's last solve is the definition
+        # at the accepted point
+        assert predictor_det_signs(branch) == [pt.det_sign for pt in branch.points[1:]]
+    switched = AffineConstraint(w_x=cand.kernel_vector, w_theta=0.0, offset=s0)
+    at_start = replace(start.problem, theta=start.theta)
+    assert start.det_sign == _augmented_det_sign(at_start, start.X, switched)
+
+
+def test_converged_guess_factors_once_at_the_point(paper7_perturbed, candidate, monkeypatch):
+    # a corrector that takes no Newton step has no factorization to read its
+    # det sign from: it factors once at the point, fixed theta or freed
+    s0 = 5e-4
+    start = hc.switch_branch(paper7_perturbed, candidate, s0, 40)
+    p = replace(start.problem, theta=start.theta)
+    constraint = AffineConstraint(w_x=candidate.kernel_vector, w_theta=0.0, offset=s0)
+    calls = []
+    record_calls(monkeypatch, continuation, "banded_jacobian_lu", calls)
+    again = hc.newton_correct(p, start.X, constraint)
+    assert len(calls) == 1
+    assert np.array_equal(again.X, start.X) and again.det_sign == start.det_sign
+    fixed = truncated_problem(paper7_perturbed, 0.3, 20)
+    trivial = hc.newton_correct(fixed, np.zeros(fixed.size))
+    assert len(calls) == 2
+    assert trivial.det_sign == truncation.banded_jacobian_lu(fixed, trivial.X).det_sign() != 0
+    # from a rough guess the sign is the last Newton step's: one LU per step
+    guess = 1e-3 * np.random.default_rng(3).standard_normal(fixed.size)
+    steps = _newton(fixed, guess, None, 1e-10, continuation.DEFAULT_MAX_ITER)[3]
+    del calls[:]
+    rough = hc.newton_correct(fixed, guess)
+    assert len(calls) == steps > 0
+    assert rough.det_sign == trivial.det_sign
+
+
+def test_branch_factors_once_per_newton_step(paper7_perturbed, candidate, monkeypatch):
+    # every window LU of a branch is a Newton step's (corrector or
+    # re-polish) or the initial tangent's: none is made for det_sign alone
+    start = hc.switch_branch(paper7_perturbed, candidate, 5e-4, 40)
+    lus, fallbacks, steps, real = [], [], [], continuation._newton
+
+    def newton(p, guess, constraint, newton_tol, max_iter, residual=None):
+        result = real(p, guess, constraint, newton_tol, max_iter, residual=residual)
+        steps.append(result[3])
+        return result
+
+    monkeypatch.setattr(continuation, "_newton", newton)
+    record_calls(monkeypatch, continuation, "banded_jacobian_lu", lus)
+    record_calls(monkeypatch, continuation, "_augmented_det_sign", fallbacks)
+    branch = hc.continue_branch(start, hc.ContinuationControls(max_steps=10))
+    assert len(branch.points) == 11 and len(steps) == 20
+    assert fallbacks == []
+    assert len(lus) == sum(steps) + 1
+
+
+def test_rejected_steps_are_logged_at_info(paper7_perturbed, candidate, monkeypatch, caplog):
+    # the second arclength corrector fails: its step is logged with ds and
+    # the error, then retried at half the step
+    start = hc.switch_branch(paper7_perturbed, candidate, 5e-4, 40)
+    _newton_failing_on(
+        monkeypatch, lambda p, fixed, max_iter, count: not fixed and count == 2)
+    with caplog.at_level(logging.INFO, logger="homcont.continuation"):
+        branch = hc.continue_branch(start, hc.ContinuationControls(max_steps=3))
+    assert len(branch.points) == 4
+    assert [r.getMessage() for r in caplog.records] == [
+        "step rejected at ds=1.000e-03: NoConvergence: forced"]
+    assert caplog.records[0].levelno == logging.INFO
 
 
 def test_window_adapts_mid_branch(paper7_perturbed, candidate):
@@ -390,10 +456,10 @@ def test_bordered_solve_matches_dense_oracle(paper7_perturbed, candidate, long_b
         aug = dense_augmented(p, x, constraint)
         rhs = rng.standard_normal(p.size + 1)
         oracle = np.linalg.solve(aug, rhs)
-        got, _ = _solve_augmented(p, x, constraint, rhs)
+        got, _, got_sign = _solve_augmented(p, x, constraint, rhs)
         assert np.linalg.norm(got - oracle) <= 1e-10 * np.linalg.norm(oracle)
         sign, _ = np.linalg.slogdet(aug)
-        assert _augmented_det_sign(p, x, constraint) == int(sign) != 0
+        assert got_sign == _augmented_det_sign(p, x, constraint) == int(sign) != 0
 
 
 def test_bordered_solve_exact_zero_pivot_raises():

@@ -22,7 +22,7 @@ import pytest
 import homcont as hc
 from homcont.systems import SystemFamily, _by_side
 
-from conftest import half_turn_loop
+from conftest import half_turn_loop, predictor_det_signs
 
 N = 40
 S0 = 5e-4
@@ -155,6 +155,7 @@ def test_quadratic_branch_halves_reach_the_cap(seed):
         assert branch.stop_reason == "amplitude_cap"
         assert_one_sided(branch)
         assert min(pt.l2_norm for pt in branch.points) >= S0
+        assert predictor_det_signs(branch) == [pt.det_sign for pt in branch.points[1:]]
         moves.append(branch.points[-1].theta - cand.theta_star)
     assert moves[0] * moves[1] < 0, moves
 
