@@ -9,6 +9,7 @@ derived at 0 versus rows carried to 2*pi) is the loop parity.
 """
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,10 +19,13 @@ import numpy as np
 from .bundles import CircleGrid
 from .errors import InconsistentParity, MaxIterations, NoSignChange
 from .spectral import DEFAULT_GAP_TOL
-from .truncation import DEFAULT_KERNEL_TOL, ROUNDING_FLOOR, classify_window, truncated_problem
+from .truncation import (DEFAULT_KERNEL_TOL, ROUNDING_FLOOR, classify_window, truncated_problem,
+                         warm_shift)
 
 # Iteration budget of the regula falsi and of the golden-section fallback.
 MAX_ITER = 200
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +38,8 @@ class ParityScan:
     enter the sign-change count but end up inside candidate intervals.
     smin holds each node's smallest singular value, from the same band of
     J as its determinant sign (WindowLU.smallest_singular), certified
-    whatever estimate scan_parity handed to it.
+    whatever hints scan_parity handed to it (an estimate, and the previous
+    node's singular vector as a warm start).
     dip_intervals brackets nodes whose smin dips four orders of magnitude
     below the grid median without a determinant sign change: candidate
     even-multiplicity crossings, which carry no parity certificate.
@@ -77,21 +82,36 @@ def scan_parity(
     count is no independent check; the theory's check is loop parity =
     w1_index (verify-paper).
 
-    Node i > 0 hands classify_window an estimate of its smin: the value at
-    its theta of the polynomial through smin^2 at nodes i - 1, i - 2 and
-    i - 3 (fewer at the start: linear at node 2, constant at node 1).  It
-    only decides where the Gram path's Cholesky bisection starts, so the
-    scan's signs and smin are those it would have without it, up to the
-    last bits of smin.
+    Node i > 0 hands classify_window two hints: an estimate of its smin,
+    the value at its theta of the polynomial through smin^2 at nodes i - 1,
+    i - 2 and i - 3 (fewer at the start: linear at node 2, constant at
+    node 1), and node i - 1's unit singular vector as a warm start.  They
+    only decide where smallest_singular's Gram path starts (a warm node
+    certifies smin with 3 Cholesky tests), and every smin is certified
+    whatever they are, so the scan's signs and smin are those it would have
+    without them, up to the last bits of smin.
+
+    One INFO line on this module's logger summarizes the scan: the node
+    count, the excluded nodes (det sign 0) by theta, the dip intervals,
+    and the nodes whose warm start fell back to smallest_singular's cold
+    path: those with a warm shift (truncation.warm_shift) not below
+    smin^2, so that its Cholesky test failed.  A warm certificate that
+    fails inside the bracket also falls back, on the Gram path; it is not
+    listed.
     """
     n_nodes = grid.m + 1
     start = truncated_problem(system, float(grid.nodes[0]), N, gap_tol=gap_tol)
     signs = np.zeros(n_nodes, dtype=int)
     smins = np.zeros(n_nodes)
+    vec, cold = None, []
     for i, p in enumerate(start.over(grid)):
         back = slice(max(0, i - 3), i)
         estimate = _extrapolated_smin(grid.nodes[back], smins[back], float(grid.nodes[i]))
-        smins[i], _, signs[i], _ = classify_window(p, kernel_tol, estimate=estimate)
+        smins[i], scale, signs[i], vec = classify_window(p, kernel_tol, estimate=estimate,
+                                                         start=vec)
+        shift = warm_shift(estimate, scale)
+        if shift is not None and shift >= smins[i] ** 2:
+            cold.append(i)
 
     if signs[0] == 0 or signs[-1] == 0:
         raise InconsistentParity(
@@ -123,6 +143,12 @@ def scan_parity(
         else:
             dips.append((lo, hi))
 
+    log.info(
+        "parity scan of %d nodes at N = %d: excluded (det sign 0) at theta %s; "
+        "dip intervals %s; warm start fell back at theta %s",
+        n_nodes, N, *(np.round(np.asarray(t, dtype=float), 6).tolist()
+                      for t in (grid.nodes[signs == 0], dips, grid.nodes[cold])),
+    )
     return ParityScan(
         grid=grid,
         det_signs=signs,

@@ -47,8 +47,9 @@ _GRAM_BRACKET_RTOL = 1e-3
 _INVERSE_STEPS = 4
 _RQI_STEPS = 4
 _CERTIFY_ULPS = 64
-# Just under 4 * _GRAM_BRACKET_RTOL: a bracket e^2 (1 -+ _ESTIMATE_RTOL)
-# reaches _GRAM_BRACKET_RTOL in three halvings.
+# Margin of the warm start's shift e^2 (1 - _ESTIMATE_RTOL) below the
+# square of an estimate e of smin: its Cholesky test fails, and the warm
+# start falls back, when e^2 overshoots lambda_min by more than that.
 _ESTIMATE_RTOL = 3.9e-3
 # Divide-by-zero guard of smallest_singular, not a singularity criterion:
 # pivots below _ZERO_PIVOT * ||J||_1 are raised to _RAISED_PIVOT * ||J||_1
@@ -239,33 +240,46 @@ class WindowLU:
         sign *= int(np.prod(np.sign(self._udiag)))
         return sign
 
-    def smallest_singular(self, estimate: float | None = None) -> tuple[float, np.ndarray]:
+    def smallest_singular(self, estimate: float | None = None,
+                          start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
         """(smin, v): the smallest singular value of J and a unit right
         singular vector for it, a window vector, sign arbitrary.
 
         The path is picked before any iteration, with mu0 = (GRAM_FLOOR *
-        ||J||_1)^2 and G = J^T J:
+        ||J||_1)^2, G = J^T J and warm_shift(estimate, ||J||_1) the shift
+        of an estimate e of smin, e^2 (1 - _ESTIMATE_RTOL), when above mu0:
         1. the LU's pivots below _ZERO_PIVOT * ||J||_1 (exact zeros among
            them) are raised to _RAISED_PIVOT * ||J||_1, here and nowhere
            else; every solve below runs on these floored factors;
-        2. one transposed solve y = J^-T q, q the seeded unit start vector,
+        2. warm start, only with a finite nonzero start vector (a guess of
+           v, such as the singular vector of a neighbouring window) and an
+           estimate whose shift lies in (mu0, min diag G), the band of G
+           built only once the shift is known to be above mu0: one
+           Cholesky test of G minus that shift.  If the factor exists,
+           lambda_min > shift > mu0 proves the Gram path that step 4 would
+           take, and _INVERSE_STEPS inverse-iteration solves with that
+           factor from start feed _certified.  A certified smin is returned
+           (3 Cholesky tests, no transposed solve); a failed certificate
+           continues on _gram_smallest with the bracket the tests found.
+           A failed shift test makes the shift the bracket's upper end and
+           step 3 follows;
+        3. one transposed solve y = J^-T q, q the seeded unit start vector,
            bounds smin <= 1 / ||y||.  A window where that bound is not
            above sqrt(mu0) (every near-singular one, and every NaN bound)
            goes to Lanczos, with y as its first half-step, so the run is the
            one it would be without the bound;
-        3. otherwise one Cholesky test of G - mu0 I decides: if the factor
+        4. otherwise one Cholesky test of G - mu0 I decides: if the factor
            exists, smin > sqrt(mu0) and _gram_smallest gives (smin, v) on
            the band of G; if not, or if G is not finite, Lanczos
            (_lanczos_smallest) does.
         The bound only saves that test: it holds for every unit q.
 
-        estimate, a guess of smin, only decides where the Gram path's
-        bisection starts (see _gram_smallest); None, a non-finite or
-        non-positive value, or one whose bracket falls outside (mu0, min
-        diag G) is ignored.  The Gram path's smin is certified by the same
-        two Cholesky tests whatever the estimate, so it changes the cost and
-        the last bits of smin, never which eigenvalue is returned or which
-        path is taken.
+        estimate and start are used together or not at all: without a
+        start, or with an estimate that has no shift in (mu0, min diag G),
+        the call runs steps 1, 3 and 4 only.  The Gram path's smin is
+        certified by the same two Cholesky tests whatever they are, so they
+        change the cost and the last bits of smin, never which eigenvalue
+        is returned or which path is taken.
 
         A window with a floored pivot gives smin = 0, and v is still a unit
         kernel vector of J.
@@ -277,12 +291,24 @@ class WindowLU:
         if floored:
             lu = lu.copy()
             lu[kl + ku, tiny] = _RAISED_PIVOT * self.norm_1
-        first, _ = lapack.dgbtrs(lu, kl, ku, _seeded_unit_vector(self._n), self._ipiv, trans=1)
         mu0 = (GRAM_FLOOR * self.norm_1) ** 2
-        if np.linalg.norm(first) * np.sqrt(mu0) < 1.0:  # NaN goes to Lanczos
+        gram, bracket = None, (mu0, np.inf, None)
+        shift = warm_shift(estimate, self.norm_1) if start is not None else None
+        if shift is not None and 0.0 < np.linalg.norm(start) < np.inf:
             gram = self._gram_band()
+            diag_min = float(np.min(gram[-1]))
+            if shift < diag_min and np.all(np.isfinite(gram)):
+                factor = _shifted_cholesky(gram, shift)
+                if factor is not None:  # lambda_min > shift > mu0: the Gram path
+                    v = _inverse_iteration(factor, start, _INVERSE_STEPS)
+                    result, bracket = self._certified(gram, (shift, diag_min, factor), v)
+                    return result or self._gram_smallest(gram, bracket)
+                bracket = (mu0, shift, None)
+        first, _ = lapack.dgbtrs(lu, kl, ku, _seeded_unit_vector(self._n), self._ipiv, trans=1)
+        if np.linalg.norm(first) * np.sqrt(mu0) < 1.0:  # NaN goes to Lanczos
+            gram = self._gram_band() if gram is None else gram
             if np.all(np.isfinite(gram)):
-                result = self._gram_smallest(gram, mu0, estimate)
+                result = self._gram_smallest(gram, bracket)
                 if result is not None:
                     return result
         smin, v = self._lanczos_smallest(lu, first)
@@ -334,31 +360,26 @@ class WindowLU:
         v /= np.linalg.norm(v)
         return float(1.0 / np.sqrt(t)), v
 
-    def _gram_smallest(self, gram: np.ndarray, mu0: float,
-                       estimate: float | None = None) -> tuple[float, np.ndarray] | None:
-        """(smin, v) from the band of G = J^T J, or None when G - mu0 I has
-        no Cholesky factor.  By Sylvester's inertia dpbtrf factors G - mu I
-        exactly when mu < lambda_min(G), so [mu0, min diag G] brackets
-        lambda_min (a diagonal entry is a Rayleigh quotient, so G - (min
-        diag G) I never factors).  In order:
+    def _gram_smallest(self, gram: np.ndarray,
+                       bracket: tuple) -> tuple[float, np.ndarray] | None:
+        """(smin, v) from the band of G = J^T J, or None when the Gram path
+        is unproven (lo_factor None) and G - lo I has no Cholesky factor.
+        By Sylvester's inertia dpbtrf factors G - mu I exactly when mu <
+        lambda_min(G), so (lo, hi, lo_factor) = bracket, with hi capped at
+        min diag G, brackets lambda_min (a diagonal entry is a Rayleigh
+        quotient, so G - (min diag G) I never factors).  smallest_singular
+        hands (mu0, hi, None), hi = inf or the shift its warm start failed
+        at, or, after a failed warm certificate, the bracket that proved the
+        Gram path, lo_factor its factor at lo.  In order:
 
-        0. with an estimate e of smin whose shift e^2 (1 - _ESTIMATE_RTOL)
-           lies in (mu0, min diag G), test that shift first.  A factor
-           there makes it the lower end, in place of the mu0 test (G - mu0
-           I is then positive definite too), and e^2 (1 + _ESTIMATE_RTOL),
-           when below min diag G, is tested next and becomes the upper end
-           or the lower one.  A failed first test becomes the upper end and
-           the mu0 test follows.  A wrong estimate costs at most two tests;
+        0. without lo_factor, one Cholesky test of G - lo I proves the Gram
+           path or returns None;
         1. bisect the bracket by Cholesky tests to a relative width of
            _GRAM_BRACKET_RTOL;
         2. run _INVERSE_STEPS inverse-iteration solves with the factor at
            the lower end, from the seeded vector;
-        3. refine by Rayleigh-quotient iteration (_rayleigh_quotient_iteration);
-        4. certify: the RQI value mu is accepted only when G - mu (1 - c) I
-           factors and G - mu (1 + c) I does not, c = _CERTIFY_ULPS * eps *
-           max(1, min diag G / mu), so lambda_min lies in (mu (1 - c),
-           mu (1 + c)]; the Cholesky test's rounding grows with the
-           diagonal of G, hence the ratio.  smin = sqrt(mu), v the RQI vector.
+        3-4. _certified: Rayleigh-quotient iteration from that vector, and
+           the two Cholesky tests that certify its value.
 
         When the certificate fails (RQI found another eigenvalue of a
         clustered spectrum, or the tests disagree at rounding level), the
@@ -366,37 +387,49 @@ class WindowLU:
         relative width of 2 * eps and smin is the root of its midpoint;
         _INVERSE_STEPS more inverse-iteration solves, with the last
         positive-definite factor, turn the step-2 vector into v.  That
-        worst case makes as many Cholesky tests as a bisection from mu0
-        would, plus step 0's."""
-        diag_min = float(np.min(gram[-1]))
-        lo, hi, lo_factor = mu0, diag_min, None
-        for shift in _estimate_shifts(estimate, mu0, diag_min):
-            factor = _shifted_cholesky(gram, shift)
-            if factor is None:
-                hi = shift
-                break
-            lo, lo_factor = shift, factor
+        worst case makes as many Cholesky tests as a bisection from lo
+        would."""
+        lo, hi, lo_factor = bracket
+        hi = min(hi, float(np.min(gram[-1])))
         if lo_factor is None:
-            lo_factor = _shifted_cholesky(gram, mu0)
+            lo_factor = _shifted_cholesky(gram, lo)
             if lo_factor is None:
                 return None
         lo, hi, lo_factor = _bisect(gram, lo, hi, lo_factor, _GRAM_BRACKET_RTOL)
         start = _inverse_iteration(lo_factor, _seeded_unit_vector(self._n), _INVERSE_STEPS)
-        mu, v = self._rayleigh_quotient_iteration(gram, start, diag_min)
+        result, (lo, hi, lo_factor) = self._certified(gram, (lo, hi, lo_factor), start)
+        if result is not None:
+            return result
+        lo, hi, lo_factor = _bisect(gram, lo, hi, lo_factor, 2.0 * np.finfo(float).eps)
+        return float(np.sqrt(0.5 * (lo + hi))), _inverse_iteration(lo_factor, start, _INVERSE_STEPS)
+
+    def _certified(self, gram: np.ndarray, bracket: tuple,
+                   v: np.ndarray) -> tuple[tuple[float, np.ndarray] | None, tuple]:
+        """(result, bracket) after refining unit v by Rayleigh-quotient
+        iteration (_rayleigh_quotient_iteration) to a value mu.  mu is
+        accepted only when mu > lo, G - mu (1 - c) I factors and G - mu (1 +
+        c) I does not, c = _CERTIFY_ULPS * eps * max(1, min diag G / mu), so
+        lambda_min lies in (mu (1 - c), mu (1 + c)]; the Cholesky test's
+        rounding grows with the diagonal of G, hence the ratio.  Then result
+        = (sqrt(mu), the RQI vector) and the bracket is returned as handed;
+        otherwise result is None and (lo, hi, lo_factor) is narrowed by
+        whichever of the two tests fell inside it."""
+        lo, hi, lo_factor = bracket
+        diag_min = float(np.min(gram[-1]))
+        mu, v = self._rayleigh_quotient_iteration(gram, v, diag_min)
         if mu > lo:  # every Rayleigh quotient is >= lambda_min > lo
             c = _CERTIFY_ULPS * np.finfo(float).eps * max(1.0, diag_min / mu)
             below = _shifted_cholesky(gram, mu * (1.0 - c))
             above = _shifted_cholesky(gram, mu * (1.0 + c))
             if below is not None and above is None:
-                return float(np.sqrt(mu)), v
+                return (float(np.sqrt(mu)), v), bracket
             for shift, factor in ((mu * (1.0 - c), below), (mu * (1.0 + c), above)):
                 if lo < shift < hi:
                     if factor is None:
                         hi = shift
                     else:
                         lo, lo_factor = shift, factor
-        lo, hi, lo_factor = _bisect(gram, lo, hi, lo_factor, 2.0 * np.finfo(float).eps)
-        return float(np.sqrt(0.5 * (lo + hi))), _inverse_iteration(lo_factor, start, _INVERSE_STEPS)
+        return None, (lo, hi, lo_factor)
 
     def _rayleigh_quotient_iteration(self, gram: np.ndarray, v: np.ndarray,
                                      diag_min: float) -> tuple[float, np.ndarray]:
@@ -461,18 +494,15 @@ class WindowLU:
         return out
 
 
-def _estimate_shifts(estimate: float | None, mu0: float, diag_min: float) -> tuple[float, ...]:
-    """The shifts _gram_smallest tests first for an estimate e of smin:
-    e^2 (1 - _ESTIMATE_RTOL) and, below diag_min, e^2 (1 + _ESTIMATE_RTOL);
-    none when e is None, not finite or not positive, or when the first
-    shift is outside (mu0, diag_min)."""
+def warm_shift(estimate: float | None, scale: float) -> float | None:
+    """The shift smallest_singular's warm start tests for an estimate e of
+    the smallest singular value of a window J with scale = ||J||_1: e^2 (1
+    - _ESTIMATE_RTOL), or None when e is None, not finite or not positive,
+    or when that shift is not above the Gram floor (GRAM_FLOOR * scale)^2."""
     if estimate is None or not 0.0 < estimate < np.inf:
-        return ()
-    guess = float(estimate) * float(estimate)
-    below, above = guess * (1.0 - _ESTIMATE_RTOL), guess * (1.0 + _ESTIMATE_RTOL)
-    if not mu0 < below < diag_min:
-        return ()
-    return (below, above) if above < diag_min else (below,)
+        return None
+    shift = float(estimate) * float(estimate) * (1.0 - _ESTIMATE_RTOL)
+    return shift if shift > (GRAM_FLOOR * scale) ** 2 else None
 
 
 def _shifted_cholesky(gram: np.ndarray, mu: float) -> np.ndarray | None:
@@ -565,17 +595,19 @@ def banded_jacobian_lu(p: TruncatedProblem, x: np.ndarray) -> WindowLU:
     return WindowLU(ab, kl, ku)
 
 
-def classify_window(p: TruncatedProblem, kernel_tol: float, estimate: float | None = None):
+def classify_window(p: TruncatedProblem, kernel_tol: float, estimate: float | None = None,
+                    start: np.ndarray | None = None):
     """The package's one singularity criterion, on the window linearization
     at X = 0: (smin, scale, sign, kernel vector), all from the one band of J
-    that banded_jacobian_lu writes.  smin and its unit right singular vector
-    come from WindowLU.smallest_singular, whose docstring says which path
-    it takes; estimate, a guess of smin, only moves where its Gram path's
-    bisection starts, and smin is certified whatever it is.  scale =
-    ||J||_1, and sign is the determinant sign, or 0 exactly when the window
-    is near-singular: when near_singular(smin, scale, kernel_tol)."""
+    that banded_jacobian_lu writes.  smin and its unit right singular
+    vector come from WindowLU.smallest_singular, whose docstring says which
+    path it takes; estimate, a guess of smin, and start, a guess of the
+    vector (a neighbouring window's), only move where its Gram path starts,
+    and smin is certified whatever they are.  scale = ||J||_1, and sign is
+    the determinant sign, or 0 exactly when the window is near-singular:
+    when near_singular(smin, scale, kernel_tol)."""
     lu = banded_jacobian_lu(p, np.zeros(p.size))
-    smin, vec = lu.smallest_singular(estimate)
+    smin, vec = lu.smallest_singular(estimate, start)
     sign = 0 if near_singular(smin, lu.norm_1, kernel_tol) else lu.det_sign()
     return smin, lu.norm_1, sign, vec
 

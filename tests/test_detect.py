@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from homcont.errors import AlignmentFailure, MaxIterations, NoSignChange
 from homcont.systems import rotating_matrix
 from homcont.truncation import banded_jacobian_lu, complement_families, truncated_problem
 
-from conftest import assemble_jacobian, estimate_trials, random_hyperbolic
+from conftest import assemble_jacobian, estimate_trials, half_turn_loop, random_hyperbolic
 
 
 def test_public_names_resolve():
@@ -143,12 +144,13 @@ def test_even_multiplicity_dip_detection():
     assert abs(cand.theta_star - theta_star) <= 1e-5
 
 
-def test_adjacent_dips_merge_into_one_interval():
+def test_adjacent_dips_merge_into_one_interval(caplog):
     # the double crossing of test_even_multiplicity_dip_detection, held for
     # a plateau of theta wider than two grid steps: the rotation angle psi
     # stops at the crossing angle on [c - w, c + w] and is stretched
     # elsewhere so that it still winds once.  The nodes on the plateau all
-    # dip, and their brackets merge into one dip interval.
+    # dip, and their brackets merge into one dip interval.  The scan's INFO
+    # line names both.
     phi, w, grid = math.pi / 8, 0.15, hc.CircleGrid.uniform(64)
     rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
     const = rot @ np.diag([0.4, 2.5]) @ rot.T
@@ -160,13 +162,74 @@ def test_adjacent_dips_merge_into_one_interval():
         return np.kron(np.eye(2), rotating_matrix(psi, 0.5, 2.0))
 
     system = hc.linear_family(4, a_plus, lambda t: np.kron(np.eye(2), const))
-    scan = hc.scan_parity(system, grid, 30)
+    with caplog.at_level(logging.INFO, logger="homcont.detect"):
+        scan = hc.scan_parity(system, grid, 30)
     plateau = np.flatnonzero(np.abs(grid.nodes - c) <= w)
     assert len(plateau) >= 3
     assert scan.sign_change_intervals == []
     assert np.all(scan.det_signs[plateau] == 0)
     assert scan.dip_intervals == [(float(grid.nodes[plateau[0] - 1]),
                                    float(grid.nodes[plateau[-1] + 1]))]
+    [record] = caplog.records
+    assert (f"excluded (det sign 0) at theta {np.round(grid.nodes[plateau], 6).tolist()}; "
+            f"dip intervals {np.round(scan.dip_intervals, 6).tolist()}; ") in record.getMessage()
+
+
+def test_scan_logs_one_info_line(paper7_linear, caplog, monkeypatch):
+    # One INFO line per scan: the node count, the excluded nodes, no dips,
+    # and the warm starts that fell back.  paper7 has none; on a seeded
+    # d = 3 half-turn loop the extrapolated estimate overshoots smin past
+    # the crossing, and the nodes listed are exactly those whose warm
+    # start ran (shift above the Gram floor) and cost more than three
+    # Cholesky tests or a transposed solve.  Nothing is logged at WARNING.
+    grid = hc.CircleGrid.uniform(64)
+    with caplog.at_level(logging.INFO, logger="homcont"):
+        hc.scan_parity(paper7_linear, grid, 40)
+    [record] = caplog.records
+    assert (record.name, record.levelno) == ("homcont.detect", logging.INFO)
+    assert record.getMessage() == (
+        "parity scan of 65 nodes at N = 40: excluded (det sign 0) at theta [3.141593]; "
+        "dip intervals []; warm start fell back at theta []")
+
+    a_of, _ = half_turn_loop(np.random.default_rng(7), 3, 1)
+    loop = hc.linear_family(3, a_of, lambda t, a=a_of(0.0): a)
+    counts = {"cholesky": 0, "transposed": 0}
+    cholesky, solve, classify = (truncation._shifted_cholesky, truncation.lapack.dgbtrs,
+                                 detect.classify_window)
+    costly = []
+
+    def counting_cholesky(*args):
+        counts["cholesky"] += 1
+        return cholesky(*args)
+
+    def counting_solve(*args, **kwargs):
+        counts["transposed"] += kwargs.get("trans", 0) == 1
+        return solve(*args, **kwargs)
+
+    def recording(p, kernel_tol, estimate=None, start=None):
+        before = dict(counts)
+        node = classify(p, kernel_tol, estimate=estimate, start=start)
+        if (truncation.warm_shift(estimate, node[1]) is not None
+                and (counts["cholesky"] - before["cholesky"],
+                     counts["transposed"] - before["transposed"]) != (3, 0)):
+            costly.append(p.theta)
+        return node
+
+    monkeypatch.setattr(truncation, "_shifted_cholesky", counting_cholesky)
+    monkeypatch.setattr(truncation.lapack, "dgbtrs", counting_solve)
+    monkeypatch.setattr(detect, "classify_window", recording)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="homcont"):
+        hc.scan_parity(loop, grid, 40)
+    [record] = caplog.records
+    assert len(costly) >= 5
+    assert record.getMessage().endswith(
+        f"warm start fell back at theta {np.round(costly, 6).tolist()}")
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="homcont"):
+        hc.scan_parity(paper7_linear, grid, 40)
+        hc.scan_parity(loop, grid, 40)
+    assert caplog.records == []
 
 
 def test_scan_rejects_singular_base_point(paper7_linear):
@@ -272,10 +335,10 @@ def test_no_window_svds(paper7_linear, monkeypatch):
 
 def test_scan_estimates_cut_cholesky_tests(monkeypatch):
     # Cost guard without a wall clock: handing each node the smin
-    # extrapolated from the nodes before it cuts the scan's Cholesky tests
-    # (the Gram path's bisection) to at most 0.6 of a scan without
-    # estimates, with no bisection to 2 * eps and the same signs and smin
-    # to the last bits.
+    # extrapolated from the nodes before it and its neighbour's singular
+    # vector cuts the scan's Cholesky tests (the Gram path's bisection and
+    # the mu0 test) to at most 0.2 of a scan without either hint, with no
+    # bisection to 2 * eps and the same signs and smin to the last bits.
     system = hc.paper7_family(hc.Paper7Config())
     grid = hc.CircleGrid.uniform(64)
     tests, widths = [0], []
@@ -289,7 +352,7 @@ def test_scan_estimates_cut_cholesky_tests(monkeypatch):
         widths.append(args[-1])  # rtol, the relative width bisected to
         return bisect(*args)
 
-    def without_estimate(p, kernel_tol, estimate=None):
+    def without_estimate(p, kernel_tol, estimate=None, start=None):
         return classify(p, kernel_tol)
 
     monkeypatch.setattr(truncation, "_shifted_cholesky", counting)
@@ -299,10 +362,71 @@ def test_scan_estimates_cut_cholesky_tests(monkeypatch):
     tests[0] = 0
     monkeypatch.setattr(detect, "classify_window", without_estimate)
     plain = hc.scan_parity(system, grid, 40)
-    assert with_estimates <= 0.6 * tests[0]
+    assert with_estimates <= 0.2 * tests[0]
     assert fallbacks == 0
     assert np.array_equal(scan.det_signs, plain.det_signs)
     assert np.max(np.abs(scan.smin - plain.smin) / plain.smin) <= 1e-15
+
+
+def test_warm_scan_matches_cold_scan(monkeypatch):
+    # The warm start changes the cost, not the scan: on nine seeded
+    # half-turn loops (d = 2-4, k = 1 and 2, a_minus = a_plus(0)) and
+    # paper7, signs, parity and intervals equal those of a scan whose
+    # classify_window drops both hints, every smin agrees within its
+    # certificate width, and every warm node (handed a start and an
+    # estimate whose shift lies between the Gram floor and smin^2) makes
+    # exactly three Cholesky tests and no transposed solve.
+    N, grid = 40, hc.CircleGrid.uniform(64)
+    systems = [hc.paper7_family(hc.Paper7Config())]
+    for seed in range(9):
+        a_of, _ = half_turn_loop(np.random.default_rng(seed), 2 + seed % 3, 1 + seed // 3 % 2)
+        systems.append(hc.linear_family(2 + seed % 3, a_of, lambda t, a=a_of(0.0): a))
+    counts = {"cholesky": 0, "transposed": 0}
+    cholesky, solve, classify = (truncation._shifted_cholesky, truncation.lapack.dgbtrs,
+                                 detect.classify_window)
+    nodes = []  # (problem, warm, Cholesky tests, transposed solves) per warm-scan node
+
+    def counting_cholesky(*args):
+        counts["cholesky"] += 1
+        return cholesky(*args)
+
+    def counting_solve(*args, **kwargs):
+        counts["transposed"] += kwargs.get("trans", 0) == 1
+        return solve(*args, **kwargs)
+
+    def recording(p, kernel_tol, estimate=None, start=None):
+        before = dict(counts)
+        node = smin, scale, _, _ = classify(p, kernel_tol, estimate=estimate, start=start)
+        shift = truncation.warm_shift(estimate, scale)
+        warm = start is not None and shift is not None and shift < smin ** 2
+        nodes.append((p, warm, *(counts[k] - before[k] for k in counts)))
+        return node
+
+    def cold(p, kernel_tol, estimate=None, start=None):
+        return classify(p, kernel_tol)
+
+    monkeypatch.setattr(truncation, "_shifted_cholesky", counting_cholesky)
+    monkeypatch.setattr(truncation.lapack, "dgbtrs", counting_solve)
+    warm_nodes = 0
+    for system in systems:
+        nodes.clear()
+        monkeypatch.setattr(detect, "classify_window", recording)
+        warm = hc.scan_parity(system, grid, N)
+        monkeypatch.setattr(detect, "classify_window", cold)
+        plain = hc.scan_parity(system, grid, N)
+        assert np.array_equal(warm.det_signs, plain.det_signs)
+        assert warm.loop_parity == plain.loop_parity
+        assert warm.sign_change_intervals == plain.sign_change_intervals
+        assert warm.dip_intervals == plain.dip_intervals
+        for (p, is_warm, tests, transposed), smin, cold_smin in zip(nodes, warm.smin, plain.smin):
+            if is_warm:
+                warm_nodes += 1
+                assert (tests, transposed) == (3, 0)
+            gram = banded_jacobian_lu(p, np.zeros(p.size))._gram_band()
+            width = (truncation._CERTIFY_ULPS * np.finfo(float).eps
+                     * max(1.0, float(np.min(gram[-1])) / cold_smin ** 2))
+            assert abs(smin - cold_smin) <= width * cold_smin
+    assert warm_nodes >= len(systems) * grid.m // 2
 
 
 def test_transposed_bound_skips_gram_band(paper7_perturbed, monkeypatch):
@@ -310,7 +434,9 @@ def test_transposed_bound_skips_gram_band(paper7_perturbed, monkeypatch):
     # Gram floor: the window goes to Lanczos without building the band of
     # J^T J, and that solve is the first half of Lanczos's first step, so
     # every step makes one transposed and one plain solve and the run is
-    # the one Lanczos makes from that solve, bit for bit.
+    # the one Lanczos makes from that solve, bit for bit.  A start vector
+    # with an estimate at the floor changes none of this: its warm shift
+    # lies below the floor, so the band is not built for it either.
     p = truncated_problem(paper7_perturbed, math.pi, 160)
     lu = banded_jacobian_lu(p, np.zeros(p.size))
     floor = truncation.GRAM_FLOOR * lu.norm_1
@@ -327,14 +453,16 @@ def test_transposed_bound_skips_gram_band(paper7_perturbed, monkeypatch):
 
     monkeypatch.setattr(truncation.WindowLU, "_gram_band", recording)
     monkeypatch.setattr(truncation.lapack, "dgbtrs", counting)
-    smin, v = lu.smallest_singular(estimate=floor)
-    assert bands == []
-    assert solves[1] == solves[0] > 0
     first, _ = solve(lu._lu, lu._kl, lu._ku, truncation._seeded_unit_vector(lu._n), lu._ipiv,
                      trans=1)
     want_smin, want_v = lu._lanczos_smallest(lu._lu, first)
-    assert smin == want_smin < floor
-    assert np.array_equal(v, want_v)
+    for start in (None, np.full(lu._n, lu._n ** -0.5)):
+        solves.update({0: 0, 1: 0})
+        smin, v = lu.smallest_singular(floor, start)
+        assert bands == []
+        assert solves[1] == solves[0] > 0
+        assert smin == want_smin < floor
+        assert np.array_equal(v, want_v)
 
 
 def _plane_rotation(d, theta):

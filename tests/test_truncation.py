@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -376,28 +377,60 @@ def test_failed_certificate_falls_back_to_bisection(monkeypatch):
     assert abs(v @ vt[-1]) >= 1.0 - 1e-10
 
 
+def test_warm_start_stays_certified_on_a_clustered_window(paper7_perturbed, monkeypatch):
+    # At N = 160 and theta = 0.1 the two smallest singular values of the
+    # paper7 window lie 3e-4 apart (relative).  Handed the exact estimate,
+    # the dense smallest right singular vector certifies smin warm with
+    # three Cholesky tests; the second one (RQI settles on sigma_2), a NaN
+    # vector and a zero vector fall back, with more tests but a bounded
+    # number, to the cold call's smin within the certificate width and the
+    # dense SVD's.
+    p = truncated_problem(paper7_perturbed, 0.1, 160)
+    lu = banded_jacobian_lu(p, np.zeros(p.size))
+    _, s, vt = np.linalg.svd(assemble_jacobian(p, np.zeros(p.size)))
+    assert s[-2] / s[-1] < 1.0004
+    cold, _ = lu.smallest_singular()
+    width = (truncation._CERTIFY_ULPS * np.finfo(float).eps
+             * max(1.0, float(np.min(lu._gram_band()[-1])) / cold ** 2))
+    calls = count_calls(monkeypatch, "dpbtrf")
+    starts = {"first": vt[-1], "second": vt[-2], "nan": np.full(p.size, np.nan),
+              "zero": np.zeros(p.size)}
+    for name, start in starts.items():
+        calls["dpbtrf"] = 0
+        smin, v = lu.smallest_singular(s[-1], start)
+        if name == "first":
+            assert calls["dpbtrf"] == 3
+        else:
+            assert 3 < calls["dpbtrf"] <= 30
+        assert abs(smin - cold) <= width * cold
+        assert abs(smin - s[-1]) <= 1e-13 * s[0]
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert abs(v @ vt[-1]) >= 1.0 - 1e-10
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_smallest_singular_matches_svd_on_random_windows(seed, monkeypatch):
     # Seeded linear windows with random hyperbolic limits, d = 2 - 4, at
     # N = 40 and 160: smin and v against the dense SVD, and the LU's
     # determinant sign against slogdet.  Both seeds' d = 4 windows lie
     # below the Gram floor, so each seed covers both paths.  Every estimate
-    # of smin, good, bad or meaningless, gives the same answer on the same
-    # path: it changes the cost, not the result.
+    # of smin, good, bad or meaningless, with no start vector, the dense
+    # singular vector or a random one, gives the same answer on the same
+    # path: the hints change the cost, not the result.
     rng = np.random.default_rng(seed)
-    results = []
-    gram_smallest = truncation.WindowLU._gram_smallest
+    runs = []
+    lanczos = truncation.WindowLU._lanczos_smallest
 
     def recording(lu, *args):
-        results.append(gram_smallest(lu, *args))  # None: the mu0 test failed
-        return results[-1]
+        runs.append(1)
+        return lanczos(lu, *args)
 
-    def path(estimate):
-        results.clear()
-        smin, v = lu.smallest_singular(estimate)
-        return smin, v, "gram" if results and results[0] is not None else "lanczos"
+    def path(estimate, start=None):
+        runs.clear()
+        smin, v = lu.smallest_singular(estimate, start)
+        return smin, v, "lanczos" if runs else "gram"
 
-    monkeypatch.setattr(truncation.WindowLU, "_gram_smallest", recording)
+    monkeypatch.setattr(truncation.WindowLU, "_lanczos_smallest", recording)
     taken = set()
     for d in (2, 3, 4):
         a_plus, a_minus = random_limits(rng, d)
@@ -410,8 +443,10 @@ def test_smallest_singular_matches_svd_on_random_windows(seed, monkeypatch):
             jac = assemble_jacobian(p, np.zeros(p.size))
             _, s, vt = np.linalg.svd(jac)
             assert lu.det_sign() == int(np.linalg.slogdet(jac)[0])
-            for estimate in [None] + estimate_trials(s[-1], GRAM_FLOOR * lu.norm_1):
-                smin, v, taken_with = path(estimate)
+            starts = [None, vt[-1], np.random.default_rng(N).standard_normal(p.size)]
+            for estimate, start in itertools.product(
+                    [None] + estimate_trials(s[-1], GRAM_FLOOR * lu.norm_1), starts):
+                smin, v, taken_with = path(estimate, start)
                 assert taken_with == taken_here
                 assert abs(smin - s[-1]) <= 1e-13 * s[0]
                 assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
