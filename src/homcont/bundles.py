@@ -194,8 +194,10 @@ def limit_family(limit_fn: Callable[[float], np.ndarray], part: str,
     HyperbolicSplitting and, in the plural, SplittingStack share), read
     from hyperbolic_splitting.  Given a grid, limit_fn is split at every
     node of path_nodes(grid.nodes), the nodes transport_frames reads on
-    it, by one splitting_stack call (IndexMismatch unless its stable
-    dimension is constant), which the nodes after the first are read from.
+    it, by one splitting_stack call (eigenvector frames, Schur for a
+    matrix whose frames fail the invariance test; IndexMismatch unless the
+    stable dimension is constant), which the nodes after the first are
+    read from; the first node's frame is a Schur frame.
 
     The family keeps its last splitting: a matrix bitwise equal to the one
     it split last (a limit that does not depend on theta, or a theta read

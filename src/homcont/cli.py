@@ -509,7 +509,9 @@ def _setup_logging():
     logging.getLogger().setLevel(level)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="homcont",
         description="Bifurcation invariants and continuation of homoclinic trajectories",

@@ -1,6 +1,8 @@
 import json
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -589,3 +591,58 @@ def test_verify_paper_main_theorem_row_fails_short_of_the_cap(tmp_path, capsys):
     lines = [line for line in out.splitlines() if line]
     assert [line[:4] for line in lines] == ["PASS", "PASS", "PASS", "FAIL"]
     assert "points=6/6" in lines[3]
+
+
+def _fuzz_config(rng):
+    """A seeded paper7 run configuration: parameters inside and beyond the
+    ranges the deck families use, small grids and windows, and tolerances
+    from strict to loose enough to fail the hyperbolicity gap."""
+    return {
+        "system": {"params": {
+            "alpha": float(rng.uniform(0.05, 0.95)),
+            "beta": float(np.exp(rng.uniform(np.log(1.05), np.log(1e3)))),
+            "coupling": float(rng.choice([0.0, rng.uniform(0.0, 1.0)])),
+            "envelope_scale": float(np.exp(rng.uniform(np.log(0.1), np.log(50.0)))),
+        }},
+        "grid_m": int(rng.integers(8, 65)),
+        "window_n": int(rng.integers(10, 41)),
+        "seed": int(rng.integers(0, 1000)),
+        "tolerances": {"gap_tol": float(10.0 ** rng.uniform(-9.0, -0.3)),
+                       "kernel_tol": float(10.0 ** rng.uniform(-12.0, -4.0))},
+        "continuation": {"max_steps": int(rng.integers(0, 80))},
+    }
+
+
+def test_seeded_configs_exit_cleanly_and_rerun_identically(tmp_path, capsys, caplog):
+    # ten seeded paper7 configs through all five commands: every exit code
+    # is documented (0, one of EXIT_CODES, check's 6, verify-paper's 1), no
+    # traceback, numpy warning or logged warning, and a rerun gives the same
+    # exit code, stdout, stderr and files byte for byte (verify-paper's
+    # timing masked)
+    rng = np.random.default_rng(32)
+    allowed = {"bundles": {0}, "detect": {0}, "branch": {0}, "check": {0, cli.EXIT_HYPOTHESES},
+               "verify-paper": {0, 1}}
+    codes = []
+    for k in range(10):
+        cfg = tmp_path / f"fuzz{k}.json"
+        cfg.write_text(json.dumps(_fuzz_config(rng)))
+        theta_star = repr(float(rng.uniform(2.0, 4.5)))
+        for command in allowed:
+            argv = [command, "--config", str(cfg)]
+            if command == "branch":
+                argv += ["--theta-star", theta_star]
+            runs = []
+            for rerun in ("a", "b"):
+                out = tmp_path / f"{k}{command}{rerun}"
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code, stdout, err = run_cli(capsys, argv + ["--out", str(out)])
+                assert code in allowed[command] | set(cli.EXIT_CODES), (k, command, code, err)
+                assert "Traceback" not in err and "Warning" not in err, (k, command, err)
+                assert caught == [], (k, command, [str(w.message) for w in caught])
+                files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+                runs.append((code, re.sub(r"t=[0-9.]+s", "t=*", stdout), err, files))
+            assert runs[0] == runs[1], (k, command)
+            codes.append(runs[0][0])
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+    assert len(set(codes)) >= 3, codes

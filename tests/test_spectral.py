@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -92,11 +93,18 @@ def _seeded_matrices(kind, rng, d):
     """A seeded hyperbolic d x d matrix: "plain" from random_hyperbolic;
     "triu" the same under the non-normal similarity I + triu(U(-30, 30)),
     conditioned up to about 1e14; "-0.9" etc. with that stable eigenvalue,
-    where the Cayley transform (a + I)^-1 (a - I) is worst conditioned."""
+    near -1; "jordan" a 2 x 2 Jordan block perturbed by 1e-8 (eigenvalues
+    lam +- 1e-4, nearly parallel eigenvectors) beside a random_hyperbolic
+    block, under a seeded orthogonal similarity."""
     a = random_hyperbolic(rng, d)
     if kind == "triu":
         t = np.eye(d) + np.triu(rng.uniform(-30.0, 30.0, (d, d)), 1)
         return t @ a @ np.linalg.inv(t)
+    if kind == "jordan":
+        lam = rng.choice([-1.0, 1.0]) * rng.choice([rng.uniform(0.2, 0.8), rng.uniform(1.25, 3.0)])
+        core = scipy.linalg.block_diag([[lam, 1.0], [1e-8, lam]], a[2:, 2:])
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        return q @ core @ q.T
     if kind != "plain":
         moduli = np.where(rng.random(d - 1) < 0.5, rng.uniform(0.2, 0.8, d - 1),
                           rng.uniform(1.25, 3.0, d - 1))
@@ -111,13 +119,12 @@ def _oblique_projector(stable, unstable_perp):
     return stable @ np.linalg.solve(unstable_perp.T @ stable, unstable_perp.T)
 
 
-@pytest.mark.parametrize("kind", ["plain", "triu", "-0.9", "-0.99", "-0.999"])
+@pytest.mark.parametrize("kind", ["plain", "triu", "-0.9", "-0.99", "-0.999", "jordan"])
 def test_splitting_stack_against_schur(kind):
-    # splitting_stack's sign-function projectors against the Schur splitting,
-    # one stack per stable dimension of each d = 2..6: equal d_s and gap;
-    # projector distance within 1e-12 + 1e-15 cond(a) (measured: below
-    # 1e-14 on the moderately conditioned kinds, below 3.4e-17 cond(a) up
-    # to cond(a) = 8e13 on "triu")
+    # splitting_stack's eigenvector frames (or, where they fail the
+    # invariance test, its Schur fallback) against the Schur splitting, one
+    # stack per stable dimension of each d = 2..6: equal d_s and gap;
+    # distance of the oblique projectors within 1e-12 + 1e-15 cond(a)
     rng = np.random.default_rng(29)
     for d in range(2, 7):
         by_dim = {}
@@ -161,22 +168,32 @@ def test_splitting_stack_rejects_one_bad_matrix(bad, error, match):
             hc.hyperbolic_splitting(bad)
 
 
-def test_splitting_stack_falls_back_to_schur(monkeypatch):
-    # a matrix whose sign iteration fails takes the Schur splitting, both
-    # factors reordered from one real Schur form; a Schur ordering that
-    # then disagrees with the eigenvalue count raises
+def _stack_with_jordan_block():
+    """A stack of seeded 3 x 3 hyperbolic matrices with d_s = 2 whose
+    matrix at index 2 is a stable 2 x 2 Jordan block beside the eigenvalue
+    2, under a seeded orthogonal similarity.  Rounding splits the double
+    eigenvalue 0.5 by about 1e-8, into a complex or a real pair; the first
+    similarity that gives a real pair is taken.  Its two eigenvectors
+    agree to about 1e-8, so the second direction of their span is accurate
+    only to about eps / 1e-8, and the frame fails the invariance test (a
+    complex pair's Re v and Im v span the plane accurately)."""
     rng = np.random.default_rng(4)
-    mats = [random_hyperbolic(rng, 3) for _ in range(40)]
-    ds = [hc.hyperbolic_splitting(a).d_s for a in mats]
-    mats = np.array([a for a, k in zip(mats, ds) if k == 1])
-    converged = spectral._stable_projectors
+    mats = [a for a in (random_hyperbolic(rng, 3) for _ in range(40))
+            if hc.hyperbolic_splitting(a).d_s == 2]
+    for _ in range(20):
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        jordan = q @ np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 2.0]]) @ q.T
+        if not np.iscomplexobj(np.linalg.eigvals(jordan)):
+            return np.array(mats[:2] + [jordan] + mats[2:])
+    raise AssertionError("no similarity split the Jordan block's eigenvalue into a real pair")
 
-    def failing_at_two(a):
-        proj, ok = converged(a)
-        proj[2], ok[2] = np.nan, False
-        return proj, ok
 
-    monkeypatch.setattr(spectral, "_stable_projectors", failing_at_two)
+def test_splitting_stack_falls_back_to_schur(monkeypatch):
+    # the Jordan matrix alone takes the Schur splitting, both factors
+    # reordered from one real Schur form; a Schur ordering that then
+    # disagrees with the eigenvalue count raises
+    mats = _stack_with_jordan_block()
+    assert len(mats) >= 10
     calls = []
     record_calls(monkeypatch, _linalg, "dgees", calls)
     record_calls(monkeypatch, _linalg, "dtrsen", calls)
@@ -194,6 +211,22 @@ def test_splitting_stack_falls_back_to_schur(monkeypatch):
     monkeypatch.setattr(_linalg, "dtrsen", miscounting)
     with pytest.raises(NotHyperbolic, match="ordered Schur decomposition disagrees"):
         splitting_stack(mats)
+
+
+def test_splitting_stack_logs_its_fallbacks(caplog):
+    # one INFO line per stack with a fallback, naming the count and the
+    # first index; nothing at the default WARNING level, nor for a stack
+    # whose frames all pass
+    mats = _stack_with_jordan_block()
+    splitting_stack(mats)
+    splitting_stack(np.delete(mats, 2, axis=0))
+    assert caplog.records == []
+    with caplog.at_level(logging.INFO, logger="homcont.spectral"):
+        splitting_stack(np.delete(mats, 2, axis=0))
+        assert caplog.records == []
+        splitting_stack(mats)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"splitting_stack: 1 of {len(mats)} matrices took the Schur splitting (first at index 2)"]
 
 
 @pytest.mark.parametrize("name, match", [("dgees", "gees info 1"), ("dtrsen", "trsen info 1")])
