@@ -449,7 +449,8 @@ def cmd_verify_paper(config: RunConfig) -> int:
             gap_tol=config.gap_tol, kernel_tol=config.kernel_tol,
         )
         seqs = analytic_kernel_basis(
-            linear_system.a_plus(math.pi), linear_system.a_minus(math.pi), config.window_n
+            linear_system.a_plus(math.pi), linear_system.a_minus(math.pi), config.window_n,
+            config.gap_tol,
         )
         oracle = seqs[0].ravel()
         oracle = oracle / np.linalg.norm(oracle)
@@ -484,6 +485,7 @@ def cmd_verify_paper(config: RunConfig) -> int:
             for half, det in zip(halves, signs)
         )
         detail4 = (f"points={len(halves[0].points)}/{len(halves[1].points)} "
+                   f"stop={halves[0].stop_reason}/{halves[1].stop_reason} "
                    f"det_sign={'/'.join(','.join(map(str, det)) for det in signs)} "
                    f"theta-theta*={moves[0]:+.4f}/{moves[1]:+.4f}")
     except HomcontError as exc:

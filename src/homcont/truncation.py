@@ -37,9 +37,9 @@ DEFAULT_KERNEL_TOL = 1e-8
 # the operator's 1-norm is near-singular whatever kernel_tol is, since
 # rounding alone can put it there.
 ROUNDING_FLOOR = 64 * np.finfo(float).eps
-# Constants of WindowLU.smallest_singular, whose docstring describes how
-# it picks and runs its path.  Every start vector is seeded by _LANCZOS_SEED
-# so that reruns are byte-identical.
+# Constants of WindowLU.smallest_singular's two routes, described in its
+# docstring and those of _gram_smallest and _lanczos_smallest.  Every cold
+# start vector is seeded by _LANCZOS_SEED so that reruns are byte-identical.
 LANCZOS_RTOL = 1e-14
 _LANCZOS_SEED = 2012
 GRAM_FLOOR = 1e-2
@@ -53,7 +53,7 @@ _CERTIFY_ULPS = 64
 _ESTIMATE_RTOL = 3.9e-3
 # Divide-by-zero guard of smallest_singular, not a singularity criterion:
 # pivots below _ZERO_PIVOT * ||J||_1 are raised to _RAISED_PIVOT * ||J||_1
-# for its solves.
+# for its Lanczos solves.
 _RAISED_PIVOT = 1e-12
 _ZERO_PIVOT = _RAISED_PIVOT * np.finfo(float).eps
 
@@ -200,9 +200,9 @@ class WindowLU:
     1-norm of J is taken from the band before factoring; it scales the
     rounding floor of the package's one singularity criterion
     (near_singular, in classify_window).  The unfactored band is kept for
-    matvec and for the band of J^T J; smallest_singular's docstring says
-    how it chooses between Lanczos on these factors and the Gram path on
-    that band.
+    matvec and for the band of J^T J.  smallest_singular has two routes:
+    a certified Gram route on that band, and Lanczos on these factors for
+    the windows the Gram route turns away.
     """
 
     def __init__(self, ab: np.ndarray, kl: int, ku: int):
@@ -243,104 +243,59 @@ class WindowLU:
     def smallest_singular(self, estimate: float | None = None,
                           start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
         """(smin, v): the smallest singular value of J and a unit right
-        singular vector for it, a window vector, sign arbitrary.
+        singular vector for it, a window vector, sign arbitrary, by one of
+        two routes, with G = J^T J and mu0 = (GRAM_FLOOR * ||J||_1)^2:
+        1. _gram_smallest on the band of G, when it is finite, proves
+           lambda_min(G) > mu0 by one Cholesky test and certifies smin, or
+           returns None when that test fails;
+        2. otherwise _lanczos_smallest runs on the LU's factors, its pivots
+           below _ZERO_PIVOT * ||J||_1 (exact zeros among them) raised to
+           _RAISED_PIVOT * ||J||_1, here and nowhere else.  A floored pivot
+           gives smin = 0, and v is still a unit kernel vector of J.
 
-        The path is picked before any iteration, with mu0 = (GRAM_FLOOR *
-        ||J||_1)^2, G = J^T J and warm_shift(estimate, ||J||_1) the shift
-        of an estimate e of smin, e^2 (1 - _ESTIMATE_RTOL), when above mu0:
-        1. the LU's pivots below _ZERO_PIVOT * ||J||_1 (exact zeros among
-           them) are raised to _RAISED_PIVOT * ||J||_1, here and nowhere
-           else; every solve below runs on these floored factors;
-        2. warm start, only with a finite nonzero start vector (a guess of
-           v, such as the singular vector of a neighbouring window) and an
-           estimate whose shift lies in (mu0, min diag G), the band of G
-           built only once the shift is known to be above mu0: one
-           Cholesky test of G minus that shift.  If the factor exists,
-           lambda_min > shift > mu0 proves the Gram path that step 4 would
-           take, and _INVERSE_STEPS inverse-iteration solves with that
-           factor from start feed _certified.  A certified smin is returned
-           (3 Cholesky tests, no transposed solve); a failed certificate
-           continues on _gram_smallest with the bracket the tests found.
-           A failed shift test makes the shift the bracket's upper end and
-           step 3 follows;
-        3. one transposed solve y = J^-T q, q the seeded unit start vector,
-           bounds smin <= 1 / ||y||.  A window where that bound is not
-           above sqrt(mu0) (every near-singular one, and every NaN bound)
-           goes to Lanczos, with y as its first half-step, so the run is the
-           one it would be without the bound;
-        4. otherwise one Cholesky test of G - mu0 I decides: if the factor
-           exists, smin > sqrt(mu0) and _gram_smallest gives (smin, v) on
-           the band of G; if not, or if G is not finite, Lanczos
-           (_lanczos_smallest) does.
-        The bound only saves that test: it holds for every unit q.
-
-        estimate and start are used together or not at all: without a
-        start, or with an estimate that has no shift in (mu0, min diag G),
-        the call runs steps 1, 3 and 4 only.  The Gram path's smin is
-        certified by the same two Cholesky tests whatever they are, so they
-        change the cost and the last bits of smin, never which eigenvalue
-        is returned or which path is taken.
-
-        A window with a floored pivot gives smin = 0, and v is still a unit
-        kernel vector of J.
+        estimate, a guess of smin, and start, a guess of v such as a
+        neighbouring window's singular vector, act together or not at all,
+        and only in route 1, which certifies smin by the same two Cholesky
+        tests whatever they are: they change the cost and the last bits of
+        smin, never the eigenvalue returned or the route taken.
         """
-        kl, ku = self._kl, self._ku
+        gram = self._gram_band()
+        if np.all(np.isfinite(gram)):
+            result = self._gram_smallest(gram, estimate, start)
+            if result is not None:
+                return result
         tiny = np.abs(self._udiag) < _ZERO_PIVOT * self.norm_1
-        floored = bool(np.any(tiny))
-        lu = self._lu
-        if floored:
-            lu = lu.copy()
-            lu[kl + ku, tiny] = _RAISED_PIVOT * self.norm_1
-        mu0 = (GRAM_FLOOR * self.norm_1) ** 2
-        gram, bracket = None, (mu0, np.inf, None)
-        shift = warm_shift(estimate, self.norm_1) if start is not None else None
-        if shift is not None and 0.0 < np.linalg.norm(start) < np.inf:
-            gram = self._gram_band()
-            diag_min = float(np.min(gram[-1]))
-            if shift < diag_min and np.all(np.isfinite(gram)):
-                factor = _shifted_cholesky(gram, shift)
-                if factor is not None:  # lambda_min > shift > mu0: the Gram path
-                    v = _inverse_iteration(factor, start, _INVERSE_STEPS)
-                    result, bracket = self._certified(gram, (shift, diag_min, factor), v)
-                    return result or self._gram_smallest(gram, bracket)
-                bracket = (mu0, shift, None)
-        first, _ = lapack.dgbtrs(lu, kl, ku, _seeded_unit_vector(self._n), self._ipiv, trans=1)
-        if np.linalg.norm(first) * np.sqrt(mu0) < 1.0:  # NaN goes to Lanczos
-            gram = self._gram_band() if gram is None else gram
-            if np.all(np.isfinite(gram)):
-                result = self._gram_smallest(gram, bracket)
-                if result is not None:
-                    return result
-        smin, v = self._lanczos_smallest(lu, first)
-        return (0.0 if floored else smin), v
+        lu = self._lu.copy()
+        lu[self._kl + self._ku, tiny] = _RAISED_PIVOT * self.norm_1
+        smin, v = self._lanczos_smallest(lu)
+        return (0.0 if np.any(tiny) else smin), v
 
-    def _lanczos_smallest(self, lu: np.ndarray, first: np.ndarray) -> tuple[float, np.ndarray]:
-        """smallest_singular's Lanczos path on lu, the floored factors; first
-        is the transposed solve of the seeded vector q that smallest_singular
-        made on them, the first step's first half.
+    def _lanczos_smallest(self, lu: np.ndarray) -> tuple[float, np.ndarray]:
+        """smallest_singular's route for windows below the Gram floor, on lu,
+        the LU's factors with the pivot floor applied.
 
         Lanczos runs with full reorthogonalization on J^-1 J^-T = (J^T J)^-1:
         each step is two gbtrs solves (transposed, then plain) on lu,
         O(n * bandwidth), plus the reorthogonalization against the k vectors
-        so far, O(n * k).  The run starts from q (a structured vector such
-        as all-ones can be orthogonal to a symmetric kernel) and stops when
-        the top Ritz pair (t, s) of the k x k tridiagonal has |beta_k * s_k|
-        <= LANCZOS_RTOL * t, or at k = n, where the Krylov space is the
-        whole space; then smin = t^(-1/2).  Convergence is tested on a
-        growing schedule of k, and the Krylov buffer grows on demand.
-        Near-singular windows converge in a few steps; the Gram path keeps
-        clustered regular windows, where Lanczos is slow, off it."""
+        so far, O(n * k).  The run starts from the seeded vector q (a
+        structured vector such as all-ones can be orthogonal to a symmetric
+        kernel) and stops when the top Ritz pair (t, s) of the k x k
+        tridiagonal has |beta_k * s_k| <= LANCZOS_RTOL * t, or at k = n,
+        where the Krylov space is the whole space; then smin = t^(-1/2).
+        Convergence is tested on a growing schedule of k, and the Krylov
+        buffer grows on demand.  Near-singular windows converge in a few
+        steps; the Gram route keeps clustered regular windows, where
+        Lanczos is slow, off it."""
         n, kl, ku = self._n, self._kl, self._ku
         basis = np.empty((min(n, 8), n))
         q = _seeded_unit_vector(n)
         alpha, beta = [], []
-        k, check_at, y = 0, 1, first
+        k, check_at = 0, 1
         while True:
             if k == len(basis):
                 basis = np.concatenate([basis, np.empty((min(n, 2 * k) - k, n))])
             basis[k] = q
-            if k:
-                y, _ = lapack.dgbtrs(lu, kl, ku, q, self._ipiv, trans=1)
+            y, _ = lapack.dgbtrs(lu, kl, ku, q, self._ipiv, trans=1)
             w, _ = lapack.dgbtrs(lu, kl, ku, y, self._ipiv)
             k += 1
             krylov = basis[:k]
@@ -360,76 +315,72 @@ class WindowLU:
         v /= np.linalg.norm(v)
         return float(1.0 / np.sqrt(t)), v
 
-    def _gram_smallest(self, gram: np.ndarray,
-                       bracket: tuple) -> tuple[float, np.ndarray] | None:
-        """(smin, v) from the band of G = J^T J, or None when the Gram path
-        is unproven (lo_factor None) and G - lo I has no Cholesky factor.
-        By Sylvester's inertia dpbtrf factors G - mu I exactly when mu <
-        lambda_min(G), so (lo, hi, lo_factor) = bracket, with hi capped at
-        min diag G, brackets lambda_min (a diagonal entry is a Rayleigh
-        quotient, so G - (min diag G) I never factors).  smallest_singular
-        hands (mu0, hi, None), hi = inf or the shift its warm start failed
-        at, or, after a failed warm certificate, the bracket that proved the
-        Gram path, lo_factor its factor at lo.  In order:
+    def _gram_smallest(self, gram: np.ndarray, estimate: float | None,
+                       start: np.ndarray | None) -> tuple[float, np.ndarray] | None:
+        """(smin, v) from the band of G = J^T J, or None when G - mu0 I has
+        no Cholesky factor.  By Sylvester's inertia dpbtrf factors G - mu I
+        exactly when mu < lambda_min(G), so each test narrows one bracket
+        (lo, hi] on lambda_min, from (mu0, min diag G] (a diagonal entry is
+        a Rayleigh quotient, so G - (min diag G) I never factors), and the
+        factor at lo is kept.  In order:
 
-        0. without lo_factor, one Cholesky test of G - lo I proves the Gram
-           path or returns None;
-        1. bisect the bracket by Cholesky tests to a relative width of
-           _GRAM_BRACKET_RTOL;
-        2. run _INVERSE_STEPS inverse-iteration solves with the factor at
-           the lower end, from the seeded vector;
-        3-4. _certified: Rayleigh-quotient iteration from that vector, and
-           the two Cholesky tests that certify its value.
+        1. warm start, only with a finite nonzero start and an estimate
+           whose warm_shift lies below min diag G: one test at that shift.
+           A factor makes the shift lo and start the vector of step 3; a
+           failure makes the shift hi;
+        2. otherwise one test at mu0 proves the route or returns None.  The
+           bracket is then bisected by tests to a relative width of
+           _GRAM_BRACKET_RTOL, and the seeded vector is step 3's vector;
+        3. _INVERSE_STEPS inverse-iteration solves with the factor at lo
+           turn the vector into v, and Rayleigh-quotient iteration refines
+           v to a value mu.  mu is accepted only when mu > lo, G - mu (1 -
+           c) I factors and G - mu (1 + c) I does not, c = _CERTIFY_ULPS *
+           eps * max(1, min diag G / mu), so lambda_min lies in (mu (1 - c),
+           mu (1 + c)]; the Cholesky test's rounding grows with the
+           diagonal of G, hence the ratio.  (sqrt(mu), the RQI vector) is
+           returned.
 
-        When the certificate fails (RQI found another eigenvalue of a
-        clustered spectrum, or the tests disagree at rounding level), the
-        held bracket, narrowed by the two tests, is bisected on to a
-        relative width of 2 * eps and smin is the root of its midpoint;
-        _INVERSE_STEPS more inverse-iteration solves, with the last
-        positive-definite factor, turn the step-2 vector into v.  That
-        worst case makes as many Cholesky tests as a bisection from lo
-        would."""
-        lo, hi, lo_factor = bracket
-        hi = min(hi, float(np.min(gram[-1])))
-        if lo_factor is None:
-            lo_factor = _shifted_cholesky(gram, lo)
-            if lo_factor is None:
-                return None
-        lo, hi, lo_factor = _bisect(gram, lo, hi, lo_factor, _GRAM_BRACKET_RTOL)
-        start = _inverse_iteration(lo_factor, _seeded_unit_vector(self._n), _INVERSE_STEPS)
-        result, (lo, hi, lo_factor) = self._certified(gram, (lo, hi, lo_factor), start)
-        if result is not None:
-            return result
-        lo, hi, lo_factor = _bisect(gram, lo, hi, lo_factor, 2.0 * np.finfo(float).eps)
-        return float(np.sqrt(0.5 * (lo + hi))), _inverse_iteration(lo_factor, start, _INVERSE_STEPS)
-
-    def _certified(self, gram: np.ndarray, bracket: tuple,
-                   v: np.ndarray) -> tuple[tuple[float, np.ndarray] | None, tuple]:
-        """(result, bracket) after refining unit v by Rayleigh-quotient
-        iteration (_rayleigh_quotient_iteration) to a value mu.  mu is
-        accepted only when mu > lo, G - mu (1 - c) I factors and G - mu (1 +
-        c) I does not, c = _CERTIFY_ULPS * eps * max(1, min diag G / mu), so
-        lambda_min lies in (mu (1 - c), mu (1 + c)]; the Cholesky test's
-        rounding grows with the diagonal of G, hence the ratio.  Then result
-        = (sqrt(mu), the RQI vector) and the bracket is returned as handed;
-        otherwise result is None and (lo, hi, lo_factor) is narrowed by
-        whichever of the two tests fell inside it."""
-        lo, hi, lo_factor = bracket
+        A failed certificate (RQI found another eigenvalue of a clustered
+        spectrum, or the tests disagree at rounding level) narrows the
+        bracket by whichever of its two tests fell inside it.  A warm one
+        then runs step 2's bisection and step 3 from that bracket; a cold
+        one bisects on to a relative width of 2 * eps, the cost of a
+        bisection from lo, smin is the root of the midpoint, and
+        _INVERSE_STEPS more solves with the last factor turn step 3's
+        inverse-iteration vector into v."""
         diag_min = float(np.min(gram[-1]))
-        mu, v = self._rayleigh_quotient_iteration(gram, v, diag_min)
-        if mu > lo:  # every Rayleigh quotient is >= lambda_min > lo
-            c = _CERTIFY_ULPS * np.finfo(float).eps * max(1.0, diag_min / mu)
-            below = _shifted_cholesky(gram, mu * (1.0 - c))
-            above = _shifted_cholesky(gram, mu * (1.0 + c))
-            if below is not None and above is None:
-                return (float(np.sqrt(mu)), v), bracket
-            for shift, factor in ((mu * (1.0 - c), below), (mu * (1.0 + c), above)):
-                if lo < shift < hi:
-                    if factor is None:
-                        hi = shift
-                    else:
-                        lo, lo_factor = shift, factor
-        return None, (lo, hi, lo_factor)
+        lo, hi, factor = (GRAM_FLOOR * self.norm_1) ** 2, diag_min, None
+        shift = warm_shift(estimate, self.norm_1) if start is not None else None
+        if shift is not None and shift < hi and 0.0 < np.linalg.norm(start) < np.inf:
+            factor = _shifted_cholesky(gram, shift)
+            if factor is None:
+                hi = shift
+            else:
+                lo = shift
+        if factor is None:
+            factor, start = _shifted_cholesky(gram, lo), None
+            if factor is None:
+                return None
+        for warm in (True, False) if start is not None else (False,):
+            if not warm:
+                lo, hi, factor = _bisect(gram, lo, hi, factor, _GRAM_BRACKET_RTOL)
+            v = _inverse_iteration(factor, start if warm else _seeded_unit_vector(self._n),
+                                   _INVERSE_STEPS)
+            mu, rqi_v = self._rayleigh_quotient_iteration(gram, v, diag_min)
+            if mu > lo:  # every Rayleigh quotient is >= lambda_min > lo
+                c = _CERTIFY_ULPS * np.finfo(float).eps * max(1.0, diag_min / mu)
+                below = _shifted_cholesky(gram, mu * (1.0 - c))
+                above = _shifted_cholesky(gram, mu * (1.0 + c))
+                if below is not None and above is None:
+                    return float(np.sqrt(mu)), rqi_v
+                for test, test_factor in ((mu * (1.0 - c), below), (mu * (1.0 + c), above)):
+                    if lo < test < hi:
+                        if test_factor is None:
+                            hi = test
+                        else:
+                            lo, factor = test, test_factor
+        lo, hi, factor = _bisect(gram, lo, hi, factor, 2.0 * np.finfo(float).eps)
+        return float(np.sqrt(0.5 * (lo + hi))), _inverse_iteration(factor, v, _INVERSE_STEPS)
 
     def _rayleigh_quotient_iteration(self, gram: np.ndarray, v: np.ndarray,
                                      diag_min: float) -> tuple[float, np.ndarray]:
@@ -540,7 +491,7 @@ def _inverse_iteration(factor: np.ndarray, v: np.ndarray, steps: int) -> np.ndar
 
 @lru_cache(maxsize=8)
 def _seeded_unit_vector(n: int) -> np.ndarray:
-    """The unit start vector of both smallest_singular paths, read-only and
+    """The unit start vector of both smallest_singular routes, read-only and
     cached per n: seeding a generator costs more than a banded solve."""
     q = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
     q /= np.linalg.norm(q)
@@ -601,8 +552,8 @@ def classify_window(p: TruncatedProblem, kernel_tol: float, estimate: float | No
     at X = 0: (smin, scale, sign, kernel vector), all from the one band of J
     that banded_jacobian_lu writes.  smin and its unit right singular
     vector come from WindowLU.smallest_singular, whose docstring says which
-    path it takes; estimate, a guess of smin, and start, a guess of the
-    vector (a neighbouring window's), only move where its Gram path starts,
+    route it takes; estimate, a guess of smin, and start, a guess of the
+    vector (a neighbouring window's), only move where its Gram route starts,
     and smin is certified whatever they are.  scale = ||J||_1, and sign is
     the determinant sign, or 0 exactly when the window is near-singular:
     when near_singular(smin, scale, kernel_tol)."""

@@ -590,7 +590,23 @@ def test_verify_paper_main_theorem_row_fails_short_of_the_cap(tmp_path, capsys):
     assert code == 1
     lines = [line for line in out.splitlines() if line]
     assert [line[:4] for line in lines] == ["PASS", "PASS", "PASS", "FAIL"]
-    assert "points=6/6" in lines[3]
+    assert "points=6/6 stop=max_steps/max_steps" in lines[3]
+
+
+def test_verify_paper_reads_gap_tol_and_names_stop_reasons(tmp_path, capsys):
+    # alpha = 1 - 1e-7 puts a limit eigenvalue within 1e-6 of the unit
+    # circle: with gap_tol 1e-9 the analytic-kernel row splits it as the
+    # others do and passes, and the main-theorem row says why each half
+    # stopped after one point.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": {"params": {"alpha": 0.9999999}},
+                               "tolerances": {"gap_tol": 1e-9}}))
+    code, out, _ = run_cli(capsys, ["verify-paper", "--config", str(cfg)])
+    assert code == 1
+    lines = [line for line in out.splitlines() if line]
+    assert [line[:4] for line in lines] == ["PASS", "PASS", "PASS", "FAIL"]
+    assert lines[2].endswith("|cos|=1.000000000000")
+    assert "points=1/1 stop=window_overflow/window_overflow" in lines[3]
 
 
 def _fuzz_config(rng):

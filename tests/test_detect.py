@@ -429,38 +429,36 @@ def test_warm_scan_matches_cold_scan(monkeypatch):
     assert warm_nodes >= len(systems) * grid.m // 2
 
 
-def test_transposed_bound_skips_gram_band(paper7_perturbed, monkeypatch):
-    # At N = 160 and theta = pi one transposed solve bounds smin below the
-    # Gram floor: the window goes to Lanczos without building the band of
-    # J^T J, and that solve is the first half of Lanczos's first step, so
-    # every step makes one transposed and one plain solve and the run is
-    # the one Lanczos makes from that solve, bit for bit.  A start vector
-    # with an estimate at the floor changes none of this: its warm shift
-    # lies below the floor, so the band is not built for it either.
+def test_below_floor_window_fails_one_gram_test_then_runs_lanczos(paper7_perturbed, monkeypatch):
+    # At N = 160 and theta = pi smin lies below the Gram floor: the window
+    # builds the band of J^T J once, fails its one mu0 test, and goes to
+    # Lanczos, which makes its own first transposed solve, so the run is
+    # the one Lanczos makes on the LU's factors, bit for bit.  A start
+    # vector with an estimate at the floor changes none of this: its warm
+    # shift lies below the floor, so it makes no test of its own.
     p = truncated_problem(paper7_perturbed, math.pi, 160)
     lu = banded_jacobian_lu(p, np.zeros(p.size))
     floor = truncation.GRAM_FLOOR * lu.norm_1
-    bands, solves = [], {0: 0, 1: 0}
-    gram_band, solve = truncation.WindowLU._gram_band, truncation.lapack.dgbtrs
+    want_smin, want_v = lu._lanczos_smallest(lu._lu)
+    counts = {"bands": 0, "dpbtrf": 0, "failed": 0}
+    gram_band, dpbtrf = truncation.WindowLU._gram_band, truncation.lapack.dpbtrf
 
     def recording(self):
-        bands.append(1)
+        counts["bands"] += 1
         return gram_band(self)
 
     def counting(*args, **kwargs):
-        solves[kwargs.get("trans", 0)] += 1
-        return solve(*args, **kwargs)
+        factor, info = dpbtrf(*args, **kwargs)
+        counts["dpbtrf"] += 1
+        counts["failed"] += info != 0
+        return factor, info
 
     monkeypatch.setattr(truncation.WindowLU, "_gram_band", recording)
-    monkeypatch.setattr(truncation.lapack, "dgbtrs", counting)
-    first, _ = solve(lu._lu, lu._kl, lu._ku, truncation._seeded_unit_vector(lu._n), lu._ipiv,
-                     trans=1)
-    want_smin, want_v = lu._lanczos_smallest(lu._lu, first)
+    monkeypatch.setattr(truncation.lapack, "dpbtrf", counting)
     for start in (None, np.full(lu._n, lu._n ** -0.5)):
-        solves.update({0: 0, 1: 0})
+        counts.update(dict.fromkeys(counts, 0))
         smin, v = lu.smallest_singular(floor, start)
-        assert bands == []
-        assert solves[1] == solves[0] > 0
+        assert counts == {"bands": 1, "dpbtrf": 1, "failed": 1}
         assert smin == want_smin < floor
         assert np.array_equal(v, want_v)
 

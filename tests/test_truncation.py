@@ -289,10 +289,8 @@ def count_calls(monkeypatch, *names):
 
 def count_lanczos_steps(monkeypatch):
     """Count Lanczos steps: each makes one plain dgbtrs solve on the LU of J
-    after a transposed one on the same factors (for the first step that is
-    smallest_singular's transposed bound).  The Gram path makes that one
-    transposed solve too, but its plain solves are on factors of J^T J - mu
-    I."""
+    after a transposed one on the same factors.  The Gram route makes no
+    transposed solve, and its plain solves are on factors of J^T J - mu I."""
     steps, factors = [0], [None]
     solve = truncation.lapack.dgbtrs
 
@@ -312,8 +310,8 @@ def test_stalled_lanczos_takes_gram_path(paper7_perturbed, monkeypatch, theta):
     # At N = 160 the small singular values of regular windows cluster near
     # 1 - alpha, where Lanczos would stall; those windows pass the mu0 test
     # and the Gram path gives smin and v without a single Lanczos step.  At
-    # the kernel crossing theta = pi one transposed solve bounds smin below
-    # the floor: no mu0 test, and Lanczos converges in a few steps.
+    # the kernel crossing theta = pi smin lies below the floor: one failed
+    # mu0 test, and Lanczos converges in a few steps.
     p = truncated_problem(paper7_perturbed, theta, 160)
     lu = banded_jacobian_lu(p, np.zeros(p.size))
     calls = count_calls(monkeypatch, "dpbtrf")
@@ -324,7 +322,7 @@ def test_stalled_lanczos_takes_gram_path(paper7_perturbed, monkeypatch, theta):
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert abs(v @ vt[-1]) >= 1.0 - 1e-10
     if theta == math.pi:
-        assert calls["dpbtrf"] == 0
+        assert calls["dpbtrf"] == 1
         assert steps[0] > 0
         assert smin < GRAM_FLOOR * lu.norm_1
     else:
@@ -459,7 +457,7 @@ def test_gram_path_call_counts(paper7_perturbed, monkeypatch):
     # bisection tests to 1e-3, two certificate tests, no Lanczos step and at
     # most _RQI_STEPS Rayleigh-quotient factorizations.  Bisecting down to
     # 2 * eps, or Lanczos, would come back as over 50 Cholesky tests or as
-    # transposed solves.
+    # Lanczos steps.
     p = truncated_problem(paper7_perturbed, 0.3, 160)
     lu = banded_jacobian_lu(p, np.zeros(p.size))
     calls = count_calls(monkeypatch, "dpbtrf", "dgbtrf")
