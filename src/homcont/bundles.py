@@ -83,8 +83,10 @@ class BundleInvariants:
         return self.rank_plus - self.rank_minus
 
 
-def _shaped_frame(subspace_at: Callable[[float], np.ndarray], theta: float, k: int | None):
-    frame = np.asarray(subspace_at(theta), dtype=float)
+def _shaped_frame(frame, theta: float, k: int | None) -> np.ndarray:
+    """frame, the output of a subspace family at theta, as a float array;
+    RankDrop unless it is a d x k frame (k = None: any k)."""
+    frame = np.asarray(frame, dtype=float)
     if frame.ndim != 2:
         raise RankDrop(f"subspace at theta={theta:.6f} is not a d x k frame")
     if k is not None and frame.shape[1] != k:
@@ -96,8 +98,19 @@ def _shaped_frame(subspace_at: Callable[[float], np.ndarray], theta: float, k: i
 
 def _read_frames(subspace_at: Callable[[float], np.ndarray], thetas, k: int | None):
     """The frames subspace_at(theta) at thetas, stacked; RankDrop unless each
-    is a d x k frame (k = None: any k) that is orthonormal to 1e-10."""
-    frames = np.stack([_shaped_frame(subspace_at, float(t), k) for t in thetas])
+    is a d x k frame (k = None: any k) that is orthonormal to 1e-10.
+
+    subspace_at is called at every theta first, and its outputs are read by
+    one np.array; only when they do not stack to (n, d, k) are they walked
+    in order, so that the first one of the wrong rank raises (frames of
+    mixed row counts raise np.stack's ValueError)."""
+    outputs = [subspace_at(float(t)) for t in thetas]
+    try:
+        frames = np.array(outputs, dtype=float)
+    except ValueError:  # ragged
+        frames = None
+    if frames is None or frames.ndim != 3 or (k is not None and frames.shape[2] != k):
+        frames = np.stack([_shaped_frame(f, float(t), k) for f, t in zip(outputs, thetas)])
     k = frames.shape[2]
     err = np.linalg.norm(frames.transpose(0, 2, 1) @ frames - np.eye(k), axis=(1, 2))
     if not np.all(err <= 1e-10):
@@ -197,7 +210,9 @@ def limit_family(limit_fn: Callable[[float], np.ndarray], part: str,
     it, by one splitting_stack call (eigenvector frames, Schur for a
     matrix whose frames fail the invariance test; IndexMismatch unless the
     stable dimension is constant), which the nodes after the first are
-    read from; the first node's frame is a Schur frame.
+    read from; the first node's frame is a Schur frame.  A limit that does
+    not depend on theta gives a stack of bitwise-equal matrices, which
+    splitting_stack splits once.
 
     The family keeps its last splitting: a matrix bitwise equal to the one
     it split last (a limit that does not depend on theta, or a theta read
@@ -270,7 +285,7 @@ def transport_along_path(
     if not abs(theta_to - theta_from) <= MAX_PATH_STEP:  # NaN, to be rejected, too
         path = path_nodes(np.array(path)).tolist()
     for t_from, t_to in zip(path, path[1:]):
-        target = _shaped_frame(subspace_at, t_to, current.shape[1])
+        target = _shaped_frame(subspace_at(t_to), t_to, current.shape[1])
         err = np.linalg.norm(target.T @ target - np.eye(current.shape[1]))
         if not err <= 1e-10:
             raise RankDrop(f"frame at theta={t_to:.6f} is not orthonormal (error {err:.1e})")

@@ -38,6 +38,15 @@ _SYMBOL_PASSES = 50
 # stacks, and a quarter of the least at which a near-defective block's
 # projector left test_splitting_stack_against_schur's bound ("jordan").
 _INVARIANCE_TOL = 5e-14
+# _checked: a is regular when sigma_min > 1e-14 max(1, sigma_max).  As
+# sigma_min >= |det a| / sigma_max^(d-1) and sigma_max <= F = ||a||_F, that
+# holds when |det a| > 1e-14 max(1, F) F^(d-1).  The product of the moduli
+# LAPACK computes (geev, gees) is |det(a + E)| (up to balancing's
+# similarity) with ||E|| <= c eps ||a||, which moves det a by at most about
+# d c eps F^d (and, by Weyl's inequality, sigma_min by ||E||_2).  Asking
+# the product for 16 times the bound covers any d c up to 675, far above
+# the backward error of LAPACK's eigenvalue routines at d <= 6.
+_REGULAR_MARGIN = 16.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +145,8 @@ def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Hyp
 
     The frames are the leading columns of orthogonal Schur factors ordered
     by |mu| <= 1 versus |mu| > 1 (see HyperbolicSplitting), computed when
-    first read.  The singular values come from LAPACK gesdd, as in numpy's
-    svd, and the eigenvalue moduli from the Schur form (gees) they reorder.
+    first read.  The eigenvalue moduli come from the Schur form (gees) they
+    reorder, and also decide regularity (see _checked).
 
     Raises ValueError unless a is a nonempty square matrix, NotHyperbolic
     if gees fails or a has a non-finite entry, Singular if a is not
@@ -148,14 +157,11 @@ def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Hyp
     a = np.array(a, dtype=float)
     finite = _checked_input(a[None], gap_tol)
     b = a if finite[0] else np.eye(len(a))
-    _, sv, _, info = lapack.dgesdd(b, compute_uv=0)
-    if info:
-        raise np.linalg.LinAlgError("SVD did not converge")
     t, _, wr, wi, z, _, info = lapack.dgees(_no_sort, b, lwork=_gees_lwork(len(a)))
     if info:
         raise NotHyperbolic(f"real Schur decomposition failed (gees info {info})")
     moduli = np.hypot(wr, wi)
-    d_s = _checked(finite, sv[None], moduli[None], gap_tol)
+    d_s = _checked(b[None], finite, moduli[None], gap_tol)
     return HyperbolicSplitting(a=a, d_s=d_s, _schur_form=(t, z, moduli))
 
 
@@ -171,27 +177,43 @@ def _checked_input(a: np.ndarray, gap_tol: float) -> np.ndarray:
     return np.isfinite(a).all(axis=(1, 2))
 
 
-def _checked(finite: np.ndarray, sv: np.ndarray, mods: np.ndarray,
-             gap_tol: float) -> int:
-    """The one validator of every splitting, given each matrix's finiteness,
-    singular values (descending) and eigenvalue moduli as (n,) and (n, d)
-    arrays: returns the stable dimension d_s, which must be the same for
-    every matrix (IndexMismatch otherwise).  The first matrix in
-    stack order that fails a check raises, for the first check it fails: a
-    non-finite entry (NotHyperbolic), numerical singularity (Singular), a
-    gap below gap_tol or NaN (NotHyperbolic)."""
-    regular = sv[:, -1] > 1e-14 * np.maximum(1.0, sv[:, 0])
+def _checked(b: np.ndarray, finite: np.ndarray, mods: np.ndarray, gap_tol: float) -> int:
+    """The one validator of every splitting, given an (n, d, d) stack b (a
+    non-finite matrix read as the identity), each matrix's finiteness and
+    its eigenvalue moduli: returns the stable dimension d_s, which must be
+    the same for every matrix (IndexMismatch otherwise).  The first matrix
+    in stack order that fails a check raises, for the first check it
+    fails: a non-finite entry (NotHyperbolic), numerical singularity,
+    sigma_min <= 1e-14 max(1, sigma_max) (Singular), a gap below gap_tol
+    or NaN (NotHyperbolic).
+
+    Regularity is read from the moduli: a matrix whose product of moduli
+    exceeds _REGULAR_MARGIN 1e-14 max(1, F) F^(d-1), F = ||b_i||_F, is
+    regular.  When some matrix fails a check, the matrices that bound
+    leaves unsure (a product or a norm that over- or underflows too) get
+    their singular values (LAPACK gesdd) before any error is raised, so
+    every matrix gets the verdict of the singular-value test."""
+    with np.errstate(all="ignore"):
+        norms = np.sqrt((b * b).sum(axis=(1, 2)))
+        regular = mods.prod(axis=1) > (
+            _REGULAR_MARGIN * 1e-14 * np.maximum(1.0, norms) * norms ** (b.shape[1] - 1))
     gap = np.abs(mods - 1.0).min(axis=1)
     good = finite & regular & (gap >= gap_tol)
     if not good.all():
-        i = int(np.argmin(good))
-        if not finite[i]:
-            raise NotHyperbolic("matrix has non-finite entries")
-        if not regular[i]:
-            raise Singular("matrix is numerically singular")
-        raise NotHyperbolic(
-            f"eigenvalue modulus within {gap[i]:.3e} of the unit circle (tol {gap_tol:.1e})"
-        )
+        unsure = ~regular
+        if unsure.any():
+            sv = np.linalg.svd(b[unsure], compute_uv=False)
+            regular[unsure] = sv[:, -1] > 1e-14 * np.maximum(1.0, sv[:, 0])
+            good = finite & regular & (gap >= gap_tol)
+        if not good.all():
+            i = int(np.argmin(good))
+            if not finite[i]:
+                raise NotHyperbolic("matrix has non-finite entries")
+            if not regular[i]:
+                raise Singular("matrix is numerically singular")
+            raise NotHyperbolic(
+                f"eigenvalue modulus within {gap[i]:.3e} of the unit circle (tol {gap_tol:.1e})"
+            )
     dims = (mods < 1.0).sum(axis=1)
     if len(dims) > 1 and dims.min() != dims.max():
         raise IndexMismatch(
@@ -235,8 +257,7 @@ def splitting_stack(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Splittin
     """Split every matrix of an (n, d, d) stack in one stacked computation.
 
     One stacked eig (LAPACK geev, a non-finite matrix read as the
-    identity) gives the eigenvalue moduli that, with a stacked svd, feed
-    the checks of _checked (those of hyperbolic_splitting), and the
+    identity) gives the eigenvalue moduli that feed the checks of _checked (those of hyperbolic_splitting), and the
     eigenvectors.  A real basis of them (Re v where Im mu >= 0, else Im v,
     so a conjugate pair spans its real invariant plane), ordered by
     modulus, has the d_s stable columns first; a complete QR of those gives
@@ -245,14 +266,22 @@ def splitting_stack(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Splittin
     ill-conditioned basis, so each of E^s and E^u must pass the invariance
     test of _INVARIANCE_TOL; a matrix that fails (NaN fails) takes the
     Schur splitting of hyperbolic_splitting instead, logged at INFO.
+
+    A stack of n bitwise-equal finite matrices (a limit that does not
+    depend on theta) is split once: u and vt are then read-only views of
+    that one matrix's factors, repeated n times.  LAPACK splits each matrix
+    of a stack on its own, so the factors are those the matrix gets inside
+    any other stack.
     """
     a = np.asarray(a, dtype=float)
     finite = _checked_input(a, gap_tol)
-    b = a if finite.all() else np.where(finite[:, None, None], a, np.eye(a.shape[1]))
+    n, d = a.shape[:2]
+    if finite[0] and (a.view(np.uint64) == a[:1].view(np.uint64)).all():
+        a, finite = a[:1], finite[:1]
+    b = a if finite.all() else np.where(finite[:, None, None], a, np.eye(d))
     mu, vec = np.linalg.eig(b)
     moduli = np.abs(mu)
-    d_s = _checked(finite, np.linalg.svd(b, compute_uv=False), moduli, gap_tol)
-    d = a.shape[1]
+    d_s = _checked(b, finite, moduli, gap_tol)
     order = np.argsort(moduli, axis=1, kind="stable")
     vec = np.take_along_axis(vec, order[:, None, :], axis=2)
     upper = np.take_along_axis(mu.imag, order, axis=1) >= 0
@@ -265,11 +294,14 @@ def splitting_stack(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Splittin
     bad = np.flatnonzero(~ok)
     if bad.size:
         log.info("splitting_stack: %d of %d matrices took the Schur splitting (first at index %d)",
-                 bad.size, len(a), bad[0])
+                 bad.size * n // len(a), n, bad[0])
     for i in bad:
         split = hyperbolic_splitting(a[i], gap_tol)
         u[i], z[i] = split.stable_schur, split.unstable_schur
-    return SplittingStack(d_s=d_s, u=u, vt=np.roll(z, d_s, axis=2).transpose(0, 2, 1))
+    vt = np.roll(z, d_s, axis=2).transpose(0, 2, 1)
+    if len(a) < n:
+        u, vt = np.broadcast_to(u, (n, d, d)), np.broadcast_to(vt, (n, d, d))
+    return SplittingStack(d_s=d_s, u=u, vt=vt)
 
 
 def _invariance_residual(a: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -7,9 +7,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import homcont as hc
-from homcont.systems import dfdx_rows
+from homcont.systems import dfdx_rows, rotating_matrix
 
 
 def random_hyperbolic(rng, d, gap=0.1):
@@ -39,6 +40,23 @@ def random_hyperbolic(rng, d, gap=0.1):
         if np.linalg.cond(sim) < 20:
             break
     return sim @ core @ np.linalg.inv(sim)
+
+
+def predict_style_loop(rng, d, fastest):
+    """The benchmark's predict family: 2 x 2 rotating_matrix blocks turning
+    at integer speeds (one of them fastest), conjugated by a seeded
+    orthogonal matrix.  Returns (a, w1 = (-1)^(sum of speeds))."""
+    blocks = d // 2
+    speeds = rng.integers(0, fastest + 1, size=blocks)
+    speeds[rng.integers(blocks)] = fastest
+    alphas, betas = rng.uniform(0.3, 0.7, blocks), rng.uniform(1.5, 3.0, blocks)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+
+    def a(theta):
+        return q @ scipy.linalg.block_diag(*[rotating_matrix(int(k) * theta, al, be)
+                                             for k, al, be in zip(speeds, alphas, betas)]) @ q.T
+
+    return a, (-1) ** int(speeds.sum())
 
 
 def half_turn_loop(rng, d, k):

@@ -14,7 +14,7 @@ from homcont.bundles import (MAX_PATH_STEP, LoopTransport, loop_closure, path_no
 from homcont.errors import AlignmentFailure, DegenerateClosure, IndexMismatch, RankDrop
 from homcont.systems import rotating_matrix
 
-from conftest import record_calls
+from conftest import predict_style_loop, record_calls
 
 
 def stable_line(theta):
@@ -134,6 +134,44 @@ def test_non_orthonormal_frame_rejected(bad):
     with pytest.raises(RankDrop, match="not orthonormal"):
         transport_along_path(family, np.array([[1.0], [0.0]]), 0.0, 1.1)
 
+
+_LINE = np.array([[1.0], [0.0]])
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.eye(2), "subspace rank changed to 2 (expected 1) at theta={:.6f}"),
+    (np.array([1.0, 0.0]), "subspace at theta={:.6f} is not a d x k frame"),
+    (np.zeros((1, 2, 1)), "subspace at theta={:.6f} is not a d x k frame"),
+    (2.0 * _LINE, "frame at theta={:.6f} is not orthonormal (error 3.0e+00)"),
+], ids=["rank", "vector", "3-d", "scaled"])
+def test_read_frames_names_the_first_bad_theta(bad, message):
+    # a frame of the wrong rank or shape, or not orthonormal, from the
+    # first node past 1.0 on: the RankDrop names that node, whether the
+    # frames are read one node at a time or stacked
+    grid = hc.CircleGrid.uniform(16)
+
+    def family(theta):
+        return bad if theta > 1.0 else _LINE
+
+    for read, nodes in ((lambda: hc.transport_frames(family, grid), grid.nodes),
+                        (lambda: transport_along_path(family, _LINE, 0.0, 2.0), [0.0, 2.0])):
+        with pytest.raises(RankDrop) as caught:
+            read()
+        first_bad = next(t for t in path_nodes(np.array(nodes)) if t > 1.0)
+        assert str(caught.value) == message.format(first_bad)
+
+
+def test_read_frames_of_one_wrong_shape():
+    # every frame a vector, or every frame of the wrong k, raises for the
+    # first theta; frames of different row counts are not a stack
+    thetas = [0.5, 0.75, 1.0]
+    with pytest.raises(RankDrop, match=r"^subspace at theta=0\.500000 is not a d x k frame$"):
+        bundles._read_frames(lambda t: np.array([1.0, 0.0]), thetas, None)
+    with pytest.raises(RankDrop, match=r"^subspace rank changed to 1 \(expected 2\) at theta=0\.500000$"):
+        bundles._read_frames(lambda t: _LINE, thetas, 2)
+    with pytest.raises(ValueError, match="same shape"):
+        bundles._read_frames(lambda t: _LINE if t < 0.8 else np.eye(3)[:, :1], thetas, 1)
+    assert bundles._read_frames(lambda t: _LINE, thetas, 1).shape == (3, 2, 1)
 
 def jump_family(calls):
     """A line that jumps by a right angle at pi/2 and back at 3*pi/2;
@@ -257,23 +295,6 @@ def test_index_invariants_rank_mismatch(grid64):
     system = hc.linear_family(2, varying, lambda t: np.diag([0.5, 2.0]))
     with pytest.raises(IndexMismatch):
         hc.index_bundle_invariants(system, grid64)
-
-
-def predict_style_loop(rng, d, fastest):
-    """The benchmark's predict family: 2 x 2 rotating_matrix blocks turning
-    at integer speeds (one of them fastest), conjugated by a seeded
-    orthogonal matrix.  Returns (a, w1 = (-1)^(sum of speeds))."""
-    blocks = d // 2
-    speeds = rng.integers(0, fastest + 1, size=blocks)
-    speeds[rng.integers(blocks)] = fastest
-    alphas, betas = rng.uniform(0.3, 0.7, blocks), rng.uniform(1.5, 3.0, blocks)
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-
-    def a(theta):
-        return q @ scipy.linalg.block_diag(*[rotating_matrix(int(k) * theta, al, be)
-                                             for k, al, be in zip(speeds, alphas, betas)]) @ q.T
-
-    return a, (-1) ** int(speeds.sum())
 
 
 def reference_step(family, frame, lo, hi, visited, depth=0):

@@ -7,11 +7,11 @@ import scipy.linalg
 import scipy.optimize
 
 import homcont as hc
-from homcont import _linalg, spectral, truncation
+from homcont import _linalg, bundles, spectral, truncation
 from homcont.errors import IndexMismatch, NotHyperbolic, Singular
 from homcont.spectral import splitting_stack, symbol_smin
 
-from conftest import random_hyperbolic, record_calls
+from conftest import predict_style_loop, random_hyperbolic, record_calls
 
 
 def test_splitting_diagonal():
@@ -227,6 +227,207 @@ def test_splitting_stack_logs_its_fallbacks(caplog):
         splitting_stack(mats)
     assert [r.getMessage() for r in caplog.records] == [
         f"splitting_stack: 1 of {len(mats)} matrices took the Schur splitting (first at index 2)"]
+
+
+def _svd_checked(finite, a, mods, gap_tol):
+    """The validator with regularity from the singular values of every
+    matrix, sigma_min > 1e-14 max(1, sigma_max): the oracle of _checked."""
+    sv = np.linalg.svd(a, compute_uv=False)
+    regular = sv[:, -1] > 1e-14 * np.maximum(1.0, sv[:, 0])
+    gap = np.abs(mods - 1.0).min(axis=1)
+    good = finite & regular & (gap >= gap_tol)
+    if not good.all():
+        i = int(np.argmin(good))
+        if not finite[i]:
+            raise NotHyperbolic("matrix has non-finite entries")
+        if not regular[i]:
+            raise Singular("matrix is numerically singular")
+        raise NotHyperbolic(
+            f"eigenvalue modulus within {gap[i]:.3e} of the unit circle (tol {gap_tol:.1e})")
+    dims = (mods < 1.0).sum(axis=1)
+    if len(dims) > 1 and dims.min() != dims.max():
+        raise IndexMismatch(
+            f"stable dimension varies over the stack: {sorted(set(dims.tolist()))}")
+    return int(dims[0])
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (NotHyperbolic, Singular, IndexMismatch) as exc:
+        return type(exc), str(exc)
+
+
+def _moduli(a, route):
+    """Eigenvalue moduli of each matrix of a stack as a route computes them:
+    stacked geev (splitting_stack) or gees (hyperbolic_splitting)."""
+    if route == "eig":
+        return np.abs(np.linalg.eig(a)[0])
+    return np.array([np.hypot(*_linalg.dgees(spectral._no_sort, m)[2:4]) for m in a])
+
+
+def _near_singular(rng, d, ratio, scale):
+    """A seeded d x d matrix with sigma_max = scale and sigma_min = ratio
+    scale, the rest log-uniform between, under random orthogonal factors."""
+    sv = np.sort(scale * np.exp(rng.uniform(np.log(ratio), 0.0, d)))[::-1]
+    sv[0], sv[-1] = scale, scale * ratio
+    u, v = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+    return (u * sv) @ v.T
+
+
+@pytest.mark.parametrize("route", ["eig", "gees"])
+def test_regularity_from_moduli_gives_the_singular_value_verdict(monkeypatch, route):
+    # seeded matrices at sigma_min / sigma_max from 1e-16 to 1e-11, d = 1-6,
+    # sigma_max from 1e-8 to 1e8, extreme scales and a NaN matrix mid-stack:
+    # _checked gives every matrix, alone and in stack order (every tenth
+    # suffix), the outcome, error class and message of the singular-value
+    # test, and hands gesdd only the matrices its determinant bound leaves
+    # unsure, never one it could admit
+    rng = np.random.default_rng(34)
+    svds = []
+    real_svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        svds.append(len(a))
+        return real_svd(a, *args, **kwargs)
+
+    admitted = unsure = 0
+    for d in range(1, 7):
+        mats = [_near_singular(rng, d, 10.0 ** rng.uniform(-16, -11), 10.0 ** rng.uniform(-8, 8))
+                for _ in range(140)]
+        mats += [random_hyperbolic(rng, d) * s for s in (1e-300, 1e-160, 1e160, 1e300)]
+        mats += [np.diag(np.r_[1.7e308, np.full(d - 1, 0.5)]), np.eye(d) * 1e-320, np.zeros((d, d))]
+        mats.insert(70, np.full((d, d), np.nan))
+        a = np.array(mats)
+        finite = np.isfinite(a).all(axis=(1, 2))
+        a[~finite] = np.eye(d)  # as the splittings read a non-finite matrix
+        mods = _moduli(a, route)
+        with np.errstate(all="ignore"):
+            norms = np.linalg.norm(a, axis=(1, 2))
+            bound = np.prod(mods, axis=1) > 16e-14 * np.maximum(1.0, norms) * norms ** (d - 1)
+        verdicts = real_svd(a, compute_uv=False)
+        regular = verdicts[:, -1] > 1e-14 * np.maximum(1.0, verdicts[:, 0])
+        assert not (bound & ~regular).any()
+        admitted += int(bound.sum())
+        unsure += int((~bound).sum())
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", counted)
+            for i in range(len(a)):
+                svds.clear()
+                got = _outcome(spectral._checked, a[i:i + 1], finite[i:i + 1], mods[i:i + 1], 1e-6)
+                assert svds == ([] if bound[i] else [1])
+                assert got == _outcome(_svd_checked, finite[i:i + 1], a[i:i + 1], mods[i:i + 1],
+                                       1e-6)
+            for j in range(0, len(a), 10):
+                svds.clear()
+                got = _outcome(spectral._checked, a[j:], finite[j:], mods[j:], 1e-6)
+                left = int((~bound[j:]).sum())
+                assert svds == ([left] if left else [])
+                assert got == _outcome(_svd_checked, finite[j:], a[j:], mods[j:], 1e-6)
+    assert admitted >= 60 and unsure >= 700
+
+
+def test_stack_checks_run_in_stack_order(monkeypatch):
+    # a gap failure before a singular matrix raises for the gap, a singular
+    # matrix before a gap failure raises Singular, and a non-finite matrix
+    # first raises for that; the singular matrix alone reaches gesdd
+    good = [np.diag([0.5, 2.0]) + 0.1 * k * np.eye(2)[::-1] for k in range(4)]
+    on_circle = np.array([[0.0, -1.0], [1.0, 0.0]])
+    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+    non_finite = np.array([[np.inf, 0.0], [0.0, 2.0]])
+    svds = []
+    record_calls(monkeypatch, np.linalg, "svd", svds)
+    for bad, error, match in (([on_circle, singular], NotHyperbolic, "unit circle"),
+                              ([singular, on_circle], Singular, "singular"),
+                              ([non_finite, singular, on_circle], NotHyperbolic, "non-finite")):
+        svds.clear()
+        with pytest.raises(error, match=match):
+            splitting_stack(np.array(good[:2] + bad + good[2:]))
+        assert svds == ["svd"]
+
+
+def test_predict_and_paper7_stacks_make_no_singular_value_call(monkeypatch, paper7_perturbed):
+    # the predict workload's stacks (m = 256) and paper7's limits, stacked
+    # on the parity scan's grid and split alone, are all regular by the
+    # determinant bound: no svd, no gesdd
+    rng = np.random.default_rng(12)
+    nodes = bundles.path_nodes(hc.CircleGrid.uniform(256).nodes)
+    limits = [paper7_perturbed.a_plus, paper7_perturbed.a_minus]
+    for d in (2, 4, 6):
+        limits.append(predict_style_loop(rng, d, 3)[0])
+    calls = []
+    record_calls(monkeypatch, np.linalg, "svd", calls)
+    record_calls(monkeypatch, _linalg, "dgesdd", calls)
+    for limit in limits:
+        a = np.array([limit(float(t)) for t in nodes])
+        splitting_stack(a)
+        hc.hyperbolic_splitting(a[0])
+    assert calls == []
+
+
+def _recorded_eig(monkeypatch):
+    """Wrap np.linalg.eig; returns the list of stack lengths it is handed."""
+    sizes = []
+    real = np.linalg.eig
+
+    def eig(a):
+        sizes.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    return sizes
+
+
+def test_theta_independent_stack_is_split_once(monkeypatch):
+    # a stack of bitwise-equal matrices hands eig one matrix; its factors,
+    # read-only, are byte for byte those the matrix gets inside a mixed
+    # stack, at every index
+    rng = np.random.default_rng(5)
+    for d in (2, 3, 6):
+        while True:
+            a = random_hyperbolic(rng, d)
+            others = [random_hyperbolic(rng, d) for _ in range(20)]
+            mixed = [m for m in others if hc.hyperbolic_splitting(m).d_s == hc.hyperbolic_splitting(a).d_s]
+            if len(mixed) >= 3:
+                break
+        sizes = _recorded_eig(monkeypatch)
+        same = splitting_stack(np.repeat(a[None], 9, axis=0))
+        assert sizes == [1]
+        assert same.u.shape == same.vt.shape == (9, d, d)
+        assert not same.u.flags.writeable and not same.vt.flags.writeable
+        inside = splitting_stack(np.array(mixed[:2] + [a] + mixed[2:]))
+        for i in range(9):
+            assert same.u[i].tobytes() == inside.u[2].tobytes()
+            assert same.vt[i].tobytes() == inside.vt[2].tobytes()
+
+
+def test_signed_zeros_and_nan_stacks_are_not_merged(monkeypatch):
+    # +0.0 and -0.0 differ in their bytes, so the stack is split matrix by
+    # matrix; NaN never matches, so a NaN stack is read as identities (and
+    # rejected) matrix by matrix too
+    a = np.diag([0.5, 2.0])
+    negative = a.copy()
+    negative[0, 1] = -0.0
+    sizes = _recorded_eig(monkeypatch)
+    stack = splitting_stack(np.array([a, negative, a, a]))
+    assert sizes == [4]
+    assert stack.d_s == 1
+    sizes.clear()
+    with pytest.raises(NotHyperbolic, match="non-finite"):
+        splitting_stack(np.full((4, 2, 2), np.nan))
+    assert sizes == [4]
+
+
+def test_theta_independent_fallback_logs_the_whole_stack(caplog):
+    # an all-equal stack of a near-defective matrix takes one Schur
+    # splitting, logged as every matrix of the stack, first at index 0
+    jordan = _stack_with_jordan_block()[2]
+    with caplog.at_level(logging.INFO, logger="homcont.spectral"):
+        stack = splitting_stack(np.repeat(jordan[None], 7, axis=0))
+    assert [r.getMessage() for r in caplog.records] == [
+        "splitting_stack: 7 of 7 matrices took the Schur splitting (first at index 0)"]
+    split = hc.hyperbolic_splitting(jordan)
+    assert all(np.array_equal(u, split.stable_schur) for u in stack.u)
 
 
 @pytest.mark.parametrize("name, match", [("dgees", "gees info 1"), ("dtrsen", "trsen info 1")])
