@@ -56,12 +56,13 @@ class CircleGrid:
 class LoopTransport:
     """Frames of a subspace family transported once around the circle.
 
-    frames[i] is a d x k column-orthonormal basis at grid.nodes[i];
-    closure_matrix expresses frames[-1] in terms of frames[0].
+    frames is an (n, d, k) array, n = len(grid.nodes): frames[i] is a
+    d x k column-orthonormal basis at grid.nodes[i]; closure_matrix
+    expresses frames[-1] in terms of frames[0].
     """
 
     grid: CircleGrid
-    frames: list[np.ndarray]
+    frames: np.ndarray
     closure_matrix: np.ndarray
 
 
@@ -174,7 +175,7 @@ def transport_frames(subspace_at: Callable[[float], np.ndarray], grid: CircleGri
     first = _read_frames(subspace_at, grid.nodes[:1], None)[0]
     thetas, frames = _carry(subspace_at, grid.nodes, first)
     return LoopTransport(
-        grid=CircleGrid(thetas), frames=list(frames),
+        grid=CircleGrid(thetas), frames=frames,
         closure_matrix=loop_closure(frames[0], frames[-1]),
     )
 
@@ -203,22 +204,23 @@ def path_nodes(nodes: np.ndarray) -> np.ndarray:
 def limit_family(limit_fn: Callable[[float], np.ndarray], part: str,
                  gap_tol: float = DEFAULT_GAP_TOL, grid: CircleGrid | None = None):
     """subspace_at(theta): one part of the splitting of limit_fn(theta),
-    "stable_frame", "stable_complement" or "unstable_complement" (names
-    HyperbolicSplitting and, in the plural, SplittingStack share), read
-    from hyperbolic_splitting.  Given a grid, limit_fn is split at every
-    node of path_nodes(grid.nodes), the nodes transport_frames reads on
-    it, by one splitting_stack call (eigenvector frames, Schur for a
-    matrix whose frames fail the invariance test; IndexMismatch unless the
-    stable dimension is constant), which the nodes after the first are
-    read from; the first node's frame is a Schur frame.  A limit that does
-    not depend on theta gives a stack of bitwise-equal matrices, which
-    splitting_stack splits once.
+    "stable_frame", "unstable_frame", "stable_complement" or
+    "unstable_complement" (the parts HyperbolicSplitting and
+    SplittingStack share), read from hyperbolic_splitting.  Given a grid,
+    limit_fn is split at every node of path_nodes(grid.nodes), the nodes
+    transport_frames reads on it, by one splitting_stack call (eigenvector
+    frames, Schur for a matrix whose frames fail the invariance test;
+    IndexMismatch unless the stable dimension is constant), which the
+    nodes after the first are read from; the first node's frame is a Schur
+    frame.  A limit that does not depend on theta gives a stack of
+    bitwise-equal matrices, which splitting_stack splits once.  Every
+    frame the family returns is read-only.
 
     The family keeps its last splitting: a matrix bitwise equal to the one
     it split last (a limit that does not depend on theta, or a theta read
-    again) returns that frame, read-only, without splitting again.  The
-    memo is one (matrix bytes, frame) pair replaced in one assignment, so
-    concurrent callers of one family see either pair, never a mix.
+    again) returns that frame without splitting again.  The memo is one
+    (matrix bytes, frame) pair replaced in one assignment, so concurrent
+    callers of one family see either pair, never a mix.
     """
     memo = (None, None)
 
@@ -237,7 +239,7 @@ def limit_family(limit_fn: Callable[[float], np.ndarray], part: str,
         return split_at
     nodes = path_nodes(grid.nodes)
     stack = splitting_stack(np.array([limit_fn(float(t)) for t in nodes]), gap_tol)
-    table = dict(zip(nodes[1:].tolist(), getattr(stack, part + "s")[1:]))
+    table = dict(zip(nodes[1:].tolist(), getattr(stack, part)[1:]))
 
     def subspace_at(theta: float) -> np.ndarray:
         frame = table.get(float(theta))

@@ -136,27 +136,29 @@ class Branch:
     stop_reason: str
 
 
-def _schur(lu, col, constraint):
-    """v = J^{-1} b and the Schur complement s = w_theta - w_x . v of the
-    augmented Jacobian [[J, b], [w_x, w_theta]], whose determinant is
-    det J * s; lu factors J and col is b = dR/dtheta."""
+def _bordered(p, x, constraint):
+    """(lu, b, v, s, sign) of the bordered Jacobian [[J, b], [w_x, w_theta]]
+    at (p, x) (Govaerts and Pryce, BIT 30 (1990) 490-507): lu the window LU
+    of J (_finite_lu), b = dR/dtheta, v = J^{-1} b, s = w_theta - w_x . v
+    the Schur complement and sign = sign det J * sign s, the sign of its
+    determinant det J * s.  Raises SingularJacobian when J is exactly
+    singular or not finite, or when s is zero or not finite."""
+    lu = _finite_lu(p, x)
+    col = assemble_dresidual_dtheta(p, x)
     v = lu.solve(col)
-    return v, float(constraint.w_theta - constraint.w_x @ v)
+    schur = float(constraint.w_theta - constraint.w_x @ v)
+    if not (math.isfinite(schur) and schur != 0.0):
+        raise SingularJacobian(f"bordered Schur complement is {schur!r}")
+    return lu, col, v, schur, lu.det_sign() if schur > 0 else -lu.det_sign()
 
 
 def _solve_augmented(p, x, constraint, rhs):
-    """Solve the augmented system by block elimination on the window LU,
-    then one refinement step against the bordered residual (Govaerts and
-    Pryce, BIT 30 (1990) 490-507), which restores accuracy when J itself is
-    near-singular, as at a kernel crossing.  Returns the solution, the
-    window LU it was solved with and the determinant sign of the augmented
-    matrix, sign det J * sign s, read from that LU and Schur complement
-    (never 0: an exactly singular J or a zero s raises SingularJacobian)."""
-    lu = _finite_lu(p, x)
-    col = assemble_dresidual_dtheta(p, x)
-    v, schur = _schur(lu, col, constraint)
-    if not (math.isfinite(schur) and schur != 0.0):
-        raise SingularJacobian(f"bordered Schur complement is {schur!r}")
+    """Solve the augmented system by block elimination on _bordered, then
+    one refinement step against the bordered residual (Govaerts and
+    Pryce), which restores accuracy when J itself is near-singular, as at
+    a kernel crossing.  Returns the solution, the window LU it was solved
+    with and _bordered's sign (never 0)."""
+    lu, col, v, schur, sign = _bordered(p, x, constraint)
     w_x, w_theta = constraint.w_x, constraint.w_theta
 
     def eliminate(r):
@@ -168,22 +170,18 @@ def _solve_augmented(p, x, constraint, rhs):
     applied = np.concatenate([
         lu.matvec(z[:-1]) + z[-1] * col, [w_x @ z[:-1] + w_theta * z[-1]]
     ])
-    return z + eliminate(rhs - applied), lu, lu.det_sign() if schur > 0 else -lu.det_sign()
+    return z + eliminate(rhs - applied), lu, sign
 
 
 def _augmented_det_sign(p, x, constraint) -> int:
-    """Determinant sign of the augmented Jacobian, sign det J * sign s
-    (Govaerts and Pryce), which needs no tolerance on J: near a kernel
-    crossing J is near-singular while the bordered matrix is regular.  0
-    only when J is exactly singular or s is zero or not finite."""
-    lu = banded_jacobian_lu(p, x)
-    sign = lu.det_sign()
-    if sign == 0:
+    """Determinant sign of the augmented Jacobian, _bordered's sign, which
+    needs no tolerance on J: near a kernel crossing J is near-singular
+    while the bordered matrix is regular.  0 where _bordered raises
+    SingularJacobian."""
+    try:
+        return _bordered(p, x, constraint)[-1]
+    except SingularJacobian:
         return 0
-    _, schur = _schur(lu, assemble_dresidual_dtheta(p, x), constraint)
-    if not (math.isfinite(schur) and schur != 0.0):
-        return 0
-    return sign if schur > 0 else -sign
 
 
 @np.errstate(all="ignore")
@@ -283,9 +281,9 @@ def newton_correct(
     the corrector's last Newton system, from the factorization it already
     holds, so no window LU is made for it alone.  Only a guess that has
     already converged is factored once at the point for its sign (0 when
-    that system is exactly singular).  The point keeps p, whose rows the
-    system was solved with, and amplitude_ref, the direction its amplitude
-    is measured along.
+    that system is exactly singular or its factor is not finite).  The
+    point keeps p, whose rows the system was solved with, and
+    amplitude_ref, the direction its amplitude is measured along.
     """
     x, theta, rn, _, _, det = _newton(p, guess, constraint, newton_tol, DEFAULT_MAX_ITER)
     if det is None:

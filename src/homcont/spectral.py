@@ -49,8 +49,35 @@ _INVARIANCE_TOL = 5e-14
 _REGULAR_MARGIN = 16.0
 
 
+class _SplitParts:
+    """The parts of a splitting (HyperbolicSplitting, SplittingStack), as
+    columns of its factors stable_schur / unstable_schur: the leading d_s /
+    d_u, stable_frame / unstable_frame, span the invariant subspace, and
+    the rest, stable_complement / unstable_complement, its complement."""
+
+    @property
+    def d_u(self) -> int:
+        return self.d - self.d_s
+
+    @property
+    def stable_frame(self) -> np.ndarray:
+        return self.stable_schur[..., : self.d_s]
+
+    @property
+    def unstable_frame(self) -> np.ndarray:
+        return self.unstable_schur[..., : self.d_u]
+
+    @property
+    def stable_complement(self) -> np.ndarray:
+        return self.stable_schur[..., self.d_s:]
+
+    @property
+    def unstable_complement(self) -> np.ndarray:
+        return self.unstable_schur[..., self.d_u:]
+
+
 @dataclass(frozen=True, eq=False)
-class HyperbolicSplitting:
+class HyperbolicSplitting(_SplitParts):
     """Stable/unstable invariant splitting of a hyperbolic matrix.
 
     stable_schur / unstable_schur are the orthogonal factors of the real
@@ -58,10 +85,7 @@ class HyperbolicSplitting:
     circle leading, each computed when first read (most callers need one) by
     LAPACK trsen from hyperbolic_splitting's unsorted real Schur form of a
     (gees), bit for bit those of scipy.linalg.schur(a, output="real",
-    sort="iuc" / "ouc").  Their leading d_s / d_u columns, stable_frame /
-    unstable_frame, span the invariant subspace; the trailing columns,
-    stable_complement / unstable_complement, span its orthogonal
-    complement, as the parts of the same names in SplittingStack.
+    sort="iuc" / "ouc").  The parts (_SplitParts) are their columns.
     """
 
     a: np.ndarray
@@ -74,10 +98,6 @@ class HyperbolicSplitting:
     def d(self) -> int:
         return len(self.a)
 
-    @property
-    def d_u(self) -> int:
-        return self.d - self.d_s
-
     @cached_property
     def stable_schur(self) -> np.ndarray:
         return self._schur_factor(False, self.d_s)
@@ -85,22 +105,6 @@ class HyperbolicSplitting:
     @cached_property
     def unstable_schur(self) -> np.ndarray:
         return self._schur_factor(True, self.d_u)
-
-    @property
-    def stable_frame(self) -> np.ndarray:
-        return self.stable_schur[:, : self.d_s]
-
-    @property
-    def unstable_frame(self) -> np.ndarray:
-        return self.unstable_schur[:, : self.d_u]
-
-    @property
-    def stable_complement(self) -> np.ndarray:
-        return self.stable_schur[:, self.d_s:]
-
-    @property
-    def unstable_complement(self) -> np.ndarray:
-        return self.unstable_schur[:, self.d_u:]
 
     def _schur_factor(self, outside: bool, dim: int) -> np.ndarray:
         """Schur factor of a with the eigenvalues outside (else inside) the
@@ -222,56 +226,44 @@ def _checked(b: np.ndarray, finite: np.ndarray, mods: np.ndarray, gap_tol: float
 
 
 @dataclass(frozen=True, eq=False)
-class SplittingStack:
+class SplittingStack(_SplitParts):
     """Stable/unstable splittings of an (n, d, d) stack of hyperbolic
-    matrices of one stable dimension d_s, as orthonormal frames.
-
-    u is each matrix's orthogonal factor with E^s in its leading d_s
-    columns and E^s perp in the rest; vt is the transpose of its factor
-    with E^u leading, rolled so that the d_s rows of E^u perp come first.
+    matrices of one stable dimension d_s: stable_schur / unstable_schur are
+    read-only (n, d, d) stacks of orthogonal factors in HyperbolicSplitting's
+    column layout, so each part (_SplitParts) is an (n, d, k) stack.
     splitting_stack takes the factors from a QR of eigenvectors, or, for a
     matrix that took the Schur fallback, from its Schur factors.
     """
 
     d_s: int
-    u: np.ndarray
-    vt: np.ndarray
+    stable_schur: np.ndarray
+    unstable_schur: np.ndarray
 
     @property
-    def stable_frames(self) -> np.ndarray:
-        """(n, d, d_s): E^s."""
-        return self.u[:, :, : self.d_s]
-
-    @property
-    def stable_complements(self) -> np.ndarray:
-        """(n, d, d_u): E^s perp."""
-        return self.u[:, :, self.d_s:]
-
-    @property
-    def unstable_complements(self) -> np.ndarray:
-        """(n, d, d_s): E^u perp."""
-        return self.vt[:, : self.d_s].transpose(0, 2, 1)
+    def d(self) -> int:
+        return self.stable_schur.shape[-1]
 
 
 def splitting_stack(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> SplittingStack:
     """Split every matrix of an (n, d, d) stack in one stacked computation.
 
     One stacked eig (LAPACK geev, a non-finite matrix read as the
-    identity) gives the eigenvalue moduli that feed the checks of _checked (those of hyperbolic_splitting), and the
-    eigenvectors.  A real basis of them (Re v where Im mu >= 0, else Im v,
-    so a conjugate pair spans its real invariant plane), ordered by
-    modulus, has the d_s stable columns first; a complete QR of those gives
-    u, and of the d_u unstable ones E^u and E^u perp.  geev's eigenpairs
-    are backward stable one by one, but a near-defective block gives an
-    ill-conditioned basis, so each of E^s and E^u must pass the invariance
-    test of _INVARIANCE_TOL; a matrix that fails (NaN fails) takes the
-    Schur splitting of hyperbolic_splitting instead, logged at INFO.
+    identity) gives the eigenvalue moduli that feed the checks of _checked
+    (those of hyperbolic_splitting), and the eigenvectors.  A real basis of
+    them (Re v where Im mu >= 0, else Im v, so a conjugate pair spans its
+    real invariant plane), ordered by modulus, has the d_s stable columns
+    first; a complete QR of those gives stable_schur, and of the d_u
+    unstable ones unstable_schur.  geev's eigenpairs are backward stable
+    one by one, but a near-defective block gives an ill-conditioned basis,
+    so each of E^s and E^u must pass the invariance test of
+    _INVARIANCE_TOL; a matrix that fails (NaN fails) takes the Schur
+    splitting of hyperbolic_splitting instead, logged at INFO.
 
     A stack of n bitwise-equal finite matrices (a limit that does not
-    depend on theta) is split once: u and vt are then read-only views of
-    that one matrix's factors, repeated n times.  LAPACK splits each matrix
-    of a stack on its own, so the factors are those the matrix gets inside
-    any other stack.
+    depend on theta) is split once: the factors are then views of that one
+    matrix's factors, repeated n times.  LAPACK splits each matrix of a
+    stack on its own, so the factors are those the matrix gets inside any
+    other stack.
     """
     a = np.asarray(a, dtype=float)
     finite = _checked_input(a, gap_tol)
@@ -286,22 +278,22 @@ def splitting_stack(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Splittin
     vec = np.take_along_axis(vec, order[:, None, :], axis=2)
     upper = np.take_along_axis(mu.imag, order, axis=1) >= 0
     basis = np.where(upper[:, None, :], vec.real, vec.imag)
-    u = np.linalg.qr(basis[:, :, :d_s], mode="complete")[0]
-    z = np.linalg.qr(basis[:, :, d_s:], mode="complete")[0]
+    stable = np.linalg.qr(basis[:, :, :d_s], mode="complete")[0]
+    unstable = np.linalg.qr(basis[:, :, d_s:], mode="complete")[0]
     scale = _INVARIANCE_TOL * np.linalg.norm(a, axis=(1, 2))
-    ok = (_invariance_residual(a, u[:, :, :d_s]) <= scale) & (
-        _invariance_residual(a, z[:, :, : d - d_s]) <= scale)
+    ok = (_invariance_residual(a, stable[:, :, :d_s]) <= scale) & (
+        _invariance_residual(a, unstable[:, :, : d - d_s]) <= scale)
     bad = np.flatnonzero(~ok)
     if bad.size:
         log.info("splitting_stack: %d of %d matrices took the Schur splitting (first at index %d)",
                  bad.size * n // len(a), n, bad[0])
     for i in bad:
         split = hyperbolic_splitting(a[i], gap_tol)
-        u[i], z[i] = split.stable_schur, split.unstable_schur
-    vt = np.roll(z, d_s, axis=2).transpose(0, 2, 1)
+        stable[i], unstable[i] = split.stable_schur, split.unstable_schur
+    stable.flags.writeable = unstable.flags.writeable = False
     if len(a) < n:
-        u, vt = np.broadcast_to(u, (n, d, d)), np.broadcast_to(vt, (n, d, d))
-    return SplittingStack(d_s=d_s, u=u, vt=vt)
+        stable, unstable = np.broadcast_to(stable, (n, d, d)), np.broadcast_to(unstable, (n, d, d))
+    return SplittingStack(d_s=d_s, stable_schur=stable, unstable_schur=unstable)
 
 
 def _invariance_residual(a: np.ndarray, f: np.ndarray) -> np.ndarray:

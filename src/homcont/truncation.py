@@ -121,8 +121,7 @@ class TruncatedProblem:
                 return rows if theta == theta0 else family(theta)
 
             loop = transport_frames(subspace_at, grid)
-            at_grid = np.searchsorted(loop.grid.nodes, grid.nodes)
-            carried.append([loop.frames[i] for i in at_grid])
+            carried.append(loop.frames[np.searchsorted(loop.grid.nodes, grid.nodes)])
         return [replace(start, theta=float(theta), left_rows=left.T, right_rows=right.T)
                 for theta, left, right in zip(grid.nodes, *carried)]
 
@@ -230,9 +229,10 @@ class WindowLU:
 
     def det_sign(self) -> int:
         """Pivot signs times the row-interchange parity; 0 only when the LU
-        is exactly singular (dgbtrf met an exactly zero pivot).  Whether a
-        window is near-singular is classify_window's question."""
-        if self._exact_singular:
+        is exactly singular (dgbtrf met an exactly zero pivot) or a pivot
+        is not finite.  Whether a window is near-singular is
+        classify_window's question."""
+        if self._exact_singular or not np.isfinite(self._udiag).all():
             return 0
         # scipy returns the gbtrf pivot indices 0-based.
         swaps = int(np.sum(self._ipiv != np.arange(self._n)))
@@ -637,9 +637,9 @@ def adapt_window(p: TruncatedProblem, x: np.ndarray,
     below the tolerance by construction) and the boundary rows are reused at
     the same theta.  The required width is predicted from the measured decay
     rate rho of the current data: the window N is accepted once
-    A * rho^(0.75 * N) <= tail_tol, with A the peak block norm.  A tail that
-    does not decay, or a width beyond DEFAULT_N_MAX (read at each call),
-    raises WindowOverflow.
+    A * rho^((1 - TAIL_FRACTION) * N) <= tail_tol, with A the peak block
+    norm.  A tail that does not decay, or a width beyond DEFAULT_N_MAX
+    (read at each call), raises WindowOverflow.
     """
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
@@ -657,10 +657,10 @@ def adapt_window(p: TruncatedProblem, x: np.ndarray,
         n_new *= 2
         if n_new > DEFAULT_N_MAX:
             raise WindowOverflow(
-                f"window {n_new} exceeds the cap {DEFAULT_N_MAX} before the tail "
-                f"prediction {amplitude:.2e} * {rho:.4f}^(0.75 N) reaches {tail_tol:.1e}"
+                f"window {n_new} exceeds the cap {DEFAULT_N_MAX} before the tail prediction "
+                f"{amplitude:.2e} * {rho:.4f}^({1 - TAIL_FRACTION} N) reaches {tail_tol:.1e}"
             )
-        if amplitude * rho ** (0.75 * n_new) <= tail_tol:
+        if amplitude * rho ** ((1.0 - TAIL_FRACTION) * n_new) <= tail_tol:
             break
 
     return replace(p, N=n_new), embed_window(x, p.d, p.N, n_new)

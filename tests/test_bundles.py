@@ -391,6 +391,21 @@ def test_limit_family_splits_an_unchanged_matrix_once(monkeypatch, part):
     assert len(splits) == 3
 
 
+@pytest.mark.parametrize("speed", [1, 0])
+def test_grid_family_frames_are_read_only(speed):
+    # every frame a limit family returns on a grid is read-only: the
+    # stack's (speed 1), the broadcast one of a theta-independent limit
+    # (speed 0) and the first node's Schur frame from the memo
+    grid = hc.CircleGrid.uniform(16)
+    for part in ("stable_frame", "unstable_frame", "stable_complement", "unstable_complement"):
+        family = bundles.limit_family(lambda t: rotating_matrix(speed * t, 0.5, 2.0), part,
+                                      grid=grid)
+        for theta in path_nodes(grid.nodes)[:3]:
+            frame = family(float(theta))
+            with pytest.raises(ValueError, match="read-only"):
+                frame[0, 0] = 1.0
+
+
 def test_limit_family_memo_is_per_family(monkeypatch):
     # two families of one limit map split independently; no cache is shared
     splits = []

@@ -473,6 +473,21 @@ def test_bordered_solve_exact_zero_pivot_raises():
     assert _augmented_det_sign(p, x, constraint) == 0
 
 
+def test_non_finite_jacobian_has_det_sign_zero():
+    # a NaN dfdx gives NaN pivots: the window LU, the corrector's no-step
+    # fallback at a converged guess and the bordered sign all read 0
+    bad = replace(hc.paper7_family(hc.Paper7Config()),
+                  dfdx=lambda ns, t, X: np.full((len(ns), 2, 2), np.nan))
+    p = truncated_problem(bad, 0.3, 10)
+    x = np.zeros(p.size)
+    assert truncation.banded_jacobian_lu(p, x).det_sign() == 0
+    assert hc.newton_correct(p, x).det_sign == 0
+    constraint = AffineConstraint(w_x=np.ones(p.size), w_theta=1.0, offset=0.0)
+    assert _augmented_det_sign(p, x, constraint) == 0
+    with pytest.raises(SingularJacobian):
+        _solve_augmented(p, x, constraint, np.ones(p.size + 1))
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

@@ -139,15 +139,39 @@ def test_splitting_stack_against_schur(kind):
             stack = splitting_stack(np.array([a for a, _ in pairs]))
             assert stack.d_s == d_s
             for i, (a, split) in enumerate(pairs):
-                for frame in (stack.u[i], stack.vt[i]):
+                for frame in (stack.stable_schur[i], stack.unstable_schur[i]):
                     assert np.linalg.norm(frame.T @ frame - np.eye(d)) <= 1e-13
                 if d_s == 0:
                     continue
                 want = _oblique_projector(split.stable_frame, split.unstable_schur[:, split.d_u:])
-                got = _oblique_projector(stack.stable_frames[i], stack.unstable_complements[i])
+                got = _oblique_projector(stack.stable_frame[i], stack.unstable_complement[i])
                 dist = np.linalg.norm(got - want, 2) / np.linalg.norm(want, 2)
                 assert dist <= 1e-12 + 1e-15 * np.linalg.cond(a)
         assert len(by_dim) >= 2
+
+
+PARTS = ("stable_frame", "unstable_frame", "stable_complement", "unstable_complement")
+
+
+@pytest.mark.parametrize("part", PARTS)
+def test_stack_parts_match_the_single_splitting(part):
+    # each part of a stack, taken at one index, has the shape of the same
+    # part of that matrix's own splitting, and spans the same subspace: the
+    # orthogonal projectors agree within test_splitting_stack_against_schur's
+    # bound
+    rng = np.random.default_rng(35)
+    for d in range(2, 7):
+        by_dim = {}
+        for _ in range(12):
+            a = _seeded_matrices("plain", rng, d)
+            by_dim.setdefault(hc.hyperbolic_splitting(a).d_s, []).append(a)
+        for mats in by_dim.values():
+            stack = getattr(splitting_stack(np.array(mats)), part)
+            for i, a in enumerate(mats):
+                want = getattr(hc.hyperbolic_splitting(a), part)
+                assert stack[i].shape == want.shape
+                dist = np.linalg.norm(stack[i] @ stack[i].T - want @ want.T, 2)
+                assert dist <= 1e-12 + 1e-15 * np.linalg.cond(a)
 
 
 @pytest.mark.parametrize("bad, error, match", [
@@ -200,8 +224,8 @@ def test_splitting_stack_falls_back_to_schur(monkeypatch):
     stack = splitting_stack(mats)
     assert calls == ["dgees", "dtrsen", "dtrsen"]
     split = hc.hyperbolic_splitting(mats[2])
-    assert np.array_equal(stack.u[2], split.stable_schur)
-    assert np.array_equal(stack.unstable_complements[2], split.unstable_schur[:, split.d_u:])
+    assert np.array_equal(stack.stable_schur[2], split.stable_schur)
+    assert np.array_equal(stack.unstable_schur[2], split.unstable_schur)
     trsen = _linalg.dtrsen
 
     def miscounting(*args, **kwargs):
@@ -393,12 +417,12 @@ def test_theta_independent_stack_is_split_once(monkeypatch):
         sizes = _recorded_eig(monkeypatch)
         same = splitting_stack(np.repeat(a[None], 9, axis=0))
         assert sizes == [1]
-        assert same.u.shape == same.vt.shape == (9, d, d)
-        assert not same.u.flags.writeable and not same.vt.flags.writeable
+        assert same.stable_schur.shape == same.unstable_schur.shape == (9, d, d)
+        assert not same.stable_schur.flags.writeable and not same.unstable_schur.flags.writeable
         inside = splitting_stack(np.array(mixed[:2] + [a] + mixed[2:]))
         for i in range(9):
-            assert same.u[i].tobytes() == inside.u[2].tobytes()
-            assert same.vt[i].tobytes() == inside.vt[2].tobytes()
+            assert same.stable_schur[i].tobytes() == inside.stable_schur[2].tobytes()
+            assert same.unstable_schur[i].tobytes() == inside.unstable_schur[2].tobytes()
 
 
 def test_signed_zeros_and_nan_stacks_are_not_merged(monkeypatch):
@@ -427,7 +451,7 @@ def test_theta_independent_fallback_logs_the_whole_stack(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "splitting_stack: 7 of 7 matrices took the Schur splitting (first at index 0)"]
     split = hc.hyperbolic_splitting(jordan)
-    assert all(np.array_equal(u, split.stable_schur) for u in stack.u)
+    assert all(np.array_equal(u, split.stable_schur) for u in stack.stable_schur)
 
 
 @pytest.mark.parametrize("name, match", [("dgees", "gees info 1"), ("dtrsen", "trsen info 1")])
