@@ -1,11 +1,22 @@
-"""Subspace families over the circle: frame transport and orientability.
+"""Subspace families over the circle: orientation signs and frame transport.
 
-A family of k-dimensional subspaces of R^d sampled over [0, 2*pi] is turned
-into a continuously varying frame by project-then-orthonormalize transport.
-Comparing the transported frame at 2*pi with the initial frame gives the
-closure matrix C; the sign of det C is the orientability invariant of the
-family, and the pair (rank difference, product of signs) captures the
-index-bundle data of an asymptotically hyperbolic linear family.
+A family of k-dimensional subspaces of R^d sampled over [0, 2*pi] is
+orientable (w1 = +1) exactly when it admits a continuous frame that closes
+up at 2*pi.  Given column-orthonormal frames F_0, ..., F_m at nodes from 0
+to 2*pi, consecutive ones close (every principal-angle cosine of
+M_i = F_i^T F_{i-1} at least ALIGNMENT_FLOOR, bisecting until it is), w1
+is the product of the signs of the transition determinants,
+
+    w1 = sign det(F_0^T F_m) * prod_i sign det(M_i)
+
+(Milnor & Stasheff, Characteristic Classes, section 12): polar transport
+would turn F_i by polar(M_i) ... polar(M_1), and sign det polar(M) =
+sign det M.  index_bundle_invariants reads the ranks and these signs of
+the asymptotic stable families, the index-bundle data of an
+asymptotically hyperbolic linear family.  transport_frames carries one
+frame around the loop by that polar transport: it is the row carrier of
+the parity scan (truncation.TruncatedProblem.over), and sign det of its
+closure matrix (w1) is the oracle of the determinant product.
 """
 from __future__ import annotations
 
@@ -25,6 +36,15 @@ ALIGNMENT_FLOOR = 0.9
 MAX_REFINEMENTS = 20
 MAX_PATH_STEP = 0.2
 MAX_PATH_STEPS = 2 ** 16  # bounds the total width of a path (path_nodes)
+# |det C| of a closure matrix below this leaves its sign untrusted
+# (DegenerateClosure)
+MIN_CLOSURE_DET = 1e-6
+# Frames pass the orthonormality test F^T F = I to 1e-10 (Frobenius), so
+# every singular value of an overlap F_i^T F_j is at most about 1 + 1e-10;
+# a k x k overlap with |det| >= ALIGNMENT_FLOOR * _DET_SLACK^k then has
+# smallest singular value at least ALIGNMENT_FLOOR, with room for the
+# rounding of the product and of its determinant
+_DET_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +74,9 @@ class CircleGrid:
 
 @dataclass(frozen=True, eq=False)
 class LoopTransport:
-    """Frames of a subspace family transported once around the circle.
+    """Frames of a subspace family polar-transported once around the circle
+    (transport_frames): the parity scan's boundary rows, and the oracle of
+    index_bundle_invariants' determinant signs.
 
     frames is an (n, d, k) array, n = len(grid.nodes): frames[i] is a
     d x k column-orthonormal basis at grid.nodes[i]; closure_matrix
@@ -112,38 +134,39 @@ def _read_frames(subspace_at: Callable[[float], np.ndarray], thetas, k: int | No
         frames = None
     if frames is None or frames.ndim != 3 or (k is not None and frames.shape[2] != k):
         frames = np.stack([_shaped_frame(f, float(t), k) for f, t in zip(outputs, thetas)])
-    k = frames.shape[2]
-    err = np.linalg.norm(frames.transpose(0, 2, 1) @ frames - np.eye(k), axis=(1, 2))
+    return _orthonormal(frames, thetas)
+
+
+def _orthonormal(frames: np.ndarray, thetas) -> np.ndarray:
+    """frames, an (n, d, k) stack read at thetas; RankDrop unless every one
+    is orthonormal to 1e-10 (Frobenius error of F^T F - I)."""
+    err = np.linalg.norm(frames.transpose(0, 2, 1) @ frames - np.eye(frames.shape[2]), axis=(1, 2))
     if not np.all(err <= 1e-10):
         i = int(np.flatnonzero(~(err <= 1e-10))[0])
         raise RankDrop(f"frame at theta={thetas[i]:.6f} is not orthonormal (error {err[i]:.1e})")
     return frames
 
 
-def _carry(subspace_at: Callable[[float], np.ndarray], nodes, first: np.ndarray):
-    """Carry the orthonormal frame first, in the subspace at nodes[0], over
-    nodes; returns (thetas, frames), every node reached and the frame
-    carried to it.
+def _aligned(subspace_at: Callable[[float], np.ndarray], nodes: np.ndarray, frames: np.ndarray,
+             cosines_of: Callable[[np.ndarray], tuple]):
+    """Bisect the read frames (nodes, frames) until consecutive ones are
+    aligned; the one refinement loop of _carry and index_bundle_invariants.
 
-    nodes are first cut by path_nodes, and the frames F_i there are read.
-    One stacked SVD of the k x k matrices M_i = F_i^T F_{i-1}, F_0 = first,
-    gives the principal-angle cosines and the polar factors.  Every
-    interval whose smallest cosine is below ALIGNMENT_FLOOR (or NaN) gets
-    its midpoint as a new node and the stacked pass runs again, for at most
-    MAX_REFINEMENTS levels; an interval still misaligned then raises
-    AlignmentFailure.  The frame reached at node i is F_i R_i with
-    R_i = polar(M_i) ... polar(M_1) (polar transport commutes with turning
-    the frame it starts from).
+    cosines_of(overlaps), given the k x k matrices M_i = F_i^T F_{i-1},
+    returns (cosines, kept): each smallest principal-angle cosine, or a
+    lower bound on it wherever that bound is at least ALIGNMENT_FLOOR, and
+    what its caller keeps of the overlaps.  Every interval whose cosine is
+    below ALIGNMENT_FLOOR (or NaN) gets its midpoint as a new node, its
+    frame read from subspace_at, and the stacked pass runs again, for at
+    most MAX_REFINEMENTS levels; an interval still misaligned then raises
+    AlignmentFailure.  Returns (nodes, frames, kept) of the last pass.
     """
-    nodes = path_nodes(np.asarray(nodes, dtype=float))
-    k = first.shape[1]
-    frames = np.concatenate([first[None], _read_frames(subspace_at, nodes[1:], k)])
+    k = frames.shape[2]
     for depth in range(MAX_REFINEMENTS + 1):
-        u, s, vt = np.linalg.svd(frames[1:].transpose(0, 2, 1) @ frames[:-1])
-        cosines = np.min(s, axis=1, initial=1.0)  # 1 when k = 0
+        cosines, kept = cosines_of(frames[1:].transpose(0, 2, 1) @ frames[:-1])
         bad = np.flatnonzero(~(cosines >= ALIGNMENT_FLOOR))
         if not len(bad):
-            break
+            return nodes, frames, kept
         if depth == MAX_REFINEMENTS:
             i = bad[0]
             raise AlignmentFailure(
@@ -153,6 +176,43 @@ def _carry(subspace_at: Callable[[float], np.ndarray], nodes, first: np.ndarray)
         mids = 0.5 * (nodes[bad] + nodes[bad + 1])
         frames = np.insert(frames, bad + 1, _read_frames(subspace_at, mids, k), axis=0)
         nodes = np.insert(nodes, bad + 1, mids)
+
+
+def _polar_cosines(overlaps: np.ndarray):
+    """One stacked SVD u s vt of the overlaps: (smallest cosines, (u, vt))."""
+    u, s, vt = np.linalg.svd(overlaps)
+    return np.min(s, axis=1, initial=1.0), (u, vt)  # 1 when k = 0
+
+
+def _det_cosines(overlaps: np.ndarray):
+    """(cosines, det M_i) of the overlaps: |det M| / _DET_SLACK^k, a lower
+    bound on the smallest cosine, and the SVD's exact cosine (as in
+    _polar_cosines) only for the overlaps where that bound is below
+    ALIGNMENT_FLOOR or NaN."""
+    dets = np.linalg.det(overlaps)
+    cosines = np.abs(dets) / _DET_SLACK ** overlaps.shape[2]
+    unsure = ~(cosines >= ALIGNMENT_FLOOR)
+    if unsure.any():
+        cosines[unsure] = np.min(np.linalg.svd(overlaps[unsure])[1], axis=1, initial=1.0)
+    return cosines, dets
+
+
+def _carry(subspace_at: Callable[[float], np.ndarray], nodes, first: np.ndarray):
+    """Carry the orthonormal frame first, in the subspace at nodes[0], over
+    nodes; returns (thetas, frames), every node reached and the frame
+    carried to it.
+
+    nodes are first cut by path_nodes, the frames F_i there are read
+    (F_0 = first), and _aligned refines them, one stacked SVD of the
+    overlaps M_i = F_i^T F_{i-1} per pass giving the cosines and the polar
+    factors.  The frame reached at node i is F_i R_i with
+    R_i = polar(M_i) ... polar(M_1) (polar transport commutes with turning
+    the frame it starts from).
+    """
+    nodes = path_nodes(np.asarray(nodes, dtype=float))
+    k = first.shape[1]
+    frames = np.concatenate([first[None], _read_frames(subspace_at, nodes[1:], k)])
+    nodes, frames, (u, vt) = _aligned(subspace_at, nodes, frames, _polar_cosines)
     # carries[i] = polar(M_i) @ ... @ polar(M_1), polar(M) = u vt, as a
     # prefix product: log2(n) stacked products, each multiplying in the
     # span `shift` back
@@ -165,7 +225,10 @@ def _carry(subspace_at: Callable[[float], np.ndarray], nodes, first: np.ndarray)
 
 
 def transport_frames(subspace_at: Callable[[float], np.ndarray], grid: CircleGrid) -> LoopTransport:
-    """Transport a frame of subspace_at(0) around the circle by _carry.
+    """Transport a frame of subspace_at(0) around the circle by _carry: the
+    row carrier of the parity scan (truncation.TruncatedProblem.over),
+    and with w1 the parallel-transport oracle of index_bundle_invariants,
+    which reads the same sign from overlap determinants instead.
 
     subspace_at(theta) must return a d x k column-orthonormal frame (to
     1e-10, else RankDrop), such as Schur columns; it is never
@@ -238,8 +301,7 @@ def limit_family(limit_fn: Callable[[float], np.ndarray], part: str,
     if grid is None:
         return split_at
     nodes = path_nodes(grid.nodes)
-    stack = splitting_stack(np.array([limit_fn(float(t)) for t in nodes]), gap_tol)
-    table = dict(zip(nodes[1:].tolist(), getattr(stack, part)[1:]))
+    table = dict(zip(nodes[1:].tolist(), _stack_part(limit_fn, part, gap_tol, nodes)[1:]))
 
     def subspace_at(theta: float) -> np.ndarray:
         frame = table.get(float(theta))
@@ -248,11 +310,19 @@ def limit_family(limit_fn: Callable[[float], np.ndarray], part: str,
     return subspace_at
 
 
+def _stack_part(limit_fn: Callable[[float], np.ndarray], part: str, gap_tol: float,
+                nodes: np.ndarray) -> np.ndarray:
+    """The read-only (n, d, k) stack of one part of the splittings of
+    limit_fn at nodes, by one splitting_stack call."""
+    return getattr(splitting_stack(np.array([limit_fn(float(t)) for t in nodes]), gap_tol), part)
+
+
 def loop_closure(first: np.ndarray, last: np.ndarray) -> np.ndarray:
     """Closure matrix C = first^T last of a frame carried from first at 0 to
     last at 2*pi; raises AlignmentFailure if last leaves the span of first.
-    The one closure test of transport_frames, so of the bundles and of
-    the scan's rows (truncation.TruncatedProblem.over)."""
+    The one closure test of the bundles (index_bundle_invariants, where
+    last is the frame read at 2*pi) and of the scan's rows
+    (transport_frames, for truncation.TruncatedProblem.over)."""
     closure = first.T @ last
     if np.linalg.norm(first @ closure - last) > 1e-8:
         raise AlignmentFailure(
@@ -302,13 +372,21 @@ def transport_along_path(
 
 
 def w1(transport: LoopTransport) -> int:
-    """Orientability sign of the transported family: sign det C.
+    """Orientability sign of the transported family: sign det C, the
+    parallel-transport oracle of index_bundle_invariants' determinant
+    signs.
 
     +1 exactly when the family admits a closed frame (det C > 0).  Raises
-    DegenerateClosure when |det C| is too small to trust the sign.
+    DegenerateClosure when |det C| is below MIN_CLOSURE_DET, too small to
+    trust the sign.
     """
-    det = float(np.linalg.det(transport.closure_matrix))
-    if abs(det) < 1e-6:
+    return _closure_sign(transport.closure_matrix)
+
+
+def _closure_sign(closure: np.ndarray) -> int:
+    """sign det closure; DegenerateClosure if |det| < MIN_CLOSURE_DET."""
+    det = float(np.linalg.det(closure))
+    if abs(det) < MIN_CLOSURE_DET:
         raise DegenerateClosure(f"|det C| = {abs(det):.3e}; loop is undersampled")
     return 1 if det > 0 else -1
 
@@ -317,19 +395,27 @@ def index_bundle_invariants(system, grid: CircleGrid,
                             gap_tol: float = DEFAULT_GAP_TOL) -> BundleInvariants:
     """Rank and w1 data of the stable families of a(theta, +inf) and a(theta, -inf).
 
-    Each side is the limit_family of its stable frames on grid (one
-    splitting_stack call), transported by transport_frames from the Schur
-    frame at theta = 0.
+    Each side's stable frames F_i at path_nodes(grid.nodes) are read from
+    one splitting_stack call (both sides are split before either is
+    read), and must be orthonormal to 1e-10 (RankDrop).  _aligned bisects
+    them, each midpoint's frame read from its own hyperbolic_splitting.
+    Each overlap M_i = F_i^T F_{i-1} whose |det| is at least
+    ALIGNMENT_FLOOR * _DET_SLACK^k passes without an SVD, its smallest
+    cosine proven at least the floor.  The rank is k, and w1 is
+    sign det(F_0^T F_m) prod_i sign det(M_i), the sign of the closure
+    matrix of polar transport (transport_frames) from F_0: loop_closure
+    tests the frames at 0 and 2*pi (AlignmentFailure), and
+    |det(F_0^T F_m)| below MIN_CLOSURE_DET raises DegenerateClosure.
     """
-    plus = limit_family(system.a_plus, "stable_frame", gap_tol, grid)
-    minus = limit_family(system.a_minus, "stable_frame", gap_tol, grid)
-    loop_plus = transport_frames(plus, grid)
-    w1_plus = w1(loop_plus)
-    loop_minus = transport_frames(minus, grid)
-    w1_minus = w1(loop_minus)
-    return BundleInvariants(
-        rank_plus=len(loop_plus.closure_matrix),
-        rank_minus=len(loop_minus.closure_matrix),
-        w1_plus=w1_plus,
-        w1_minus=w1_minus,
-    )
+    nodes = path_nodes(grid.nodes)
+    sides = [(limit_fn, _stack_part(limit_fn, "stable_frame", gap_tol, nodes))
+             for limit_fn in (system.a_plus, system.a_minus)]
+    ranks, signs = [], []
+    for limit_fn, frames in sides:
+        split_at = limit_family(limit_fn, "stable_frame", gap_tol)
+        _, frames, dets = _aligned(split_at, nodes, _orthonormal(frames, nodes), _det_cosines)
+        turns = int(np.count_nonzero(dets < 0))
+        ranks.append(frames.shape[2])
+        signs.append(_closure_sign(loop_closure(frames[0], frames[-1])) * (-1) ** turns)
+    return BundleInvariants(rank_plus=ranks[0], rank_minus=ranks[1],
+                            w1_plus=signs[0], w1_minus=signs[1])

@@ -165,7 +165,7 @@ def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Hyp
     if info:
         raise NotHyperbolic(f"real Schur decomposition failed (gees info {info})")
     moduli = np.hypot(wr, wi)
-    d_s = _checked(b[None], finite, moduli[None], gap_tol)
+    d_s = _checked(b[None], finite, moduli[None], gap_tol)[0]
     return HyperbolicSplitting(a=a, d_s=d_s, _schur_form=(t, z, moduli))
 
 
@@ -181,13 +181,15 @@ def _checked_input(a: np.ndarray, gap_tol: float) -> np.ndarray:
     return np.isfinite(a).all(axis=(1, 2))
 
 
-def _checked(b: np.ndarray, finite: np.ndarray, mods: np.ndarray, gap_tol: float) -> int:
+def _checked(b: np.ndarray, finite: np.ndarray, mods: np.ndarray,
+             gap_tol: float) -> tuple[int, np.ndarray]:
     """The one validator of every splitting, given an (n, d, d) stack b (a
     non-finite matrix read as the identity), each matrix's finiteness and
     its eigenvalue moduli: returns the stable dimension d_s, which must be
-    the same for every matrix (IndexMismatch otherwise).  The first matrix
-    in stack order that fails a check raises, for the first check it
-    fails: a non-finite entry (NotHyperbolic), numerical singularity,
+    the same for every matrix (IndexMismatch otherwise), and the Frobenius
+    norms ||b_i||_F.  The first matrix in stack order that fails a check
+    raises, for the first check it fails: a non-finite entry
+    (NotHyperbolic), numerical singularity,
     sigma_min <= 1e-14 max(1, sigma_max) (Singular), a gap below gap_tol
     or NaN (NotHyperbolic).
 
@@ -222,7 +224,7 @@ def _checked(b: np.ndarray, finite: np.ndarray, mods: np.ndarray, gap_tol: float
     if len(dims) > 1 and dims.min() != dims.max():
         raise IndexMismatch(
             f"stable dimension varies over the stack: {sorted(set(dims.tolist()))}")
-    return int(dims[0])
+    return int(dims[0]), norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,14 +275,14 @@ def splitting_stack(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Splittin
     b = a if finite.all() else np.where(finite[:, None, None], a, np.eye(d))
     mu, vec = np.linalg.eig(b)
     moduli = np.abs(mu)
-    d_s = _checked(b, finite, moduli, gap_tol)
+    d_s, norms = _checked(b, finite, moduli, gap_tol)
     order = np.argsort(moduli, axis=1, kind="stable")
     vec = np.take_along_axis(vec, order[:, None, :], axis=2)
     upper = np.take_along_axis(mu.imag, order, axis=1) >= 0
     basis = np.where(upper[:, None, :], vec.real, vec.imag)
     stable = np.linalg.qr(basis[:, :, :d_s], mode="complete")[0]
     unstable = np.linalg.qr(basis[:, :, d_s:], mode="complete")[0]
-    scale = _INVARIANCE_TOL * np.linalg.norm(a, axis=(1, 2))
+    scale = _INVARIANCE_TOL * norms  # b is a: every matrix passed as finite
     ok = (_invariance_residual(a, stable[:, :, :d_s]) <= scale) & (
         _invariance_residual(a, unstable[:, :, : d - d_s]) <= scale)
     bad = np.flatnonzero(~ok)

@@ -14,7 +14,7 @@ from homcont.bundles import (MAX_PATH_STEP, LoopTransport, loop_closure, path_no
 from homcont.errors import AlignmentFailure, DegenerateClosure, IndexMismatch, RankDrop
 from homcont.systems import rotating_matrix
 
-from conftest import predict_style_loop, record_calls
+from conftest import half_turn_loop, predict_style_loop, record_calls
 
 
 def stable_line(theta):
@@ -346,6 +346,166 @@ def test_stacked_transport_matches_node_walker(m):
                 assert stacked.grid.m > len(path_nodes(grid.nodes)) - 1
 
 
+def transport_invariants(system, grid, gap_tol=spectral.DEFAULT_GAP_TOL):
+    """index_bundle_invariants by polar transport, the oracle of its
+    determinant signs: both sides' grid families first, then each side
+    transported (transport_frames) and its w1 read, plus before minus."""
+    plus = bundles.limit_family(system.a_plus, "stable_frame", gap_tol, grid)
+    minus = bundles.limit_family(system.a_minus, "stable_frame", gap_tol, grid)
+    loop_plus = hc.transport_frames(plus, grid)
+    w1_plus = hc.w1(loop_plus)
+    loop_minus = hc.transport_frames(minus, grid)
+    w1_minus = hc.w1(loop_minus)
+    invariants = hc.BundleInvariants(rank_plus=len(loop_plus.closure_matrix),
+                                     rank_minus=len(loop_minus.closure_matrix),
+                                     w1_plus=w1_plus, w1_minus=w1_minus)
+    return invariants, (loop_plus.grid.nodes, loop_minus.grid.nodes)
+
+
+def refined_invariants(monkeypatch, system, grid):
+    """index_bundle_invariants and the nodes its refinement reached, side
+    by side."""
+    reached = []
+    real = bundles._aligned
+
+    def recorded(*args):
+        out = real(*args)
+        reached.append(out[0])
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bundles, "_aligned", recorded)
+        return hc.index_bundle_invariants(system, grid), tuple(reached)
+
+
+@pytest.mark.parametrize("m", [8, 9, 11, 64, 256])
+def test_overlap_signs_match_transport(monkeypatch, m):
+    # on seeded predict-style loops (speed 9 turns a stable line 0.88 rad
+    # per step of a coarse grid, so those intervals are bisected), on
+    # half-turn loops with unstable and complex directions beside the
+    # turning line, and on direct sums of both: the ranks and w1 signs of
+    # index_bundle_invariants are those of polar transport, and its
+    # refinement reaches the same nodes
+    rng = np.random.default_rng(100 + m)
+    grid = hc.CircleGrid.uniform(m)
+    bisected = 0
+    systems = []
+    for d in (2, 4, 6):
+        for fastest in (0, 1, 2, 3, 9):
+            a_plus, _ = predict_style_loop(rng, d, fastest)
+            a_minus, _ = predict_style_loop(rng, d, int(rng.integers(4)))
+            systems.append(hc.linear_family(d, a_plus, a_minus))
+    for d in (3, 4, 5):
+        a_plus, _ = half_turn_loop(rng, d, int(rng.integers(1, 4)))
+        systems.append(hc.linear_family(d, a_plus, half_turn_loop(rng, d, 0)[0]))
+    systems += [hc.direct_sum(systems[i], systems[j]) for i, j in ((4, 0), (8, 9), (15, 16))]
+    for system in systems:
+        expected, transported = transport_invariants(system, grid)
+        got, reached = refined_invariants(monkeypatch, system, grid)
+        assert got == expected
+        assert all(np.array_equal(a, b) for a, b in zip(reached, transported))
+        bisected += sum(len(nodes) > len(path_nodes(grid.nodes)) for nodes in reached)
+    assert bisected >= (5 if m < 64 else 0)
+
+
+def random_frame_pair(rng, d, k):
+    """Orthonormal d x k frames F, G = F-side turned by principal angles
+    whose cosines lie near ALIGNMENT_FLOOR, under random rotations of both
+    frames' columns, each frame then perturbed within the 1e-10
+    orthonormality tolerance."""
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    j = min(k, d - k)  # turned directions; the rest are shared
+    cosines = np.ones(k)
+    cosines[:j] = np.clip(bundles.ALIGNMENT_FLOOR + rng.choice([1e-12, 1e-3, 0.05]) *
+                          rng.uniform(-1.0, 1.0, j), 0.0, 1.0)
+    f = q[:, :k]
+    g = f.copy()
+    g[:, :j] = f[:, :j] * cosines[:j] + q[:, k:k + j] * np.sqrt(1.0 - cosines[:j] ** 2)
+    turn = [np.linalg.qr(rng.standard_normal((k, k)))[0] for _ in range(2)]
+    f, g = f @ turn[0], g @ turn[1]
+    return [x + 2e-11 * rng.uniform(-1.0, 1.0, x.shape) / math.sqrt(x.size) for x in (f, g)]
+
+
+def test_determinant_certifies_the_cosine_floor(monkeypatch):
+    # seeded orthonormal frame pairs, d <= 6, k <= 3, cosines near the
+    # floor: |det| at the certificate's bound proves sigma_min at least
+    # ALIGNMENT_FLOOR, and the overlaps the determinant leaves unsure go to
+    # the SVD, which decides them as the transport's SVD does
+    rng = np.random.default_rng(36)
+    svds = []
+    real_svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        svds.append(len(a))
+        return real_svd(a, *args, **kwargs)
+
+    certified = sent = 0
+    for d in range(1, 7):
+        for k in range(1, min(d, 3) + 1):
+            pairs = [random_frame_pair(rng, d, k) for _ in range(200)]
+            frames = np.array([x for pair in pairs for x in pair])
+            bundles._orthonormal(frames, np.zeros(len(frames)))
+            overlaps = np.array([g.T @ f for f, g in pairs])
+            sigma_min = real_svd(overlaps, compute_uv=False)[:, -1]
+            proven = np.abs(np.linalg.det(overlaps)) >= (
+                bundles.ALIGNMENT_FLOOR * bundles._DET_SLACK ** k)
+            assert (sigma_min[proven] >= bundles.ALIGNMENT_FLOOR).all()
+            svds.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", counted)
+                cosines, dets = bundles._det_cosines(overlaps)
+            assert svds == ([int((~proven).sum())] if (~proven).any() else [])
+            exact = bundles._polar_cosines(overlaps)[0]
+            assert np.array_equal(cosines >= bundles.ALIGNMENT_FLOOR,
+                                  exact >= bundles.ALIGNMENT_FLOOR)
+            assert np.array_equal(cosines[~proven], exact[~proven])
+            assert np.array_equal(dets, np.linalg.det(overlaps))
+            certified += int(proven.sum())
+            sent += int((~proven & (exact >= bundles.ALIGNMENT_FLOOR)).sum())
+    assert certified >= 500 and sent >= 100
+
+
+def jump_system(theta):
+    return np.diag([0.5, 2.0]) if theta < math.pi else np.diag([2.0, 0.5])
+
+
+def quarter_turn_system(theta):
+    # period 4*pi in span: the stable line at 2*pi is orthogonal to the one at 0
+    return rotating_matrix(0.5 * theta, 0.5, 2.0)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("nonperiodic", AlignmentFailure, "periodic"),
+    ("jump", AlignmentFailure, "after 20 bisections"),
+    ("undersampled", DegenerateClosure, "undersampled"),
+    ("rank change", IndexMismatch, "stable dimension varies"),
+    ("empty", ValueError, "nonempty"),
+])
+def test_overlap_route_raises_as_transport(monkeypatch, case, error, message):
+    # the determinant route and polar transport on the same inputs raise
+    # the same error class with the same message; both read the one
+    # MIN_CLOSURE_DET, so raising it above 1 makes every loop undersampled
+    fixed = hc.linear_family(2, lambda t: np.diag([0.5, 2.0]), lambda t: np.diag([0.5, 2.0]))
+    systems = {
+        "nonperiodic": hc.linear_family(2, lambda t: np.diag([0.5, 2.0]), quarter_turn_system),
+        "jump": hc.linear_family(2, jump_system, jump_system),
+        "undersampled": fixed,
+        "rank change": hc.linear_family(
+            2, lambda t: np.diag([0.5, 2.0]) if t < math.pi else np.diag([0.5, 0.4]),
+            quarter_turn_system),
+        "empty": hc.linear_family(0, lambda t: np.zeros((0, 0)), lambda t: np.zeros((0, 0))),
+    }
+    if case == "undersampled":
+        monkeypatch.setattr(bundles, "MIN_CLOSURE_DET", 2.0)
+    grid = hc.CircleGrid.uniform(16)
+    with pytest.raises(error, match=message) as overlap:
+        hc.index_bundle_invariants(systems[case], grid)
+    with pytest.raises(error) as transport:
+        transport_invariants(systems[case], grid)
+    assert type(overlap.value) is type(transport.value)
+    assert str(overlap.value) == str(transport.value)
+
+
 def test_zero_dimensional_family_is_a_value_error():
     system = hc.linear_family(0, lambda t: np.zeros((0, 0)), lambda t: np.zeros((0, 0)))
     with pytest.raises(ValueError, match="nonempty"):
@@ -354,8 +514,9 @@ def test_zero_dimensional_family_is_a_value_error():
 
 def test_invariants_take_one_schur_per_side(monkeypatch):
     # at m = 256 each side is one splitting_stack call whose eigenvector
-    # frames all pass the invariance test: one real Schur form per side,
-    # for the start frame
+    # frames all pass the invariance test, and the start frame is the
+    # stack's own (the cosines and the sign product do not change when F_0
+    # turns): no real Schur form at all
     forms = []
     record_calls(monkeypatch, scipy.linalg, "schur", forms)
     record_calls(monkeypatch, _linalg, "dgees", forms)
@@ -365,7 +526,7 @@ def test_invariants_take_one_schur_per_side(monkeypatch):
         forms.clear()
         inv = hc.index_bundle_invariants(hc.linear_family(d, a, a), hc.CircleGrid.uniform(256))
         assert inv.w1_plus == expected
-        assert forms == ["dgees"] * 2
+        assert forms == []
 
 
 @pytest.mark.parametrize("part", ["stable_frame", "stable_complement", "unstable_complement"])

@@ -49,7 +49,8 @@ def test_tracer_traces_the_pipeline(paper7_perturbed):
     finally:
         tracer.uninstall()
     assert patched_names() == originals
-    assert counters["bundles.transport_frames.calls"] == 4
+    # only TruncatedProblem.over transports frames, once per side
+    assert counters["bundles.transport_frames.calls"] == 2
     assert counters["detect.scan_nodes"] == grid.m + 1
     assert counters["continuation.points"] == len(branch.points) > 1
     assert counters["truncation.banded_jacobian_lu.calls"] > 0
