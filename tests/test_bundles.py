@@ -409,10 +409,10 @@ def test_overlap_signs_match_transport(monkeypatch, m):
 
 
 def random_frame_pair(rng, d, k):
-    """Orthonormal d x k frames F, G = F-side turned by principal angles
-    whose cosines lie near ALIGNMENT_FLOOR, under random rotations of both
-    frames' columns, each frame then perturbed within the 1e-10
-    orthonormality tolerance."""
+    """Orthonormal d x k frames F and G, G turned away from F by principal
+    angles whose cosines lie near ALIGNMENT_FLOOR, the columns of each
+    turned by a random rotation, each frame then perturbed within the
+    1e-10 orthonormality tolerance."""
     q = np.linalg.qr(rng.standard_normal((d, d)))[0]
     j = min(k, d - k)  # turned directions; the rest are shared
     cosines = np.ones(k)
