@@ -332,6 +332,16 @@ def loop_closure(first: np.ndarray, last: np.ndarray) -> np.ndarray:
     return closure
 
 
+def segment_nodes(theta_from: float, theta_to: float) -> list[float]:
+    """The nodes of a transport along one theta segment: [theta_from,
+    theta_to] when it is at most MAX_PATH_STEP wide, else path_nodes of the
+    two (ValueError for a segment that is not finite or too long)."""
+    path = [float(theta_from), float(theta_to)]
+    if not abs(theta_to - theta_from) <= MAX_PATH_STEP:  # NaN, to be rejected, too
+        path = path_nodes(np.array(path)).tolist()
+    return path
+
+
 def transport_along_path(
     subspace_at: Callable[[float], np.ndarray],
     frame: np.ndarray,
@@ -340,22 +350,22 @@ def transport_along_path(
 ) -> np.ndarray:
     """Transport an orthonormal frame along a theta segment, without closure.
 
-    The segment is cut by path_nodes; each step reads the frame F at its
-    end (orthonormal to 1e-10, else RankDrop), projects onto it and
+    The segment is cut by segment_nodes; each step reads the frame F at
+    its end (orthonormal to 1e-10, else RankDrop), projects onto it and
     polar-corrects: one SVD u s vt of F F^T current (LAPACK gesdd) gives
     the carried frame u vt, and s the principal-angle cosines.  A step
     whose smallest cosine is below ALIGNMENT_FLOOR (or NaN) is handed to
-    _carry, which bisects it.  Node by node, so short segments pay no
+    _carry, which bisects it.  Step by step, so short segments pay no
     stacking overhead.  Its one caller is
     truncation.TruncatedProblem.transported, which keeps the
-    boundary-condition rows continuous whenever theta moves.
+    boundary-condition rows continuous whenever theta moves and calls it
+    only for a side whose limit matrix moves on the segment: a fixed
+    subspace carries a frame in it to itself.
     """
     current = np.asarray(frame, dtype=float)
     if current.shape[1] == 0 or theta_from == theta_to:
         return current.copy()
-    path = [float(theta_from), float(theta_to)]
-    if not abs(theta_to - theta_from) <= MAX_PATH_STEP:  # NaN, to be rejected, too
-        path = path_nodes(np.array(path)).tolist()
+    path = segment_nodes(theta_from, theta_to)
     for t_from, t_to in zip(path, path[1:]):
         target = _shaped_frame(subspace_at(t_to), t_to, current.shape[1])
         err = np.linalg.norm(target.T @ target - np.eye(current.shape[1]))

@@ -12,6 +12,7 @@ complementary growing modes never enter the computation.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -47,6 +48,9 @@ _INVARIANCE_TOL = 5e-14
 # the product for 16 times the bound covers any d c up to 675, far above
 # the backward error of LAPACK's eigenvalue routines at d <= 6.
 _REGULAR_MARGIN = 16.0
+# hyperbolic_splitting's finiteness record of a matrix whose norm is finite
+_ONE_FINITE = np.ones(1, dtype=bool)
+_ONE_FINITE.flags.writeable = False
 
 
 class _SplitParts:
@@ -150,23 +154,55 @@ def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Hyp
     The frames are the leading columns of orthogonal Schur factors ordered
     by |mu| <= 1 versus |mu| > 1 (see HyperbolicSplitting), computed when
     first read.  The eigenvalue moduli come from the Schur form (gees) they
-    reorder, and also decide regularity (see _checked).
+    reorder, and also decide regularity.
+
+    One matrix is validated as one: _accepted applies _checked's rule to
+    its moduli and Frobenius norm as Python floats, and every matrix it
+    does not accept (a non-finite entry, a norm that overflows, or any
+    check unsure or failed) goes to _checked, so every verdict, error
+    class and message is that of splitting_stack's validator.
 
     Raises ValueError unless a is a nonempty square matrix, NotHyperbolic
     if gees fails or a has a non-finite entry, Singular if a is not
     invertible, NotHyperbolic if any eigenvalue modulus is within gap_tol
-    of 1 (or, when a frame is read, if trsen or its count fails).  The
-    checks after gees are those of splitting_stack, by the same function.
+    of 1 (or, when a frame is read, if trsen or its count fails).
     """
     a = np.array(a, dtype=float)
-    finite = _checked_input(a[None], gap_tol)
-    b = a if finite[0] else np.eye(len(a))
+    norm = math.nan
+    if a.ndim == 2 and a.shape[0] == a.shape[1] and a.size and gap_tol > 0:
+        # Python floats: a square that overflows is inf, silently
+        norm = math.sqrt(sum(v * v for v in a.ravel().tolist()))
+    if math.isfinite(norm):  # every entry is finite
+        b, finite = a, _ONE_FINITE
+    else:
+        finite = _checked_input(a[None], gap_tol)
+        b = a if finite[0] else np.eye(len(a))
     t, _, wr, wi, z, _, info = lapack.dgees(_no_sort, b, lwork=_gees_lwork(len(a)))
     if info:
         raise NotHyperbolic(f"real Schur decomposition failed (gees info {info})")
     moduli = np.hypot(wr, wi)
-    d_s = _checked(b[None], finite, moduli[None], gap_tol)[0]
+    d_s = _accepted(moduli.tolist(), norm, gap_tol)
+    if d_s is None:
+        d_s = _checked(b[None], finite, moduli[None], gap_tol)[0]
     return HyperbolicSplitting(a=a, d_s=d_s, _schur_form=(t, z, moduli))
+
+
+def _accepted(moduli: list[float], norm: float, gap_tol: float) -> int | None:
+    """The stable dimension of one matrix with these eigenvalue moduli and
+    Frobenius norm, when the norm is finite and the matrix passes every
+    check of _checked's rule: the product of the moduli exceeds
+    _REGULAR_MARGIN 1e-14 max(1, F) F^(d-1), F = norm, and every modulus
+    is at least gap_tol from 1.  None otherwise: the matrix then goes to
+    _checked, which gives the verdict.  Never raises; float products
+    overflow to inf, silently."""
+    if not math.isfinite(norm):
+        return None
+    bound = _REGULAR_MARGIN * 1e-14 * max(1.0, norm)
+    for _ in moduli[1:]:
+        bound *= norm
+    if not (math.prod(moduli) > bound and min(abs(m - 1.0) for m in moduli) >= gap_tol):
+        return None
+    return sum(m < 1.0 for m in moduli)
 
 
 def _checked_input(a: np.ndarray, gap_tol: float) -> np.ndarray:
@@ -183,11 +219,13 @@ def _checked_input(a: np.ndarray, gap_tol: float) -> np.ndarray:
 
 def _checked(b: np.ndarray, finite: np.ndarray, mods: np.ndarray,
              gap_tol: float) -> tuple[int, np.ndarray]:
-    """The one validator of every splitting, given an (n, d, d) stack b (a
-    non-finite matrix read as the identity), each matrix's finiteness and
-    its eigenvalue moduli: returns the stable dimension d_s, which must be
-    the same for every matrix (IndexMismatch otherwise), and the Frobenius
-    norms ||b_i||_F.  The first matrix in stack order that fails a check
+    """The one splitting validator that raises: splitting_stack validates
+    every stack here, and hyperbolic_splitting every matrix that _accepted
+    does not admit.  Given an (n, d, d) stack b (a non-finite matrix read
+    as the identity), each matrix's finiteness and its eigenvalue moduli:
+    returns the stable dimension d_s, which must be the same for every
+    matrix (IndexMismatch otherwise), and the Frobenius norms ||b_i||_F.
+    The first matrix in stack order that fails a check
     raises, for the first check it fails: a non-finite entry
     (NotHyperbolic), numerical singularity,
     sigma_min <= 1e-14 max(1, sigma_max) (Singular), a gap below gap_tol

@@ -22,7 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import _linalg as lapack
-from .bundles import CircleGrid, limit_family, transport_along_path, transport_frames
+from .bundles import (CircleGrid, limit_family, segment_nodes, transport_along_path,
+                      transport_frames)
 from .errors import SingularJacobian, SizeMismatch, WindowOverflow
 from .spectral import DEFAULT_GAP_TOL
 from .systems import dfdx_rows, f_rows
@@ -95,14 +96,23 @@ class TruncatedProblem:
         """The same problem at theta, its boundary rows carried there from
         self.theta by bundles.transport_along_path on self.families, so
         that determinant signs along the path are those of one continuous
-        family.  A family whose limit matrix is unchanged at the path's
-        nodes (a theta-independent a_minus) is not split again."""
+        family.
+
+        A side whose limit matrix (a_minus for the left rows, a_plus for
+        the right) is bitwise the same at every node of the path,
+        self.theta included, keeps its rows as they are: parallel transport
+        inside one fixed subspace is the identity, and the rows are a frame
+        of that subspace already (the family's frame at self.theta, or
+        carried onto it).  The limits are read only after
+        bundles.segment_nodes has accepted the path (ValueError for a far
+        or NaN theta), and reading one costs no split."""
+        path = segment_nodes(self.theta, theta)
         left, right = self.families
         return replace(
             self,
             theta=float(theta),
-            left_rows=transport_along_path(left, self.left_rows.T, self.theta, theta).T,
-            right_rows=transport_along_path(right, self.right_rows.T, self.theta, theta).T,
+            left_rows=_carried(self.system.a_minus, left, self.left_rows, path),
+            right_rows=_carried(self.system.a_plus, right, self.right_rows, path),
         )
 
     def over(self, grid: CircleGrid) -> list["TruncatedProblem"]:
@@ -157,6 +167,21 @@ def complement_families(system, gap_tol: float = DEFAULT_GAP_TOL,
     """
     return (limit_family(system.a_minus, "unstable_complement", gap_tol, grid),
             limit_family(system.a_plus, "stable_complement", gap_tol, grid))
+
+
+def _carried(limit_fn, family, rows: np.ndarray, path: list[float]) -> np.ndarray:
+    """Boundary rows, a frame of family at path[0], carried along path
+    (TruncatedProblem.transported): as they are when there are none or
+    limit_fn is bitwise the same matrix at every node, else by
+    transport_along_path on family."""
+    if not len(rows):
+        return rows
+    first = np.asarray(limit_fn(path[0]), dtype=float)
+    for theta in path[1:]:
+        a = np.asarray(limit_fn(theta), dtype=float)
+        if a.shape != first.shape or a.tobytes() != first.tobytes():
+            return transport_along_path(family, rows.T, path[0], path[-1]).T
+    return rows
 
 
 def truncated_problem(system, theta: float, N: int,
@@ -234,11 +259,12 @@ class WindowLU:
         classify_window's question."""
         if self._exact_singular or not np.isfinite(self._udiag).all():
             return 0
-        # scipy returns the gbtrf pivot indices 0-based.
-        swaps = int(np.sum(self._ipiv != np.arange(self._n)))
-        sign = 1 if swaps % 2 == 0 else -1
-        sign *= int(np.prod(np.sign(self._udiag)))
-        return sign
+        # every pivot is now finite and nonzero, so the sign is the parity
+        # of the row interchanges (scipy returns the gbtrf pivot indices
+        # 0-based) plus the negative pivots
+        flips = (np.count_nonzero(self._ipiv != np.arange(self._n))
+                 + np.count_nonzero(self._udiag < 0))
+        return -1 if flips % 2 else 1
 
     def smallest_singular(self, estimate: float | None = None,
                           start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
@@ -600,8 +626,11 @@ def tail_mass(x: np.ndarray, d: int) -> float:
     # the integers |n| >= (1 - TAIL_FRACTION) * N - 1e-12 are |n| >= k:
     # blocks n = -N .. -k and n = k .. N
     k = int(np.ceil((1.0 - TAIL_FRACTION) * N - 1e-12))
-    return float(np.maximum(np.max(np.linalg.norm(blocks[:N - k + 1], axis=1)),
-                            np.max(np.linalg.norm(blocks[N + k:], axis=1))))
+    # np.linalg.norm's sums of squares; sqrt is monotone and correctly
+    # rounded, so the root of the largest is bitwise the largest norm
+    left, right = blocks[:N - k + 1], blocks[N + k:]
+    return float(np.sqrt(np.maximum((left * left).sum(axis=1).max(),
+                                    (right * right).sum(axis=1).max())))
 
 
 def embed_window(x: np.ndarray, d: int, n_old: int, n_new: int) -> np.ndarray:

@@ -718,15 +718,14 @@ def test_top_ritz_pair_rejects_non_finite(alpha, beta):
 
 
 def test_short_transport_makes_one_schur_per_family(paper7_perturbed, monkeypatch):
-    # A 0.1 rad move is one transport step per family.  A family whose limit
-    # matrix moves reads one Schur factor of its new splitting: one real
-    # Schur form (gees) and one reordering of it (trsen).  paper7's a_minus
-    # does not depend on theta, so its family reuses the splitting the
-    # problem was built with and makes none; a family of two moving limits
-    # makes one each.  The complement frame is the factor's trailing
-    # columns, used as it is.  Regularity is read from the Schur form's
-    # eigenvalue moduli, so the only SVDs are one projection per transport
-    # step.
+    # A 0.1 rad move is one transport step per moving family.  A family
+    # whose limit matrix moves reads one Schur factor of its new splitting:
+    # one real Schur form (gees) and one reordering of it (trsen).  paper7's
+    # a_minus does not depend on theta, so its side keeps its rows and makes
+    # neither a split nor a projection; a family of two moving limits makes
+    # one each.  The complement frame is the factor's trailing columns, used
+    # as it is.  Regularity is read from the Schur form's eigenvalue moduli,
+    # so the only SVDs are one projection per moving side.
     rng = np.random.default_rng(4)
     a_of, _ = half_turn_loop(rng, 2, 1)
     both_move = hc.linear_family(2, a_of, lambda theta: a_of(theta + 0.5))
@@ -741,7 +740,7 @@ def test_short_transport_makes_one_schur_per_family(paper7_perturbed, monkeypatc
             record_calls(patch, _linalg, "dgesdd", svds)
             p.transported(1.1)
         assert schurs == ["dgees", "dtrsen"] * moving
-        assert svds == ["dgesdd"] * 2
+        assert svds == ["dgesdd"] * moving
 
 
 @pytest.mark.parametrize("theta", [1e30, math.inf, math.nan, 1e8])
@@ -749,7 +748,9 @@ def test_far_transport_is_rejected_before_any_frame(paper7_perturbed, monkeypatc
     # a path that is not finite or longer than MAX_PATH_STEPS steps raises
     # before a single limit matrix is read or split; the same recorders see
     # the reads of a short finite path and its splitting of the moving
-    # a_plus (a_minus is constant), so the empty records are not vacuous
+    # a_plus, so the empty records are not vacuous: each side reads its
+    # limit at both ends (a_minus is the same there, so its rows stay), and
+    # the moving a_plus is read once more by its family, which splits it
     limits = []
 
     def counted(fn):
@@ -768,7 +769,7 @@ def test_far_transport_is_rejected_before_any_frame(paper7_perturbed, monkeypatc
         p.transported(theta)
     assert schurs == [] and limits == []
     p.transported(1.1)
-    assert schurs == ["dgees"] and limits == [1.1, 1.1]
+    assert schurs == ["dgees"] and limits == [1.0, 1.1, 1.0, 1.1, 1.1]
 
 
 def test_adapt_window_rejects_nan_tail_tol():
