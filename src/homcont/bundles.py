@@ -357,10 +357,11 @@ def transport_along_path(
     whose smallest cosine is below ALIGNMENT_FLOOR (or NaN) is handed to
     _carry, which bisects it.  Step by step, so short segments pay no
     stacking overhead.  Its one caller is
-    truncation.TruncatedProblem.transported, which keeps the
-    boundary-condition rows continuous whenever theta moves and calls it
-    only for a side whose limit matrix moves on the segment: a fixed
-    subspace carries a frame in it to itself.
+    truncation.TruncatedProblem.transported (by truncation._carried),
+    which keeps the boundary-condition rows continuous whenever theta
+    moves, and calls it only for a side whose limit matrix moves on the
+    segment: transport inside a fixed subspace carries a frame of it to
+    itself.
     """
     current = np.asarray(frame, dtype=float)
     if current.shape[1] == 0 or theta_from == theta_to:
@@ -394,7 +395,14 @@ def w1(transport: LoopTransport) -> int:
 
 
 def _closure_sign(closure: np.ndarray) -> int:
-    """sign det closure; DegenerateClosure if |det| < MIN_CLOSURE_DET."""
+    """sign det closure; DegenerateClosure if |det| < MIN_CLOSURE_DET.
+
+    A closure matrix that passed loop_closure cannot raise: its frames are
+    orthonormal to 1e-10 and close to 1e-8, so it is orthogonal to about
+    1e-8 and |det| is about 1.  No seeded or constructed family has reached
+    the error through index_bundle_invariants or w1 (undersampled loops are
+    bisected by _aligned or fail loop_closure), so only a lowered
+    MIN_CLOSURE_DET triggers it.  The check stays as a guard on the sign."""
     det = float(np.linalg.det(closure))
     if abs(det) < MIN_CLOSURE_DET:
         raise DegenerateClosure(f"|det C| = {abs(det):.3e}; loop is undersampled")

@@ -48,9 +48,6 @@ _INVARIANCE_TOL = 5e-14
 # the product for 16 times the bound covers any d c up to 675, far above
 # the backward error of LAPACK's eigenvalue routines at d <= 6.
 _REGULAR_MARGIN = 16.0
-# hyperbolic_splitting's finiteness record of a matrix whose norm is finite
-_ONE_FINITE = np.ones(1, dtype=bool)
-_ONE_FINITE.flags.writeable = False
 
 
 class _SplitParts:
@@ -172,18 +169,16 @@ def hyperbolic_splitting(a: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> Hyp
     if a.ndim == 2 and a.shape[0] == a.shape[1] and a.size and gap_tol > 0:
         # Python floats: a square that overflows is inf, silently
         norm = math.sqrt(sum(v * v for v in a.ravel().tolist()))
-    if math.isfinite(norm):  # every entry is finite
-        b, finite = a, _ONE_FINITE
-    else:
-        finite = _checked_input(a[None], gap_tol)
-        b = a if finite[0] else np.eye(len(a))
+    # a finite norm: every entry is finite and the input checks pass
+    finite = math.isfinite(norm) or bool(_checked_input(a[None], gap_tol)[0])
+    b = a if finite else np.eye(len(a))
     t, _, wr, wi, z, _, info = lapack.dgees(_no_sort, b, lwork=_gees_lwork(len(a)))
     if info:
         raise NotHyperbolic(f"real Schur decomposition failed (gees info {info})")
     moduli = np.hypot(wr, wi)
     d_s = _accepted(moduli.tolist(), norm, gap_tol)
     if d_s is None:
-        d_s = _checked(b[None], finite, moduli[None], gap_tol)[0]
+        d_s = _checked(b[None], np.array([finite]), moduli[None], gap_tol)[0]
     return HyperbolicSplitting(a=a, d_s=d_s, _schur_form=(t, z, moduli))
 
 

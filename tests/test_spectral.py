@@ -10,6 +10,7 @@ import homcont as hc
 from homcont import _linalg, bundles, spectral, truncation
 from homcont.errors import IndexMismatch, NotHyperbolic, Singular
 from homcont.spectral import splitting_stack, symbol_smin
+from homcont.systems import rotating_matrix
 
 from conftest import predict_style_loop, random_hyperbolic, record_calls
 
@@ -354,6 +355,70 @@ def test_regularity_from_moduli_gives_the_singular_value_verdict(monkeypatch, ro
                 assert svds == ([left] if left else [])
                 assert got == _outcome(_svd_checked, finite[j:], a[j:], mods[j:], 1e-6)
     assert admitted >= 60 and unsure >= 700
+
+
+def _stack_validated(a, gap_tol):
+    """hyperbolic_splitting's verdict by the stack validator alone (its
+    shape checks, gees, then _checked on a stack of one): d_s, or the
+    error class and message."""
+    a = np.array(a, dtype=float)
+    finite = spectral._checked_input(a[None], gap_tol)
+    b = a if finite[0] else np.eye(len(a))
+    wr, wi = _linalg.dgees(spectral._no_sort, b, lwork=spectral._gees_lwork(len(a)))[2:4]
+    return spectral._checked(b[None], finite, np.hypot(wr, wi)[None], gap_tol)[0]
+
+
+def _verdict(check, *args):
+    try:
+        return check(*args)
+    except (ValueError, NotHyperbolic, Singular) as exc:
+        return type(exc), str(exc)
+
+
+def test_one_matrix_is_validated_as_the_stack_validator_would(monkeypatch):
+    # hyperbolic_splitting admits a matrix from its moduli and norm as
+    # Python floats and hands every other one to _checked: on the seeded
+    # near-singular matrices of the test above, regular and extreme ones,
+    # non-finite, singular, near-circle, empty and non-square inputs and
+    # beta = 1.797e308, it gives the d_s, or the error class and message,
+    # of _checked alone, and calls _checked exactly for those it does not
+    # admit (warnings are errors here, so overflow stays silent)
+    rng = np.random.default_rng(34)
+    mats = []
+    for d in range(1, 7):
+        mats += [_near_singular(rng, d, 10.0 ** rng.uniform(-16, -11), 10.0 ** rng.uniform(-8, 8))
+                 for _ in range(140)]
+        mats += [random_hyperbolic(rng, d) * s for s in (1e-300, 1e-160, 1.0, 1e160, 1e300)]
+        mats += [random_hyperbolic(rng, d) for _ in range(10)]
+        mats += [np.diag(np.r_[1.7e308, np.full(d - 1, 0.5)]), np.eye(d) * 1e-320,
+                 np.zeros((d, d)), np.full((d, d), np.nan), np.diag(np.r_[np.inf, np.ones(d - 1)]),
+                 np.diag(np.r_[1.0 + 1e-7, np.full(d - 1, 0.5)]), np.ones((d, d))]
+    mats += [rotating_matrix(t, 0.5, 1.797e308) for t in (0.0, 1.0, math.pi, 5.0)]
+    mats += [rotating_matrix(t, 0.5, 2.0) for t in (0.0, 1.0, math.pi, 5.0)]
+    mats += [np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(3), np.array(2.0), np.zeros((2, 2, 2))]
+    validated = []
+    real_checked = spectral._checked
+
+    def counted(*args):
+        validated.append(args[0].shape)
+        return real_checked(*args)
+
+    monkeypatch.setattr(spectral, "_checked", counted)
+    admitted = 0
+    for a in mats:
+        for gap_tol in (1e-6, 0.0, math.nan):
+            want = _verdict(_stack_validated, a, gap_tol)
+            validated.clear()
+            got = _verdict(lambda: hc.hyperbolic_splitting(a, gap_tol).d_s)
+            assert got == want, (a, gap_tol)
+            if isinstance(got, int):
+                admitted += not validated
+            elif got[0] is ValueError:
+                assert validated == []
+            else:
+                assert validated == [(1, *a.shape)]
+            assert len(validated) <= 1
+    assert admitted >= 150
 
 
 def test_stack_checks_run_in_stack_order(monkeypatch):

@@ -324,6 +324,25 @@ def test_paper7_passes_equal_stacked_oracle_bitwise(seed):
             assert np.array_equal(system.dfdx(ns, theta, X), oracle_dfdx(ns, theta, X))
 
 
+@pytest.mark.parametrize("envelope_scale", [5.0, 1e-200])
+def test_paper7_n_only_data_are_bitwise_fresh(envelope_scale):
+    # paper7 keeps the envelope and side mask of the last ns: f and dfdx on
+    # alternating windows (N = 10, 20, 40, a non-contiguous ns, and one ns
+    # array rewritten in place) equal, byte for byte, a fresh family's
+    cfg = hc.Paper7Config(coupling=0.15, envelope_scale=envelope_scale)
+    system = hc.paper7_family(cfg)
+    rng = np.random.default_rng(37)
+    reused = np.arange(-10, 10)
+    windows = [np.arange(-N, N) for N in (10, 20, 40)] + [np.arange(-60, 60)[::3]]
+    for i, ns in enumerate(windows * 3 + [reused] * 3):
+        if ns is reused and i > len(windows) * 3:
+            reused[:] = reused[::-1] + 3
+        theta, X = float(rng.uniform(0.0, 7.0)), rng.standard_normal((len(ns), 2))
+        fresh = hc.paper7_family(cfg)
+        assert system.f(ns, theta, X).tobytes() == fresh.f(ns, theta, X).tobytes()
+        assert system.dfdx(ns, theta, X).tobytes() == fresh.dfdx(ns, theta, X).tobytes()
+
+
 def test_a4_reads_exact_limit_matrix_plus_remainder_jacobian(grid64, monkeypatch):
     # A4 differences only f_inf(theta, x) - a(theta) x: a limit map computed
     # as a @ x gives a itself, while one that is nonlinear away from 0 gives

@@ -10,7 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 import homcont as hc
 from homcont.errors import SingularJacobian, SizeMismatch, WindowOverflow
 from homcont.systems import SystemFamily
-from homcont import _linalg, truncation
+from homcont import _linalg, bundles, truncation
 from homcont.truncation import (
     DEFAULT_KERNEL_TOL,
     GRAM_FLOOR,
@@ -770,6 +770,73 @@ def test_far_transport_is_rejected_before_any_frame(paper7_perturbed, monkeypatc
     assert schurs == [] and limits == []
     p.transported(1.1)
     assert schurs == ["dgees"] and limits == [1.0, 1.1, 1.0, 1.1, 1.1]
+
+
+def _constant_side_loops():
+    """(name, system) pairs whose a_minus does not depend on theta: paper7,
+    and linear_family loops of d = 3, 4, 5, 6 with d_s = k = 1, 2, 3, 1
+    left rows, a_plus a half_turn_loop and a_minus a fixed seeded
+    hyperbolic matrix of the same stable dimension."""
+    loops = [("paper7", hc.paper7_family(hc.Paper7Config(coupling=0.1)))]
+    rng = np.random.default_rng(37)
+    for d in range(3, 7):
+        k = 0
+        while k != (d - 3) % 3 + 1:
+            a_of, k = half_turn_loop(rng, d, int(rng.integers(1, 3)))
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        moduli = np.r_[rng.uniform(0.2, 0.8, k), rng.uniform(1.25, 3.0, d - k)]
+        fixed = q @ np.diag(moduli * rng.choice([-1.0, 1.0], d)) @ q.T
+        loops.append((f"d={d},k={k}", hc.linear_family(d, a_of, lambda theta, m=fixed: m)))
+    return loops
+
+
+def test_fixed_side_keeps_its_rows(monkeypatch):
+    # a side whose limit matrix is the same at every node keeps its rows:
+    # no gesdd and the very array, within 1e-14 of what the polar step
+    # (transport_along_path) would return; the moving side is carried by
+    # transport_along_path bit for bit.  Moves of one step, of several
+    # (a path cut by path_nodes) and back, from problems built at theta and
+    # from transported ones
+    from homcont.bundles import transport_along_path
+
+    for name, system in _constant_side_loops():
+        p = truncated_problem(system, 0.7, 6)
+        assert 1 <= len(p.left_rows) <= 3, name
+        left, right = p.families
+        for theta in (0.75, 0.6, 1.9, -0.4, 0.7):
+            svds = []
+            with monkeypatch.context() as patch:
+                record_calls(patch, _linalg, "dgesdd", svds)
+                q = p.transported(theta)
+            assert q.left_rows is p.left_rows, name
+            polar = transport_along_path(left, p.left_rows.T, p.theta, theta).T
+            assert np.max(np.abs(q.left_rows - polar)) <= 1e-14, name
+            moved = transport_along_path(right, p.right_rows.T, p.theta, theta).T
+            assert np.array_equal(q.right_rows, moved), name
+            assert len(svds) == len(bundles.segment_nodes(p.theta, theta)) - 1, name
+            p = q
+
+
+def test_moving_sides_are_still_carried():
+    # a family of two moving limits, and a constant a_minus that differs
+    # only at the interior nodes of a long path, are carried on both sides
+    # as transport_along_path carries them
+    from homcont.bundles import transport_along_path
+
+    rng = np.random.default_rng(4)
+    a_of, _ = half_turn_loop(rng, 2, 1)
+    fixed = np.diag([0.5, 2.0])
+    ends = (0.3, 1.5)
+    systems = [hc.linear_family(2, a_of, lambda theta: a_of(theta + 0.5)),
+               hc.linear_family(2, a_of, lambda theta: fixed if theta in ends else
+                                fixed + np.diag([1e-15, 0.0]))]
+    for system in systems:
+        p = truncated_problem(system, ends[0], 6)
+        q = p.transported(ends[1])
+        for rows, family, new in ((p.left_rows, p.families[0], q.left_rows),
+                                  (p.right_rows, p.families[1], q.right_rows)):
+            assert new is not rows
+            assert np.array_equal(new, transport_along_path(family, rows.T, *ends).T)
 
 
 def test_adapt_window_rejects_nan_tail_tol():
